@@ -2,26 +2,18 @@
 
 The compiled extension is preferred when importable; otherwise the
 pure-numpy fallback is used. Both implement identical contracts and return
-bit-identical results, so the choice only affects speed. Set
-``PAIRBOX_PURE_PYTHON=1`` to force the fallback (used by the benchmark and
-the backend-equivalence tests).
+bit-identical results, so the choice only affects speed.
 """
-
-import os
 
 from . import _python
 
-if os.environ.get("PAIRBOX_PURE_PYTHON"):
+try:
+    from . import _native as _impl  # type: ignore[no-redef]
+
+    BACKEND = "native"
+except ImportError:
     _impl = _python
     BACKEND = "python"
-else:
-    try:
-        from . import _native as _impl  # type: ignore[no-redef]
-
-        BACKEND = "native"
-    except ImportError:
-        _impl = _python
-        BACKEND = "python"
 
 iou_matrix = _impl.iou_matrix
 ioum_matrix = _impl.ioum_matrix

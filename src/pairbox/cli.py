@@ -16,8 +16,8 @@ Subcommands:
                      with an optional finite-difference gradient check.
 
 Every command is deterministic given its arguments and seeds; outputs are
-byte-stable across runs and across ``PAIRBOX_THREADS`` settings. Exit codes:
-0 success, 1 evaluation-domain error, 2 I/O or parse error.
+byte-stable across runs. Exit codes: 0 success, 1 evaluation-domain error,
+2 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -71,30 +71,9 @@ from .sampling import (
 )
 from .simulation import MockDetectorSpec, SceneSpec, ShiftSpec, apply_shift, generate_scene, mock_detect
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 DEFAULT_SHIFT_SWEEP = (-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved pipeline settings shared by the evaluating commands."""
-
-    iou_thresholds: tuple[float, ...] = (0.5, 0.7)
-    variants: tuple[str, ...] = VARIANTS
-    shift_sweep: tuple[float, ...] = DEFAULT_SHIFT_SWEEP
-    assignment: AssignmentConfig = AssignmentConfig()
-    proposal_nms_thresh: float = 0.7
-    detection_nms_thresh: float = 0.5
-    min_height: float = 55.0
-    out_dir: Optional[Path] = None
-
-    def eval_config(self, variants: Optional[tuple[str, ...]] = None) -> EvalConfig:
-        return EvalConfig(
-            iou_thresholds=self.iou_thresholds,
-            variants=variants or self.variants,
-            min_height=self.min_height,
-        )
 
 
 def format_eval_table(report: EvalReport) -> str:
@@ -188,16 +167,15 @@ def _write_text(path: Path, text: str) -> None:
 def cmd_evaluate(args) -> int:
     dataset = read_dataset(args.ground_truth)
     detections = read_detections(args.detections)
-    run = RunConfig(
+    config = EvalConfig(
         iou_thresholds=tuple(args.iou_thresh),
         variants=tuple(args.variants),
         min_height=args.min_height,
-        out_dir=Path(args.out) if args.out is not None else None,
     )
-    report = evaluate(dataset.frames, detections, run.eval_config())
+    report = evaluate(dataset.frames, detections, config)
     table = format_eval_table(report)
-    if run.out_dir is not None:
-        out = run.out_dir
+    if args.out is not None:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "eval_table.txt", table)
         write_curve_csv(report, out / "eval_curves.csv")
@@ -228,14 +206,9 @@ def _mock_spec_from_args(args, meta: DatasetMeta) -> MockDetectorSpec:
 
 def cmd_shift_sweep(args) -> int:
     dataset = read_dataset(args.ground_truth)
-    run = RunConfig(
-        iou_thresholds=tuple(args.iou_thresh),
-        shift_sweep=tuple(args.shift),
-        out_dir=Path(args.out) if args.out is not None else None,
-    )
-    thresholds = run.iou_thresholds
+    thresholds = tuple(args.iou_thresh)
     rows = []
-    for dx in run.shift_sweep:
+    for dx in args.shift:
         spec = ShiftSpec(dx, image_width=dataset.meta.image_width)
         shifted = apply_shift(dataset.frames, spec)
         if args.dets_pattern:
@@ -243,12 +216,13 @@ def cmd_shift_sweep(args) -> int:
             detections = read_detections(args.dets_pattern.format(dx=token))
         else:
             detections = mock_detect(shifted, _mock_spec_from_args(args, dataset.meta))
-        report = evaluate(shifted, detections, run.eval_config(variants=("multimodal",)))
+        config = EvalConfig(iou_thresholds=thresholds, variants=("multimodal",))
+        report = evaluate(shifted, detections, config)
         rows.append((dx, {t: report.lamr("multimodal", t) for t in thresholds}))
     table = format_sweep_table(rows, thresholds)
     csv_text = format_sweep_csv(rows, thresholds)
-    if run.out_dir is not None:
-        out = run.out_dir
+    if args.out is not None:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "shift_sweep.txt", table)
         _write_text(out / "shift_sweep.csv", csv_text)
@@ -347,11 +321,39 @@ def cmd_assign(args) -> int:
     return 0
 
 
-def _offsets_from(raw, field: str) -> BoxOffsets:
+def _losses_field(raw: dict, key: str, convert, path, field: str, default=None):
+    """``convert(raw[key])``, or ``convert(default)`` when the key is absent.
+
+    A required (no default) key that is missing, or a value ``convert``
+    rejects, is a ParseError naming ``field``.
+    """
+    if key not in raw and default is None:
+        raise ParseError(path, 1, f"{field}: missing")
     try:
-        return BoxOffsets.from_array(raw)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("<losses>", 1, f"{field}: {exc}") from None
+        return convert(raw.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(path, 1, f"{field}: {exc}") from None
+
+
+def _integer(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _typed(value, kind: type, path, field: str):
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ParseError(path, 1, f"{field}: expected a JSON {name}")
+    return value
+
+
+def _offsets_from(raw: dict, path, where: str) -> list[BoxOffsets]:
+    """The pred_v, pred_t, target_v, target_t offsets of a foreground sample."""
+    return [
+        _losses_field(raw, key, BoxOffsets.from_array, path, f"{where}.{key}")
+        for key in ("pred_v", "pred_t", "target_v", "target_t")
+    ]
 
 
 def _load_losses_file(path):
@@ -366,52 +368,45 @@ def _load_losses_file(path):
 
 
 def _parse_rpn_samples(section, path) -> tuple[list[RpnSample], LossConfig]:
-    cfg_raw = section.get("cfg", {})
+    section = _typed(section, dict, path, "rpn")
+    cfg_raw = _typed(section.get("cfg", {}), dict, path, "rpn.cfg")
+    raw_samples = _typed(section.get("samples", []), list, path, "rpn.samples")
+    n_default = max(len(raw_samples), 1)
     cfg = LossConfig(
-        lam=float(cfg_raw.get("lambda", 1.0)),
-        n_cls=int(cfg_raw.get("n_cls", max(len(section.get("samples", [])), 1))),
-        n_reg=int(cfg_raw.get("n_reg", max(len(section.get("samples", [])), 1))),
+        lam=_losses_field(cfg_raw, "lambda", float, path, "rpn.cfg.lambda", 1.0),
+        n_cls=_losses_field(cfg_raw, "n_cls", _integer, path, "rpn.cfg.n_cls", n_default),
+        n_reg=_losses_field(cfg_raw, "n_reg", _integer, path, "rpn.cfg.n_reg", n_default),
     )
     samples = []
-    for k, raw in enumerate(section.get("samples", [])):
+    for k, raw in enumerate(raw_samples):
+        where = f"rpn.samples[{k}]"
+        raw = _typed(raw, dict, path, where)
         label = raw.get("label")
         if label not in (0, 1):
-            raise ParseError(path, 1, f"rpn.samples[{k}].label: expected 0 or 1")
+            raise ParseError(path, 1, f"{where}.label: expected 0 or 1")
+        logit = _losses_field(raw, "logit", float, path, f"{where}.logit")
         if label == 1:
-            samples.append(
-                RpnSample(
-                    objectness_logit=float(raw["logit"]),
-                    label=1,
-                    pred_offsets_v=_offsets_from(raw.get("pred_v"), f"rpn.samples[{k}].pred_v"),
-                    pred_offsets_t=_offsets_from(raw.get("pred_t"), f"rpn.samples[{k}].pred_t"),
-                    target_offsets_v=_offsets_from(raw.get("target_v"), f"rpn.samples[{k}].target_v"),
-                    target_offsets_t=_offsets_from(raw.get("target_t"), f"rpn.samples[{k}].target_t"),
-                )
-            )
+            samples.append(RpnSample(logit, 1, *_offsets_from(raw, path, where)))
         else:
-            samples.append(RpnSample(objectness_logit=float(raw["logit"]), label=0))
+            samples.append(RpnSample(logit, 0))
     return samples, cfg
 
 
 def _parse_detector_samples(section, path) -> tuple[list[DetectorSample], float]:
-    lam = float(section.get("lambda", 1.0))
+    section = _typed(section, dict, path, "detector")
+    lam = _losses_field(section, "lambda", float, path, "detector.lambda", 1.0)
     samples = []
-    for k, raw in enumerate(section.get("samples", [])):
-        scores = tuple(float(s) for s in raw.get("scores", ()))
-        true_class = int(raw.get("true_class", 0))
+    for k, raw in enumerate(_typed(section.get("samples", []), list, path, "detector.samples")):
+        where = f"detector.samples[{k}]"
+        raw = _typed(raw, dict, path, where)
+        scores = _losses_field(
+            raw, "scores", lambda v: tuple(float(s) for s in v), path, f"{where}.scores", ()
+        )
+        true_class = _losses_field(raw, "true_class", _integer, path, f"{where}.true_class", 0)
         if true_class != 0:
-            samples.append(
-                DetectorSample(
-                    class_scores=scores,
-                    true_class=true_class,
-                    pred_offsets_v=_offsets_from(raw.get("pred_v"), f"detector.samples[{k}].pred_v"),
-                    pred_offsets_t=_offsets_from(raw.get("pred_t"), f"detector.samples[{k}].pred_t"),
-                    target_offsets_v=_offsets_from(raw.get("target_v"), f"detector.samples[{k}].target_v"),
-                    target_offsets_t=_offsets_from(raw.get("target_t"), f"detector.samples[{k}].target_t"),
-                )
-            )
+            samples.append(DetectorSample(scores, true_class, *_offsets_from(raw, path, where)))
         else:
-            samples.append(DetectorSample(class_scores=scores, true_class=0))
+            samples.append(DetectorSample(scores, 0))
     return samples, lam
 
 
@@ -538,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_nms = sub.add_parser("nms", help="apply paired NMS to a detection file")
     p_nms.add_argument("detections")
-    p_nms.add_argument("--iou-thresh", type=float, default=RunConfig.detection_nms_thresh,
+    p_nms.add_argument("--iou-thresh", type=float, default=0.5,
                        help="suppression threshold (default: final-detection setting; "
                             "use the proposal setting 0.7 for proposal-stage NMS)")
     p_nms.add_argument("--max-keep", type=int, default=None)

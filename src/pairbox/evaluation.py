@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence, TypeVar, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -201,9 +199,7 @@ def match_frame(
     gt_detected = np.zeros(n_gt, dtype=bool)
     evaluable = np.asarray([not g.ignore for g in gts], dtype=bool)
     n_evaluable = int(np.count_nonzero(evaluable))
-    if n_det == 0:
-        return FrameMatch(scores, outcomes, matched_gt, gt_detected, n_evaluable)
-    if n_gt == 0:
+    if n_det == 0 or n_gt == 0:
         return FrameMatch(scores, outcomes, matched_gt, gt_detected, n_evaluable)
 
     overlaps = _overlap_matrix(dets, gts, variant)
@@ -367,25 +363,9 @@ class EvalReport:
         return self.entry(variant, iou_thresh).lamr
 
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
 def thread_count() -> int:
-    """Worker cap for per-frame parallelism; PAIRBOX_THREADS overrides."""
-    env = os.environ.get("PAIRBOX_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _ordered_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
-    """Map preserving order; threads only pay off past a few dozen frames."""
-    workers = thread_count()
-    if workers <= 1 or len(items) < 64:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+    """Number of threads ``evaluate`` matches frames on: always one."""
+    return 1
 
 
 def evaluate(
@@ -396,9 +376,8 @@ def evaluate(
     """Run the full protocol over every configured variant and threshold.
 
     Detections must reference known frame ids; annotated frames without
-    detections count as all-miss frames. Per-frame matching is independent
-    and runs through an order-preserving map, so reports are identical
-    regardless of worker count.
+    detections count as all-miss frames. Frames are matched one after
+    another; the matching is GIL-bound Python, so threads would not pay.
     """
     ann_ids = [f.frame_id for f in annotations]
     if len(set(ann_ids)) != len(ann_ids):
@@ -423,9 +402,7 @@ def evaluate(
     entries = []
     for variant in config.variants:
         for thresh in config.iou_thresholds:
-            matches = _ordered_map(
-                lambda pair: match_frame(pair[0], pair[1], variant, thresh), frame_inputs
-            )
+            matches = [match_frame(dets, gts, variant, thresh) for dets, gts in frame_inputs]
             curve = miss_rate_curve(matches)
             lamr = log_average_miss_rate(curve, config.fppi_refs, config.mr_epsilon)
             entries.append(EvalEntry(variant, thresh, curve, lamr))

@@ -31,7 +31,6 @@ from .evaluation import (
     FrameAnnotations,
     FrameDetections,
     GtObject,
-    substitute_single_modality,
 )
 from .geometry import Box, PairedBox
 from .pairnms import Detection
@@ -257,9 +256,7 @@ def read_detections(path) -> list[FrameDetections]:
                             f"dets[{k}]: 'box' cannot be combined with 'v'/'t'",
                         )
                     box = _parse_box(raw["box"], path, line_no, f"dets[{k}].box")
-                    dets.append(
-                        substitute_single_modality(fid, [(box, score)]).detections[0]
-                    )
+                    dets.append(Detection(PairedBox.aligned(box), score))
                 else:
                     if "v" not in raw or "t" not in raw:
                         raise ParseError(

@@ -258,9 +258,6 @@ def rpn_loss(samples: Sequence[RpnSample], cfg: LossConfig) -> float:
     for s in samples:
         cls_sum += _objectness_cross_entropy(s.objectness_logit, s.label)
         if s.label == 1:
-            if (s.pred_offsets_v is None or s.pred_offsets_t is None
-                    or s.target_offsets_v is None or s.target_offsets_t is None):
-                raise ValueError("positive sample missing offsets")
             reg_v += smooth_l1(s.pred_offsets_v, s.target_offsets_v)[0]
             reg_t += smooth_l1(s.pred_offsets_t, s.target_offsets_t)[0]
     return cls_sum / cfg.n_cls + cfg.lam * ((reg_v + reg_t) / cfg.n_reg)
@@ -277,9 +274,6 @@ def detector_loss(sample: DetectorSample, lam: float = 1.0) -> float:
     cls_loss, _ = cross_entropy(sample.class_scores, sample.true_class)
     if not sample.is_foreground:
         return cls_loss
-    if (sample.pred_offsets_v is None or sample.pred_offsets_t is None
-            or sample.target_offsets_v is None or sample.target_offsets_t is None):
-        raise ValueError("foreground sample missing offsets")
     loc_v = smooth_l1(sample.pred_offsets_v, sample.target_offsets_v)[0]
     loc_t = smooth_l1(sample.pred_offsets_t, sample.target_offsets_t)[0]
     return cls_loss + lam * (loc_v + loc_t)

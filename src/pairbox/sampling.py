@@ -35,7 +35,7 @@ IGNORE = -1
 
 @dataclass(frozen=True)
 class AssignmentConfig:
-    """Thresholds and batch shapes for the two assignment stages.
+    """Labelling thresholds for the two assignment stages.
 
     Proposal stage: positive above ``rpn_pos_thresh`` (strict), negative
     below ``rpn_neg_thresh`` (strict), ignore in between. Detection stage:
@@ -48,10 +48,6 @@ class AssignmentConfig:
     det_pos_thresh: float = 0.5
     det_neg_lo: float = 0.1
     det_neg_hi: float = 0.5
-    rpn_batch: int = 256
-    rpn_pos_fraction: float = 0.5
-    det_batch: int = 128
-    det_pos_fraction: float = 0.25
     match_best_anchor_per_gt: bool = False
 
     def __post_init__(self):
@@ -61,12 +57,6 @@ class AssignmentConfig:
             raise ValueError("need 0 <= det_neg_lo < det_neg_hi <= 1")
         if not self.det_neg_hi <= self.det_pos_thresh <= 1.0:
             raise ValueError("need det_neg_hi <= det_pos_thresh <= 1")
-        for name in ("rpn_pos_fraction", "det_pos_fraction"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if self.rpn_batch < 1 or self.det_batch < 1:
-            raise ValueError("batch sizes must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,20 +84,17 @@ class AssignmentResult:
 
 
 def _overlap_stats(candidates: Sequence[PairedBox], gts: Sequence[PairedBox]):
+    """Overlap matrix, best overlap and best GT index per candidate; with no
+    GT the best overlap and the best GT index are 0."""
+    if len(gts) == 0:
+        n = len(candidates)
+        return np.zeros((n, 0)), np.zeros(n), np.zeros(n, dtype=np.int64)
     cv, ct = pairs_to_arrays(candidates)
     gv, gt_ = pairs_to_arrays(gts)
     overlaps = iou_multimodal_matrix(cv, ct, gv, gt_)
     max_ioum = overlaps.max(axis=1)
     best_gt = overlaps.argmax(axis=1)  # ties resolve to the lowest GT index
     return overlaps, max_ioum, best_gt
-
-
-def _no_gt_result(n: int) -> AssignmentResult:
-    return AssignmentResult(
-        labels=np.full(n, NEGATIVE, dtype=np.int8),
-        matched_gt=np.full(n, -1, dtype=np.int64),
-        max_ioum=np.zeros(n, dtype=np.float64),
-    )
 
 
 def assign_rpn(
@@ -124,8 +111,12 @@ def assign_rpn(
     additionally forced positive provided its overlap is nonzero.
     """
     n = len(anchors)
-    if len(gts) == 0:
-        return _no_gt_result(n)
+    if len(gts) == 0:  # all negative, also where rpn_neg_thresh == 0 would give IGNORE
+        return AssignmentResult(
+            labels=np.full(n, NEGATIVE, dtype=np.int8),
+            matched_gt=np.full(n, -1, dtype=np.int64),
+            max_ioum=np.zeros(n, dtype=np.float64),
+        )
     overlaps, max_ioum, best_gt = _overlap_stats(anchors, gts)
     labels = np.full(n, IGNORE, dtype=np.int8)
     labels[max_ioum > cfg.rpn_pos_thresh] = POSITIVE
@@ -153,15 +144,6 @@ def assign_detector(
     falls below the band, so all RoIs are ignore unless ``det_neg_lo`` is 0.
     """
     n = len(rois)
-    if len(gts) == 0:
-        max_ioum = np.zeros(n, dtype=np.float64)
-        labels = np.full(n, IGNORE, dtype=np.int8)
-        labels[(max_ioum >= cfg.det_neg_lo) & (max_ioum < cfg.det_neg_hi)] = NEGATIVE
-        return AssignmentResult(
-            labels=labels,
-            matched_gt=np.full(n, -1, dtype=np.int64),
-            max_ioum=max_ioum,
-        )
     _, max_ioum, best_gt = _overlap_stats(rois, gts)
     labels = np.full(n, IGNORE, dtype=np.int8)
     labels[(max_ioum >= cfg.det_neg_lo) & (max_ioum < cfg.det_neg_hi)] = NEGATIVE

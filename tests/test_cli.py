@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from pairbox.cli import main
 from pairbox.evaluation import FrameDetections
 from pairbox.formats import (
@@ -309,3 +311,33 @@ class TestLossesCommand:
         rc = main(["losses", str(p), "--out", str(out)])
         assert rc == 0
         assert "rpn_loss" in out.read_text(encoding="utf-8")
+
+    _POS = {"pred_v": [0, 0, 0, 0], "pred_t": [0, 0, 0, 0],
+            "target_v": [0, 0, 0, 0], "target_t": [0, 0, 0, 0]}
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"rpn": {"samples": [{"label": 0}]}}, "rpn.samples[0].logit"),
+        ({"rpn": {"samples": [{"logit": "x", "label": 0}]}}, "rpn.samples[0].logit"),
+        ({"rpn": {"samples": [3]}}, "rpn.samples[0]"),
+        ({"rpn": {"samples": {"logit": 0.0}}}, "rpn.samples"),
+        ({"rpn": [1]}, "rpn"),
+        ({"rpn": {"cfg": 2}}, "rpn.cfg"),
+        ({"rpn": {"cfg": {"n_cls": "two"}}}, "rpn.cfg.n_cls"),
+        ({"rpn": {"cfg": {"n_reg": 2.5}}}, "rpn.cfg.n_reg"),
+        ({"rpn": {"cfg": {"lambda": [1]}}}, "rpn.cfg.lambda"),
+        ({"rpn": {"samples": [{"logit": 0.0, "label": 1, **dict(_POS, pred_t=[1, 2])}]}},
+         "rpn.samples[0].pred_t"),
+        ({"detector": "x"}, "detector"),
+        ({"detector": {"samples": [None]}}, "detector.samples[0]"),
+        ({"detector": {"samples": [{"scores": None}]}}, "detector.samples[0].scores"),
+        ({"detector": {"samples": [{"scores": [0, 0], "true_class": 1}]}},
+         "detector.samples[0].pred_v"),
+    ])
+    def test_malformed_samples_exit_2_naming_file_and_field(self, tmp_path, capsys, payload, field):
+        p = tmp_path / "samples.json"
+        p.write_text(json.dumps(payload), encoding="utf-8")
+        rc = main(["losses", str(p)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{p}:1: {field}:" in err
+        assert "Traceback" not in err
