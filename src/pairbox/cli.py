@@ -174,19 +174,18 @@ def cmd_evaluate(args) -> int:
     )
     report = evaluate(dataset.frames, detections, config)
     table = format_eval_table(report)
+    svg = render_curve_svg(report) if args.format == "svg" else None
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "eval_table.txt", table)
         write_curve_csv(report, out / "eval_curves.csv")
-        if args.format == "svg":
-            _write_text(out / "eval_curves.svg", render_curve_svg(report))
-    if args.format == "table":
-        sys.stdout.write(table)
-    elif args.format == "csv":
-        write_curve_csv(report, sys.stdout)
+        if svg is not None:
+            _write_text(out / "eval_curves.svg", svg)
+    if args.format == "csv":
+        write_curve_csv(report, sys.stdout)  # streamed: the CSV is never held as one string
     else:
-        sys.stdout.write(render_curve_svg(report))
+        sys.stdout.write(table if svg is None else svg)
     return 0
 
 
@@ -309,7 +308,7 @@ def cmd_assign(args) -> int:
                 "frame": frame.frame_id,
                 "labels": result.labels.tolist(),
                 "matched_gt": result.matched_gt.tolist(),
-                "max_ioum": [float(v) for v in result.max_ioum],
+                "max_ioum": result.max_ioum.tolist(),
             }
             if args.sample_batch is not None:
                 selected = sample_minibatch(
@@ -341,6 +340,12 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _floats(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError("expected a JSON array")
+    return tuple(float(v) for v in value)
+
+
 def _typed(value, kind: type, path, field: str):
     if not isinstance(value, kind):
         name = "object" if kind is dict else "array"
@@ -351,7 +356,9 @@ def _typed(value, kind: type, path, field: str):
 def _offsets_from(raw: dict, path, where: str) -> list[BoxOffsets]:
     """The pred_v, pred_t, target_v, target_t offsets of a foreground sample."""
     return [
-        _losses_field(raw, key, BoxOffsets.from_array, path, f"{where}.{key}")
+        _losses_field(
+            raw, key, lambda v: BoxOffsets.from_array(_floats(v)), path, f"{where}.{key}"
+        )
         for key in ("pred_v", "pred_t", "target_v", "target_t")
     ]
 
@@ -399,9 +406,7 @@ def _parse_detector_samples(section, path) -> tuple[list[DetectorSample], float]
     for k, raw in enumerate(_typed(section.get("samples", []), list, path, "detector.samples")):
         where = f"detector.samples[{k}]"
         raw = _typed(raw, dict, path, where)
-        scores = _losses_field(
-            raw, "scores", lambda v: tuple(float(s) for s in v), path, f"{where}.scores", ()
-        )
+        scores = _losses_field(raw, "scores", _floats, path, f"{where}.scores", [])
         true_class = _losses_field(raw, "true_class", _integer, path, f"{where}.true_class", 0)
         if true_class != 0:
             samples.append(DetectorSample(scores, true_class, *_offsets_from(raw, path, where)))

@@ -17,6 +17,7 @@ not exceeding the reference).
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 from dataclasses import dataclass, replace
@@ -189,41 +190,31 @@ def match_frame(
     above ``thresh`` (overlap ties go to the lowest GT index); failing that,
     a detection overlapping any ignore region at or above ``thresh`` is
     discarded from scoring; the rest are false positives. Evaluable GTs left
-    unclaimed are misses.
+    unclaimed are misses. ``thresh`` must lie in (0, 1], so a zero overlap
+    never matches and a frame without ignore regions absorbs nothing.
     """
+    if not 0.0 < thresh <= 1.0:
+        raise ValueError(f"thresh must lie in (0, 1], got {thresh!r}")
     n_det = len(dets)
-    n_gt = len(gts)
     scores = np.asarray([d.score for d in dets], dtype=np.float64)
-    outcomes = np.full(n_det, DET_FP, dtype=np.int8)
     matched_gt = np.full(n_det, -1, dtype=np.int64)
-    gt_detected = np.zeros(n_gt, dtype=bool)
     evaluable = np.asarray([not g.ignore for g in gts], dtype=bool)
+    free = evaluable.copy()
+    if n_det == 0 or len(gts) == 0:  # an empty overlap matrix has no argmax
+        outcomes = np.full(n_det, DET_FP, dtype=np.int8)
+    else:
+        overlaps = _overlap_matrix(dets, gts, variant)
+        ignored = np.where(evaluable, 0.0, overlaps).max(axis=1) >= thresh
+        outcomes = np.where(ignored, DET_IGNORED, DET_FP).astype(np.int8)
+        for i in np.argsort(-scores, kind="stable"):
+            row = np.where(free, overlaps[i], 0.0)
+            j = int(row.argmax())  # the first maximum: overlap ties keep the lowest GT index
+            if row[j] >= thresh:
+                outcomes[i] = DET_TP
+                matched_gt[i] = j
+                free[j] = False
     n_evaluable = int(np.count_nonzero(evaluable))
-    if n_det == 0 or n_gt == 0:
-        return FrameMatch(scores, outcomes, matched_gt, gt_detected, n_evaluable)
-
-    overlaps = _overlap_matrix(dets, gts, variant)
-    ignore_cols = np.flatnonzero(~evaluable)
-    taken = np.zeros(n_gt, dtype=bool)
-    order = sorted(range(n_det), key=lambda i: (-scores[i], i))
-    for i in order:
-        row = overlaps[i]
-        candidates = evaluable & ~taken
-        best_j = -1
-        best_ov = 0.0
-        for j in np.flatnonzero(candidates):
-            ov = row[j]
-            if ov > best_ov:  # strict: overlap ties keep the lowest GT index
-                best_ov = ov
-                best_j = int(j)
-        if best_j >= 0 and best_ov >= thresh:
-            outcomes[i] = DET_TP
-            matched_gt[i] = best_j
-            taken[best_j] = True
-            gt_detected[best_j] = True
-        elif ignore_cols.size and float(row[ignore_cols].max()) >= thresh:
-            outcomes[i] = DET_IGNORED
-    return FrameMatch(scores, outcomes, matched_gt, gt_detected, n_evaluable)
+    return FrameMatch(scores, outcomes, matched_gt, evaluable & ~free, n_evaluable)
 
 
 @dataclass(frozen=True)
@@ -266,25 +257,13 @@ def miss_rate_curve(matches: Sequence[FrameMatch]) -> MissRateCurve:
         return MissRateCurve((point,), n_frames, n_gt)
     desc = np.argsort(-scores, kind="stable")
     scores = scores[desc]
-    is_tp = np.cumsum(outcomes[desc] == DET_TP)
-    is_fp = np.cumsum(outcomes[desc] == DET_FP)
-    points = []
-    for k in range(scores.size):
-        if k + 1 < scores.size and scores[k + 1] == scores[k]:
-            continue  # extend through the whole tie group
-        tp = int(is_tp[k])
-        fp = int(is_fp[k])
-        fn = n_gt - tp
-        points.append(
-            CurvePoint(
-                score_thresh=float(scores[k]),
-                fppi=fp / n_frames,
-                miss_rate=fn / n_gt,
-                tp=tp,
-                fp=fp,
-                fn=fn,
-            )
-        )
+    tp = np.cumsum(outcomes[desc] == DET_TP)
+    fp = np.cumsum(outcomes[desc] == DET_FP)
+    ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))  # last of each tie group
+    points = [
+        CurvePoint(s, fppi=f / n_frames, miss_rate=(n_gt - t) / n_gt, tp=t, fp=f, fn=n_gt - t)
+        for s, t, f in zip(scores[ends].tolist(), tp[ends].tolist(), fp[ends].tolist())
+    ]
     return MissRateCurve(tuple(points), n_frames, n_gt)
 
 
@@ -304,17 +283,9 @@ def log_average_miss_rate(
     """
     if not curve.points:
         raise EvaluationError("cannot average an empty curve")
-    step: dict[float, float] = {}
-    for p in curve.points:
-        step[p.fppi] = p.miss_rate
+    step = {p.fppi: p.miss_rate for p in curve.points}
     xs = sorted(step)
-    ys = [step[x] for x in xs]
-    sampled = []
-    for r in refs:
-        idx = int(np.searchsorted(np.asarray(xs), r, side="right")) - 1
-        if idx < 0:
-            idx = 0
-        sampled.append(max(ys[idx], epsilon))
+    sampled = [max(step[xs[max(bisect.bisect_right(xs, r) - 1, 0)]], epsilon) for r in refs]
     if any(s == 0.0 for s in sampled):
         return 0.0
     return float(math.exp(sum(math.log(s) for s in sampled) / len(sampled)))

@@ -15,7 +15,6 @@ sides.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -55,8 +54,9 @@ class Box:
     def __post_init__(self):
         for name in ("x", "y", "w", "h"):
             v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"box field {name!r} must be a finite number, got {v!r}")
+            # the bound keeps every area, union and pooled union finite; NaN fails it too
+            if not abs(v) <= 1e100:
+                raise ValueError(f"box field {name!r} must be a number within ±1e100, got {v!r}")
         if self.w < 0 or self.h < 0:
             raise ValueError(f"box extents must be non-negative, got w={self.w}, h={self.h}")
 
@@ -133,14 +133,7 @@ def iou_multimodal(gt: PairedBox, dt: PairedBox) -> float:
 
 def boxes_to_array(boxes: Iterable[Box]) -> np.ndarray:
     """Pack boxes into an (N, 4) float64 array of (x, y, w, h) rows."""
-    seq = list(boxes)
-    out = np.empty((len(seq), 4), dtype=np.float64)
-    for i, b in enumerate(seq):
-        out[i, 0] = b.x
-        out[i, 1] = b.y
-        out[i, 2] = b.w
-        out[i, 3] = b.h
-    return out
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def pairs_to_arrays(pairs: Sequence[PairedBox]) -> tuple[np.ndarray, np.ndarray]:

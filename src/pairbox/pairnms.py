@@ -50,19 +50,12 @@ def paired_nms(
         raise ValueError(f"iou_thresh must lie in [0, 1], got {iou_thresh!r}")
     if max_keep is not None and max_keep < 0:
         raise ValueError("max_keep must be >= 0")
-    by_class: dict[int, list[int]] = {}
-    for i, d in enumerate(dets):
-        by_class.setdefault(d.class_id, []).append(i)
-    kept: list[int] = []
-    for class_id in sorted(by_class):
-        idx = np.asarray(by_class[class_id], dtype=np.int64)
-        thermal = boxes_to_array(dets[i].pair.thermal for i in idx)
-        scores = np.asarray([dets[i].score for i in idx], dtype=np.float64)
-        # descending score, ties by position (== ascending input index)
-        order = np.lexsort((np.arange(idx.size), -scores))
-        keep_local = _kernels.nms_keep(thermal, order, float(iou_thresh))
-        kept.extend(int(idx[k]) for k in keep_local)
-    kept.sort(key=lambda i: (-dets[i].score, i))
-    if max_keep is not None:
-        kept = kept[:max_keep]
-    return [dets[i] for i in kept]
+    thermal = boxes_to_array(d.pair.thermal for d in dets)
+    scores = np.asarray([d.score for d in dets], dtype=np.float64)
+    classes = np.asarray([d.class_id for d in dets])
+    order = np.argsort(-scores, kind="stable")
+    keep = np.zeros(len(dets), dtype=bool)
+    for class_id in np.unique(classes):
+        in_class = order[classes[order] == class_id]
+        keep[_kernels.nms_keep(thermal, in_class, float(iou_thresh))] = True
+    return [dets[i] for i in order[keep[order]][:max_keep]]

@@ -57,6 +57,8 @@ class BoxOffsets:
 
     @classmethod
     def from_array(cls, arr) -> "BoxOffsets":
+        if isinstance(arr, (str, bytes)):  # iterable, but its characters are no offsets
+            raise TypeError(f"expected 4 offset values, got {type(arr).__name__}")
         vals = [float(v) for v in arr]
         if len(vals) != 4:
             raise ValueError(f"expected 4 offset values, got {len(vals)}")

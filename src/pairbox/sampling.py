@@ -8,7 +8,6 @@ explicit seeded random source.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,11 +25,15 @@ __all__ = [
     "assign_detector",
     "sample_minibatch",
     "generate_anchor_grid",
+    "MAX_ANCHORS",
 ]
 
 POSITIVE = 1
 NEGATIVE = 0
 IGNORE = -1
+
+# largest grid generate_anchor_grid builds (a 1-px stride over 640x512 with 3 heights: 983,040)
+MAX_ANCHORS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -193,15 +196,20 @@ def generate_anchor_grid(
     """Regular anchor grid with identical visible/thermal boxes.
 
     One anchor per (cell center, height) with width = aspect * height.
-    Anchors may extend past the image border.
+    Anchors may extend past the image border. A grid of more than
+    ``MAX_ANCHORS`` anchors is refused before any is built.
     """
     if image_width <= 0 or image_height <= 0 or stride <= 0:
         raise ValueError("image dimensions and stride must be positive")
     if aspect <= 0 or any(h <= 0 for h in heights):
         raise ValueError("aspect and anchor heights must be positive")
+    # np.floor gives inf for a vanishing stride, where math.floor raises
+    ny, nx = np.floor(image_height / stride), np.floor(image_width / stride)
+    count = nx * ny * len(heights)
+    if count > MAX_ANCHORS:
+        raise ValueError(f"anchor grid of {count:.4g} anchors exceeds the limit of {MAX_ANCHORS}")
     anchors = []
-    ny = int(math.floor(image_height / stride))
-    nx = int(math.floor(image_width / stride))
+    ny, nx = int(ny), int(nx)
     for iy in range(ny):
         cy = (iy + 0.5) * stride
         for ix in range(nx):

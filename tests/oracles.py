@@ -82,6 +82,50 @@ def naive_nms(boxes, scores, thresh):
     return kept
 
 
+def naive_greedy_match(dets, gts, variant, thresh):
+    """Reference greedy matching of one frame, one detection at a time.
+
+    ``dets`` holds (visible, thermal, score) and ``gts`` (visible, thermal,
+    ignore) entries with (x, y, w, h) tuple boxes. Detections are visited by
+    descending score, ties by input index. Each claims, among the unclaimed
+    evaluable GTs it overlaps at or above ``thresh``, the one with the
+    largest overlap (ties to the lowest index); failing that, it is ignored
+    (-1) when it overlaps an ignore GT at or above ``thresh``, else it is a
+    false positive (0). Returns (outcomes, matched GT indices, GT detected
+    flags) as lists.
+    """
+    def overlap(d, g):
+        if variant == "visible":
+            return naive_iou(d[0], g[0])
+        if variant == "thermal":
+            return naive_iou(d[1], g[1])
+        parts = [_inter_union(d[k], g[k]) for k in (0, 1)]
+        den = parts[0][1] + parts[1][1]
+        return (parts[0][0] + parts[1][0]) / den if den > 0 else 0.0
+
+    outcomes = [0] * len(dets)
+    matched = [-1] * len(dets)
+    detected = [False] * len(gts)
+    for i in sorted(range(len(dets)), key=lambda i: (-dets[i][2], i)):
+        ovs = [overlap(dets[i], g) for g in gts]
+        hits = [j for j, g in enumerate(gts) if not g[2] and not detected[j] and ovs[j] >= thresh]
+        if hits:
+            j = max(hits, key=lambda j: (ovs[j], -j))
+            outcomes[i], matched[i], detected[j] = 1, j, True
+        elif any(g[2] and ovs[j] >= thresh for j, g in enumerate(gts)):
+            outcomes[i] = -1
+    return outcomes, matched, detected
+
+
+def _inter_union(a, b):
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    iw = min(ax + aw, bx + bw) - max(ax, bx)
+    ih = min(ay + ah, by + bh) - max(ay, by)
+    inter = iw * ih if iw > 0 and ih > 0 else 0.0
+    return inter, aw * ah + bw * bh - inter
+
+
 def central_difference(f, x, eps: float = 1e-5) -> np.ndarray:
     """Central finite-difference gradient of scalar f at 1-D point x."""
     x = np.asarray(x, dtype=np.float64)

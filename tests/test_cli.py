@@ -161,6 +161,17 @@ class TestAssignCommand:
         assert "selected" in record
         assert len(record["selected"]) <= 32
 
+    def test_oversized_anchor_grid_exits_1(self, tmp_path, capsys):
+        ds_path = tmp_path / "gt.jsonl"
+        write_dataset(Dataset(frames=(FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
+        rc = main([
+            "assign", str(ds_path), "--grid-stride", "0.001", "--out", str(tmp_path / "l.jsonl"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "anchor grid" in err
+        assert "Traceback" not in err
+
 
 class TestGenerateCommand:
     def test_seeded_runs_identical(self, tmp_path):
@@ -332,6 +343,21 @@ class TestLossesCommand:
         ({"detector": {"samples": [{"scores": None}]}}, "detector.samples[0].scores"),
         ({"detector": {"samples": [{"scores": [0, 0], "true_class": 1}]}},
          "detector.samples[0].pred_v"),
+        ({"detector": {"samples": [{"scores": "12"}]}}, "detector.samples[0].scores"),
+        ({"detector": {"samples": [{"scores": {"0": 1}}]}}, "detector.samples[0].scores"),
+        ({"detector": {"samples": [{"scores": [1, 2], "true_class": 1,
+                                    **dict(_POS, pred_v="0000")}]}},
+         "detector.samples[0].pred_v"),
+        ({"detector": {"samples": [{"scores": [1, 2], "true_class": 1,
+                                    **dict(_POS, target_v="0000")}]}},
+         "detector.samples[0].target_v"),
+        ({"rpn": {"samples": [{"logit": 0.0, "label": 1, **dict(_POS, pred_t="0000")}]}},
+         "rpn.samples[0].pred_t"),
+        ({"rpn": {"samples": [{"logit": 0.0, "label": 1, **dict(_POS, target_t="0000")}]}},
+         "rpn.samples[0].target_t"),
+        ({"rpn": {"samples": [{"logit": 0.0, "label": 1,
+                               **dict(_POS, pred_v={"0": 0, "1": 0, "2": 0, "3": 0})}]}},
+         "rpn.samples[0].pred_v"),
     ])
     def test_malformed_samples_exit_2_naming_file_and_field(self, tmp_path, capsys, payload, field):
         p = tmp_path / "samples.json"

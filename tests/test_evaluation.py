@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairbox.evaluation import (
     DET_FP,
@@ -23,8 +25,9 @@ from pairbox.evaluation import (
     write_curve_csv,
 )
 from pairbox.geometry import Box, PairedBox, iou
+from pairbox.pairnms import Detection
 
-from oracles import best_assignment_tp_count, geometric_mean
+from oracles import best_assignment_tp_count, geometric_mean, naive_greedy_match, naive_iou
 from scenes import (
     FOUR_FRAME_CURVE,
     FOUR_FRAME_LAMR,
@@ -134,6 +137,46 @@ class TestMatchFrame:
         assert m.gt_detected.tolist() == [False]
         m2 = match_frame([det_at(0, 0, 0.5)], [], "multimodal", 0.5)
         assert m2.det_outcomes.tolist() == [DET_FP]
+
+    @pytest.mark.parametrize("thresh", [0.0, 1.5, -0.1, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, thresh):
+        with pytest.raises(ValueError):
+            match_frame([det_at(0, 0, 0.9)], [gt(0, 0)], "multimodal", thresh)
+
+
+# integer-grid boxes and a coarse score set make score ties common; drawing the
+# boxes of a frame from a small pool makes overlap ties common, and drawing the
+# threshold from the frame's own overlaps puts overlaps exactly at it
+grid_box = st.tuples(*(st.integers(0, 3),) * 2, *(st.integers(1, 3),) * 2)
+grid_score = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def grid_frame(draw):
+    pool = st.sampled_from(draw(st.lists(grid_box, min_size=1, max_size=4)))
+    dets = draw(st.lists(st.tuples(pool, pool, grid_score), max_size=8))
+    gts = draw(st.lists(st.tuples(pool, pool, st.booleans()), max_size=5))
+    exact = sorted({naive_iou(d[k], g[k]) for d in dets for g in gts for k in (0, 1)} - {0.0})
+    thresh = st.floats(0.0, 1.0, exclude_min=True)
+    return dets, gts, draw(st.sampled_from(exact) | thresh if exact else thresh)
+
+
+class TestMatchFrameProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(frame=grid_frame(), variant=st.sampled_from(["visible", "thermal", "multimodal"]))
+    def test_equals_naive_greedy_match(self, frame, variant):
+        dets, gts, thresh = frame
+        m = match_frame(
+            [Detection(PairedBox(Box(*v), Box(*t)), s) for v, t, s in dets],
+            [GtObject(PairedBox(Box(*v), Box(*t)), ignore=ign) for v, t, ign in gts],
+            variant,
+            thresh,
+        )
+        outcomes, matched, detected = naive_greedy_match(dets, gts, variant, thresh)
+        assert m.det_outcomes.tolist() == outcomes
+        assert m.det_matched_gt.tolist() == matched
+        assert m.gt_detected.tolist() == detected
+        assert m.n_evaluable == sum(not ign for _, _, ign in gts)
 
 
 class TestMissRateCurve:

@@ -47,6 +47,13 @@ class TestBoxValidation:
             Box(float("nan"), 0, 1, 1)
         with pytest.raises(ValueError):
             Box(0, 0, float("inf"), 1)
+        with pytest.raises(ValueError):  # finite, but its area overflows
+            Box(0, 0, 1e200, 1e200)
+
+    def test_largest_box_overlaps_itself_fully(self):
+        b = Box(-1e100, -1e100, 1e100, 1e100)
+        assert iou(b, b) == 1.0
+        assert iou_multimodal(PairedBox(b, b), PairedBox(b, b)) == 1.0
 
     def test_zero_extent_allowed(self):
         assert area(Box(3, 7, 0, 5)) == 0.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairbox.geometry import Box, PairedBox
 from pairbox.pairnms import Detection, paired_nms
@@ -113,3 +115,30 @@ class TestPairedNms:
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
             paired_nms([], iou_thresh=1.2)
+
+
+class TestPairedNmsProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        dets=st.lists(
+            st.tuples(
+                st.tuples(*(st.integers(0, 6),) * 2, *(st.integers(0, 4),) * 2),
+                st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                st.integers(0, 2),
+            ),
+            max_size=12,
+        ),
+        thresh=st.one_of(st.sampled_from([0.0, 1 / 3, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        max_keep=st.one_of(st.none(), st.integers(0, 8)),
+    )
+    def test_equals_per_class_naive_nms(self, dets, thresh, max_keep):
+        # the visible box is a fixed offset of the thermal one: only thermal decides
+        inputs = [det((x + 40, y, w, h), (x, y, w, h), s, c) for (x, y, w, h), s, c in dets]
+        got = paired_nms(inputs, thresh, max_keep)
+        kept = []
+        for c in {c for _, _, c in dets}:
+            members = [i for i, d in enumerate(dets) if d[2] == c]
+            local = naive_nms([dets[i][0] for i in members], [dets[i][1] for i in members], thresh)
+            kept += [members[k] for k in local]
+        kept = sorted(kept, key=lambda i: (-dets[i][1], i))[:max_keep]
+        assert [id(d) for d in got] == [id(inputs[i]) for i in kept]

@@ -77,6 +77,10 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             BoxOffsets(float("inf"), 0, 0, 0)
 
+    def test_string_is_not_an_offset_array(self):
+        with pytest.raises(TypeError):
+            BoxOffsets.from_array("0000")
+
 
 class TestSmoothL1:
     def test_zero_at_target(self):

@@ -9,6 +9,7 @@ from pairbox.sampling import (
     AssignmentConfig,
     assign_detector,
     assign_rpn,
+    MAX_ANCHORS,
     generate_anchor_grid,
     sample_minibatch,
 )
@@ -255,3 +256,12 @@ class TestAnchorGrid:
             generate_anchor_grid(0, 32)
         with pytest.raises(ValueError):
             generate_anchor_grid(64, 32, heights=(0.0,))
+
+    def test_oversized_grid_refused_before_building(self):
+        # 640 x 512 cells at a 1-px stride: 983,040 anchors with three heights, over with four
+        assert 640 * 512 * 3 <= MAX_ANCHORS < 640 * 512 * 4
+        with pytest.raises(ValueError, match="anchor grid"):
+            generate_anchor_grid(640, 512, stride=1.0, heights=(1.0, 2.0, 3.0, 4.0))
+        for stride in (0.001, 1e-320):  # 1e-320 makes the cell counts infinite
+            with pytest.raises(ValueError, match="anchor grid"):
+                generate_anchor_grid(640, 512, stride=stride)
