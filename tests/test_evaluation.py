@@ -23,8 +23,9 @@ from pairbox.evaluation import (
     miss_rate_curve,
     substitute_single_modality,
     write_curve_csv,
+    _overlap_matrix,
 )
-from pairbox.geometry import Box, PairedBox, iou
+from pairbox.geometry import Box, PairedBox, iou, pairs_to_arrays
 from pairbox.pairnms import Detection
 
 from oracles import best_assignment_tp_count, geometric_mean, naive_greedy_match, naive_iou
@@ -36,6 +37,17 @@ from scenes import (
     gt,
     perfect_detections,
 )
+
+
+def match_objects(dets, gts, variant, thresh):
+    """``match_frame`` on one frame of Detection and GtObject objects, packed
+    into arrays the way ``evaluate`` packs a frame."""
+    dv, dt = pairs_to_arrays([d.pair for d in dets])
+    gv, gt_ = pairs_to_arrays([g.pair for g in gts])
+    overlaps = _overlap_matrix(dv, dt, gv, gt_, variant)
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    evaluable = np.array([not g.ignore for g in gts], dtype=bool)
+    return match_frame(scores, overlaps, evaluable, thresh)
 
 
 class TestFilterReasonable:
@@ -81,7 +93,7 @@ class TestMatchFrame:
     def test_clean_hit(self):
         gts = [gt(0, 0)]
         dets = [det_at(0, 0, 0.9)]
-        m = match_frame(dets, gts, "multimodal", 0.5)
+        m = match_objects(dets, gts, "multimodal", 0.5)
         assert m.det_outcomes.tolist() == [DET_TP]
         assert m.det_matched_gt.tolist() == [0]
         assert m.gt_detected.tolist() == [True]
@@ -94,14 +106,14 @@ class TestMatchFrame:
         dets = [det_at(11, 0, 0.9, w=29, h=60)]
         got = iou(gts[0].pair.visible, dets[0].pair.visible)
         assert got == pytest.approx(0.45)
-        m = match_frame(dets, gts, "visible", 0.5)
+        m = match_objects(dets, gts, "visible", 0.5)
         assert m.det_outcomes.tolist() == [DET_FP]
         assert m.gt_detected.tolist() == [False]
 
     def test_greedy_one_to_one(self):
         gts = [gt(0, 0)]
         dets = [det_at(0, 0, 0.9), det_at(1, 0, 0.8)]
-        m = match_frame(dets, gts, "multimodal", 0.5)
+        m = match_objects(dets, gts, "multimodal", 0.5)
         assert m.det_outcomes.tolist() == [DET_TP, DET_FP]
         # the brute-force optimal assignment also matches exactly one
         overlaps = np.array(
@@ -113,35 +125,41 @@ class TestMatchFrame:
         gts = [gt(0, 0, occlusion="heavy")]
         gts = filter_reasonable([FrameAnnotations(0, tuple(gts))])[0].objects
         dets = [det_at(0, 0, 0.9)]
-        m = match_frame(dets, gts, "multimodal", 0.5)
+        m = match_objects(dets, gts, "multimodal", 0.5)
         assert m.det_outcomes.tolist() == [DET_IGNORED]
         assert m.n_evaluable == 0
 
     def test_evaluable_match_takes_precedence_over_ignore(self):
         gts = (gt(0, 0), GtObject(PairedBox.aligned(Box(0, 0, 20, 60)), ignore=True))
         dets = [det_at(0, 0, 0.9)]
-        m = match_frame(dets, gts, "multimodal", 0.5)
+        m = match_objects(dets, gts, "multimodal", 0.5)
         assert m.det_outcomes.tolist() == [DET_TP]
         assert m.det_matched_gt.tolist() == [0]
 
     def test_second_detection_takes_next_best_gt(self):
         gts = [gt(0, 0), gt(8, 0)]
         dets = [det_at(0, 0, 0.9), det_at(2, 0, 0.8)]
-        m = match_frame(dets, gts, "visible", 0.3)
+        m = match_objects(dets, gts, "visible", 0.3)
         assert m.det_outcomes.tolist() == [DET_TP, DET_TP]
         assert m.det_matched_gt.tolist() == [0, 1]
 
     def test_empty_inputs(self):
-        m = match_frame([], [gt(0, 0)], "multimodal", 0.5)
+        m = match_objects([], [gt(0, 0)], "multimodal", 0.5)
         assert m.n_evaluable == 1
         assert m.gt_detected.tolist() == [False]
-        m2 = match_frame([det_at(0, 0, 0.5)], [], "multimodal", 0.5)
+        m2 = match_objects([det_at(0, 0, 0.5)], [], "multimodal", 0.5)
         assert m2.det_outcomes.tolist() == [DET_FP]
+
+    def test_overlap_shape_must_match_frame(self):
+        with pytest.raises(ValueError, match="shape"):
+            match_frame(np.array([0.9, 0.8]), np.zeros((2, 1)), np.array([True, False]), 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            match_frame(np.array([0.9]), np.zeros((0, 0)), np.zeros(0, dtype=bool), 0.5)
 
     @pytest.mark.parametrize("thresh", [0.0, 1.5, -0.1, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, thresh):
         with pytest.raises(ValueError):
-            match_frame([det_at(0, 0, 0.9)], [gt(0, 0)], "multimodal", thresh)
+            match_objects([det_at(0, 0, 0.9)], [gt(0, 0)], "multimodal", thresh)
 
 
 # integer-grid boxes and a coarse score set make score ties common; drawing the
@@ -166,7 +184,7 @@ class TestMatchFrameProperties:
     @given(frame=grid_frame(), variant=st.sampled_from(["visible", "thermal", "multimodal"]))
     def test_equals_naive_greedy_match(self, frame, variant):
         dets, gts, thresh = frame
-        m = match_frame(
+        m = match_objects(
             [Detection(PairedBox(Box(*v), Box(*t)), s) for v, t, s in dets],
             [GtObject(PairedBox(Box(*v), Box(*t)), ignore=ign) for v, t, ign in gts],
             variant,
@@ -185,7 +203,7 @@ class TestMissRateCurve:
         anns = filter_reasonable(anns)
         dets = perfect_detections(anns)
         matches = [
-            match_frame(d.detections, a.objects, "multimodal", 0.5)
+            match_objects(d.detections, a.objects, "multimodal", 0.5)
             for a, d in zip(anns, dets)
         ]
         curve = miss_rate_curve(matches)
@@ -196,7 +214,7 @@ class TestMissRateCurve:
     def test_empty_detections_all_miss(self):
         anns, _ = four_frame_fixture()
         anns = filter_reasonable(anns)
-        matches = [match_frame([], a.objects, "multimodal", 0.5) for a in anns]
+        matches = [match_objects([], a.objects, "multimodal", 0.5) for a in anns]
         curve = miss_rate_curve(matches)
         assert len(curve.points) == 1
         p = curve.points[0]
@@ -218,7 +236,7 @@ class TestMissRateCurve:
     def test_zero_evaluable_gts_raises(self):
         frames = [FrameAnnotations(0, (gt(0, 0, h=30),))]
         frames = filter_reasonable(frames)
-        matches = [match_frame([], f.objects, "multimodal", 0.5) for f in frames]
+        matches = [match_objects([], f.objects, "multimodal", 0.5) for f in frames]
         with pytest.raises(EvaluationError):
             miss_rate_curve(matches)
 
@@ -377,7 +395,7 @@ class TestEvaluate:
                         d for d in det_map.get(frame.frame_id, ())
                         if d.score >= p.score_thresh
                     ]
-                    m = match_frame(frame_dets, frame.objects, e.variant, e.iou_thresh)
+                    m = match_objects(frame_dets, frame.objects, e.variant, e.iou_thresh)
                     tp += int(np.count_nonzero(m.det_outcomes == DET_TP))
                     fp += int(np.count_nonzero(m.det_outcomes == DET_FP))
                     fn += m.n_evaluable - int(np.count_nonzero(m.gt_detected))

@@ -107,11 +107,13 @@ class TestDatasetErrors:
             read_dataset(p)
 
     def test_non_finite_coordinate_rejected(self, tmp_path):
-        p = self._write(
-            tmp_path, '{"frame":1,"objects":[{"v":[0,0,1,null],"t":[0,0,1,1]}]}\n'
-        )
-        with pytest.raises(ParseError, match=r"objects\[0\].v"):
-            read_dataset(p)
+        # null, and an integer too large for a float
+        for value in ("null", "1" + "0" * 400):
+            p = self._write(
+                tmp_path, '{"frame":1,"objects":[{"v":[0,0,1,%s],"t":[0,0,1,1]}]}\n' % value
+            )
+            with pytest.raises(ParseError, match=r"objects\[0\].v"):
+                read_dataset(p)
 
     def test_meta_after_frames_rejected(self, tmp_path):
         p = self._write(tmp_path, '{"frame":1,"objects":[]}\n{"meta":{"name":"x"}}\n')

@@ -11,6 +11,7 @@ from pairbox.geometry import (
     iou_matrix,
     iou_multimodal,
     iou_multimodal_elementwise,
+    iou_multimodal_matrix,
     pairs_to_arrays,
 )
 
@@ -215,3 +216,5 @@ class TestArrayHelpers:
         some = np.array([[0.0, 0, 5, 5]])
         assert iou_matrix(empty, some).shape == (0, 1)
         assert iou_matrix(some, empty).shape == (1, 0)
+        assert iou_multimodal_matrix(empty, empty, some, some).shape == (0, 1)
+        assert iou_multimodal_matrix(some, some, empty, empty).shape == (1, 0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairbox.geometry import Box, PairedBox
+from pairbox.geometry import Box, PairedBox, pairs_to_arrays
 from pairbox.sampling import (
     IGNORE,
     NEGATIVE,
@@ -14,7 +14,7 @@ from pairbox.sampling import (
     sample_minibatch,
 )
 
-from oracles import naive_iou
+from oracles import naive_anchor_grid, naive_iou
 
 
 def aligned(x, y, w, h):
@@ -41,7 +41,7 @@ class TestRpnAssignment:
             aligned(100, 0, 30, 10),
             aligned(200, 0, 30, 10),
         ]
-        res = assign_rpn(anchors, gts)
+        res = assign_rpn(pairs_to_arrays(anchors), gts)
         np.testing.assert_array_equal(res.max_ioum, [0.7, 0.5, 0.2])
         assert res.labels.tolist() == [POSITIVE, IGNORE, NEGATIVE]
         assert res.matched_gt.tolist() == [0, -1, -1]
@@ -50,7 +50,7 @@ class TestRpnAssignment:
         # 126/200 = 0.63 and 30/100 = 0.30, both landing exactly on a threshold
         anchors = [aligned(37, 0, 163, 10), aligned(503.5, 0, 6.5, 10)]
         gts = [aligned(0, 0, 163, 10), aligned(500, 0, 6.5, 10)]
-        res = assign_rpn(anchors, gts)
+        res = assign_rpn(pairs_to_arrays(anchors), gts)
         np.testing.assert_array_equal(res.max_ioum, [0.63, 0.3])
         assert res.labels.tolist() == [IGNORE, IGNORE]
 
@@ -58,7 +58,7 @@ class TestRpnAssignment:
         anchors = [aligned(0, 0, 10, 10), aligned(5, 5, 4, 4)]
         # with rpn_neg_thresh == 0 the general rule would label a 0 overlap IGNORE
         for cfg in (AssignmentConfig(), AssignmentConfig(rpn_neg_thresh=0.0)):
-            res = assign_rpn(anchors, [], cfg)
+            res = assign_rpn(pairs_to_arrays(anchors), [], cfg)
             assert res.labels.tolist() == [NEGATIVE, NEGATIVE]
             np.testing.assert_array_equal(res.max_ioum, [0.0, 0.0])
             assert res.matched_gt.tolist() == [-1, -1]
@@ -73,16 +73,16 @@ class TestRpnAssignment:
             aligned(float(rng.integers(0, 120)), float(rng.integers(0, 120)), 20, 40)
             for _ in range(6)
         ]
-        base = assign_rpn(anchors, gts)
+        base = assign_rpn(pairs_to_arrays(anchors), gts)
         perm = [4, 2, 0, 5, 1, 3]
-        shuffled = assign_rpn(anchors, [gts[i] for i in perm])
+        shuffled = assign_rpn(pairs_to_arrays(anchors), [gts[i] for i in perm])
         np.testing.assert_array_equal(base.labels, shuffled.labels)
         np.testing.assert_array_equal(base.max_ioum, shuffled.max_ioum)
 
     def test_argmax_tie_breaks_to_lowest_gt_index(self):
         anchor = aligned(0, 0, 10, 10)
         gt = aligned(2, 0, 10, 10)
-        res = assign_rpn([anchor], [gt, gt], AssignmentConfig(rpn_pos_thresh=0.5))
+        res = assign_rpn(pairs_to_arrays([anchor]), [gt, gt], AssignmentConfig(rpn_pos_thresh=0.5))
         assert res.labels[0] == POSITIVE
         assert res.matched_gt[0] == 0
 
@@ -95,7 +95,7 @@ class TestRpnAssignment:
         anchors = [aligned(*b) for b in boxes_a]
         gts = [aligned(*b) for b in boxes_g]
         cfg = AssignmentConfig()
-        res = assign_rpn(anchors, gts, cfg)
+        res = assign_rpn(pairs_to_arrays(anchors), gts, cfg)
         for i, a in enumerate(boxes_a):
             best = max(naive_iou(a, g) for g in boxes_g)
             if best > cfg.rpn_pos_thresh:
@@ -109,9 +109,9 @@ class TestRpnAssignment:
     def test_forced_best_anchor_per_gt(self):
         anchors = [aligned(0, 0, 30, 10), aligned(100, 100, 5, 5)]
         gts = [aligned(12, 0, 30, 10)]  # best anchor overlap 18/42 < pos thresh
-        off = assign_rpn(anchors, gts, AssignmentConfig())
+        off = assign_rpn(pairs_to_arrays(anchors), gts, AssignmentConfig())
         assert off.labels[0] == IGNORE
-        on = assign_rpn(anchors, gts, AssignmentConfig(match_best_anchor_per_gt=True))
+        on = assign_rpn(pairs_to_arrays(anchors), gts, AssignmentConfig(match_best_anchor_per_gt=True))
         assert on.labels[0] == POSITIVE
         assert on.matched_gt[0] == 0
         assert on.labels[1] == NEGATIVE
@@ -129,29 +129,29 @@ class TestDetectorAssignment:
             aligned(100, 0, 6.5, 10),
             aligned(200, 0, 21, 10),
         ]
-        res = assign_detector(rois, gts)
+        res = assign_detector(pairs_to_arrays(rois), gts)
         np.testing.assert_array_equal(res.max_ioum, [0.55, 0.3, 0.05])
         assert res.labels.tolist() == [POSITIVE, NEGATIVE, IGNORE]
         assert res.matched_gt.tolist() == [0, -1, -1]
 
     def test_exact_positive_boundary_inclusive(self):
         roi, gt = offset_pair(30, 10)  # exactly 0.50
-        res = assign_detector([roi], [gt])
+        res = assign_detector(pairs_to_arrays([roi]), [gt])
         assert res.labels[0] == POSITIVE
 
     def test_exact_negative_floor_inclusive(self):
         # 20/200: boxes (0,0,110,10) and (90,0,110,10) -> 200/2000 = 0.1
         roi = aligned(90, 0, 110, 10)
         gt = aligned(0, 0, 110, 10)
-        res = assign_detector([roi], [gt])
+        res = assign_detector(pairs_to_arrays([roi]), [gt])
         assert res.max_ioum[0] == 0.1
         assert res.labels[0] == NEGATIVE
 
     def test_no_gts(self):
-        res = assign_detector([aligned(0, 0, 10, 10)], [])
+        res = assign_detector(pairs_to_arrays([aligned(0, 0, 10, 10)]), [])
         assert res.labels[0] == IGNORE  # 0 overlap sits below the negative band
         res_lo0 = assign_detector(
-            [aligned(0, 0, 10, 10)], [], AssignmentConfig(det_neg_lo=0.0)
+            pairs_to_arrays([aligned(0, 0, 10, 10)]), [], AssignmentConfig(det_neg_lo=0.0)
         )
         assert res_lo0.labels[0] == NEGATIVE
 
@@ -162,7 +162,7 @@ class TestDetectorAssignment:
             for x, y in rng.integers(0, 150, size=(100, 2))
         ]
         gts = [aligned(float(x), float(y), 20, 45) for x, y in rng.integers(0, 150, size=(5, 2))]
-        res = assign_detector(rois, gts)
+        res = assign_detector(pairs_to_arrays(rois), gts)
         assert set(res.labels.tolist()) <= {POSITIVE, NEGATIVE, IGNORE}
         assert res.labels.shape == (100,)
 
@@ -238,24 +238,51 @@ class TestMinibatch:
 
 class TestAnchorGrid:
     def test_identical_pairs_and_count(self):
-        anchors = generate_anchor_grid(64, 32, stride=16, heights=(50.0, 100.0))
-        assert len(anchors) == 4 * 2 * 2
-        for a in anchors:
-            assert a.visible == a.thermal
+        visible, thermal = generate_anchor_grid(64, 32, stride=16, heights=(50.0, 100.0))
+        assert visible.shape == thermal.shape == (4 * 2 * 2, 4)
+        assert visible.dtype == thermal.dtype == np.float64
+        np.testing.assert_array_equal(visible, thermal)
 
     def test_geometry(self):
-        anchors = generate_anchor_grid(16, 16, stride=16, heights=(100.0,), aspect=0.5)
-        assert len(anchors) == 1
-        box = anchors[0].visible
+        visible, _ = generate_anchor_grid(16, 16, stride=16, heights=(100.0,), aspect=0.5)
+        assert len(visible) == 1
+        box = Box(*visible[0])
         assert box.center == (8.0, 8.0)
         assert box.w == 50.0
         assert box.h == 100.0
+
+    @pytest.mark.parametrize("width, height, stride, heights", [
+        (640, 512, 16.0, (50.0, 100.0, 200.0)),
+        (100, 77, 7.3, (50.0, 100.0, 200.0)),
+        (95.5, 61.25, 7.3, (33.3, 71.7)),
+        (50, 50, 2.9, (12.1,)),
+        (64, 32, 16, (50, 100)),  # integer stride and heights
+    ])
+    def test_equals_scalar_grid_bit_for_bit(self, width, height, stride, heights):
+        visible, thermal = generate_anchor_grid(width, height, stride, heights, aspect=0.41)
+        expected = np.array(naive_anchor_grid(width, height, stride, heights, 0.41)).reshape(-1, 4)
+        for got in (visible, thermal):
+            np.testing.assert_array_equal(got, expected)
+            assert got.tobytes() == expected.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_anchor_grid(0, 32)
         with pytest.raises(ValueError):
             generate_anchor_grid(64, 32, heights=(0.0,))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"heights": (float("nan"),)}, "positive"),
+        ({"heights": (50.0, 1e200)}, "1e100"),
+        ({"aspect": float("nan")}, "positive"),
+        ({"aspect": 1e300}, "1e100"),
+        ({"stride": float("nan")}, "positive"),
+        ({"image_width": float("nan")}, "positive"),
+    ])
+    def test_fields_a_box_refuses_are_refused(self, kwargs, message):
+        args = {"image_width": 64, "image_height": 32, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            generate_anchor_grid(**args)
 
     def test_oversized_grid_refused_before_building(self):
         # 640 x 512 cells at a 1-px stride: 983,040 anchors with three heights, over with four
