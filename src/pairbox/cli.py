@@ -112,19 +112,19 @@ def render_curve_svg(report: EvalReport) -> str:
     ml, mr_, mt, mb = 60, 20, 20, 50
     x0, x1 = math.log10(1e-3), math.log10(10.0)
 
-    def px(fppi: float) -> float:
-        clamped = min(max(fppi, 1e-3), 10.0)
-        return ml + (math.log10(clamped) - x0) / (x1 - x0) * (width - ml - mr_)
+    def px(fppi):
+        # math.log10, not np.log10, whose vectorised paths may differ in the last bit
+        logs = np.array(list(map(math.log10, np.clip(fppi, 1e-3, 10.0).tolist())))
+        return ml + (logs - x0) / (x1 - x0) * (width - ml - mr_)
 
-    def py(miss: float) -> float:
+    def py(miss):
         return mt + (1.0 - miss) * (height - mt - mb)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for ref in DEFAULT_FPPI_REFS:
-        x = px(ref)
+    for x in px(np.array(DEFAULT_FPPI_REFS)).tolist():
         parts.append(
             f'<line x1="{x:.2f}" y1="{mt}" x2="{x:.2f}" y2="{height - mb}" '
             'stroke="#dddddd" stroke-width="1"/>'
@@ -135,7 +135,8 @@ def render_curve_svg(report: EvalReport) -> str:
     )
     for i, e in enumerate(report.entries):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        pts = " ".join(f"{px(p.fppi):.2f},{py(p.miss_rate):.2f}" for p in e.curve.points)
+        xs, ys = px(e.curve.fppi).tolist(), py(e.curve.miss_rate).tolist()
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -21,11 +21,12 @@ import bisect
 import io
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .geometry import PairedBox, boxes_to_array, iou_matrix, iou_multimodal_matrix
+from .geometry import Box, PairedBox, boxes_to_array, iou_matrix, iou_multimodal_matrix
 from .pairnms import Detection
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "GtObject",
     "FrameAnnotations",
     "FrameDetections",
+    "DetectionTable",
     "FrameMatch",
     "CurvePoint",
     "MissRateCurve",
@@ -107,6 +109,65 @@ class FrameDetections:
 
     def __post_init__(self):
         object.__setattr__(self, "detections", tuple(self.detections))
+
+
+class DetectionTable(Sequence[FrameDetections]):
+    """Scored paired detections of many frames, held as columns.
+
+    ``v`` and ``t`` are (N, 4) float64 box arrays, ``score`` (N,) float64 and
+    ``class_id`` (N,) int64; frame ``k`` has id ``frame_ids[k]`` and owns rows
+    ``offsets[k]:offsets[k + 1]``. The table is a re-iterable sequence of
+    :class:`FrameDetections`, each built from the columns when it is accessed.
+    Frame ids are kept as given, duplicates included.
+    """
+
+    def __init__(self, frame_ids, offsets, v, t, score, class_id=None):
+        self.frame_ids = list(frame_ids)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.v = np.ascontiguousarray(v, dtype=np.float64)
+        self.t = np.ascontiguousarray(t, dtype=np.float64)
+        self.score = np.ascontiguousarray(score, dtype=np.float64)
+        n = len(self.score)
+        if class_id is None:
+            class_id = np.zeros(n, dtype=np.int64)
+        self.class_id = np.ascontiguousarray(class_id, dtype=np.int64)
+        if (
+            self.offsets.shape != (len(self.frame_ids) + 1,)
+            or self.offsets[0] != 0
+            or self.offsets[-1] != n
+            or np.any(np.diff(self.offsets) < 0)
+            or not len(self.v) == len(self.t) == len(self.class_id) == n
+        ):
+            raise ValueError("detection columns and frame offsets do not agree")
+
+    @classmethod
+    def from_frames(cls, frames: Iterable[FrameDetections]) -> "DetectionTable":
+        """Pack frames of detection objects into one table."""
+        frames = list(frames)
+        dets = [d for fd in frames for d in fd.detections]
+        return cls(
+            [fd.frame_id for fd in frames],
+            np.cumsum([0] + [len(fd.detections) for fd in frames]),
+            boxes_to_array(d.pair.visible for d in dets),
+            boxes_to_array(d.pair.thermal for d in dets),
+            [d.score for d in dets],
+            [d.class_id for d in dets],
+        )
+
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    def __getitem__(self, k: int) -> FrameDetections:
+        k = range(len(self))[k]  # negative indices; IndexError ends iteration
+        lo, hi = int(self.offsets[k]), int(self.offsets[k + 1])
+        dets = tuple(
+            Detection(PairedBox(Box(*v), Box(*t)), s, c)
+            for v, t, s, c in zip(
+                self.v[lo:hi].tolist(), self.t[lo:hi].tolist(),
+                self.score[lo:hi].tolist(), self.class_id[lo:hi].tolist(),
+            )
+        )
+        return FrameDetections(self.frame_ids[k], dets)
 
 
 def substitute_single_modality(
@@ -184,7 +245,9 @@ def match_frame(scores, overlaps, evaluable, thresh: float = 0.5) -> FrameMatch:
     a detection overlapping any ignore region at or above ``thresh`` is
     discarded from scoring; the rest are false positives. Evaluable GTs left
     unclaimed are misses. ``thresh`` must lie in (0, 1], so a zero overlap
-    never matches and a frame without ignore regions absorbs nothing.
+    never matches and a frame without ignore regions absorbs nothing. Only
+    the candidates, detections with some evaluable overlap at or above
+    ``thresh``, are visited: the others can claim no GT and free none.
     """
     if not 0.0 < thresh <= 1.0:
         raise ValueError(f"thresh must lie in (0, 1], got {thresh!r}")
@@ -193,18 +256,17 @@ def match_frame(scores, overlaps, evaluable, thresh: float = 0.5) -> FrameMatch:
         raise ValueError(f"overlaps must have shape {shape}, got {overlaps.shape}")
     matched_gt = np.full(len(scores), -1, dtype=np.int64)
     free = evaluable.copy()
-    if overlaps.size == 0:  # an empty overlap matrix has no argmax
-        outcomes = np.full(len(scores), DET_FP, dtype=np.int8)
-    else:
-        ignored = np.where(evaluable, 0.0, overlaps).max(axis=1) >= thresh
-        outcomes = np.where(ignored, DET_IGNORED, DET_FP).astype(np.int8)
-        for i in np.argsort(-scores, kind="stable"):
-            row = np.where(free, overlaps[i], 0.0)
-            j = int(row.argmax())  # the first maximum: overlap ties keep the lowest GT index
-            if row[j] >= thresh:
-                outcomes[i] = DET_TP
-                matched_gt[i] = j
-                free[j] = False
+    hit = overlaps >= thresh
+    outcomes = np.where((hit & ~evaluable).any(axis=1), DET_IGNORED, DET_FP).astype(np.int8)
+    candidates = (hit & evaluable).any(axis=1).nonzero()[0]
+    # a stable sort of the candidates, in input order, keeps ties by input index
+    for i in candidates[np.argsort(-scores[candidates], kind="stable")].tolist():
+        row = np.where(free, overlaps[i], 0.0)
+        j = int(row.argmax())  # the first maximum: overlap ties keep the lowest GT index
+        if row[j] >= thresh:
+            outcomes[i] = DET_TP
+            matched_gt[i] = j
+            free[j] = False
     n_evaluable = int(np.count_nonzero(evaluable))
     return FrameMatch(scores, outcomes, matched_gt, evaluable & ~free, n_evaluable)
 
@@ -221,11 +283,46 @@ class CurvePoint:
     fn: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MissRateCurve:
-    points: tuple[CurvePoint, ...]
+    """Operating points as columns, one row per point.
+
+    ``score_thresh``, ``fppi`` and ``miss_rate`` are float64 arrays and
+    ``tp``, ``fp`` and ``fn`` int64 arrays of equal length; ``points``
+    builds the :class:`CurvePoint` objects on first access.
+    """
+
+    score_thresh: np.ndarray
+    fppi: np.ndarray
+    miss_rate: np.ndarray
+    tp: np.ndarray
+    fp: np.ndarray
+    fn: np.ndarray
     n_frames: int
     n_evaluable: int
+
+    @classmethod
+    def from_points(cls, points: Sequence[CurvePoint], n_frames: int,
+                    n_evaluable: int) -> "MissRateCurve":
+        """A curve from hand-built points, kept in the given order."""
+        def column(field, dtype):
+            return np.array([getattr(p, field) for p in points], dtype=dtype)
+
+        return cls(
+            column("score_thresh", np.float64), column("fppi", np.float64),
+            column("miss_rate", np.float64), column("tp", np.int64),
+            column("fp", np.int64), column("fn", np.int64), n_frames, n_evaluable,
+        )
+
+    @cached_property
+    def points(self) -> tuple[CurvePoint, ...]:
+        return tuple(
+            CurvePoint(*row)
+            for row in zip(
+                self.score_thresh.tolist(), self.fppi.tolist(), self.miss_rate.tolist(),
+                self.tp.tolist(), self.fp.tolist(), self.fn.tolist(),
+            )
+        )
 
 
 def miss_rate_curve(matches: Sequence[FrameMatch]) -> MissRateCurve:
@@ -246,17 +343,16 @@ def miss_rate_curve(matches: Sequence[FrameMatch]) -> MissRateCurve:
     )
     if scores.size == 0:
         point = CurvePoint(1.0, 0.0, 1.0, tp=0, fp=0, fn=n_gt)
-        return MissRateCurve((point,), n_frames, n_gt)
+        return MissRateCurve.from_points((point,), n_frames, n_gt)
     desc = np.argsort(-scores, kind="stable")
     scores = scores[desc]
-    tp = np.cumsum(outcomes[desc] == DET_TP)
-    fp = np.cumsum(outcomes[desc] == DET_FP)
     ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))  # last of each tie group
-    points = [
-        CurvePoint(s, fppi=f / n_frames, miss_rate=(n_gt - t) / n_gt, tp=t, fp=f, fn=n_gt - t)
-        for s, t, f in zip(scores[ends].tolist(), tp[ends].tolist(), fp[ends].tolist())
-    ]
-    return MissRateCurve(tuple(points), n_frames, n_gt)
+    tp = np.cumsum(outcomes[desc] == DET_TP)[ends]
+    fp = np.cumsum(outcomes[desc] == DET_FP)[ends]
+    # IEEE divisions of exactly represented counts: the same bits as Python's int / int
+    return MissRateCurve(
+        scores[ends], fp / n_frames, (n_gt - tp) / n_gt, tp, fp, n_gt - tp, n_frames, n_gt
+    )
 
 
 def log_average_miss_rate(
@@ -273,11 +369,13 @@ def log_average_miss_rate(
     with the default floor of 0 the mean is defined as 0 whenever any
     sampled rate is 0.
     """
-    if not curve.points:
+    if curve.fppi.size == 0:
         raise EvaluationError("cannot average an empty curve")
-    step = {p.fppi: p.miss_rate for p in curve.points}
-    xs = sorted(step)
-    sampled = [max(step[xs[max(bisect.bisect_right(xs, r) - 1, 0)]], epsilon) for r in refs]
+    by_fppi = np.argsort(curve.fppi, kind="stable")  # keeps curve order within equal FPPIs
+    xs, ys = curve.fppi[by_fppi], curve.miss_rate[by_fppi]
+    last = np.append(xs[1:] != xs[:-1], True)  # the last point of each distinct FPPI
+    xs, ys = xs[last].tolist(), ys[last].tolist()
+    sampled = [max(ys[max(bisect.bisect_right(xs, r) - 1, 0)], epsilon) for r in refs]
     if any(s == 0.0 for s in sampled):
         return 0.0
     return float(math.exp(sum(math.log(s) for s in sampled) / len(sampled)))
@@ -333,26 +431,31 @@ def thread_count() -> int:
 
 def evaluate(
     annotations: Sequence[FrameAnnotations],
-    detections: Sequence[FrameDetections],
+    detections: Union[DetectionTable, Sequence[FrameDetections]],
     config: EvalConfig = EvalConfig(),
 ) -> EvalReport:
     """Run the full protocol over every configured variant and threshold.
 
-    Detections must reference known frame ids; annotated frames without
-    detections count as all-miss frames. Each frame is packed once and gets
-    one overlap matrix per variant; frames are matched one after another
-    (the matching is GIL-bound Python, so threads would not pay).
+    ``detections`` is a :class:`DetectionTable` or a sequence of
+    :class:`FrameDetections`, which is packed into one. Detections must
+    reference known frame ids; annotated frames without detections count as
+    all-miss frames. Each frame's detections are sliced from the table, its
+    GTs packed once, and it gets one overlap matrix per variant; frames are
+    matched one after another (the matching is GIL-bound Python, so threads
+    would not pay).
     """
+    if not isinstance(detections, DetectionTable):
+        detections = DetectionTable.from_frames(detections)
     ann_ids = [f.frame_id for f in annotations]
     if len(set(ann_ids)) != len(ann_ids):
         raise EvaluationError("duplicate frame ids in annotations")
-    det_by_frame: dict[FrameId, tuple[Detection, ...]] = {}
-    for fd in detections:
-        if fd.frame_id in det_by_frame:
-            raise EvaluationError(f"duplicate detection entries for frame {fd.frame_id!r}")
-        det_by_frame[fd.frame_id] = fd.detections
+    row_of: dict[FrameId, int] = {}
+    for k, fid in enumerate(detections.frame_ids):
+        if fid in row_of:
+            raise EvaluationError(f"duplicate detection entries for frame {fid!r}")
+        row_of[fid] = k
     ann_id_set = set(ann_ids)
-    unknown = [fid for fid in det_by_frame if fid not in ann_id_set]
+    unknown = [fid for fid in row_of if fid not in ann_id_set]
     if unknown:
         raise EvaluationError(
             "detections reference unknown frame ids: "
@@ -360,14 +463,14 @@ def evaluate(
         )
     filtered = filter_reasonable(annotations, config.min_height, config.height_modality)
     thresholds = config.iou_thresholds
+    offsets = detections.offsets.tolist()
     # matches[v][t]: one FrameMatch per frame for the v-th variant and t-th threshold
     matches = [[[] for _ in thresholds] for _ in config.variants]
     for frame in filtered:
-        dets = det_by_frame.get(frame.frame_id, ())
-        scores = np.array([d.score for d in dets], dtype=np.float64)
+        k = row_of.get(frame.frame_id)
+        rows = slice(0, 0) if k is None else slice(offsets[k], offsets[k + 1])
+        scores, dv, dt = detections.score[rows], detections.v[rows], detections.t[rows]
         evaluable = np.array([not g.ignore for g in frame.objects], dtype=bool)
-        dv = boxes_to_array(d.pair.visible for d in dets)
-        dt = boxes_to_array(d.pair.thermal for d in dets)
         gv = boxes_to_array(g.pair.visible for g in frame.objects)
         gt_ = boxes_to_array(g.pair.thermal for g in frame.objects)
         for variant, cells in zip(config.variants, matches):
@@ -398,8 +501,7 @@ def write_curve_csv(report: EvalReport, dst) -> None:
 def _write_curve_csv(report: EvalReport, fh: io.TextIOBase) -> None:
     fh.write("variant,iou_thresh,score_thresh,fppi,miss_rate\n")
     for e in report.entries:
-        for p in e.curve.points:
-            fh.write(
-                f"{e.variant},{e.iou_thresh:.9g},{p.score_thresh:.9g},"
-                f"{p.fppi:.9g},{p.miss_rate:.9g}\n"
-            )
+        prefix = f"{e.variant},{e.iou_thresh:.9g},"
+        c = e.curve
+        rows = zip(c.score_thresh.tolist(), c.fppi.tolist(), c.miss_rate.tolist())
+        fh.write("".join(f"{prefix}{s:.9g},{f:.9g},{m:.9g}\n" for s, f, m in rows))

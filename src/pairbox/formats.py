@@ -16,7 +16,8 @@ Writers emit a canonical form (metadata line first, full records, compact
 separators, floats in shortest round-trip notation, LF endings), so
 write(read(f)) is byte-identical for files produced by these writers.
 Parsers reject records that violate domain invariants and report the file,
-line number, and offending field.
+line number, and offending field. Detection files are read into a
+:class:`~pairbox.evaluation.DetectionTable` of columns.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .evaluation import (
     OCCLUSION_LEVELS,
+    DetectionTable,
     FrameAnnotations,
     FrameDetections,
     GtObject,
@@ -221,8 +225,93 @@ def write_dataset(dataset: Dataset, path) -> None:
             fh.write(_dump(record) + "\n")
 
 
-def read_detections(path) -> list[FrameDetections]:
-    """Parse a detection file; single-box records are duplicated into pairs."""
+_RECORD_KEYS = {"frame", "dets"}
+_PAIR_KEYS = {"v", "t", "score"}
+_ROW = 9  # v[0:4], t[4:8], score[8]
+_CHUNK_VALUES = _ROW * 8192
+_EXACT_INT = 2**53  # every integer within ±2**53 converts to a float exactly
+
+
+def read_detections(path) -> DetectionTable:
+    """Parse a detection file into columns; single-box records are
+    duplicated into pairs.
+
+    A file in the canonical paired form is read straight into columns and
+    checked with vectorised rules equal to the per-field ones. Any other
+    file, or one a rule refuses, is parsed again field by field, which
+    reports the first bad record.
+    """
+    try:
+        table = _read_paired_columns(path)
+    except UnicodeDecodeError:
+        table = None
+    if table is None:
+        table = DetectionTable.from_frames(_read_detections_scalar(path))
+    return table
+
+
+def _read_paired_columns(path) -> Optional[DetectionTable]:
+    """The table of a file whose records are all ``{"frame", "dets"}`` with
+    ``{"v", "t", "score"}`` detections of plain numbers, or None when a
+    record is off that form or a value breaks a rule."""
+    frame_ids, counts, chunks, values = [], [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            try:
+                record = json.loads(line)
+            except ValueError:
+                if line.strip():
+                    return None
+                continue
+            if type(record) is not dict or record.keys() != _RECORD_KEYS:
+                return None
+            fid, dets = record["frame"], record["dets"]
+            if type(fid) not in (int, str) or type(dets) is not list:
+                return None
+            for d in dets:
+                if type(d) is not dict or d.keys() != _PAIR_KEYS:
+                    return None
+                v, t = d["v"], d["t"]
+                if type(v) is not list or type(t) is not list or len(v) != 4 or len(t) != 4:
+                    return None
+                values += v
+                values += t
+                values.append(d["score"])
+            frame_ids.append(fid)
+            counts.append(len(dets))
+            if len(values) >= _CHUNK_VALUES:
+                chunks.append(_float_rows(values))
+                values = []
+    chunks.append(_float_rows(values))
+    if any(c is None for c in chunks):
+        return None
+    rows = np.concatenate(chunks)
+    boxes, score = rows[:, :8], rows[:, 8]
+    if (
+        np.all(np.abs(boxes) <= 1e100)  # NaN fails it too
+        and np.all(boxes[:, [2, 3, 6, 7]] >= 0.0)
+        and np.all((score >= 0.0) & (score <= 1.0))
+        and len(set(frame_ids)) == len(frame_ids)
+    ):
+        return DetectionTable(frame_ids, np.cumsum([0] + counts), rows[:, :4], rows[:, 4:8], score)
+    return None
+
+
+def _float_rows(values: list) -> Optional[np.ndarray]:
+    """``values`` as (n, 9) float64 rows, or None unless every value is a
+    float or an integer that converts exactly (bools excluded)."""
+    kinds = set(map(type, values))
+    if not kinds <= {float, int}:
+        return None
+    if int in kinds and not all(
+        -_EXACT_INT <= x <= _EXACT_INT for x in values if type(x) is int
+    ):
+        return None
+    return np.array(values, dtype=np.float64).reshape(-1, _ROW)
+
+
+def _read_detections_scalar(path) -> list[FrameDetections]:
+    """Parse a detection file record by record, field by field."""
     out: list[FrameDetections] = []
     seen: set[FrameId] = set()
     with open(path, "r", encoding="utf-8") as fh:

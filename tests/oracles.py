@@ -117,6 +117,48 @@ def naive_greedy_match(dets, gts, variant, thresh):
     return outcomes, matched, detected
 
 
+def naive_curve(frames, variant, thresh):
+    """Reference FPPI/miss-rate curve, re-matching every frame at every score.
+
+    ``frames`` holds one (dets, gts) pair per frame in the form of
+    ``naive_greedy_match``. For each distinct detection score, highest first,
+    the detections scored below it are dropped and every frame is matched
+    again. Returns (score, fppi, miss_rate, tp, fp, fn) tuples; without any
+    detection, the single all-miss point at score 1.0.
+    """
+    n_gt = sum(not g[2] for _, gts in frames for g in gts)
+    scores = sorted({d[2] for dets, _ in frames for d in dets}, reverse=True)
+    if not scores:
+        return [(1.0, 0.0, 1.0, 0, 0, n_gt)]
+    points = []
+    for s in scores:
+        tp = fp = fn = 0
+        for dets, gts in frames:
+            kept = [d for d in dets if d[2] >= s]
+            outcomes, _, detected = naive_greedy_match(kept, gts, variant, thresh)
+            tp += outcomes.count(1)
+            fp += outcomes.count(0)
+            fn += sum(not g[2] and not hit for g, hit in zip(gts, detected))
+        points.append((s, fp / len(frames), fn / n_gt, tp, fp, fn))
+    return points
+
+
+def naive_log_average_miss_rate(points, refs):
+    """Reference log-average miss rate of ``naive_curve`` points.
+
+    Each reference takes the miss rate of the last point, in curve order,
+    among those with the largest FPPI not above it; a reference below every
+    FPPI takes the last point with the smallest FPPI.
+    """
+    sampled = []
+    for r in refs:
+        below = [p for p in points if p[1] <= r]
+        pool = below or points
+        step = max(p[1] for p in below) if below else min(p[1] for p in points)
+        sampled.append([p[2] for p in pool if p[1] == step][-1])
+    return geometric_mean(sampled)
+
+
 def _inter_union(a, b):
     ax, ay, aw, ah = a
     bx, by, bw, bh = b

@@ -287,7 +287,7 @@ def test_criterion_7_evaluation_protocol():
                 assert abs(entry.lamr - FOUR_FRAME_LAMR) < 1e-4
 
         for constant in (0.1, 0.37, 1.0):
-            curve = MissRateCurve(
+            curve = MissRateCurve.from_points(
                 (CurvePoint(1.0, 1.0, constant, 0, 0, 0),), n_frames=1, n_evaluable=1
             )
             assert log_average_miss_rate(curve) == pytest.approx(constant, abs=1e-12)

@@ -1,7 +1,12 @@
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairbox.cli import main
 from pairbox.evaluation import FrameDetections
@@ -15,7 +20,8 @@ from pairbox.formats import (
 from pairbox.evaluation import FrameAnnotations
 from pairbox.pairnms import Detection
 
-from scenes import det_at, gt
+from mutations import mutated_text
+from scenes import det_at, four_frame_fixture, gt
 
 SAMPLE = Path(__file__).parent / "data" / "sample_dataset.jsonl"
 
@@ -126,6 +132,38 @@ class TestNmsCommand:
         kept = read_detections(out_path)
         assert len(kept[0].detections) == 1
         assert kept[0].detections[0].score == 0.9
+
+
+def _run_main(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+class TestJsonlReaderFuzz:
+    """``evaluate`` and ``nms`` on valid files with one line broken: every
+    outcome is an exit code, and every parse error names the file and line."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data(), target=st.sampled_from(["gt", "dets"]))
+    def test_broken_line_exits_cleanly(self, tmp_path_factory, data, target):
+        anns, dets = four_frame_fixture()
+        work = tmp_path_factory.mktemp("fuzz")
+        paths = {"gt": work / "gt.jsonl", "dets": work / "dets.jsonl"}
+        write_dataset(Dataset(frames=tuple(anns)), paths["gt"])
+        write_detections(dets, paths["dets"])
+        broken = paths[target]
+        broken.write_text(data.draw(mutated_text(broken.read_text(encoding="utf-8"))),
+                          encoding="utf-8")
+        runs = [["evaluate", str(paths["gt"]), str(paths["dets"])]]
+        if target == "dets":
+            runs.append(["nms", str(paths["dets"]), "--out", str(work / "kept.jsonl")])
+        for argv in runs:
+            rc, err = _run_main(argv)
+            assert rc in (0, 1, 2), (argv[0], rc, err)  # and no exception escaped main
+            if rc == 2:
+                assert re.search(re.escape(f"{broken}:") + r"\d+: ", err), err
 
 
 class TestAssignCommand:

@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairbox.evaluation import (
@@ -10,6 +10,7 @@ from pairbox.evaluation import (
     DET_IGNORED,
     DET_TP,
     CurvePoint,
+    DetectionTable,
     EvalConfig,
     EvaluationError,
     FrameAnnotations,
@@ -28,7 +29,14 @@ from pairbox.evaluation import (
 from pairbox.geometry import Box, PairedBox, iou, pairs_to_arrays
 from pairbox.pairnms import Detection
 
-from oracles import best_assignment_tp_count, geometric_mean, naive_greedy_match, naive_iou
+from oracles import (
+    best_assignment_tp_count,
+    geometric_mean,
+    naive_curve,
+    naive_greedy_match,
+    naive_iou,
+    naive_log_average_miss_rate,
+)
 from scenes import (
     FOUR_FRAME_CURVE,
     FOUR_FRAME_LAMR,
@@ -197,6 +205,48 @@ class TestMatchFrameProperties:
         assert m.n_evaluable == sum(not ign for _, _, ign in gts)
 
 
+@st.composite
+def grid_scene(draw):
+    """One to four frames of grid boxes from a shared pool, some empty, with
+    ignore regions, score ties, and a threshold often equal to an overlap."""
+    pool = st.sampled_from(draw(st.lists(grid_box, min_size=1, max_size=4)))
+    frames = draw(st.lists(
+        st.tuples(st.lists(st.tuples(pool, pool, grid_score), max_size=5),
+                  st.lists(st.tuples(pool, pool, st.booleans()), max_size=4)),
+        min_size=1, max_size=4,
+    ))
+    exact = sorted({naive_iou(d[k], g[k]) for dets, gts in frames
+                    for d in dets for g in gts for k in (0, 1)} - {0.0})
+    thresh = st.floats(0.0, 1.0, exclude_min=True)
+    return frames, draw(st.sampled_from(exact) | thresh if exact else thresh)
+
+
+class TestCurveProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(scene=grid_scene(), variant=st.sampled_from(["visible", "thermal", "multimodal"]))
+    def test_curve_and_lamr_equal_rematching_oracle(self, scene, variant):
+        frames, thresh = scene
+        assume(any(not g[2] for _, gts in frames for g in gts))
+        anns = [
+            FrameAnnotations(f, tuple(
+                GtObject(PairedBox(Box(*v), Box(*t)), ignore=ign) for v, t, ign in gts))
+            for f, (_, gts) in enumerate(frames)
+        ]
+        dets = [
+            FrameDetections(f, tuple(Detection(PairedBox(Box(*v), Box(*t)), s) for v, t, s in ds))
+            for f, (ds, _) in enumerate(frames)
+        ]
+        config = EvalConfig(iou_thresholds=(thresh,), variants=(variant,), min_height=0.0)
+        (entry,) = evaluate(anns, dets, config).entries
+        expected = naive_curve(frames, variant, thresh)
+        curve = entry.curve
+        columns = zip(curve.score_thresh.tolist(), curve.fppi.tolist(), curve.miss_rate.tolist(),
+                      curve.tp.tolist(), curve.fp.tolist(), curve.fn.tolist())
+        assert list(columns) == expected
+        assert curve.points == tuple(CurvePoint(*p) for p in expected)
+        assert entry.lamr == naive_log_average_miss_rate(expected, config.fppi_refs)
+
+
 class TestMissRateCurve:
     def test_perfect_detector_single_point(self):
         anns, _ = four_frame_fixture()
@@ -261,7 +311,7 @@ class TestMissRateCurve:
 class TestLogAverageMissRate:
     def _curve(self, pts):
         points = tuple(CurvePoint(s, f, m, 0, 0, 0) for s, f, m in pts)
-        return MissRateCurve(points, n_frames=1, n_evaluable=1)
+        return MissRateCurve.from_points(points, n_frames=1, n_evaluable=1)
 
     def test_constant_curve_returns_constant(self):
         curve = self._curve([(1.0, 1.0, 0.37)])
@@ -301,7 +351,7 @@ class TestLogAverageMissRate:
 
     def test_empty_curve_raises(self):
         with pytest.raises(EvaluationError):
-            log_average_miss_rate(MissRateCurve((), 1, 1))
+            log_average_miss_rate(MissRateCurve.from_points((), 1, 1))
 
     def test_duplicate_fppi_takes_latest_point(self):
         curve = self._curve([(0.9, 0.0, 0.8), (0.8, 0.5, 0.8), (0.7, 0.5, 0.4)])
@@ -450,6 +500,53 @@ class TestEvaluate:
             EvalConfig(iou_thresholds=(0.0,))
         with pytest.raises(ValueError):
             EvalConfig(variants=("multispectral",))
+
+
+class TestDetectionTable:
+    def _frames(self):
+        pair = PairedBox(Box(1, 2, 3, 4), Box(1.5, 2, 3, 4))
+        return [
+            FrameDetections("a", (Detection(pair, 0.5, class_id=2), det_at(0, 0, 1.0))),
+            FrameDetections(7, ()),
+            FrameDetections("a", (det_at(9, 9, 0.25),)),
+        ]
+
+    def test_round_trips_frames_and_is_re_iterable(self):
+        frames = self._frames()
+        table = DetectionTable.from_frames(frames)
+        assert len(table) == 3
+        assert list(table) == frames
+        assert list(table) == frames  # a second pass sees the same frames
+        assert table[-1] == frames[-1]
+        assert table.frame_ids == ["a", 7, "a"]  # duplicates kept for evaluate to refuse
+        assert table.offsets.tolist() == [0, 2, 2, 3]
+        assert table.class_id.tolist() == [2, 0, 0]
+        with pytest.raises(IndexError):
+            table[3]
+
+    def test_empty(self):
+        table = DetectionTable.from_frames([])
+        assert len(table) == 0 and list(table) == []
+        assert table.v.shape == table.t.shape == (0, 4)
+
+    def test_columns_must_agree_with_offsets(self):
+        with pytest.raises(ValueError, match="offsets"):
+            DetectionTable(["a"], [0, 2], np.zeros((1, 4)), np.zeros((1, 4)), [0.5])
+
+    def test_evaluate_takes_a_table_or_frames_alike(self):
+        rng = np.random.default_rng(131)
+        anns, dets = _random_scene(rng, 12, peds=3, noise=4.0, fp_per_frame=1.0)
+        from_frames = evaluate(anns, dets)
+        from_table = evaluate(anns, DetectionTable.from_frames(dets))
+        for e1, e2 in zip(from_frames.entries, from_table.entries):
+            assert e1.lamr == e2.lamr
+            assert e1.curve.points == e2.curve.points
+
+    def test_duplicate_ids_in_a_table_rejected(self):
+        anns, _ = four_frame_fixture()
+        table = DetectionTable.from_frames([FrameDetections("f1", ()), FrameDetections("f1", ())])
+        with pytest.raises(EvaluationError, match="duplicate detection entries for frame 'f1'"):
+            evaluate(anns, table)
 
 
 class TestSubstituteSingleModality:

@@ -2,12 +2,16 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pairbox.evaluation import FrameAnnotations, FrameDetections
+from pairbox.evaluation import DetectionTable, FrameAnnotations, FrameDetections
 from pairbox.formats import (
     Dataset,
     DatasetMeta,
     ParseError,
+    _read_detections_scalar,
+    _read_paired_columns,
     read_dataset,
     read_detections,
     write_dataset,
@@ -15,6 +19,7 @@ from pairbox.formats import (
 )
 from pairbox.geometry import Box
 
+from mutations import mutated_text
 from scenes import det_at, gt
 
 SAMPLE = Path(__file__).parent / "data" / "sample_dataset.jsonl"
@@ -136,7 +141,7 @@ class TestDetections:
         p2 = tmp_path / "d2.jsonl"
         write_detections(dets, p1)
         back = read_detections(p1)
-        assert back == dets
+        assert list(back) == dets
         write_detections(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -172,7 +177,7 @@ class TestDetections:
     def test_frames_without_detections_legal(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text('{"frame":"a","dets":[]}\n', encoding="utf-8")
-        assert read_detections(p) == [FrameDetections("a", ())]
+        assert list(read_detections(p)) == [FrameDetections("a", ())]
 
 
 class TestDatasetValidation:
@@ -190,3 +195,118 @@ class TestDatasetValidation:
         write_dataset(small_dataset(), p)
         for line in p.read_text(encoding="utf-8").splitlines():
             json.loads(line)
+
+
+# --- the column reader against the field-by-field parser --------------------
+
+# values that stress the float conversion: integers, beyond 2**53, signed zero,
+# the ±1e100 bound, and plain floats
+coordinate = st.one_of(
+    st.sampled_from([0, 7, -3, 2**53, 2**53 + 1, -(2**53) - 1, 10**30, -0.0, 1e100, -1e100]),
+    st.floats(-1e100, 1e100),
+)
+extent = st.one_of(st.sampled_from([0, 5, 2**53 + 1, 10**30, -0.0, 1e100]), st.floats(0.0, 1e100))
+score = st.one_of(st.sampled_from([0, 1, -0.0, 1.0]), st.floats(0.0, 1.0))
+box = st.builds(lambda x, y, w, h: [x, y, w, h], coordinate, coordinate, extent, extent)
+paired_det = st.fixed_dictionaries({"v": box, "t": box, "score": score})
+single_det = st.fixed_dictionaries({"box": box, "score": score})
+
+
+@st.composite
+def detection_file(draw, single_box: bool):
+    ids = draw(st.lists(st.integers(-5, 5) | st.text("ab1", max_size=2), unique=True,
+                        min_size=1, max_size=5))
+    det = paired_det | single_det if single_box else paired_det
+    records = [{"frame": fid, "dets": draw(st.lists(det, max_size=4))} for fid in ids]
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+def _same_table(a, b):
+    assert a.frame_ids == b.frame_ids
+    assert [type(fid) for fid in a.frame_ids] == [type(fid) for fid in b.frame_ids]
+    for name in ("offsets", "v", "t", "score", "class_id"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes(), name  # float bits, so -0.0 != 0.0
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _scalar_table(path):
+    return DetectionTable.from_frames(_read_detections_scalar(path))
+
+
+class TestColumnReader:
+    @settings(derandomize=True, deadline=None)
+    @given(text=detection_file(single_box=False) | detection_file(single_box=True))
+    def test_equals_scalar_parser_bit_for_bit(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("dets") / "d.jsonl"
+        p.write_text(text, encoding="utf-8")
+        expected = _scalar_table(p)
+        _same_table(read_detections(p), expected)
+        fast = _read_paired_columns(p)
+        if fast is not None:
+            _same_table(fast, expected)
+        out = p.with_name("out.jsonl")
+        write_detections(read_detections(p), out)
+        ref = p.with_name("ref.jsonl")
+        write_detections(_read_detections_scalar(p), ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_canonical_files_take_the_column_path(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text(
+            '{"frame":1,"dets":[{"v":[1,2,3,4],"t":[1.5,2,3,4],"score":0.5}]}\n'
+            '\n'
+            '{"frame":"x","dets":[]}\n',
+            encoding="utf-8",
+        )
+        fast = _read_paired_columns(p)
+        assert fast is not None
+        _same_table(fast, _scalar_table(p))
+        assert fast.offsets.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("line", [
+        '{"frame":1}',                                                        # dropped key
+        '{"frame":1,"dets":[{"v":[0,0,1,1],"t":[0,0,1,1]}]}',                 # dropped score
+        '{"frame":1.5,"dets":[]}',                                            # retyped id
+        '{"frame":1,"dets":[{"v":[0,0,1,1],"t":[0,0,1,1],"score":"0.5"}]}',   # retyped score
+        '{"frame":1,"dets":[{"v":[0,0,1,1],"t":{},"score":0.5}]}',            # retyped box
+        '{"frame":1,"dets":[{"v":[0,true,1,1],"t":[0,0,1,1],"score":0.5}]}',  # true coordinate
+        '{"frame":1,"dets":[{"v":[0,NaN,1,1],"t":[0,0,1,1],"score":0.5}]}',
+        '{"frame":1,"dets":[{"v":[0,0,1,1],"t":[0,Infinity,1,1],"score":0.5}]}',
+        '{"frame":1,"dets":[{"v":[0,0,1,1],"t":[0,0,1,1],"score":NaN}]}',
+        '{"frame":1,"dets":[{"v":[0,0,1,1%s],"t":[0,0,1,1],"score":0.5}]}' % ("0" * 400),
+        '{"frame":1,"dets":[{"v":[0,0,1,1],"t":[0,0,1,1],"sco',               # truncated
+        '{"frame":0,"dets":[]}',                                              # duplicate id
+        '{"frame":1,"dets":[{"v":[0,0,1,1],"t":[0,0,1,1],"score":1.0000001}]}',
+        '{"frame":1,"dets":[{"v":[0,0,-1,1],"t":[0,0,1,1],"score":0.5}]}',    # negative w
+        '{"frame":1,"dets":[{"v":[0,0,1,1],"t":[0,0,1,1],"score":0.5,"x":1}]}',
+        '{"frame":1,"dets":[{"v":[0,0,1,1],"t":[0,0,1e101,1],"score":0.5}]}',
+    ])
+    def test_mutations_raise_the_scalar_parsers_error(self, tmp_path, line):
+        p = tmp_path / "d.jsonl"
+        p.write_text('{"frame":0,"dets":[]}\n' + line + "\n", encoding="utf-8")
+        assert _read_paired_columns(p) is None
+        expected = _outcome(_scalar_table, p)
+        assert expected.startswith(f"ParseError: {p}:2: ")
+        assert _outcome(read_detections, p) == expected
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_mutated_files_read_as_the_scalar_parser_reads_them(self, tmp_path_factory, data):
+        text = data.draw(detection_file(single_box=False).filter(lambda t: t.count("\n") > 1))
+        p = tmp_path_factory.mktemp("dets") / "d.jsonl"
+        p.write_text(data.draw(mutated_text(text)), encoding="utf-8")
+        expected = _outcome(_scalar_table, p)
+        got = _outcome(read_detections, p)
+        if isinstance(expected, str):
+            assert got == expected
+            assert _read_paired_columns(p) is None
+        else:
+            _same_table(got, expected)
