@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import string
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -47,6 +48,7 @@ from .formats import (
     ParseError,
     read_dataset,
     read_detections,
+    read_json,
     write_dataset,
     write_detections,
 )
@@ -250,21 +252,21 @@ def cmd_generate(args) -> int:
 
 
 def cmd_nms(args) -> int:
-    detections = read_detections(args.detections)
-    out = [
-        replace(fd, detections=tuple(paired_nms(fd.detections, args.iou_thresh, args.max_keep)))
-        for fd in detections
+    table = read_detections(args.detections)
+    offsets = table.offsets.tolist()
+    kept = [
+        lo + paired_nms(
+            table.t[lo:hi], table.score[lo:hi], table.class_id[lo:hi],
+            args.iou_thresh, args.max_keep,
+        )
+        for lo, hi in zip(offsets, offsets[1:])
     ]
-    write_detections(out, args.out)
+    write_detections(table.take(kept), args.out)
     return 0
 
 
 def _load_anchor_file(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, exc.lineno, f"invalid JSON ({exc.msg})") from None
+    payload = read_json(path)
     if not isinstance(payload, dict) or not isinstance(payload.get("anchors"), list):
         raise ParseError(path, 1, "expected an object with an 'anchors' list")
     anchors = []
@@ -338,7 +340,10 @@ def _losses_field(raw: dict, key: str, convert, path, field: str, default=None):
 def _integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    out = int(value)
+    if not abs(out) <= sys.float_info.max:  # the losses divide by it as a float
+        raise ValueError("integer too large for a float")
+    return out
 
 
 def _floats(value) -> tuple[float, ...]:
@@ -362,17 +367,6 @@ def _offsets_from(raw: dict, path, where: str) -> list[BoxOffsets]:
         )
         for key in ("pred_v", "pred_t", "target_v", "target_t")
     ]
-
-
-def _load_losses_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, exc.lineno, f"invalid JSON ({exc.msg})") from None
-    if not isinstance(payload, dict):
-        raise ParseError(path, 1, "expected a JSON object")
-    return payload
 
 
 def _parse_rpn_samples(section, path) -> tuple[list[RpnSample], LossConfig]:
@@ -456,7 +450,9 @@ def _gradient_check_lines(rpn_samples, det_samples) -> list[str]:
 
 
 def cmd_losses(args) -> int:
-    payload = _load_losses_file(args.samples)
+    payload = read_json(args.samples)
+    if not isinstance(payload, dict):
+        raise ParseError(args.samples, 1, "expected a JSON object")
     lines = []
     rpn_samples: list[RpnSample] = []
     det_samples: list[DetectorSample] = []
@@ -482,6 +478,18 @@ def cmd_losses(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _dets_pattern(text: str) -> str:
+    """A ``--dets-pattern`` whose only placeholder is ``{dx}``."""
+    try:
+        names = {name for _, name, _, _ in string.Formatter().parse(text) if name is not None}
+        if names - {"dx"}:
+            raise ValueError("the only placeholder allowed is {dx}")
+        text.format(dx=0)  # a bad conversion or format spec
+    except (ValueError, KeyError, IndexError) as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,6 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument(
         "--dets-pattern",
+        type=_dets_pattern,
         default=None,
         help="per-shift detection file template with a {dx} placeholder "
              "(overrides the mock detector)",

@@ -52,7 +52,6 @@ __all__ = [
     "miss_rate_curve",
     "log_average_miss_rate",
     "evaluate",
-    "substitute_single_modality",
     "write_curve_csv",
 ]
 
@@ -154,6 +153,15 @@ class DetectionTable(Sequence[FrameDetections]):
             [d.class_id for d in dets],
         )
 
+    def take(self, rows: Sequence[np.ndarray]) -> "DetectionTable":
+        """The table whose frame ``k`` holds this table's rows ``rows[k]``
+        (row indices into the whole table), in that order."""
+        index = np.concatenate([np.zeros(0, dtype=np.int64), *rows])
+        return DetectionTable(
+            self.frame_ids, np.cumsum([0] + [len(r) for r in rows]), self.v[index],
+            self.t[index], self.score[index], self.class_id[index],
+        )
+
     def __len__(self) -> int:
         return len(self.frame_ids)
 
@@ -168,20 +176,6 @@ class DetectionTable(Sequence[FrameDetections]):
             )
         )
         return FrameDetections(self.frame_ids[k], dets)
-
-
-def substitute_single_modality(
-    frame_id: FrameId,
-    boxes_with_scores: Iterable[tuple],
-) -> FrameDetections:
-    """Build paired detections from single-box output.
-
-    Each (box, score) entry becomes a detection whose visible and thermal
-    boxes are both the given box, which is how detectors that emit one box
-    per object are evaluated against paired ground truth.
-    """
-    dets = [Detection(PairedBox.aligned(box), float(score)) for box, score in boxes_with_scores]
-    return FrameDetections(frame_id, tuple(dets))
 
 
 def filter_reasonable(

@@ -16,8 +16,10 @@ Writers emit a canonical form (metadata line first, full records, compact
 separators, floats in shortest round-trip notation, LF endings), so
 write(read(f)) is byte-identical for files produced by these writers.
 Parsers reject records that violate domain invariants and report the file,
-line number, and offending field. Detection files are read into a
-:class:`~pairbox.evaluation.DetectionTable` of columns.
+line number, and offending field; a byte that is not UTF-8 is reported at
+its line too. Detection files are read into a
+:class:`~pairbox.evaluation.DetectionTable` of columns in one pass, and
+written from its columns.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .evaluation import (
     GtObject,
 )
 from .geometry import Box, PairedBox
-from .pairnms import Detection
 
 __all__ = [
     "ParseError",
@@ -47,6 +48,7 @@ __all__ = [
     "write_dataset",
     "read_detections",
     "write_detections",
+    "read_json",
 ]
 
 FrameId = Union[str, int]
@@ -118,6 +120,40 @@ def _check_keys(record: dict, allowed: set, path, line_no: int, context: str):
         raise ParseError(path, line_no, f"{context}: unknown field(s) {', '.join(unknown)}")
 
 
+def _check_utf8(text: str, path, line_no: int) -> None:
+    """Refuse ``text`` read with ``errors="surrogateescape"`` if it holds a
+    byte that is not UTF-8; ``line_no`` is the line ``text`` starts on."""
+    if text.isascii():
+        return
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # only escaped bytes fail to encode
+        line_no += text.count("\n", 0, exc.start)
+        byte = ord(text[exc.start]) - 0xDC00
+        raise ParseError(path, line_no, f"invalid UTF-8 (byte 0x{byte:02x})") from None
+
+
+def _lines(path):
+    """The numbered lines of a UTF-8 text file; a line that is not UTF-8 is
+    a ParseError at that line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            _check_utf8(line, path, line_no)
+            yield line_no, line
+
+
+def read_json(path):
+    """Parse a file holding one JSON document; bad UTF-8 or bad JSON is a
+    ParseError at the line where it occurs."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    _check_utf8(text, path, 1)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, f"invalid JSON ({exc.msg})") from None
+
+
 def _load_json_line(line: str, path, line_no: int) -> dict:
     try:
         record = json.loads(line)
@@ -148,45 +184,44 @@ def read_dataset(path) -> Dataset:
     meta = DatasetMeta()
     frames: list[FrameAnnotations] = []
     seen: set[FrameId] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = _load_json_line(line, path, line_no)
-            if "meta" in record:
-                if line_no != 1 or frames:
-                    raise ParseError(path, line_no, "metadata line only allowed first")
-                _check_keys(record, {"meta"}, path, line_no, "metadata line")
-                meta = _parse_meta(record, path, line_no)
-                continue
-            _check_keys(record, {"frame", "objects"}, path, line_no, "frame record")
-            fid = _parse_frame_id(record, path, line_no)
-            if fid in seen:
-                raise ParseError(path, line_no, f"duplicate frame id {fid!r}")
-            seen.add(fid)
-            raw_objects = record.get("objects")
-            if not isinstance(raw_objects, list):
-                raise ParseError(path, line_no, "missing or invalid 'objects' list")
-            objects = []
-            for k, raw in enumerate(raw_objects):
-                if not isinstance(raw, dict):
-                    raise ParseError(path, line_no, f"objects[{k}]: expected a JSON object")
-                _check_keys(raw, {"v", "t", "occ", "ignore"}, path, line_no, f"objects[{k}]")
-                if "v" not in raw or "t" not in raw:
-                    raise ParseError(path, line_no, f"objects[{k}]: needs both 'v' and 't' boxes")
-                box_v = _parse_box(raw["v"], path, line_no, f"objects[{k}].v")
-                box_t = _parse_box(raw["t"], path, line_no, f"objects[{k}].t")
-                occ = raw.get("occ", "none")
-                if occ not in OCCLUSION_LEVELS:
-                    raise ParseError(
-                        path, line_no,
-                        f"objects[{k}].occ: expected one of {OCCLUSION_LEVELS}, got {occ!r}",
-                    )
-                ignore = raw.get("ignore", False)
-                if not isinstance(ignore, bool):
-                    raise ParseError(path, line_no, f"objects[{k}].ignore: expected a boolean")
-                objects.append(GtObject(PairedBox(box_v, box_t), occlusion=occ, ignore=ignore))
-            frames.append(FrameAnnotations(fid, tuple(objects)))
+    for line_no, line in _lines(path):
+        if not line.strip():
+            continue
+        record = _load_json_line(line, path, line_no)
+        if "meta" in record:
+            if line_no != 1 or frames:
+                raise ParseError(path, line_no, "metadata line only allowed first")
+            _check_keys(record, {"meta"}, path, line_no, "metadata line")
+            meta = _parse_meta(record, path, line_no)
+            continue
+        _check_keys(record, {"frame", "objects"}, path, line_no, "frame record")
+        fid = _parse_frame_id(record, path, line_no)
+        if fid in seen:
+            raise ParseError(path, line_no, f"duplicate frame id {fid!r}")
+        seen.add(fid)
+        raw_objects = record.get("objects")
+        if not isinstance(raw_objects, list):
+            raise ParseError(path, line_no, "missing or invalid 'objects' list")
+        objects = []
+        for k, raw in enumerate(raw_objects):
+            if not isinstance(raw, dict):
+                raise ParseError(path, line_no, f"objects[{k}]: expected a JSON object")
+            _check_keys(raw, {"v", "t", "occ", "ignore"}, path, line_no, f"objects[{k}]")
+            if "v" not in raw or "t" not in raw:
+                raise ParseError(path, line_no, f"objects[{k}]: needs both 'v' and 't' boxes")
+            box_v = _parse_box(raw["v"], path, line_no, f"objects[{k}].v")
+            box_t = _parse_box(raw["t"], path, line_no, f"objects[{k}].t")
+            occ = raw.get("occ", "none")
+            if occ not in OCCLUSION_LEVELS:
+                raise ParseError(
+                    path, line_no,
+                    f"objects[{k}].occ: expected one of {OCCLUSION_LEVELS}, got {occ!r}",
+                )
+            ignore = raw.get("ignore", False)
+            if not isinstance(ignore, bool):
+                raise ParseError(path, line_no, f"objects[{k}].ignore: expected a boolean")
+            objects.append(GtObject(PairedBox(box_v, box_t), occlusion=occ, ignore=ignore))
+        frames.append(FrameAnnotations(fid, tuple(objects)))
     return Dataset(frames=tuple(frames), meta=meta)
 
 
@@ -228,151 +263,121 @@ def write_dataset(dataset: Dataset, path) -> None:
 _RECORD_KEYS = {"frame", "dets"}
 _PAIR_KEYS = {"v", "t", "score"}
 _ROW = 9  # v[0:4], t[4:8], score[8]
-_CHUNK_VALUES = _ROW * 8192
-_EXACT_INT = 2**53  # every integer within ±2**53 converts to a float exactly
+# per-column bounds of a row: the Box bound on coordinates, non-negative
+# extents, scores in [0, 1]
+_LO = np.array([-1e100, -1e100, 0.0, 0.0] * 2 + [0.0])
+_HI = np.array([1e100] * 8 + [1.0])
 
 
 def read_detections(path) -> DetectionTable:
-    """Parse a detection file into columns; single-box records are
-    duplicated into pairs.
+    """Parse a detection file into columns in one pass over its lines;
+    single-box records are duplicated into pairs.
 
-    A file in the canonical paired form is read straight into columns and
-    checked with vectorised rules equal to the per-field ones. Any other
-    file, or one a rule refuses, is parsed again field by field, which
-    reports the first bad record.
+    A record in the canonical paired form becomes its rows in one step;
+    any other record is parsed field by field, which reports the first bad
+    field of the first bad record.
     """
-    try:
-        table = _read_paired_columns(path)
-    except UnicodeDecodeError:
-        table = None
-    if table is None:
-        table = DetectionTable.from_frames(_read_detections_scalar(path))
-    return table
-
-
-def _read_paired_columns(path) -> Optional[DetectionTable]:
-    """The table of a file whose records are all ``{"frame", "dets"}`` with
-    ``{"v", "t", "score"}`` detections of plain numbers, or None when a
-    record is off that form or a value breaks a rule."""
-    frame_ids, counts, chunks, values = [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            try:
-                record = json.loads(line)
-            except ValueError:
-                if line.strip():
-                    return None
-                continue
-            if type(record) is not dict or record.keys() != _RECORD_KEYS:
-                return None
-            fid, dets = record["frame"], record["dets"]
-            if type(fid) not in (int, str) or type(dets) is not list:
-                return None
-            for d in dets:
-                if type(d) is not dict or d.keys() != _PAIR_KEYS:
-                    return None
-                v, t = d["v"], d["t"]
-                if type(v) is not list or type(t) is not list or len(v) != 4 or len(t) != 4:
-                    return None
-                values += v
-                values += t
-                values.append(d["score"])
-            frame_ids.append(fid)
-            counts.append(len(dets))
-            if len(values) >= _CHUNK_VALUES:
-                chunks.append(_float_rows(values))
-                values = []
-    chunks.append(_float_rows(values))
-    if any(c is None for c in chunks):
-        return None
-    rows = np.concatenate(chunks)
-    boxes, score = rows[:, :8], rows[:, 8]
-    if (
-        np.all(np.abs(boxes) <= 1e100)  # NaN fails it too
-        and np.all(boxes[:, [2, 3, 6, 7]] >= 0.0)
-        and np.all((score >= 0.0) & (score <= 1.0))
-        and len(set(frame_ids)) == len(frame_ids)
-    ):
-        return DetectionTable(frame_ids, np.cumsum([0] + counts), rows[:, :4], rows[:, 4:8], score)
-    return None
-
-
-def _float_rows(values: list) -> Optional[np.ndarray]:
-    """``values`` as (n, 9) float64 rows, or None unless every value is a
-    float or an integer that converts exactly (bools excluded)."""
-    kinds = set(map(type, values))
-    if not kinds <= {float, int}:
-        return None
-    if int in kinds and not all(
-        -_EXACT_INT <= x <= _EXACT_INT for x in values if type(x) is int
-    ):
-        return None
-    return np.array(values, dtype=np.float64).reshape(-1, _ROW)
-
-
-def _read_detections_scalar(path) -> list[FrameDetections]:
-    """Parse a detection file record by record, field by field."""
-    out: list[FrameDetections] = []
+    frame_ids: list[FrameId] = []
+    blocks: list[np.ndarray] = []
     seen: set[FrameId] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = _load_json_line(line, path, line_no)
-            _check_keys(record, {"frame", "dets"}, path, line_no, "detection record")
-            fid = _parse_frame_id(record, path, line_no)
-            if fid in seen:
-                raise ParseError(path, line_no, f"duplicate frame id {fid!r}")
-            seen.add(fid)
-            raw_dets = record.get("dets")
-            if not isinstance(raw_dets, list):
-                raise ParseError(path, line_no, "missing or invalid 'dets' list")
-            dets = []
-            for k, raw in enumerate(raw_dets):
-                if not isinstance(raw, dict):
-                    raise ParseError(path, line_no, f"dets[{k}]: expected a JSON object")
-                _check_keys(raw, {"v", "t", "box", "score"}, path, line_no, f"dets[{k}]")
-                if "score" not in raw or not _is_number(raw["score"]):
-                    raise ParseError(path, line_no, f"dets[{k}].score: expected a finite number")
-                score = float(raw["score"])
-                if not 0.0 <= score <= 1.0:
-                    raise ParseError(
-                        path, line_no, f"dets[{k}].score: must lie in [0, 1], got {score}"
-                    )
-                if "box" in raw:
-                    if "v" in raw or "t" in raw:
-                        raise ParseError(
-                            path, line_no,
-                            f"dets[{k}]: 'box' cannot be combined with 'v'/'t'",
-                        )
-                    box = _parse_box(raw["box"], path, line_no, f"dets[{k}].box")
-                    dets.append(Detection(PairedBox.aligned(box), score))
-                else:
-                    if "v" not in raw or "t" not in raw:
-                        raise ParseError(
-                            path, line_no,
-                            f"dets[{k}]: needs 'v' and 't' boxes (or a single 'box')",
-                        )
-                    box_v = _parse_box(raw["v"], path, line_no, f"dets[{k}].v")
-                    box_t = _parse_box(raw["t"], path, line_no, f"dets[{k}].t")
-                    dets.append(Detection(PairedBox(box_v, box_t), score))
-            out.append(FrameDetections(fid, tuple(dets)))
-    return out
+    for line_no, line in _lines(path):
+        if not line.strip():
+            continue
+        record = _load_json_line(line, path, line_no)
+        rows = _canonical_rows(record, seen)
+        if rows is None:
+            rows = _parse_detection_record(record, path, line_no, seen)
+        seen.add(record["frame"])
+        frame_ids.append(record["frame"])
+        blocks.append(rows)
+    offsets = np.cumsum([0] + [len(b) for b in blocks])
+    rows = np.concatenate([np.zeros((0, _ROW)), *blocks])
+    return DetectionTable(frame_ids, offsets, rows[:, :4], rows[:, 4:8], rows[:, 8])
 
 
-def write_detections(detections: Sequence[FrameDetections], path) -> None:
-    """Write the canonical paired detection form."""
+def _canonical_rows(record, seen) -> Optional[np.ndarray]:
+    """The (n, 9) rows of a ``{"frame", "dets"}`` record of ``{"v", "t",
+    "score"}`` detections whose values are plain numbers within the column
+    bounds and whose frame id is new, or None for any other record."""
+    if type(record) is not dict or record.keys() != _RECORD_KEYS:
+        return None
+    fid, dets = record["frame"], record["dets"]
+    if type(fid) not in (int, str) or fid in seen or type(dets) is not list:
+        return None
+    values = []
+    for d in dets:
+        if type(d) is not dict or d.keys() != _PAIR_KEYS:
+            return None
+        v, t = d["v"], d["t"]
+        if type(v) is not list or type(t) is not list or len(v) != 4 or len(t) != 4:
+            return None
+        values += v
+        values += t
+        values.append(d["score"])
+    # bools are not numbers here; numpy converts an int exactly as float() does
+    if not set(map(type, values)) <= {float, int}:
+        return None
+    try:
+        rows = np.array(values, dtype=np.float64).reshape(-1, _ROW)
+    except OverflowError:  # an integer too large for a float
+        return None
+    return rows if ((_LO <= rows) & (rows <= _HI)).all() else None  # NaN fails the bound
+
+
+def _parse_detection_record(record: dict, path, line_no: int, seen) -> np.ndarray:
+    """The (n, 9) rows of one detection record, checked field by field."""
+    _check_keys(record, _RECORD_KEYS, path, line_no, "detection record")
+    fid = _parse_frame_id(record, path, line_no)
+    if fid in seen:
+        raise ParseError(path, line_no, f"duplicate frame id {fid!r}")
+    raw_dets = record.get("dets")
+    if not isinstance(raw_dets, list):
+        raise ParseError(path, line_no, "missing or invalid 'dets' list")
+    rows = []
+    for k, raw in enumerate(raw_dets):
+        if not isinstance(raw, dict):
+            raise ParseError(path, line_no, f"dets[{k}]: expected a JSON object")
+        _check_keys(raw, {"v", "t", "box", "score"}, path, line_no, f"dets[{k}]")
+        if "score" not in raw or not _is_number(raw["score"]):
+            raise ParseError(path, line_no, f"dets[{k}].score: expected a finite number")
+        score = float(raw["score"])
+        if not 0.0 <= score <= 1.0:
+            raise ParseError(
+                path, line_no, f"dets[{k}].score: must lie in [0, 1], got {score}"
+            )
+        if "box" in raw:
+            if "v" in raw or "t" in raw:
+                raise ParseError(
+                    path, line_no,
+                    f"dets[{k}]: 'box' cannot be combined with 'v'/'t'",
+                )
+            box = _parse_box(raw["box"], path, line_no, f"dets[{k}].box")
+            rows.append(box.as_tuple() * 2 + (score,))
+        else:
+            if "v" not in raw or "t" not in raw:
+                raise ParseError(
+                    path, line_no,
+                    f"dets[{k}]: needs 'v' and 't' boxes (or a single 'box')",
+                )
+            box_v = _parse_box(raw["v"], path, line_no, f"dets[{k}].v")
+            box_t = _parse_box(raw["t"], path, line_no, f"dets[{k}].t")
+            rows.append(box_v.as_tuple() + box_t.as_tuple() + (score,))
+    return np.array(rows, dtype=np.float64).reshape(-1, _ROW)
+
+
+def write_detections(
+    detections: Union[DetectionTable, Sequence[FrameDetections]], path
+) -> None:
+    """Write the canonical paired detection form from the table's columns;
+    a sequence of :class:`FrameDetections` is packed into a table first."""
+    if not isinstance(detections, DetectionTable):
+        detections = DetectionTable.from_frames(detections)
+    v, t = detections.v.tolist(), detections.t.tolist()
+    score, offsets = detections.score.tolist(), detections.offsets.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for fd in detections:
-            record = {
-                "frame": fd.frame_id,
-                "dets": [
-                    {
-                        "v": _box_json(d.pair.visible),
-                        "t": _box_json(d.pair.thermal),
-                        "score": float(d.score),
-                    }
-                    for d in fd.detections
-                ],
-            }
-            fh.write(_dump(record) + "\n")
+        for k, fid in enumerate(detections.frame_ids):
+            dets = [
+                {"v": v[i], "t": t[i], "score": score[i]}
+                for i in range(offsets[k], offsets[k + 1])
+            ]
+            fh.write(_dump({"frame": fid, "dets": dets}) + "\n")

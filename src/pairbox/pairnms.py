@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .geometry import PairedBox, boxes_to_array
+# boxes_to_array is unused here, but perfbench/spans.py wraps it under this module's name
+from .geometry import PairedBox, boxes_to_array  # noqa: F401
 
 __all__ = ["Detection", "paired_nms"]
 
@@ -34,28 +35,34 @@ class Detection:
 
 
 def paired_nms(
-    dets: Sequence[Detection],
+    thermal,
+    scores,
+    class_ids,
     iou_thresh: float,
     max_keep: Optional[int] = None,
-) -> list[Detection]:
-    """Greedy score-descending NMS on thermal boxes, carrying pairs along.
+) -> np.ndarray:
+    """Greedy score-descending NMS on thermal boxes; returns the kept rows.
 
-    Within each class, detections are visited by descending score (ties
-    broken by input index, earlier wins); a detection is suppressed when its
-    thermal IoU with an already-kept detection strictly exceeds
-    ``iou_thresh``. Kept detections are returned unmodified, sorted by
-    descending score (same tie rule), truncated to ``max_keep`` if given.
+    ``thermal`` is the (N, 4) array of the detections' thermal boxes and
+    ``scores`` and ``class_ids`` their (N,) columns. A row stands for the
+    whole pair, so dropping it drops the visible partner too. Within each
+    class, rows are visited by descending score (ties broken by row index,
+    earlier wins); a row is suppressed when its thermal IoU with an
+    already-kept row strictly exceeds ``iou_thresh``. The kept row indices
+    are returned sorted by descending score (same tie rule), truncated to
+    ``max_keep`` if given.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"iou_thresh must lie in [0, 1], got {iou_thresh!r}")
     if max_keep is not None and max_keep < 0:
         raise ValueError("max_keep must be >= 0")
-    thermal = boxes_to_array(d.pair.thermal for d in dets)
-    scores = np.asarray([d.score for d in dets], dtype=np.float64)
-    classes = np.asarray([d.class_id for d in dets])
+    scores = np.asarray(scores, dtype=np.float64)
+    classes = np.asarray(class_ids)
+    if not len(thermal) == len(scores) == len(classes):
+        raise ValueError("thermal boxes, scores and class ids must have equal lengths")
     order = np.argsort(-scores, kind="stable")
-    keep = np.zeros(len(dets), dtype=bool)
+    keep = np.zeros(len(scores), dtype=bool)
     for class_id in np.unique(classes):
         in_class = order[classes[order] == class_id]
         keep[_kernels.nms_keep(thermal, in_class, float(iou_thresh))] = True
-    return [dets[i] for i in order[keep[order]][:max_keep]]
+    return order[keep[order]][:max_keep]

@@ -106,27 +106,29 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # written as "not x >= 0" with finite upper bounds, so NaN and inf are refused too
         if self.num_frames < 0:
             raise ValueError("num_frames must be >= 0")
-        if self.peds_per_frame < 0:
-            raise ValueError("peds_per_frame must be >= 0")
+        if not 0 <= self.peds_per_frame < math.inf:
+            raise ValueError("peds_per_frame must be a finite number >= 0")
+        if not (0 < self.image_width < math.inf and 0 < self.image_height < math.inf):
+            raise ValueError("image dimensions must be finite and positive")
         lo, hi = self.height_range
         if not (0.0 < lo < hi):
             raise ValueError("height_range must satisfy 0 < low < high")
-        if hi >= self.image_height:
+        if not hi < self.image_height:
             raise ValueError("height_range must fit inside the image")
-        if self.fixed_width is not None and self.fixed_width <= 0:
-            raise ValueError("fixed_width must be positive")
-        if self.width_over_height <= 0:
-            raise ValueError("width_over_height must be positive")
-        if self.misalign_range[0] > self.misalign_range[1]:
-            raise ValueError("misalign_range must be (low, high) with low <= high")
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ValueError("image dimensions must be positive")
-        if self.x_margin < 0:
-            raise ValueError("x_margin must be >= 0")
+        if self.fixed_width is not None and not 0 < self.fixed_width < math.inf:
+            raise ValueError("fixed_width must be finite and positive")
+        if not 0 < self.width_over_height < math.inf:
+            raise ValueError("width_over_height must be finite and positive")
+        # the Box bound, which also keeps the uniform draw's range finite
+        if not -1e100 <= self.misalign_range[0] <= self.misalign_range[1] <= 1e100:
+            raise ValueError("misalign_range must be (low, high) within ±1e100, low <= high")
+        if not 0 <= self.x_margin < math.inf:
+            raise ValueError("x_margin must be a finite number >= 0")
         max_width = self.fixed_width if self.fixed_width is not None else self.width_over_height * hi
-        if 2 * self.x_margin + max_width >= self.image_width:
+        if not 2 * self.x_margin + max_width < self.image_width:
             raise ValueError("x_margin leaves no room to place objects")
 
 
@@ -179,16 +181,18 @@ class MockDetectorSpec:
     def __post_init__(self):
         if self.mode not in ("paired", "single_box"):
             raise ValueError("mode must be 'paired' or 'single_box'")
-        if self.center_noise_sigma < 0 or self.size_noise_sigma < 0:
-            raise ValueError("noise sigmas must be >= 0")
+        # written as "not x >= 0" with finite upper bounds, so NaN and inf are refused too
+        sigmas = (self.center_noise_sigma, self.size_noise_sigma, self.score_noise_sigma)
+        if not all(0 <= s < math.inf for s in sigmas):
+            raise ValueError("noise sigmas must be finite numbers >= 0")
         if not 0.0 <= self.miss_prob <= 1.0:
             raise ValueError("miss_prob must lie in [0, 1]")
-        if self.fp_per_frame < 0:
-            raise ValueError("fp_per_frame must be >= 0")
+        if not 0 <= self.fp_per_frame < math.inf:
+            raise ValueError("fp_per_frame must be a finite number >= 0")
         if not 0.0 < self.score_floor <= 1.0:
             raise ValueError("score_floor must lie in (0, 1]")
-        if self.score_noise_sigma < 0:
-            raise ValueError("score_noise_sigma must be >= 0")
+        if not (0 < self.image_width < math.inf and 0 < self.image_height < math.inf):
+            raise ValueError("image dimensions must be finite and positive")
 
 
 def _perturb(box: Box, rng: np.random.Generator, spec: MockDetectorSpec) -> tuple[Box, float]:

@@ -4,7 +4,9 @@ A mutation parses one line, then drops a key, replaces a value (with a
 boolean, null, string, container, non-finite or out-of-range number, or an
 integer too large for a float), copies another line's frame id into it, or
 truncates the line's text; JSON is written back with ``NaN``/``Infinity``
-literals where the value calls for them.
+literals where the value calls for them. With ``bad_bytes`` a mutation may
+instead put a byte that is not UTF-8 into the line, as the lone surrogate
+that ``errors="surrogateescape"`` writes back as that byte.
 """
 
 from __future__ import annotations
@@ -48,14 +50,23 @@ def mutate(record, op: str, path, value):
     return record
 
 
+BAD_BYTES = (0x80, 0xC3, 0xFF)  # a lone continuation byte, a cut-off lead byte, never UTF-8
+
+
 @st.composite
-def mutated_text(draw, text: str) -> str:
+def mutated_text(draw, text: str, bad_bytes: bool = False) -> str:
     """``text`` (one JSON object per line) with exactly one line broken."""
     lines = text.splitlines()
     k = draw(st.integers(0, len(lines) - 1))
-    op = draw(st.sampled_from(["drop", "retype", "duplicate", "truncate"]))
+    ops = ["drop", "retype", "duplicate", "truncate"] + (["bad_byte"] if bad_bytes else [])
+    op = draw(st.sampled_from(ops))
     if op == "truncate":
         lines[k] = lines[k][: draw(st.integers(1, len(lines[k]) - 1))]
+        return "\n".join(lines) + "\n"
+    if op == "bad_byte":
+        at = draw(st.integers(0, len(lines[k])))
+        byte = chr(0xDC00 + draw(st.sampled_from(BAD_BYTES)))
+        lines[k] = lines[k][:at] + byte + lines[k][at:]
         return "\n".join(lines) + "\n"
     record = json.loads(lines[k])
     others = [json.loads(line) for j, line in enumerate(lines) if j != k]

@@ -4,7 +4,8 @@ Everything here is deliberately written against different primitives than
 the code under test: pixel counting on boolean grids instead of closed-form
 areas, an O(n^2) pure-python NMS, central finite differences instead of
 analytic gradients, per-threshold re-matching instead of the one-pass
-score sweep, and a scalar triple loop instead of the broadcast anchor grid.
+score sweep, a scalar triple loop instead of the broadcast anchor grid, and
+a field-by-field parse into detection objects instead of the column reader.
 """
 
 from __future__ import annotations
@@ -13,6 +14,19 @@ import itertools
 import math
 
 import numpy as np
+
+from pairbox.evaluation import FrameDetections
+from pairbox.formats import (
+    FrameId,
+    ParseError,
+    _check_keys,
+    _is_number,
+    _load_json_line,
+    _parse_box,
+    _parse_frame_id,
+)
+from pairbox.geometry import PairedBox
+from pairbox.pairnms import Detection
 
 
 def rasterized_counts(a, b, scale: int = 10):
@@ -80,6 +94,56 @@ def naive_nms(boxes, scores, thresh):
         if all(naive_iou(boxes[i], boxes[k]) <= thresh for k in kept):
             kept.append(i)
     return kept
+
+
+def naive_read_detections(path) -> list[FrameDetections]:
+    """Parse a detection file record by record, field by field."""
+    out: list[FrameDetections] = []
+    seen: set[FrameId] = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            record = _load_json_line(line, path, line_no)
+            _check_keys(record, {"frame", "dets"}, path, line_no, "detection record")
+            fid = _parse_frame_id(record, path, line_no)
+            if fid in seen:
+                raise ParseError(path, line_no, f"duplicate frame id {fid!r}")
+            seen.add(fid)
+            raw_dets = record.get("dets")
+            if not isinstance(raw_dets, list):
+                raise ParseError(path, line_no, "missing or invalid 'dets' list")
+            dets = []
+            for k, raw in enumerate(raw_dets):
+                if not isinstance(raw, dict):
+                    raise ParseError(path, line_no, f"dets[{k}]: expected a JSON object")
+                _check_keys(raw, {"v", "t", "box", "score"}, path, line_no, f"dets[{k}]")
+                if "score" not in raw or not _is_number(raw["score"]):
+                    raise ParseError(path, line_no, f"dets[{k}].score: expected a finite number")
+                score = float(raw["score"])
+                if not 0.0 <= score <= 1.0:
+                    raise ParseError(
+                        path, line_no, f"dets[{k}].score: must lie in [0, 1], got {score}"
+                    )
+                if "box" in raw:
+                    if "v" in raw or "t" in raw:
+                        raise ParseError(
+                            path, line_no,
+                            f"dets[{k}]: 'box' cannot be combined with 'v'/'t'",
+                        )
+                    box = _parse_box(raw["box"], path, line_no, f"dets[{k}].box")
+                    dets.append(Detection(PairedBox.aligned(box), score))
+                else:
+                    if "v" not in raw or "t" not in raw:
+                        raise ParseError(
+                            path, line_no,
+                            f"dets[{k}]: needs 'v' and 't' boxes (or a single 'box')",
+                        )
+                    box_v = _parse_box(raw["v"], path, line_no, f"dets[{k}].v")
+                    box_t = _parse_box(raw["t"], path, line_no, f"dets[{k}].t")
+                    dets.append(Detection(PairedBox(box_v, box_t), score))
+            out.append(FrameDetections(fid, tuple(dets)))
+    return out
 
 
 def naive_greedy_match(dets, gts, variant, thresh):

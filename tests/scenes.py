@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from pairbox.evaluation import FrameAnnotations, FrameDetections, GtObject
-from pairbox.geometry import Box, PairedBox
-from pairbox.pairnms import Detection
+from pairbox.geometry import Box, PairedBox, boxes_to_array
+from pairbox.pairnms import Detection, paired_nms
 
 
 def gt(x, y, w=20.0, h=60.0, occlusion="none", dx_thermal=0.0):
@@ -15,6 +15,16 @@ def gt(x, y, w=20.0, h=60.0, occlusion="none", dx_thermal=0.0):
 
 def det_at(x, y, score, w=20.0, h=60.0):
     return Detection(PairedBox.aligned(Box(x, y, w, h)), score)
+
+
+def nms_detections(dets, iou_thresh, max_keep=None):
+    """``paired_nms`` on a list of detection objects: the kept objects
+    themselves, in kept order."""
+    keep = paired_nms(
+        boxes_to_array(d.pair.thermal for d in dets), [d.score for d in dets],
+        [d.class_id for d in dets], iou_thresh, max_keep,
+    )
+    return [dets[i] for i in keep]
 
 
 def four_frame_fixture():

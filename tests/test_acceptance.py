@@ -32,7 +32,7 @@ from pairbox.geometry import (
     iou_multimodal_elementwise,
     pairs_to_arrays,
 )
-from pairbox.pairnms import Detection, paired_nms
+from pairbox.pairnms import Detection
 from pairbox.regression import (
     BoxOffsets,
     DetectorSample,
@@ -58,6 +58,7 @@ from scenes import (
     FOUR_FRAME_CURVE,
     FOUR_FRAME_LAMR,
     four_frame_fixture,
+    nms_detections,
     perfect_detections,
 )
 
@@ -229,14 +230,14 @@ def test_criterion_5_paired_nms_projection():
                 score = float(np.round(rng.uniform(0, 1), 2))
                 dets.append(Detection(PairedBox(vis, thermal), score))
             thresh = float(rng.choice([0.3, 0.5, 0.7]))
-            kept = paired_nms(dets, thresh)
+            kept = nms_detections(dets, thresh)
             ref = naive_nms(
                 [d.pair.thermal.as_tuple() for d in dets], [d.score for d in dets], thresh
             )
             assert sorted(d.pair.thermal.as_tuple() for d in kept) == sorted(
                 dets[i].pair.thermal.as_tuple() for i in ref
             )
-            assert paired_nms(kept, thresh) == kept
+            assert nms_detections(kept, thresh) == kept
 
 
 def test_criterion_6_assignment_thresholds():

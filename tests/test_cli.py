@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairbox import geometry, pairnms
 from pairbox.cli import main
 from pairbox.evaluation import FrameDetections
 from pairbox.formats import (
@@ -21,6 +22,7 @@ from pairbox.evaluation import FrameAnnotations
 from pairbox.pairnms import Detection
 
 from mutations import mutated_text
+from oracles import naive_nms
 from scenes import det_at, four_frame_fixture, gt
 
 SAMPLE = Path(__file__).parent / "data" / "sample_dataset.jsonl"
@@ -133,6 +135,66 @@ class TestNmsCommand:
         assert len(kept[0].detections) == 1
         assert kept[0].detections[0].score == 0.9
 
+    @settings(derandomize=True, deadline=None)
+    @given(
+        frames=st.lists(
+            st.lists(
+                st.tuples(
+                    st.tuples(*(st.integers(0, 6),) * 2, *(st.integers(0, 4),) * 2),
+                    st.sampled_from([0.25, 0.5, 1.0]),  # few scores: ties
+                ),
+                max_size=8,
+            ),
+            min_size=1, max_size=4,
+        ),
+        thresh=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        max_keep=st.one_of(st.none(), st.integers(0, 4)),
+    )
+    def test_keeps_each_frames_naive_nms_records(self, tmp_path_factory, frames, thresh,
+                                                  max_keep):
+        work = tmp_path_factory.mktemp("nms")
+        records = [
+            {"frame": f, "dets": [
+                {"v": [x + 40.0, float(y), float(w), float(h)],
+                 "t": [float(x), float(y), float(w), float(h)], "score": s}
+                for (x, y, w, h), s in dets
+            ]}
+            for f, dets in enumerate(frames)
+        ]
+        (work / "dets.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        argv = ["nms", str(work / "dets.jsonl"), "--iou-thresh", str(thresh),
+                "--out", str(work / "kept.jsonl")]
+        if max_keep is not None:
+            argv += ["--max-keep", str(max_keep)]
+        assert _run_main(argv) == (0, "")
+        lines = (work / "kept.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(records)
+        for line, record in zip(lines, records):
+            dets = record["dets"]
+            keep = naive_nms([d["t"] for d in dets], [d["score"] for d in dets], thresh)
+            assert json.loads(line) == {"frame": record["frame"],
+                                        "dets": [dets[i] for i in keep][:max_keep]}
+
+    def test_canonical_file_builds_no_box_or_detection(self, tmp_path, monkeypatch):
+        anns, dets = four_frame_fixture()
+        det_path = tmp_path / "dets.jsonl"
+        write_detections(dets, det_path)
+        built = []
+        for cls in (geometry.Box, pairnms.Detection):
+            check = cls.__post_init__
+
+            def counted(self, check=check):
+                built.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        rc = main(["nms", str(det_path), "--iou-thresh", "0.5", "--out", str(tmp_path / "k.jsonl")])
+        assert rc == 0
+        assert built == []
+        assert (tmp_path / "k.jsonl").read_bytes() == det_path.read_bytes()  # nothing overlaps
+
 
 def _run_main(argv):
     err = io.StringIO()
@@ -154,16 +216,96 @@ class TestJsonlReaderFuzz:
         write_dataset(Dataset(frames=tuple(anns)), paths["gt"])
         write_detections(dets, paths["dets"])
         broken = paths[target]
-        broken.write_text(data.draw(mutated_text(broken.read_text(encoding="utf-8"))),
-                          encoding="utf-8")
+        text = data.draw(mutated_text(broken.read_text(encoding="utf-8"), bad_bytes=True))
+        broken.write_text(text, encoding="utf-8", errors="surrogateescape")
         runs = [["evaluate", str(paths["gt"]), str(paths["dets"])]]
         if target == "dets":
             runs.append(["nms", str(paths["dets"]), "--out", str(work / "kept.jsonl")])
         for argv in runs:
             rc, err = _run_main(argv)
             assert rc in (0, 1, 2), (argv[0], rc, err)  # and no exception escaped main
+            if not text.isascii():  # a byte that is not UTF-8
+                assert rc == 2, (argv[0], rc, err)
             if rc == 2:
                 assert re.search(re.escape(f"{broken}:") + r"\d+: ", err), err
+
+
+class TestJsonDocumentFuzz:
+    """``assign --anchors`` and ``losses`` on valid one-line documents with
+    one thing broken: every outcome is an exit code, and every parse error
+    names the file."""
+
+    ANCHORS = {"anchors": [{"v": [3, 0, 17, 70], "t": [3.5, 0, 17, 70]},
+                           {"v": [300, 300, 17, 70], "t": [300, 300, 17, 70]}]}
+    SAMPLES = {
+        "rpn": {
+            "cfg": {"lambda": 1.0, "n_cls": 2, "n_reg": 1},
+            "samples": [
+                {"logit": 0.3, "label": 1, "pred_v": [0.2, 0, 0, 0], "pred_t": [0, 0.1, 0, 0],
+                 "target_v": [0, 0, 0, 0], "target_t": [0, 0, 0.5, 0]},
+                {"logit": -1.0, "label": 0},
+            ],
+        },
+        "detector": {
+            "lambda": 1.0,
+            "samples": [
+                {"scores": [0.1, -0.4], "true_class": 1, "pred_v": [0.5, 0, 0, 0],
+                 "pred_t": [0, 0, 0, 0], "target_v": [0, 0, 0, 0], "target_t": [0, 0, 0, 0]},
+                {"scores": [0.2, 0.3], "true_class": 0},
+            ],
+        },
+    }
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data(), target=st.sampled_from(["anchors", "samples"]))
+    def test_broken_document_exits_cleanly(self, tmp_path_factory, data, target):
+        work = tmp_path_factory.mktemp("fuzz")
+        gt_path = work / "gt.jsonl"
+        write_dataset(Dataset(frames=(FrameAnnotations(0, (gt(0, 0, w=17, h=70),)),)), gt_path)
+        doc = work / f"{target}.json"
+        valid = json.dumps(self.ANCHORS if target == "anchors" else self.SAMPLES)
+        text = data.draw(mutated_text(valid, bad_bytes=True))
+        doc.write_text(text, encoding="utf-8", errors="surrogateescape")
+        if target == "anchors":
+            argv = ["assign", str(gt_path), "--anchors", str(doc), "--sample-batch", "2",
+                    "--out", str(work / "labels.jsonl")]
+        else:
+            argv = ["losses", str(doc), "--grad-check"]
+        rc, err = _run_main(argv)  # no exception may escape main
+        assert rc in (0, 1, 2), (rc, err)
+        if not text.isascii():  # a byte that is not UTF-8
+            assert rc == 2, err
+        if rc == 2:
+            assert err.startswith(f"error: {doc}:"), err
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 in any input file exits 2 naming file and line."""
+
+    def _inputs(self, tmp_path):
+        anns, dets = four_frame_fixture()
+        paths = {name: tmp_path / name for name in ("gt.jsonl", "dets.jsonl", "a.json", "s.json")}
+        write_dataset(Dataset(frames=tuple(anns)), paths["gt.jsonl"])
+        write_detections(dets, paths["dets.jsonl"])
+        paths["a.json"].write_text('{"anchors":\n[{"v":[0,0,1,1],"t":[0,0,1,1]}]}\n')
+        paths["s.json"].write_text('{"rpn":\n{"samples":[]}}\n')
+        return paths
+
+    @pytest.mark.parametrize("command, broken", [
+        (["evaluate", "gt.jsonl", "dets.jsonl"], "gt.jsonl"),
+        (["evaluate", "gt.jsonl", "dets.jsonl"], "dets.jsonl"),
+        (["nms", "dets.jsonl", "--out", "kept.jsonl"], "dets.jsonl"),
+        (["assign", "gt.jsonl", "--anchors", "a.json", "--out", "l.jsonl"], "a.json"),
+        (["losses", "s.json"], "s.json"),
+    ])
+    def test_exits_2_naming_the_line(self, tmp_path, command, broken):
+        paths = self._inputs(tmp_path)
+        lines = paths[broken].read_bytes().split(b"\n")
+        lines[1] = lines[1][:5] + b"\xff" + lines[1][5:]
+        paths[broken].write_bytes(b"\n".join(lines))
+        rc, err = _run_main([str(paths.get(a, tmp_path / a)) if "." in a else a for a in command])
+        assert rc == 2
+        assert err == f"error: {paths[broken]}:2: invalid UTF-8 (byte 0xff)\n"
 
 
 class TestAssignCommand:
@@ -283,7 +425,40 @@ class TestGenerateCommand:
         assert len(ds.frames) == 6
 
 
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("args", [
+        ["--image-size", "640", "nan"], ["--image-size", "inf", "512"], ["--aspect", "nan"],
+        ["--margin", "nan"], ["--width", "nan"], ["--width", "inf"], ["--peds-mean", "nan"],
+        ["--misalign", "nan", "0"], ["--misalign", "0", "inf"], ["--height-range", "60", "nan"],
+    ])
+    def test_generate_exits_1(self, tmp_path, args):
+        rc, err = _run_main(["generate", "--frames", "3", *args, "--out", str(tmp_path / "g")])
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--center-sigma", "nan"], ["--score-sigma", "nan"], ["--fp-per-frame", "nan"],
+        ["--size-sigma", "inf"], ["--fp-per-frame", "inf"],
+    ])
+    def test_shift_sweep_exits_1(self, args):
+        rc, err = _run_main(["shift-sweep", str(SAMPLE), "--shift", "0", *args])
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestShiftSweepCommand:
+    @pytest.mark.parametrize("pattern", ["d_{foo}.jsonl", "d_{0}.jsonl", "d_{dx[0]}.jsonl",
+                                         "d_{}.jsonl", "d_{dx.real}.jsonl", "d_{.jsonl",
+                                         "d_{dx!z}.jsonl"])
+    def test_bad_dets_pattern_exits_2(self, capsys, pattern):
+        with pytest.raises(SystemExit) as exc:
+            main(["shift-sweep", str(SAMPLE), "--shift", "0", "--dets-pattern", pattern])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --dets-pattern: " in err
+        assert "Traceback" not in err
+
     def test_paired_mock_constant_zero(self, tmp_path, capsys):
         ds_path = tmp_path / "gt.jsonl"
         main([
@@ -420,6 +595,7 @@ class TestLossesCommand:
         ({"rpn": {"cfg": 2}}, "rpn.cfg"),
         ({"rpn": {"cfg": {"n_cls": "two"}}}, "rpn.cfg.n_cls"),
         ({"rpn": {"cfg": {"n_reg": 2.5}}}, "rpn.cfg.n_reg"),
+        ({"rpn": {"cfg": {"n_cls": 10**400}}}, "rpn.cfg.n_cls"),
         ({"rpn": {"cfg": {"lambda": [1]}}}, "rpn.cfg.lambda"),
         ({"rpn": {"samples": [{"logit": 0.0, "label": 1, **dict(_POS, pred_t=[1, 2])}]}},
          "rpn.samples[0].pred_t"),

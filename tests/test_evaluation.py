@@ -22,7 +22,6 @@ from pairbox.evaluation import (
     log_average_miss_rate,
     match_frame,
     miss_rate_curve,
-    substitute_single_modality,
     write_curve_csv,
     _overlap_matrix,
 )
@@ -542,29 +541,23 @@ class TestDetectionTable:
             assert e1.lamr == e2.lamr
             assert e1.curve.points == e2.curve.points
 
+    def test_take_selects_rows_per_frame(self):
+        frames = self._frames()
+        table = DetectionTable.from_frames(frames)
+        kept = table.take([np.array([1, 0]), np.array([], dtype=np.int64), np.array([2])])
+        assert kept.frame_ids == table.frame_ids
+        assert list(kept) == [
+            FrameDetections("a", frames[0].detections[::-1]), frames[1], frames[2],
+        ]
+        assert len(table.take([np.zeros(0, dtype=np.int64)] * 3).score) == 0
+        with pytest.raises(ValueError, match="offsets"):
+            table.take([np.array([0])])  # one row list per frame
+
     def test_duplicate_ids_in_a_table_rejected(self):
         anns, _ = four_frame_fixture()
         table = DetectionTable.from_frames([FrameDetections("f1", ()), FrameDetections("f1", ())])
         with pytest.raises(EvaluationError, match="duplicate detection entries for frame 'f1'"):
             evaluate(anns, table)
-
-
-class TestSubstituteSingleModality:
-    def test_duplicates_box(self):
-        fd = substitute_single_modality("f", [(Box(1, 2, 3, 4), 0.5)])
-        d = fd.detections[0]
-        assert d.pair.visible == d.pair.thermal == Box(1, 2, 3, 4)
-
-    def test_empty(self):
-        assert substitute_single_modality("f", []).detections == ()
-
-    def test_pooled_overlap_equals_plain_iou(self):
-        b = Box(0, 0, 10, 10)
-        fd = substitute_single_modality("f", [(b, 1.0)])
-        target = PairedBox.aligned(Box(2, 0, 10, 10))
-        from pairbox.geometry import iou_multimodal
-
-        assert iou_multimodal(fd.detections[0].pair, target) == iou(b, target.visible)
 
 
 class TestCsvExport:

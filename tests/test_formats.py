@@ -5,21 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairbox import formats
 from pairbox.evaluation import DetectionTable, FrameAnnotations, FrameDetections
 from pairbox.formats import (
     Dataset,
     DatasetMeta,
     ParseError,
-    _read_detections_scalar,
-    _read_paired_columns,
+    _canonical_rows,
     read_dataset,
     read_detections,
+    read_json,
     write_dataset,
     write_detections,
 )
 from pairbox.geometry import Box
 
 from mutations import mutated_text
+from oracles import naive_read_detections
 from scenes import det_at, gt
 
 SAMPLE = Path(__file__).parent / "data" / "sample_dataset.jsonl"
@@ -179,6 +181,46 @@ class TestDetections:
         p.write_text('{"frame":"a","dets":[]}\n', encoding="utf-8")
         assert list(read_detections(p)) == [FrameDetections("a", ())]
 
+    def test_table_and_its_frames_write_the_same_bytes(self, tmp_path):
+        frames = [
+            FrameDetections(3, (det_at(1, 2, 0.25), det_at(-0.0, 7.5, 1))),
+            FrameDetections("b", ()),
+            FrameDetections("c", (det_at(5, 6, 0.5),)),
+        ]
+        write_detections(frames, tmp_path / "frames.jsonl")
+        write_detections(DetectionTable.from_frames(frames), tmp_path / "table.jsonl")
+        text = (tmp_path / "table.jsonl").read_bytes()
+        assert text == (tmp_path / "frames.jsonl").read_bytes()
+        assert text.startswith(b'{"frame":3,"dets":[{"v":[1.0,2.0,20.0,60.0],')
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is a parse error at its line."""
+
+    @pytest.mark.parametrize("read, first", [
+        (read_dataset, b'{"frame":1,"objects":[]}'),
+        (read_detections, b'{"frame":1,"dets":[]}'),
+    ])
+    def test_jsonl_readers_name_the_line(self, tmp_path, read, first):
+        p = tmp_path / "bad.jsonl"
+        p.write_bytes(first + b'\n{"frame":2,\xff}\n')
+        with pytest.raises(ParseError) as exc:
+            read(p)
+        assert exc.value.line_no == 2
+        assert str(exc.value) == f"{p}:2: invalid UTF-8 (byte 0xff)"
+
+    def test_json_document_names_the_line(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"a": 1,\n "b": "caf\xc3"}\n')
+        with pytest.raises(ParseError, match=r"bad\.json:2: invalid UTF-8 \(byte 0xc3\)"):
+            read_json(p)
+
+    def test_valid_multibyte_text_reads(self, tmp_path):
+        p = tmp_path / "ok.jsonl"
+        p.write_text('{"frame":"caf\u00e9","dets":[]}\n', encoding="utf-8")
+        assert read_detections(p).frame_ids == ["caf\u00e9"]
+        assert read_json(p) == {"frame": "caf\u00e9", "dets": []}
+
 
 class TestDatasetValidation:
     def test_duplicate_ids_rejected(self):
@@ -237,8 +279,17 @@ def _outcome(read, path):
         return f"ParseError: {exc}"
 
 
-def _scalar_table(path):
-    return DetectionTable.from_frames(_read_detections_scalar(path))
+def _oracle_table(path):
+    return DetectionTable.from_frames(naive_read_detections(path))
+
+
+def _decoded(line):
+    """The JSON value of ``line``, or the line itself (a string, so never a
+    canonical record) when it is not JSON."""
+    try:
+        return json.loads(line)
+    except ValueError:
+        return line
 
 
 class TestColumnReader:
@@ -247,29 +298,32 @@ class TestColumnReader:
     def test_equals_scalar_parser_bit_for_bit(self, tmp_path_factory, text):
         p = tmp_path_factory.mktemp("dets") / "d.jsonl"
         p.write_text(text, encoding="utf-8")
-        expected = _scalar_table(p)
-        _same_table(read_detections(p), expected)
-        fast = _read_paired_columns(p)
-        if fast is not None:
-            _same_table(fast, expected)
+        _same_table(read_detections(p), _oracle_table(p))
         out = p.with_name("out.jsonl")
         write_detections(read_detections(p), out)
         ref = p.with_name("ref.jsonl")
-        write_detections(_read_detections_scalar(p), ref)
+        write_detections(naive_read_detections(p), ref)
         assert out.read_bytes() == ref.read_bytes()
 
-    def test_canonical_files_take_the_column_path(self, tmp_path):
+    def test_canonical_records_take_the_column_path(self, tmp_path, monkeypatch):
+        lines = [
+            '{"frame":1,"dets":[{"v":[1,2,3,4],"t":[1.5,2,3,4],"score":0.5}]}',
+            '{"frame":"x","dets":[]}',
+        ]
         p = tmp_path / "d.jsonl"
-        p.write_text(
-            '{"frame":1,"dets":[{"v":[1,2,3,4],"t":[1.5,2,3,4],"score":0.5}]}\n'
-            '\n'
-            '{"frame":"x","dets":[]}\n',
-            encoding="utf-8",
-        )
-        fast = _read_paired_columns(p)
-        assert fast is not None
-        _same_table(fast, _scalar_table(p))
-        assert fast.offsets.tolist() == [0, 1, 1]
+        p.write_text(lines[0] + "\n\n" + lines[1] + "\n", encoding="utf-8")
+        rows = [_canonical_rows(json.loads(line), set()) for line in lines]
+        assert rows[0].tolist() == [[1.0, 2.0, 3.0, 4.0, 1.5, 2.0, 3.0, 4.0, 0.5]]
+        assert rows[1].shape == (0, 9)
+        expected = _oracle_table(p)
+
+        def field_by_field(*args):
+            raise AssertionError("a canonical record went to the field-by-field parser")
+
+        monkeypatch.setattr(formats, "_parse_detection_record", field_by_field)
+        table = read_detections(p)
+        _same_table(table, expected)
+        assert table.offsets.tolist() == [0, 1, 1]
 
     @pytest.mark.parametrize("line", [
         '{"frame":1}',                                                        # dropped key
@@ -292,8 +346,8 @@ class TestColumnReader:
     def test_mutations_raise_the_scalar_parsers_error(self, tmp_path, line):
         p = tmp_path / "d.jsonl"
         p.write_text('{"frame":0,"dets":[]}\n' + line + "\n", encoding="utf-8")
-        assert _read_paired_columns(p) is None
-        expected = _outcome(_scalar_table, p)
+        assert _canonical_rows(_decoded(line), {0}) is None
+        expected = _outcome(_oracle_table, p)
         assert expected.startswith(f"ParseError: {p}:2: ")
         assert _outcome(read_detections, p) == expected
 
@@ -303,10 +357,14 @@ class TestColumnReader:
         text = data.draw(detection_file(single_box=False).filter(lambda t: t.count("\n") > 1))
         p = tmp_path_factory.mktemp("dets") / "d.jsonl"
         p.write_text(data.draw(mutated_text(text)), encoding="utf-8")
-        expected = _outcome(_scalar_table, p)
+        expected = _outcome(_oracle_table, p)
         got = _outcome(read_detections, p)
         if isinstance(expected, str):
             assert got == expected
-            assert _read_paired_columns(p) is None
+            # the refused record is off the canonical form, given the ids before it
+            line_no = int(expected.removeprefix(f"ParseError: {p}:").split(":")[0])
+            lines = p.read_text(encoding="utf-8").splitlines()
+            seen = {json.loads(line)["frame"] for line in lines[:line_no - 1]}
+            assert _canonical_rows(_decoded(lines[line_no - 1]), seen) is None
         else:
             _same_table(got, expected)

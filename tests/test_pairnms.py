@@ -7,6 +7,7 @@ from pairbox.geometry import Box, PairedBox
 from pairbox.pairnms import Detection, paired_nms
 
 from oracles import naive_iou, naive_nms
+from scenes import nms_detections
 
 
 def det(v, t, score, class_id=0):
@@ -28,14 +29,14 @@ class TestPairedNms:
     def test_identical_thermal_boxes_keep_best(self):
         d1 = det((0, 0, 10, 10), (50, 0, 10, 10), 0.9)
         d2 = det((100, 0, 10, 10), (50, 0, 10, 10), 0.8)
-        kept = paired_nms([d1, d2], iou_thresh=0.5)
+        kept = nms_detections([d1, d2], iou_thresh=0.5)
         assert kept == [d1]
         assert kept[0].pair.visible == Box(0, 0, 10, 10)
 
     def test_disjoint_thermal_identical_visible_both_kept(self):
         d1 = det((0, 0, 10, 10), (0, 0, 10, 10), 0.9)
         d2 = det((0, 0, 10, 10), (100, 0, 10, 10), 0.8)
-        kept = paired_nms([d1, d2], iou_thresh=0.3)
+        kept = nms_detections([d1, d2], iou_thresh=0.3)
         assert kept == [d1, d2]
 
     def test_projection_onto_thermal_reference(self):
@@ -43,7 +44,7 @@ class TestPairedNms:
         for _ in range(200):
             dets = random_scene(rng, int(rng.integers(0, 40)))
             thresh = float(rng.choice([0.3, 0.5, 0.7]))
-            kept = paired_nms(dets, thresh)
+            kept = nms_detections(dets, thresh)
             expected_idx = naive_nms(
                 [d.pair.thermal.as_tuple() for d in dets],
                 [d.score for d in dets],
@@ -57,14 +58,14 @@ class TestPairedNms:
         rng = np.random.default_rng(71)
         for _ in range(100):
             dets = random_scene(rng, int(rng.integers(0, 30)))
-            once = paired_nms(dets, 0.5)
-            twice = paired_nms(once, 0.5)
+            once = nms_detections(dets, 0.5)
+            twice = nms_detections(once, 0.5)
             assert twice == once
 
     def test_output_subset_unmodified_and_sorted(self):
         rng = np.random.default_rng(73)
         dets = random_scene(rng, 30)
-        kept = paired_nms(dets, 0.4)
+        kept = nms_detections(dets, 0.4)
         assert all(k in dets for k in kept)
         scores = [k.score for k in kept]
         assert scores == sorted(scores, reverse=True)
@@ -73,7 +74,7 @@ class TestPairedNms:
         rng = np.random.default_rng(79)
         dets = random_scene(rng, 50)
         thresh = 0.45
-        kept = paired_nms(dets, thresh)
+        kept = nms_detections(dets, thresh)
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 ov = naive_iou(kept[i].pair.thermal.as_tuple(), kept[j].pair.thermal.as_tuple())
@@ -82,29 +83,29 @@ class TestPairedNms:
     def test_tie_broken_by_input_index(self):
         d1 = det((0, 0, 10, 10), (0, 0, 10, 10), 0.5)
         d2 = det((1, 0, 10, 10), (1, 0, 10, 10), 0.5)
-        kept = paired_nms([d1, d2], iou_thresh=0.5)
+        kept = nms_detections([d1, d2], iou_thresh=0.5)
         assert kept == [d1]
 
     def test_exactly_threshold_survives(self):
         # thermal IoU of the two boxes is exactly 20/40 = 0.5
         d1 = det((0, 0, 30, 10), (0, 0, 30, 10), 0.9)
         d2 = det((0, 0, 30, 10), (10, 0, 30, 10), 0.8)
-        assert len(paired_nms([d1, d2], iou_thresh=0.5)) == 2
-        assert len(paired_nms([d1, d2], iou_thresh=0.49)) == 1
+        assert len(nms_detections([d1, d2], iou_thresh=0.5)) == 2
+        assert len(nms_detections([d1, d2], iou_thresh=0.49)) == 1
 
     def test_max_keep_truncates(self):
         dets = [det((i * 50, 0, 10, 10), (i * 50, 0, 10, 10), 0.1 * (i + 1)) for i in range(5)]
-        kept = paired_nms(dets, 0.5, max_keep=2)
+        kept = nms_detections(dets, 0.5, max_keep=2)
         assert [k.score for k in kept] == [0.5, 0.4]
 
     def test_classes_suppressed_independently(self):
         d1 = det((0, 0, 10, 10), (0, 0, 10, 10), 0.9, class_id=0)
         d2 = det((0, 0, 10, 10), (0, 0, 10, 10), 0.8, class_id=1)
-        kept = paired_nms([d1, d2], iou_thresh=0.5)
+        kept = nms_detections([d1, d2], iou_thresh=0.5)
         assert kept == [d1, d2]
 
     def test_empty_input(self):
-        assert paired_nms([], 0.5) == []
+        assert nms_detections([], 0.5) == []
 
     def test_invalid_score_rejected(self):
         with pytest.raises(ValueError):
@@ -114,7 +115,22 @@ class TestPairedNms:
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
-            paired_nms([], iou_thresh=1.2)
+            nms_detections([], iou_thresh=1.2)
+
+
+class TestPairedNmsArrays:
+    def test_returns_kept_row_indices_by_descending_score(self):
+        thermal = np.array([[0, 0, 10, 10], [1, 0, 10, 10], [50, 0, 10, 10]], dtype=np.float64)
+        keep = paired_nms(thermal, [0.5, 0.9, 0.7], [0, 0, 0], 0.5)
+        assert keep.dtype == np.int64
+        assert keep.tolist() == [1, 2]
+
+    def test_empty_columns(self):
+        assert paired_nms(np.zeros((0, 4)), [], [], 0.5).tolist() == []
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            paired_nms(np.zeros((2, 4)), [0.5], [0, 0], 0.5)
 
 
 class TestPairedNmsProperties:
@@ -134,7 +150,7 @@ class TestPairedNmsProperties:
     def test_equals_per_class_naive_nms(self, dets, thresh, max_keep):
         # the visible box is a fixed offset of the thermal one: only thermal decides
         inputs = [det((x + 40, y, w, h), (x, y, w, h), s, c) for (x, y, w, h), s, c in dets]
-        got = paired_nms(inputs, thresh, max_keep)
+        got = nms_detections(inputs, thresh, max_keep)
         kept = []
         for c in {c for _, _, c in dets}:
             members = [i for i, d in enumerate(dets) if d[2] == c]
