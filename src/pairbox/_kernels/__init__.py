@@ -1,25 +1,12 @@
-"""Kernel backend selection.
+"""The numpy kernels behind ``pairbox.geometry`` and ``pairbox.pairnms``.
 
-The compiled extension is preferred when importable; otherwise the
-pure-numpy fallback is used. Both implement identical contracts and return
-bit-identical results, so the choice only affects speed.
+``BACKEND`` names the implementation and is always ``"python"``; it is
+exported as ``pairbox.KERNEL_BACKEND``.
 """
 
-from . import _python
+from ._python import ioum_elementwise, ioum_matrix, iou_elementwise, iou_matrix, nms_keep
 
-try:
-    from . import _native as _impl  # type: ignore[no-redef]
-
-    BACKEND = "native"
-except ImportError:
-    _impl = _python
-    BACKEND = "python"
-
-iou_matrix = _impl.iou_matrix
-ioum_matrix = _impl.ioum_matrix
-iou_elementwise = _impl.iou_elementwise
-ioum_elementwise = _impl.ioum_elementwise
-nms_keep = _impl.nms_keep
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

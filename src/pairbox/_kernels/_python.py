@@ -1,8 +1,4 @@
-"""Pure-numpy kernels: pairwise IoU matrices and greedy NMS.
-
-This is the fallback backend used when the compiled extension is not
-available. The arithmetic here is mirrored expression for expression in
-``_native.pyx`` so both backends return bit-identical results.
+"""Numpy kernels: pairwise and row-by-row IoU, and greedy NMS.
 
 Boxes are (N, 4) float64 arrays of (x, y, w, h) with the half-open pixel
 convention: boxes touching only along an edge do not intersect.
@@ -20,91 +16,51 @@ def _as_boxes(arr) -> np.ndarray:
     return out
 
 
-def _intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise intersection areas, shape (len(a), len(b))."""
-    ax1 = a[:, 0:1]
-    ay1 = a[:, 1:2]
-    ax2 = ax1 + a[:, 2:3]
-    ay2 = ay1 + a[:, 3:4]
-    bx1 = b[None, :, 0]
-    by1 = b[None, :, 1]
-    bx2 = bx1 + b[None, :, 2]
-    by2 = by1 + b[None, :, 3]
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    return np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+def _inter_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection and union areas of ``a`` and ``b`` broadcast against each
+    other along every axis but the last, which holds (x, y, w, h)."""
+    iw = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    return inter, a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, and 0 where ``den`` is not positive."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def _pooled(av, at, bv, bt) -> np.ndarray:
+    """Multi-modal IoU: (I_v + I_t) / (U_v + U_t)."""
+    inter_v, union_v = _inter_union(av, bv)
+    inter_t, union_t = _inter_union(at, bt)
+    return _ratio(inter_v + inter_t, union_v + union_t)
 
 
 def iou_matrix(a, b) -> np.ndarray:
-    a = _as_boxes(a)
-    b = _as_boxes(b)
-    inter = _intersection(a, b)
-    union = (a[:, 2] * a[:, 3])[:, None] + (b[:, 2] * b[:, 3])[None, :] - inter
-    out = np.zeros_like(inter)
-    mask = union > 0.0
-    out[mask] = inter[mask] / union[mask]
-    return out
+    a, b = _as_boxes(a), _as_boxes(b)
+    return _ratio(*_inter_union(a[:, None], b[None]))
 
 
 def ioum_matrix(av, at, bv, bt) -> np.ndarray:
-    av = _as_boxes(av)
-    at = _as_boxes(at)
-    bv = _as_boxes(bv)
-    bt = _as_boxes(bt)
+    av, at, bv, bt = map(_as_boxes, (av, at, bv, bt))
     if av.shape != at.shape or bv.shape != bt.shape:
         raise ValueError("visible and thermal box arrays must have matching shapes")
-    inter_v = _intersection(av, bv)
-    inter_t = _intersection(at, bt)
-    union_v = (av[:, 2] * av[:, 3])[:, None] + (bv[:, 2] * bv[:, 3])[None, :] - inter_v
-    union_t = (at[:, 2] * at[:, 3])[:, None] + (bt[:, 2] * bt[:, 3])[None, :] - inter_t
-    num = inter_v + inter_t
-    den = union_v + union_t
-    out = np.zeros_like(num)
-    mask = den > 0.0
-    out[mask] = num[mask] / den[mask]
-    return out
-
-
-def _intersection_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ax2 = a[:, 0] + a[:, 2]
-    ay2 = a[:, 1] + a[:, 3]
-    bx2 = b[:, 0] + b[:, 2]
-    by2 = b[:, 1] + b[:, 3]
-    iw = np.minimum(ax2, bx2) - np.maximum(a[:, 0], b[:, 0])
-    ih = np.minimum(ay2, by2) - np.maximum(a[:, 1], b[:, 1])
-    return np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    return _pooled(av[:, None], at[:, None], bv[None], bt[None])
 
 
 def iou_elementwise(a, b) -> np.ndarray:
-    a = _as_boxes(a)
-    b = _as_boxes(b)
+    a, b = _as_boxes(a), _as_boxes(b)
     if a.shape != b.shape:
         raise ValueError("elementwise IoU requires equal-length box arrays")
-    inter = _intersection_elementwise(a, b)
-    union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
-    out = np.zeros_like(inter)
-    mask = union > 0.0
-    out[mask] = inter[mask] / union[mask]
-    return out
+    return _ratio(*_inter_union(a, b))
 
 
 def ioum_elementwise(av, at, bv, bt) -> np.ndarray:
-    av = _as_boxes(av)
-    at = _as_boxes(at)
-    bv = _as_boxes(bv)
-    bt = _as_boxes(bt)
+    av, at, bv, bt = map(_as_boxes, (av, at, bv, bt))
     if not (av.shape == at.shape == bv.shape == bt.shape):
         raise ValueError("elementwise multi-modal IoU requires equal-length box arrays")
-    inter_v = _intersection_elementwise(av, bv)
-    inter_t = _intersection_elementwise(at, bt)
-    union_v = av[:, 2] * av[:, 3] + bv[:, 2] * bv[:, 3] - inter_v
-    union_t = at[:, 2] * at[:, 3] + bt[:, 2] * bt[:, 3] - inter_t
-    num = inter_v + inter_t
-    den = union_v + union_t
-    out = np.zeros_like(num)
-    mask = den > 0.0
-    out[mask] = num[mask] / den[mask]
-    return out
+    return _pooled(av, at, bv, bt)
 
 
 def nms_keep(boxes, order, thresh: float) -> np.ndarray:

@@ -46,13 +46,15 @@ from .formats import (
     Dataset,
     DatasetMeta,
     ParseError,
+    _is_number,
+    _parse_box,
     read_dataset,
     read_detections,
     read_json,
     write_dataset,
     write_detections,
 )
-from .geometry import Box, PairedBox, pairs_to_arrays
+from .geometry import PairedBox, pairs_to_arrays
 from .pairnms import paired_nms
 from .regression import (
     BoxOffsets,
@@ -214,8 +216,7 @@ def cmd_shift_sweep(args) -> int:
         spec = ShiftSpec(dx, image_width=dataset.meta.image_width)
         shifted = apply_shift(dataset.frames, spec)
         if args.dets_pattern:
-            token = int(dx) if float(dx).is_integer() else dx
-            detections = read_detections(args.dets_pattern.format(dx=token))
+            detections = read_detections(_dets_path(args.dets_pattern, dx))
         else:
             detections = mock_detect(shifted, _mock_spec_from_args(args, dataset.meta))
         config = EvalConfig(iou_thresholds=thresholds, variants=("multimodal",))
@@ -273,12 +274,10 @@ def _load_anchor_file(path) -> tuple[np.ndarray, np.ndarray]:
     for k, raw in enumerate(payload["anchors"]):
         if not isinstance(raw, dict) or "v" not in raw or "t" not in raw:
             raise ParseError(path, 1, f"anchors[{k}]: expected 'v' and 't' boxes")
-        try:
-            box_v = Box(*(float(x) for x in raw["v"]))
-            box_t = Box(*(float(x) for x in raw["t"]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(path, 1, f"anchors[{k}]: {exc}") from None
-        anchors.append(PairedBox(box_v, box_t))
+        anchors.append(PairedBox(
+            _parse_box(raw["v"], path, 1, f"anchors[{k}].v"),
+            _parse_box(raw["t"], path, 1, f"anchors[{k}].t"),
+        ))
     return pairs_to_arrays(anchors)
 
 
@@ -333,23 +332,29 @@ def _losses_field(raw: dict, key: str, convert, path, field: str, default=None):
         raise ParseError(path, 1, f"{field}: missing")
     try:
         return convert(raw.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(path, 1, f"{field}: {exc}") from None
 
 
+def _number(value) -> float:
+    """A JSON number as a float; strings, bools, NaN, infinities and integers
+    too large for a float are refused."""
+    if not _is_number(value):
+        raise TypeError("expected a finite number")
+    return float(value)
+
+
 def _integer(value) -> int:
+    _number(value)
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
-    out = int(value)
-    if not abs(out) <= sys.float_info.max:  # the losses divide by it as a float
-        raise ValueError("integer too large for a float")
-    return out
+    return int(value)
 
 
 def _floats(value) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise TypeError("expected a JSON array")
-    return tuple(float(v) for v in value)
+    return tuple(_number(v) for v in value)
 
 
 def _typed(value, kind: type, path, field: str):
@@ -375,7 +380,7 @@ def _parse_rpn_samples(section, path) -> tuple[list[RpnSample], LossConfig]:
     raw_samples = _typed(section.get("samples", []), list, path, "rpn.samples")
     n_default = max(len(raw_samples), 1)
     cfg = LossConfig(
-        lam=_losses_field(cfg_raw, "lambda", float, path, "rpn.cfg.lambda", 1.0),
+        lam=_losses_field(cfg_raw, "lambda", _number, path, "rpn.cfg.lambda", 1.0),
         n_cls=_losses_field(cfg_raw, "n_cls", _integer, path, "rpn.cfg.n_cls", n_default),
         n_reg=_losses_field(cfg_raw, "n_reg", _integer, path, "rpn.cfg.n_reg", n_default),
     )
@@ -384,9 +389,9 @@ def _parse_rpn_samples(section, path) -> tuple[list[RpnSample], LossConfig]:
         where = f"rpn.samples[{k}]"
         raw = _typed(raw, dict, path, where)
         label = raw.get("label")
-        if label not in (0, 1):
+        if label not in (0, 1) or isinstance(label, bool):
             raise ParseError(path, 1, f"{where}.label: expected 0 or 1")
-        logit = _losses_field(raw, "logit", float, path, f"{where}.logit")
+        logit = _losses_field(raw, "logit", _number, path, f"{where}.logit")
         if label == 1:
             samples.append(RpnSample(logit, 1, *_offsets_from(raw, path, where)))
         else:
@@ -396,7 +401,7 @@ def _parse_rpn_samples(section, path) -> tuple[list[RpnSample], LossConfig]:
 
 def _parse_detector_samples(section, path) -> tuple[list[DetectorSample], float]:
     section = _typed(section, dict, path, "detector")
-    lam = _losses_field(section, "lambda", float, path, "detector.lambda", 1.0)
+    lam = _losses_field(section, "lambda", _number, path, "detector.lambda", 1.0)
     samples = []
     for k, raw in enumerate(_typed(section.get("samples", []), list, path, "detector.samples")):
         where = f"detector.samples[{k}]"
@@ -490,6 +495,11 @@ def _dets_pattern(text: str) -> str:
     except (ValueError, KeyError, IndexError) as exc:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
     return text
+
+
+def _dets_path(pattern: str, dx: float) -> str:
+    """The detection file of shift ``dx``; an integral shift is formatted as an int."""
+    return pattern.format(dx=int(dx) if dx.is_integer() else dx)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -588,7 +598,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "dets_pattern", None):
+        for dx in args.shift:  # a format spec need not suit every shift
+            try:
+                _dets_path(args.dets_pattern, dx)
+            except (ValueError, OverflowError) as exc:
+                parser.error(f"argument --dets-pattern: {args.dets_pattern!r} "
+                             f"with --shift {dx:g}: {exc}")
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

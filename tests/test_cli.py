@@ -377,14 +377,17 @@ class TestAssignCommand:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("entry", [
-        '{"v": [0, 0, 1, 1]}',
-        '{"v": [0, 0, 1, 1], "t": [0, 0, 1]}',
-        '{"v": [0, 0, -1, 1], "t": [0, 0, 1, 1]}',
-        '{"v": [0, 0, "a", 1], "t": [0, 0, 1, 1]}',
-        '{"v": [0, 0, 1, 1], "t": [0, 0, 1, 1' + "0" * 400 + ']}',
-    ], ids=["missing-t", "three-fields", "negative-width", "string-field", "int-too-large-for-float"])
-    def test_malformed_anchor_file_exits_2_naming_entry(self, tmp_path, capsys, entry):
+    @pytest.mark.parametrize("entry, field", [
+        ('{"v": [0, 0, 1, 1]}', "anchors[1]"),
+        ('{"v": [0, 0, 1, 1], "t": [0, 0, 1]}', "anchors[1].t"),
+        ('{"v": [0, 0, -1, 1], "t": [0, 0, 1, 1]}', "anchors[1].v"),
+        ('{"v": [0, 0, "a", 1], "t": [0, 0, 1, 1]}', "anchors[1].v"),
+        ('{"v": [0, 0, 1, 1], "t": [0, 0, 1, 1' + "0" * 400 + ']}', "anchors[1].t"),
+        ('{"v": "1234", "t": "5678"}', "anchors[1].v"),
+        ('{"v": [true, 0, 1, 1], "t": [0, 0, 1, 1]}', "anchors[1].v"),
+    ], ids=["missing-t", "three-fields", "negative-width", "string-field", "int-too-large-for-float",
+            "string-box", "bool-field"])
+    def test_malformed_anchor_file_exits_2_naming_entry(self, tmp_path, capsys, entry, field):
         ds_path = tmp_path / "gt.jsonl"
         write_dataset(Dataset(frames=(FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
         anchors_path = tmp_path / "anchors.json"
@@ -396,7 +399,7 @@ class TestAssignCommand:
         ])
         err = capsys.readouterr().err
         assert rc == 2
-        assert f"{anchors_path}:1: anchors[1]:" in err
+        assert f"{anchors_path}:1: {field}:" in err
         assert "Traceback" not in err
 
 
@@ -458,6 +461,24 @@ class TestShiftSweepCommand:
         err = capsys.readouterr().err
         assert "error: argument --dets-pattern: " in err
         assert "Traceback" not in err
+
+    def test_pattern_unfit_for_a_shift_exits_2_before_reading(self, tmp_path, capsys):
+        pattern = str(tmp_path / "d_{dx:d}.jsonl")
+        with pytest.raises(SystemExit) as exc:
+            main(["shift-sweep", str(SAMPLE), "--shift", "5", "2.5", "--dets-pattern", pattern])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --dets-pattern: {pattern!r} with --shift 2.5: " in err
+        assert "Traceback" not in err
+
+    def test_integral_shift_takes_an_int_format_spec(self, tmp_path, capsys):
+        anns, dets = four_frame_fixture()
+        write_dataset(Dataset(frames=tuple(anns)), tmp_path / "gt.jsonl")
+        write_detections(dets, tmp_path / "d_5.jsonl")
+        rc = main(["shift-sweep", str(tmp_path / "gt.jsonl"), "--shift", "5",
+                   "--dets-pattern", str(tmp_path / "d_{dx:d}.jsonl"), "--format", "csv"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("shift_dx,iou_thresh,lamr\n5,")
 
     def test_paired_mock_constant_zero(self, tmp_path, capsys):
         ds_path = tmp_path / "gt.jsonl"
@@ -619,6 +640,18 @@ class TestLossesCommand:
         ({"rpn": {"samples": [{"logit": 0.0, "label": 1,
                                **dict(_POS, pred_v={"0": 0, "1": 0, "2": 0, "3": 0})}]}},
          "rpn.samples[0].pred_v"),
+        ({"rpn": {"cfg": {"n_cls": "7"}, "samples": [{"logit": 0.5, "label": 0}]}}, "rpn.cfg.n_cls"),
+        ({"rpn": {"samples": [{"logit": "0.5", "label": 0}]}}, "rpn.samples[0].logit"),
+        ({"rpn": {"samples": [{"logit": True, "label": 0}]}}, "rpn.samples[0].logit"),
+        ({"rpn": {"samples": [{"logit": 0.5, "label": True}]}}, "rpn.samples[0].label"),
+        ({"rpn": {"cfg": {"lambda": "1"}}}, "rpn.cfg.lambda"),
+        ({"rpn": {"samples": [{"logit": 0.0, "label": 1, **dict(_POS, pred_v=[0, "1", 0, 0])}]}},
+         "rpn.samples[0].pred_v"),
+        ({"detector": {"samples": [{"scores": [True, "2"], "true_class": 0}]}},
+         "detector.samples[0].scores"),
+        ({"detector": {"samples": [{"scores": [0, 1], "true_class": True}]}},
+         "detector.samples[0].true_class"),
+        ({"detector": {"lambda": False}}, "detector.lambda"),
     ])
     def test_malformed_samples_exit_2_naming_file_and_field(self, tmp_path, capsys, payload, field):
         p = tmp_path / "samples.json"

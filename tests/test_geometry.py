@@ -34,6 +34,21 @@ def random_float_boxes(rng, n, span=40.0, max_size=25.0):
     return np.stack([x, y, w, h], axis=1)
 
 
+def edge_case_boxes(rng, n):
+    """Float boxes, every 7th of zero width, every 13th of zero height and
+    every 11th rounded to integers."""
+    out = random_float_boxes(rng, n)
+    out[::7, 2] = 0.0
+    out[3::13, 3] = 0.0
+    out[1::11] = np.round(out[1::11])
+    return out
+
+
+def small_int_boxes(rng, n):
+    """Integer boxes within a 16-pixel square, so many pairs overlap or share an edge."""
+    return random_int_boxes(rng, n, hi=10, max_size=6)
+
+
 class TestBoxValidation:
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
@@ -203,13 +218,28 @@ class TestArrayHelpers:
         assert t[0, 0] == 1.0
 
     def test_matrix_matches_scalar(self):
+        """All four array kernels equal the scalar formulas in every cell."""
         rng = np.random.default_rng(29)
-        a = random_float_boxes(rng, 40)
-        b = random_float_boxes(rng, 25)
-        mat = iou_matrix(a, b)
-        for i in range(6):
-            for j in range(6):
-                assert mat[i, j] == iou(Box(*a[i]), Box(*b[j]))
+        for make in (random_float_boxes, edge_case_boxes, small_int_boxes):
+            av, at, bv, bt = (make(rng, n) for n in (40, 40, 25, 25))
+            # every 4th b box touches its a box: visible on the right, thermal below
+            bv[::4, :2] = av[:25:4, :2]
+            bv[::4, 0] += av[:25:4, 2]
+            bt[::4, :2] = at[:25:4, :2]
+            bt[::4, 1] += at[:25:4, 3]
+            a_pairs = [PairedBox(Box(*v), Box(*t)) for v, t in zip(av, at)]
+            b_pairs = [PairedBox(Box(*v), Box(*t)) for v, t in zip(bv, bt)]
+            mat = iou_matrix(av, bv)
+            mat_m = iou_multimodal_matrix(av, at, bv, bt)
+            for i, p in enumerate(a_pairs):
+                for j, q in enumerate(b_pairs):
+                    assert mat[i, j] == iou(p.visible, q.visible)
+                    assert mat_m[i, j] == iou_multimodal(p, q)
+            row = iou_elementwise(av[:25], bv)
+            row_m = iou_multimodal_elementwise(av[:25], at[:25], bv, bt)
+            for k, (p, q) in enumerate(zip(a_pairs, b_pairs)):
+                assert row[k] == iou(p.visible, q.visible)
+                assert row_m[k] == iou_multimodal(p, q)
 
     def test_empty_inputs(self):
         empty = np.zeros((0, 4))

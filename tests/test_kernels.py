@@ -1,68 +1,9 @@
-"""Backend equivalence: compiled kernels must match the numpy fallback bit for bit."""
+"""Argument checks of the numpy kernels; their values are refereed in test_geometry.py."""
 
 import numpy as np
 import pytest
 
 from pairbox._kernels import _python
-
-try:
-    from pairbox._kernels import _native
-except ImportError:
-    _native = None
-
-needs_native = pytest.mark.skipif(_native is None, reason="compiled kernels not built")
-
-
-def _random_boxes(rng, n):
-    out = rng.uniform(-50, 50, size=(n, 4))
-    out[:, 2:] = np.abs(out[:, 2:]) * 0.6
-    # sprinkle zero-extent and integer-coordinate boxes
-    out[:: 7, 2] = 0.0
-    out[1::11, :] = np.round(out[1::11, :])
-    return out
-
-
-@needs_native
-def test_iou_matrix_bit_identical():
-    rng = np.random.default_rng(101)
-    a = _random_boxes(rng, 200)
-    b = _random_boxes(rng, 150)
-    np.testing.assert_array_equal(_native.iou_matrix(a, b), _python.iou_matrix(a, b))
-
-
-@needs_native
-def test_ioum_matrix_bit_identical():
-    rng = np.random.default_rng(103)
-    av, at = _random_boxes(rng, 120), _random_boxes(rng, 120)
-    bv, bt = _random_boxes(rng, 90), _random_boxes(rng, 90)
-    np.testing.assert_array_equal(
-        _native.ioum_matrix(av, at, bv, bt), _python.ioum_matrix(av, at, bv, bt)
-    )
-
-
-@needs_native
-def test_elementwise_bit_identical():
-    rng = np.random.default_rng(107)
-    a, b = _random_boxes(rng, 5000), _random_boxes(rng, 5000)
-    c, d = _random_boxes(rng, 5000), _random_boxes(rng, 5000)
-    np.testing.assert_array_equal(_native.iou_elementwise(a, b), _python.iou_elementwise(a, b))
-    np.testing.assert_array_equal(
-        _native.ioum_elementwise(a, b, c, d), _python.ioum_elementwise(a, b, c, d)
-    )
-
-
-@needs_native
-@pytest.mark.parametrize("thresh", [0.0, 0.3, 0.5, 0.7, 1.0])
-def test_nms_keep_identical(thresh):
-    rng = np.random.default_rng(109)
-    for _ in range(50):
-        n = int(rng.integers(0, 60))
-        boxes = _random_boxes(rng, n)
-        scores = np.round(rng.uniform(0, 1, size=n), 2)  # force score ties
-        order = np.lexsort((np.arange(n), -scores))
-        np.testing.assert_array_equal(
-            _native.nms_keep(boxes, order, thresh), _python.nms_keep(boxes, order, thresh)
-        )
 
 
 def test_shape_validation():
