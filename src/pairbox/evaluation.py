@@ -425,21 +425,18 @@ def thread_count() -> int:
 
 def evaluate(
     annotations: Sequence[FrameAnnotations],
-    detections: Union[DetectionTable, Sequence[FrameDetections]],
+    detections: DetectionTable,
     config: EvalConfig = EvalConfig(),
 ) -> EvalReport:
     """Run the full protocol over every configured variant and threshold.
 
-    ``detections`` is a :class:`DetectionTable` or a sequence of
-    :class:`FrameDetections`, which is packed into one. Detections must
-    reference known frame ids; annotated frames without detections count as
-    all-miss frames. Each frame's detections are sliced from the table, its
-    GTs packed once, and it gets one overlap matrix per variant; frames are
-    matched one after another (the matching is GIL-bound Python, so threads
-    would not pay).
+    Detections must reference known frame ids; annotated frames without
+    detections count as all-miss frames. Each frame's detections are sliced
+    from the table, its GTs packed once, and it gets one overlap matrix per
+    variant; frames are matched one after another (the matching is GIL-bound
+    Python, so threads would not pay). Hand-built :class:`FrameDetections`
+    are packed with :meth:`DetectionTable.from_frames`.
     """
-    if not isinstance(detections, DetectionTable):
-        detections = DetectionTable.from_frames(detections)
     ann_ids = [f.frame_id for f in annotations]
     if len(set(ann_ids)) != len(ann_ids):
         raise EvaluationError("duplicate frame ids in annotations")

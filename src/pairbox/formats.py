@@ -27,17 +27,11 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
-from .evaluation import (
-    OCCLUSION_LEVELS,
-    DetectionTable,
-    FrameAnnotations,
-    FrameDetections,
-    GtObject,
-)
+from .evaluation import OCCLUSION_LEVELS, DetectionTable, FrameAnnotations, FrameId, GtObject
 from .geometry import Box, PairedBox
 
 __all__ = [
@@ -50,8 +44,6 @@ __all__ = [
     "write_detections",
     "read_json",
 ]
-
-FrameId = Union[str, int]
 
 
 class ParseError(ValueError):
@@ -142,23 +134,31 @@ def _lines(path):
             yield line_no, line
 
 
-def read_json(path):
-    """Parse a file holding one JSON document; bad UTF-8 or bad JSON is a
-    ParseError at the line where it occurs."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        text = fh.read()
-    _check_utf8(text, path, 1)
+def _loads(text: str, path, line_no: Optional[int] = None):
+    """``json.loads(text)``; what it refuses is a ParseError at ``line_no``.
+    For a whole document (``line_no`` None) a syntax error is reported at its
+    own line, and anything else (an integer with too many digits to convert,
+    nesting too deep to recurse into) at line 1."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, f"invalid JSON ({exc.msg})") from None
+        raise ParseError(path, line_no or exc.lineno, f"invalid JSON ({exc.msg})") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(path, line_no or 1, f"invalid JSON ({exc})") from None
+
+
+def read_json(path):
+    """Parse a file holding one JSON document; bad UTF-8 or bad JSON syntax
+    is a ParseError at the line where it occurs, any other JSON the decoder
+    refuses a ParseError at line 1."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    _check_utf8(text, path, 1)
+    return _loads(text, path)
 
 
 def _load_json_line(line: str, path, line_no: int) -> dict:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, line_no, f"invalid JSON ({exc.msg})") from None
+    record = _loads(line, path, line_no)
     if not isinstance(record, dict):
         raise ParseError(path, line_no, "expected a JSON object")
     return record
@@ -365,17 +365,12 @@ def _parse_detection_record(record: dict, path, line_no: int, seen) -> np.ndarra
     return np.array(rows, dtype=np.float64).reshape(-1, _ROW)
 
 
-def write_detections(
-    detections: Union[DetectionTable, Sequence[FrameDetections]], path
-) -> None:
-    """Write the canonical paired detection form from the table's columns;
-    a sequence of :class:`FrameDetections` is packed into a table first."""
-    if not isinstance(detections, DetectionTable):
-        detections = DetectionTable.from_frames(detections)
-    v, t = detections.v.tolist(), detections.t.tolist()
-    score, offsets = detections.score.tolist(), detections.offsets.tolist()
+def write_detections(table: DetectionTable, path) -> None:
+    """Write the canonical paired detection form from the table's columns."""
+    v, t = table.v.tolist(), table.t.tolist()
+    score, offsets = table.score.tolist(), table.offsets.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for k, fid in enumerate(detections.frame_ids):
+        for k, fid in enumerate(table.frame_ids):
             dets = [
                 {"v": v[i], "t": t[i], "score": score[i]}
                 for i in range(offsets[k], offsets[k + 1])

@@ -148,6 +148,22 @@ def _objectness_cross_entropy(logit: float, label: int) -> float:
     return math.log1p(math.exp(x))
 
 
+def _check_offsets(sample, regressed: bool, kind: str, other: str) -> None:
+    """A ``kind`` sample (``regressed``) must carry all four offsets; an
+    ``other`` sample must carry no regression targets."""
+    if regressed:
+        missing = [
+            name
+            for name in ("pred_offsets_v", "pred_offsets_t",
+                         "target_offsets_v", "target_offsets_t")
+            if getattr(sample, name) is None
+        ]
+        if missing:
+            raise ValueError(f"{kind} sample missing offsets: {', '.join(missing)}")
+    elif sample.target_offsets_v is not None or sample.target_offsets_t is not None:
+        raise ValueError(f"{other} samples must not carry regression targets")
+
+
 @dataclass(frozen=True)
 class RpnSample:
     """One anchor-pair sample for the proposal-stage loss.
@@ -169,18 +185,7 @@ class RpnSample:
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
         if not math.isfinite(self.objectness_logit):
             raise ValueError("objectness logit must be finite")
-        if self.label == 1:
-            missing = [
-                name
-                for name in ("pred_offsets_v", "pred_offsets_t",
-                             "target_offsets_v", "target_offsets_t")
-                if getattr(self, name) is None
-            ]
-            if missing:
-                raise ValueError(f"positive sample missing offsets: {', '.join(missing)}")
-        else:
-            if self.target_offsets_v is not None or self.target_offsets_t is not None:
-                raise ValueError("negative samples must not carry regression targets")
+        _check_offsets(self, self.label == 1, "positive", "negative")
 
 
 @dataclass(frozen=True)
@@ -206,18 +211,7 @@ class DetectorSample:
             raise ValueError(
                 f"true_class {self.true_class} out of range for {len(self.class_scores)} classes"
             )
-        if self.is_foreground:
-            missing = [
-                name
-                for name in ("pred_offsets_v", "pred_offsets_t",
-                             "target_offsets_v", "target_offsets_t")
-                if getattr(self, name) is None
-            ]
-            if missing:
-                raise ValueError(f"foreground sample missing offsets: {', '.join(missing)}")
-        else:
-            if self.target_offsets_v is not None or self.target_offsets_t is not None:
-                raise ValueError("background samples must not carry regression targets")
+        _check_offsets(self, self.is_foreground, "foreground", "background")
 
     @property
     def is_foreground(self) -> bool:

@@ -5,7 +5,8 @@ These pieces let the full pipeline run end to end without a trained network:
 image border), ``generate_scene`` builds seeded paired ground truth, and
 ``mock_detect`` stands in for a detector, either emitting an independent box
 per modality (paired mode) or one box duplicated into both modalities
-(single-box mode, the behavior of detectors unaware of misalignment).
+(single-box mode, the behavior of detectors unaware of misalignment), as the
+rows of a :class:`~pairbox.evaluation.DetectionTable`.
 
 Randomness contract: each operation takes one root seed; per-frame streams
 are derived from it with fixed sub-stream keys, so output never depends on
@@ -20,9 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluation import FrameAnnotations, FrameDetections, GtObject
+from .evaluation import DetectionTable, FrameAnnotations, GtObject
 from .geometry import Box, PairedBox
-from .pairnms import Detection
 
 __all__ = [
     "ShiftSpec",
@@ -219,29 +219,27 @@ def _score(mag: float, box: Box, rng: np.random.Generator, spec: MockDetectorSpe
     return min(max(raw, spec.score_floor), 1.0)
 
 
-def _false_positive(rng: np.random.Generator, spec: MockDetectorSpec) -> Detection:
+def _false_positive(rng: np.random.Generator, spec: MockDetectorSpec) -> tuple[Box, float]:
     h = float(rng.uniform(40.0, min(160.0, spec.image_height)))
     w = 0.41 * h
     x = float(rng.uniform(0.0, max(spec.image_width - w, 1.0)))
     y = float(rng.uniform(0.0, max(spec.image_height - h, 1.0)))
     score = float(rng.uniform(spec.score_floor, 1.0))
-    return Detection(PairedBox.aligned(Box(x, y, w, h)), score)
+    return Box(x, y, w, h), score
 
 
-def mock_detect(
-    frames: Sequence[FrameAnnotations],
-    spec: MockDetectorSpec,
-) -> list[FrameDetections]:
+def mock_detect(frames: Sequence[FrameAnnotations], spec: MockDetectorSpec) -> DetectionTable:
     """Emit detections for every non-ignored object, plus false positives.
 
     Per object, a miss is drawn with ``miss_prob``; surviving objects get a
     perturbed detection according to the mode. Streams are keyed by frame
-    position, so results are reproducible for a fixed seed.
+    position, so results are reproducible for a fixed seed. Every emitted box
+    passes the :class:`~pairbox.geometry.Box` checks, and every score lies in
+    [0, 1].
     """
-    out = []
+    frame_ids, offsets, rows = [], [0], []
     for f, frame in enumerate(frames):
         rng = _frame_rng(spec.seed, f)
-        dets = []
         for obj in frame.objects:
             if obj.ignore:
                 continue
@@ -251,15 +249,20 @@ def mock_detect(
                 box_v, mag_v = _perturb(obj.pair.visible, rng, spec)
                 box_t, mag_t = _perturb(obj.pair.thermal, rng, spec)
                 mag = 0.5 * (mag_v + mag_t)
-                pair = PairedBox(box_v, box_t)
-                score = _score(mag, obj.pair.visible, rng, spec)
             else:
-                box, mag = _perturb(obj.pair.visible, rng, spec)
-                pair = PairedBox.aligned(box)
-                score = _score(mag, obj.pair.visible, rng, spec)
-            dets.append(Detection(pair, score))
+                box_v, mag = _perturb(obj.pair.visible, rng, spec)
+                box_t = box_v
+            score = _score(mag, obj.pair.visible, rng, spec)
+            rows.append(box_v.as_tuple() + box_t.as_tuple() + (score,))
         if spec.fp_per_frame > 0:
             for _ in range(int(rng.poisson(spec.fp_per_frame))):
-                dets.append(_false_positive(rng, spec))
-        out.append(FrameDetections(frame.frame_id, tuple(dets)))
-    return out
+                box, score = _false_positive(rng, spec)
+                rows.append(box.as_tuple() * 2 + (score,))
+        frame_ids.append(frame.frame_id)
+        offsets.append(len(rows))
+    rows = np.array(rows, dtype=np.float64).reshape(-1, 9)
+    score = rows[:, 8]
+    bad = ~((0.0 <= score) & (score <= 1.0))  # NaN is bad too
+    if bad.any():
+        raise ValueError(f"score must be a finite value in [0, 1], got {score[bad][0].item()!r}")
+    return DetectionTable(frame_ids, offsets, rows[:, :4], rows[:, 4:8], score)

@@ -18,6 +18,7 @@ import pytest
 import pairbox
 from pairbox.evaluation import (
     CurvePoint,
+    DetectionTable,
     EvalConfig,
     MissRateCurve,
     evaluate,
@@ -130,7 +131,7 @@ def test_criterion_2_degeneracy():
             assert iou_multimodal(PairedBox.aligned(a), PairedBox.aligned(b)) == iou(a, b)
 
         annotations, detections = four_frame_fixture()  # visible == thermal throughout
-        report = evaluate(annotations, detections)
+        report = evaluate(annotations, DetectionTable.from_frames(detections))
         for thresh in (0.5, 0.7):
             e_v = report.entry("visible", thresh)
             e_t = report.entry("thermal", thresh)
@@ -264,18 +265,18 @@ def test_criterion_7_evaluation_protocol():
     with criterion("criterion 7: protocol extremes, 4-frame fixture, constant curve"):
         annotations, detections = four_frame_fixture()
 
-        perfect = evaluate(annotations, perfect_detections(annotations))
+        perfect = evaluate(annotations, DetectionTable.from_frames(perfect_detections(annotations)))
         for e in perfect.entries:
             assert e.lamr == 0.0
 
         from pairbox.evaluation import FrameDetections
 
         empty = [FrameDetections(f.frame_id, ()) for f in annotations]
-        blind = evaluate(annotations, empty)
+        blind = evaluate(annotations, DetectionTable.from_frames(empty))
         for e in blind.entries:
             assert e.lamr == 1.0
 
-        report = evaluate(annotations, detections)
+        report = evaluate(annotations, DetectionTable.from_frames(detections))
         for variant in ("visible", "thermal", "multimodal"):
             for thresh in (0.5, 0.7):
                 entry = report.entry(variant, thresh)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pairbox import geometry, pairnms
 from pairbox.cli import main
-from pairbox.evaluation import FrameDetections
+from pairbox.evaluation import DetectionTable, FrameDetections
 from pairbox.formats import (
     Dataset,
     read_dataset,
@@ -34,7 +34,7 @@ def gt_as_detections(dataset_path, out_path):
         FrameDetections(f.frame_id, tuple(Detection(o.pair, 1.0) for o in f.objects))
         for f in ds.frames
     ]
-    write_detections(dets, out_path)
+    write_detections(DetectionTable.from_frames(dets), out_path)
     return dets
 
 
@@ -72,7 +72,7 @@ class TestEvaluateCommand:
         gt_path = tmp_path / "gt.jsonl"
         det_path = tmp_path / "dets.jsonl"
         write_dataset(Dataset(frames=tuple(anns)), gt_path)
-        write_detections(dets, det_path)
+        write_detections(DetectionTable.from_frames(dets), det_path)
         rc = main(["evaluate", str(gt_path), str(det_path)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -109,7 +109,8 @@ class TestEvaluateCommand:
 
     def test_unknown_frame_exits_1(self, tmp_path, capsys):
         det_path = tmp_path / "dets.jsonl"
-        write_detections([FrameDetections("ghost", (det_at(0, 0, 0.5),))], det_path)
+        ghost = [FrameDetections("ghost", (det_at(0, 0, 0.5),))]
+        write_detections(DetectionTable.from_frames(ghost), det_path)
         rc = main(["evaluate", str(SAMPLE), str(det_path)])
         assert rc == 1
         assert "ghost" in capsys.readouterr().err
@@ -127,7 +128,7 @@ class TestNmsCommand:
                 ),
             )
         ]
-        write_detections(dets, det_path)
+        write_detections(DetectionTable.from_frames(dets), det_path)
         out_path = tmp_path / "kept.jsonl"
         rc = main(["nms", str(det_path), "--iou-thresh", "0.5", "--out", str(out_path)])
         assert rc == 0
@@ -180,7 +181,7 @@ class TestNmsCommand:
     def test_canonical_file_builds_no_box_or_detection(self, tmp_path, monkeypatch):
         anns, dets = four_frame_fixture()
         det_path = tmp_path / "dets.jsonl"
-        write_detections(dets, det_path)
+        write_detections(DetectionTable.from_frames(dets), det_path)
         built = []
         for cls in (geometry.Box, pairnms.Detection):
             check = cls.__post_init__
@@ -214,7 +215,7 @@ class TestJsonlReaderFuzz:
         work = tmp_path_factory.mktemp("fuzz")
         paths = {"gt": work / "gt.jsonl", "dets": work / "dets.jsonl"}
         write_dataset(Dataset(frames=tuple(anns)), paths["gt"])
-        write_detections(dets, paths["dets"])
+        write_detections(DetectionTable.from_frames(dets), paths["dets"])
         broken = paths[target]
         text = data.draw(mutated_text(broken.read_text(encoding="utf-8"), bad_bytes=True))
         broken.write_text(text, encoding="utf-8", errors="surrogateescape")
@@ -280,32 +281,54 @@ class TestJsonDocumentFuzz:
 
 
 class TestUndecodableInput:
-    """A byte that is not UTF-8 in any input file exits 2 naming file and line."""
+    """A byte that is not UTF-8, or JSON the decoder refuses, in any input
+    file exits 2 naming file and line."""
 
     def _inputs(self, tmp_path):
         anns, dets = four_frame_fixture()
         paths = {name: tmp_path / name for name in ("gt.jsonl", "dets.jsonl", "a.json", "s.json")}
         write_dataset(Dataset(frames=tuple(anns)), paths["gt.jsonl"])
-        write_detections(dets, paths["dets.jsonl"])
+        write_detections(DetectionTable.from_frames(dets), paths["dets.jsonl"])
         paths["a.json"].write_text('{"anchors":\n[{"v":[0,0,1,1],"t":[0,0,1,1]}]}\n')
         paths["s.json"].write_text('{"rpn":\n{"samples":[]}}\n')
         return paths
 
-    @pytest.mark.parametrize("command, broken", [
+    CASES = [
         (["evaluate", "gt.jsonl", "dets.jsonl"], "gt.jsonl"),
         (["evaluate", "gt.jsonl", "dets.jsonl"], "dets.jsonl"),
         (["nms", "dets.jsonl", "--out", "kept.jsonl"], "dets.jsonl"),
         (["assign", "gt.jsonl", "--anchors", "a.json", "--out", "l.jsonl"], "a.json"),
         (["losses", "s.json"], "s.json"),
-    ])
+    ]
+
+    def _run(self, tmp_path, paths, command):
+        return _run_main([str(paths.get(a, tmp_path / a)) if "." in a else a for a in command])
+
+    @pytest.mark.parametrize("command, broken", CASES)
     def test_exits_2_naming_the_line(self, tmp_path, command, broken):
         paths = self._inputs(tmp_path)
         lines = paths[broken].read_bytes().split(b"\n")
         lines[1] = lines[1][:5] + b"\xff" + lines[1][5:]
         paths[broken].write_bytes(b"\n".join(lines))
-        rc, err = _run_main([str(paths.get(a, tmp_path / a)) if "." in a else a for a in command])
+        rc, err = self._run(tmp_path, paths, command)
         assert rc == 2
         assert err == f"error: {paths[broken]}:2: invalid UTF-8 (byte 0xff)\n"
+
+    @pytest.mark.parametrize("value", ["1" + "0" * 5000, "[" * 100_000 + "]" * 100_000],
+                             ids=["integer_of_5001_digits", "nested_100000_deep"])
+    @pytest.mark.parametrize("command, broken", CASES)
+    def test_json_the_decoder_refuses_exits_2_naming_the_line(self, tmp_path, command, broken,
+                                                              value):
+        """JSON that ``json.loads`` refuses with something other than a syntax
+        error: a record's line in a JSONL file, line 1 in a JSON document."""
+        paths = self._inputs(tmp_path)
+        lines = paths[broken].read_text(encoding="utf-8").split("\n")
+        lines[1] = lines[1].replace("[", f"[{value},", 1)
+        paths[broken].write_text("\n".join(lines), encoding="utf-8")
+        rc, err = self._run(tmp_path, paths, command)
+        line = 2 if broken.endswith(".jsonl") else 1
+        assert rc == 2, err
+        assert err.startswith(f"error: {paths[broken]}:{line}: invalid JSON ("), err
 
 
 class TestAssignCommand:
@@ -474,7 +497,7 @@ class TestShiftSweepCommand:
     def test_integral_shift_takes_an_int_format_spec(self, tmp_path, capsys):
         anns, dets = four_frame_fixture()
         write_dataset(Dataset(frames=tuple(anns)), tmp_path / "gt.jsonl")
-        write_detections(dets, tmp_path / "d_5.jsonl")
+        write_detections(DetectionTable.from_frames(dets), tmp_path / "d_5.jsonl")
         rc = main(["shift-sweep", str(tmp_path / "gt.jsonl"), "--shift", "5",
                    "--dets-pattern", str(tmp_path / "d_{dx:d}.jsonl"), "--format", "csv"])
         assert rc == 0
@@ -528,6 +551,23 @@ class TestShiftSweepCommand:
         assert csv_lines[0] == "shift_dx,iou_thresh,lamr"
         assert len(csv_lines) == 1 + 2 * 2
 
+    def test_mock_sweep_builds_no_detection(self, tmp_path, capsys, monkeypatch):
+        ds_path = tmp_path / "gt.jsonl"
+        main(["generate", "--frames", "20", "--seed", "3", "--out", str(ds_path)])
+        built = []
+        check = pairnms.Detection.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(pairnms.Detection, "__post_init__", counted)
+        rc = main(["shift-sweep", str(ds_path), "--shift", "0", "10", "--mock", "paired",
+                   "--center-sigma", "2", "--fp-per-frame", "1", "--seed", "5"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("shift_dx")
+        assert built == []
+
     def test_dets_pattern_loads_files(self, tmp_path, capsys):
         ds_path = tmp_path / "gt.jsonl"
         main(["generate", "--frames", "5", "--seed", "3", "--out", str(ds_path)])
@@ -540,7 +580,7 @@ class TestShiftSweepCommand:
                 FrameDetections(f.frame_id, tuple(Detection(o.pair, 1.0) for o in f.objects))
                 for f in shifted
             ]
-            write_detections(dets, tmp_path / f"dets_{dx}.jsonl")
+            write_detections(DetectionTable.from_frames(dets), tmp_path / f"dets_{dx}.jsonl")
         rc = main([
             "shift-sweep", str(ds_path), "--shift", "0", "10",
             "--dets-pattern", str(tmp_path / "dets_{dx}.jsonl"), "--format", "csv",
@@ -652,6 +692,12 @@ class TestLossesCommand:
         ({"detector": {"samples": [{"scores": [0, 1], "true_class": True}]}},
          "detector.samples[0].true_class"),
         ({"detector": {"lambda": False}}, "detector.lambda"),
+        ({"rpn": {"cfg": {"n_cls": 0}, "samples": [{"logit": 0.5, "label": 0}]}}, "rpn.cfg"),
+        ({"rpn": {"cfg": {"lambda": -1}}}, "rpn.cfg"),
+        ({"detector": {"lambda": -1}}, "detector.lambda"),
+        ({"detector": {"samples": [{"scores": []}]}}, "detector.samples[0]"),
+        ({"detector": {"samples": [{"scores": [0, 1], "true_class": 5, **_POS}]}},
+         "detector.samples[0]"),
     ])
     def test_malformed_samples_exit_2_naming_file_and_field(self, tmp_path, capsys, payload, field):
         p = tmp_path / "samples.json"

@@ -236,7 +236,7 @@ class TestCurveProperties:
             for f, (ds, _) in enumerate(frames)
         ]
         config = EvalConfig(iou_thresholds=(thresh,), variants=(variant,), min_height=0.0)
-        (entry,) = evaluate(anns, dets, config).entries
+        (entry,) = evaluate(anns, DetectionTable.from_frames(dets), config).entries
         expected = naive_curve(frames, variant, thresh)
         curve = entry.curve
         columns = zip(curve.score_thresh.tolist(), curve.fppi.tolist(), curve.miss_rate.tolist(),
@@ -271,7 +271,7 @@ class TestMissRateCurve:
 
     def test_four_frame_fixture_matches_hand_enumeration(self):
         anns, dets = four_frame_fixture()
-        report = evaluate(anns, dets)
+        report = evaluate(anns, DetectionTable.from_frames(dets))
         for variant in ("visible", "thermal", "multimodal"):
             for thresh in (0.5, 0.7):
                 curve = report.entry(variant, thresh).curve
@@ -291,7 +291,7 @@ class TestMissRateCurve:
 
     def test_tp_plus_fn_constant(self):
         anns, dets = four_frame_fixture()
-        report = evaluate(anns, dets)
+        report = evaluate(anns, DetectionTable.from_frames(dets))
         for e in report.entries:
             for p in e.curve.points:
                 assert p.tp + p.fn == e.curve.n_evaluable
@@ -299,7 +299,7 @@ class TestMissRateCurve:
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(83)
         anns, dets = _random_scene(rng, 30, peds=3, noise=4.0, fp_per_frame=1.0)
-        report = evaluate(anns, dets)
+        report = evaluate(anns, DetectionTable.from_frames(dets))
         for e in report.entries:
             fppis = [p.fppi for p in e.curve.points]
             misses = [p.miss_rate for p in e.curve.points]
@@ -389,7 +389,7 @@ def _random_scene(rng, n_frames, peds=2, noise=0.0, fp_per_frame=0.0, dx_thermal
 class TestEvaluate:
     def test_gt_as_detections_is_zero_everywhere(self):
         anns, _ = four_frame_fixture()
-        report = evaluate(anns, perfect_detections(anns))
+        report = evaluate(anns, DetectionTable.from_frames(perfect_detections(anns)))
         assert len(report.entries) == 6
         for e in report.entries:
             assert e.lamr == 0.0
@@ -399,7 +399,7 @@ class TestEvaluate:
         # IoU_v = 1, IoU_t = 10/50 = 0.2, pooled = 40/80 = 0.5
         anns = [FrameAnnotations(0, (gt(100, 100, w=30, h=60, dx_thermal=20),))]
         dets = [FrameDetections(0, (det_at(100, 100, 1.0, w=30, h=60),))]
-        report = evaluate(anns, dets)
+        report = evaluate(anns, DetectionTable.from_frames(dets))
         assert report.lamr("visible", 0.5) == 0.0
         assert report.lamr("visible", 0.7) == 0.0
         assert report.lamr("thermal", 0.5) == 1.0
@@ -410,7 +410,7 @@ class TestEvaluate:
     def test_aligned_modalities_give_identical_rows(self):
         rng = np.random.default_rng(89)
         anns, dets = _random_scene(rng, 40, peds=3, noise=5.0, fp_per_frame=0.7)
-        report = evaluate(anns, dets)
+        report = evaluate(anns, DetectionTable.from_frames(dets))
         for thresh in (0.5, 0.7):
             e_v = report.entry("visible", thresh)
             e_t = report.entry("thermal", thresh)
@@ -422,18 +422,19 @@ class TestEvaluate:
         anns, dets = four_frame_fixture()
         bad = dets + [FrameDetections("ghost", ())]
         with pytest.raises(EvaluationError, match="ghost"):
-            evaluate(anns, bad)
+            evaluate(anns, DetectionTable.from_frames(bad))
 
     def test_duplicate_detection_frames_rejected(self):
         anns, dets = four_frame_fixture()
         with pytest.raises(EvaluationError):
-            evaluate(anns, dets + [dets[0]])
+            evaluate(anns, DetectionTable.from_frames(dets + [dets[0]]))
 
     def test_matches_per_threshold_rematching(self):
         # one-pass matching + score sweep == literal re-matching per threshold
         rng = np.random.default_rng(97)
         anns, dets = _random_scene(rng, 25, peds=3, noise=6.0, fp_per_frame=1.0)
-        report = evaluate(anns, dets, EvalConfig(variants=("multimodal",)))
+        config = EvalConfig(variants=("multimodal",))
+        report = evaluate(anns, DetectionTable.from_frames(dets), config)
         filtered = filter_reasonable(anns)
         det_map = {d.frame_id: d.detections for d in dets}
         for e in report.entries:
@@ -452,12 +453,13 @@ class TestEvaluate:
 
     def test_low_score_distant_fp_only_extends_curve(self):
         anns, dets = four_frame_fixture()
-        base = evaluate(anns, dets, EvalConfig(variants=("multimodal",), iou_thresholds=(0.5,)))
+        config = EvalConfig(variants=("multimodal",), iou_thresholds=(0.5,))
+        base = evaluate(anns, DetectionTable.from_frames(dets), config)
         extra = list(dets)
         extra[3] = FrameDetections(
             "f4", extra[3].detections + (det_at(600, 400, 0.01),)
         )
-        bumped = evaluate(anns, extra, EvalConfig(variants=("multimodal",), iou_thresholds=(0.5,)))
+        bumped = evaluate(anns, DetectionTable.from_frames(extra), config)
         b_pts = base.entries[0].curve.points
         x_pts = bumped.entries[0].curve.points
         assert x_pts[: len(b_pts)] == b_pts
@@ -468,9 +470,10 @@ class TestEvaluate:
     def test_frame_order_invariance(self):
         rng = np.random.default_rng(101)
         anns, dets = _random_scene(rng, 20, peds=2, noise=5.0, fp_per_frame=0.5)
-        base = evaluate(anns, dets)
+        base = evaluate(anns, DetectionTable.from_frames(dets))
         perm = rng.permutation(len(anns))
-        shuffled = evaluate([anns[i] for i in perm], [dets[i] for i in perm])
+        shuffled = evaluate([anns[i] for i in perm],
+                            DetectionTable.from_frames(dets[i] for i in perm))
         for e1, e2 in zip(base.entries, shuffled.entries):
             assert e1.lamr == e2.lamr
             assert e1.curve.points == e2.curve.points
@@ -479,7 +482,7 @@ class TestEvaluate:
         # with distinct scores the score sort makes input order irrelevant
         rng = np.random.default_rng(113)
         anns, dets = _random_scene(rng, 15, peds=3, noise=5.0, fp_per_frame=1.0)
-        base = evaluate(anns, dets)
+        base = evaluate(anns, DetectionTable.from_frames(dets))
         reordered = [
             FrameDetections(
                 fd.frame_id,
@@ -487,7 +490,7 @@ class TestEvaluate:
             )
             for fd in dets
         ]
-        again = evaluate(anns, reordered)
+        again = evaluate(anns, DetectionTable.from_frames(reordered))
         for e1, e2 in zip(base.entries, again.entries):
             assert e1.lamr == e2.lamr
             assert e1.curve.points == e2.curve.points
@@ -532,15 +535,6 @@ class TestDetectionTable:
         with pytest.raises(ValueError, match="offsets"):
             DetectionTable(["a"], [0, 2], np.zeros((1, 4)), np.zeros((1, 4)), [0.5])
 
-    def test_evaluate_takes_a_table_or_frames_alike(self):
-        rng = np.random.default_rng(131)
-        anns, dets = _random_scene(rng, 12, peds=3, noise=4.0, fp_per_frame=1.0)
-        from_frames = evaluate(anns, dets)
-        from_table = evaluate(anns, DetectionTable.from_frames(dets))
-        for e1, e2 in zip(from_frames.entries, from_table.entries):
-            assert e1.lamr == e2.lamr
-            assert e1.curve.points == e2.curve.points
-
     def test_take_selects_rows_per_frame(self):
         frames = self._frames()
         table = DetectionTable.from_frames(frames)
@@ -563,7 +557,8 @@ class TestDetectionTable:
 class TestCsvExport:
     def test_golden_output(self):
         anns, dets = four_frame_fixture()
-        report = evaluate(anns, dets, EvalConfig(variants=("multimodal",), iou_thresholds=(0.5,)))
+        config = EvalConfig(variants=("multimodal",), iou_thresholds=(0.5,))
+        report = evaluate(anns, DetectionTable.from_frames(dets), config)
         buf = io.StringIO()
         write_curve_csv(report, buf)
         expected = (

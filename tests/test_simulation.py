@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pairbox.evaluation import EvalConfig, FrameAnnotations, evaluate
+from pairbox import simulation
+from pairbox.evaluation import DetectionTable, EvalConfig, FrameAnnotations, evaluate
 from pairbox.geometry import Box, PairedBox
 from pairbox.simulation import (
     MockDetectorSpec,
@@ -167,7 +168,25 @@ class TestMockDetect:
             mode="paired", center_noise_sigma=2.0, size_noise_sigma=0.05,
             miss_prob=0.1, fp_per_frame=0.5, score_noise_sigma=0.02, seed=29,
         )
-        assert mock_detect(frames, spec) == mock_detect(frames, spec)
+        first, second = mock_detect(frames, spec), mock_detect(frames, spec)
+        assert list(first) == list(second)
+        for column in ("v", "t", "score", "offsets"):
+            assert np.array_equal(getattr(first, column), getattr(second, column))
+
+    def test_emits_a_table_of_every_frame(self):
+        frames = generate_scene(SceneSpec(num_frames=6, seed=23))
+        dets = mock_detect(frames, MockDetectorSpec(mode="single_box", fp_per_frame=1.0, seed=3))
+        assert isinstance(dets, DetectionTable)
+        assert dets.frame_ids == [f.frame_id for f in frames]
+        assert np.array_equal(dets.v, dets.t)  # one box in both modalities
+        assert dets.class_id.tolist() == [0] * len(dets.score)
+
+    @pytest.mark.parametrize("score", [math.nan, -0.5, 1.5])
+    def test_score_outside_unit_interval_refused(self, monkeypatch, score):
+        monkeypatch.setattr(simulation, "_score", lambda *args: score)
+        frames = generate_scene(SceneSpec(num_frames=3, peds_per_frame=3.0, seed=23))
+        with pytest.raises(ValueError, match="score must be a finite value in"):
+            mock_detect(frames, MockDetectorSpec(seed=1))
 
     def test_miss_prob_one_detects_nothing(self):
         frames = generate_scene(SceneSpec(num_frames=10, seed=31))
