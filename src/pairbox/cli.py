@@ -38,6 +38,7 @@ from .evaluation import (
     VARIANTS,
     EvalConfig,
     EvalReport,
+    _format_distinct,
     evaluate,
     write_curve_csv,
 )
@@ -136,10 +137,15 @@ def render_curve_svg(report: EvalReport) -> str:
         f'<rect x="{ml}" y="{mt}" width="{width - ml - mr_}" height="{height - mt - mb}" '
         'fill="none" stroke="black" stroke-width="1"/>'
     )
-    for i, e in enumerate(report.entries):
+    def two_decimals(to_svg):
+        return lambda values: [f"{v:.2f}" for v in to_svg(values).tolist()]
+
+    # px and py act elementwise, so they may run on each distinct value alone
+    xs = _format_distinct([e.curve.fppi for e in report.entries], two_decimals(px))
+    ys = _format_distinct([e.curve.miss_rate for e in report.entries], two_decimals(py))
+    for i, (e, x_text, y_text) in enumerate(zip(report.entries, xs, ys)):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        xs, ys = px(e.curve.fppi).tolist(), py(e.curve.miss_rate).tolist()
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{x},{y}" for x, y in zip(x_text, y_text))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -178,14 +184,15 @@ def cmd_evaluate(args) -> int:
     )
     report = evaluate(dataset.frames, detections, config)
     table = format_eval_table(report)
-    svg = render_curve_svg(report) if args.format == "svg" else None
-    if args.out is not None:
-        out = Path(args.out)
+    out = None if args.out is None else Path(args.out)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "eval_table.txt", table)
         write_curve_csv(report, out / "eval_curves.csv")
-        if svg is not None:
-            _write_text(out / "eval_curves.svg", svg)
+    # rendered after the CSV is written, so the SVG string is not held while it is
+    svg = render_curve_svg(report) if args.format == "svg" else None
+    if out is not None and svg is not None:
+        _write_text(out / "eval_curves.svg", svg)
     if args.format == "csv":
         write_curve_csv(report, sys.stdout)  # streamed: the CSV is never held as one string
     else:
@@ -504,6 +511,24 @@ def _dets_pattern(text: str) -> str:
     return text
 
 
+def _checked(convert, ok, rule: str):
+    """An argparse ``type``: ``convert(text)``, refused unless ``ok`` holds
+    for it, so a bad value exits 2 naming its option."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r}: must be {rule}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid float value" names it
+    return parse
+
+
+_fraction = _checked(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
+_non_negative = _checked(float, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
+_count = _checked(int, lambda n: n >= 0, "an integer >= 0")
+
+
 def _dets_path(pattern: str, dx: float) -> str:
     """The detection file of shift ``dx``; an integral shift is formatted as an int."""
     return pattern.format(dx=int(dx) if dx.is_integer() else dx)
@@ -533,8 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mock", choices=("paired", "single_box"), default="paired")
     p_sweep.add_argument("--center-sigma", type=float, default=0.0)
     p_sweep.add_argument("--size-sigma", type=float, default=0.0)
-    p_sweep.add_argument("--miss-prob", type=float, default=0.0)
-    p_sweep.add_argument("--fp-per-frame", type=float, default=0.0)
+    p_sweep.add_argument("--miss-prob", type=_fraction, default=0.0)
+    p_sweep.add_argument("--fp-per-frame", type=_non_negative, default=0.0)
     p_sweep.add_argument("--score-sigma", type=float, default=0.0)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument(
@@ -565,10 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_nms = sub.add_parser("nms", help="apply paired NMS to a detection file")
     p_nms.add_argument("detections")
-    p_nms.add_argument("--iou-thresh", type=float, default=0.5,
+    p_nms.add_argument("--iou-thresh", type=_fraction, default=0.5,
                        help="suppression threshold (default: final-detection setting; "
                             "use the proposal setting 0.7 for proposal-stage NMS)")
-    p_nms.add_argument("--max-keep", type=int, default=None)
+    p_nms.add_argument("--max-keep", type=_count, default=None)
     p_nms.add_argument("--out", required=True)
     p_nms.set_defaults(func=cmd_nms)
 
@@ -595,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_loss = sub.add_parser("losses", help="evaluate losses on a JSON sample file")
     p_loss.add_argument("samples")
-    p_loss.add_argument("--lambda", dest="lam", type=float, default=None,
+    p_loss.add_argument("--lambda", dest="lam", type=_non_negative, default=None,
                         help="override the regression weight")
     p_loss.add_argument("--grad-check", action="store_true")
     p_loss.add_argument("--out", default=None)

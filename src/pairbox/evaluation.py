@@ -22,11 +22,19 @@ import io
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .geometry import Box, PairedBox, boxes_to_array, iou_matrix, iou_multimodal_matrix
+from .geometry import (
+    Box,
+    PairedBox,
+    boxes_to_array,
+    iou_elementwise,
+    iou_matrix,
+    iou_multimodal_elementwise,
+    iou_multimodal_matrix,
+)
 from .pairnms import Detection
 
 __all__ = [
@@ -67,6 +75,10 @@ DET_IGNORED = -1
 
 # nine reference FPPI values, quarter-decade steps over [1e-2, 1e0]
 DEFAULT_FPPI_REFS = tuple(10.0 ** (-2.0 + 0.25 * k) for k in range(9))
+
+# padded (frame, detection, GT) cells that evaluate matches at once; a frame
+# with more cells than this is matched alone
+_CELL_BUDGET = 1 << 17
 
 
 class EvaluationError(ValueError):
@@ -202,14 +214,24 @@ def filter_reasonable(
     return out
 
 
-def _overlap_matrix(dv, dt, gv, gt_, variant: str) -> np.ndarray:
+def _overlaps(dv, dt, gv, gt_, variant: str, iou=iou_elementwise,
+              ioum=iou_multimodal_elementwise) -> np.ndarray:
+    """The ``variant`` overlaps of detections and GTs under the IoU kernels
+    ``iou`` and ``ioum``: row by row by default."""
     if variant == "visible":
-        return iou_matrix(dv, gv)
+        return iou(dv, gv)
     if variant == "thermal":
-        return iou_matrix(dt, gt_)
+        return iou(dt, gt_)
     if variant == "multimodal":
-        return iou_multimodal_matrix(dv, dt, gv, gt_)
+        return ioum(dv, dt, gv, gt_)
     raise ValueError(f"unknown IoU variant {variant!r}, expected one of {VARIANTS}")
+
+
+def _overlap_matrix(dv, dt, gv, gt_, variant: str) -> np.ndarray:
+    """The (N, M) overlap matrix of one frame, the input of :func:`match_frame`.
+    Its kernels evaluate the same expressions as the row-by-row ones, so each
+    cell has the bits of the matching row-by-row overlap."""
+    return _overlaps(dv, dt, gv, gt_, variant, iou_matrix, iou_multimodal_matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,6 +252,9 @@ class FrameMatch:
 
 def match_frame(scores, overlaps, evaluable, thresh: float = 0.5) -> FrameMatch:
     """Greedily match detections to ground truth for one frame.
+
+    This is the single-frame reference: :func:`evaluate` matches all frames
+    at once by the same rules and does not call it.
 
     Takes the float64 array of the N detection scores, their (N, M) overlap
     matrix with the GTs and the boolean mask of the evaluable (not ignore) GTs.
@@ -327,14 +352,16 @@ def miss_rate_curve(matches: Sequence[FrameMatch]) -> MissRateCurve:
     detections at all, a single all-miss point at threshold 1.0 is emitted
     (scores are bounded by 1).
     """
-    n_frames = len(matches)
-    n_gt = sum(m.n_evaluable for m in matches)
+    scores = np.concatenate([np.zeros(0), *(m.scores for m in matches)])
+    outcomes = np.concatenate([np.zeros(0, np.int8), *(m.det_outcomes for m in matches)])
+    return _curve(scores, outcomes, len(matches), sum(m.n_evaluable for m in matches))
+
+
+def _curve(scores: np.ndarray, outcomes: np.ndarray, n_frames: int, n_gt: int) -> MissRateCurve:
+    """The curve of detections with these scores and outcomes over
+    ``n_frames`` frames holding ``n_gt`` evaluable GTs."""
     if n_gt == 0:
         raise EvaluationError("miss rate undefined: no evaluable ground truth objects")
-    scores = np.concatenate([m.scores for m in matches]) if matches else np.zeros(0)
-    outcomes = (
-        np.concatenate([m.det_outcomes for m in matches]) if matches else np.zeros(0, np.int8)
-    )
     if scores.size == 0:
         point = CurvePoint(1.0, 0.0, 1.0, tp=0, fp=0, fn=n_gt)
         return MissRateCurve.from_points((point,), n_frames, n_gt)
@@ -420,7 +447,103 @@ class EvalReport:
 
 def thread_count() -> int:
     """Number of threads ``evaluate`` matches frames on: always one."""
+    # unused here; perfbench/harness.py reads it for a machine fact
     return 1
+
+
+def _chunks(frames: np.ndarray, nd: np.ndarray, ng: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive runs of ``frames`` whose (frames, most detections, most
+    GTs) pad stays within ``_CELL_BUDGET``; a frame over it is a run alone."""
+    lo = d = g = 0
+    for k, (a, b) in enumerate(zip(nd[frames].tolist(), ng[frames].tolist())):
+        d, g = max(d, a), max(g, b)
+        if k > lo and (k + 1 - lo) * d * g > _CELL_BUDGET:
+            yield frames[lo:k]
+            lo, d, g = k, a, b
+    if lo < len(frames):
+        yield frames[lo:]
+
+
+def _greedy_scan(pad: np.ndarray, evaluable: np.ndarray, thresh: float) -> np.ndarray:
+    """The (F, D) outcomes of :func:`match_frame` on F frames at once.
+
+    ``pad[f, k, j]`` is the overlap of frame f's detection of score rank k
+    with its GT j, 0 beyond the frame's real detections and GTs, and
+    ``evaluable[f, j]`` flags its evaluable GTs. Rank by rank, every frame
+    whose detection is a candidate takes one greedy step.
+    """
+    hit = pad >= thresh
+    outcomes = np.where((hit & ~evaluable[:, None]).any(axis=2), DET_IGNORED, DET_FP)
+    outcomes = outcomes.astype(np.int8)
+    candidate = (hit & evaluable[:, None]).any(axis=2)
+    free = evaluable.copy()
+    for k in np.flatnonzero(candidate.any(axis=0)).tolist():
+        f = np.flatnonzero(candidate[:, k])
+        row = np.where(free[f], pad[f, k], 0.0)
+        j = row.argmax(axis=1)  # the first maximum: overlap ties keep the lowest GT index
+        won = row[np.arange(f.size), j] >= thresh
+        f, j = f[won], j[won]
+        outcomes[f, k] = DET_TP
+        free[f, j] = False
+    return outcomes
+
+
+def _match_frames(
+    frames: Sequence[FrameAnnotations],
+    detections: DetectionTable,
+    table_frame: Sequence[int],
+    variants: Sequence[str],
+    thresholds: Sequence[float],
+) -> tuple[np.ndarray, int, list[list[np.ndarray]]]:
+    """Match every frame greedily by the rules of :func:`match_frame`.
+
+    ``frames`` holds the annotations, ignore flags final, and
+    ``table_frame[k]`` the frame of ``detections`` with the detections of
+    ``frames[k]``, or -1 for none. The detections are taken frame by frame
+    in that order. Returns their scores, the number of evaluable GTs and
+    ``outcomes[v][t]``, their outcomes under the v-th variant and t-th
+    threshold.
+
+    Frames with both detections and GTs are matched in chunks under
+    ``_CELL_BUDGET``: one row-by-row overlap pass per variant over the
+    chunk's real (detection, GT) pairs, scattered into a zero
+    (frames, detection rank, GT) pad, then one :func:`_greedy_scan` per
+    threshold.
+    """
+    objects = [g for f in frames for g in f.objects]
+    gv = boxes_to_array(g.pair.visible for g in objects)
+    gt_ = boxes_to_array(g.pair.thermal for g in objects)
+    evaluable = np.array([not g.ignore for g in objects], dtype=bool)
+    ng = np.array([len(f.objects) for f in frames], dtype=np.int64)
+    gt_start = np.cumsum(ng) - ng
+    # frame -1 (no detections) picks the appended empty frame
+    table_frame = np.asarray(table_frame, dtype=np.int64)
+    nd = np.append(np.diff(detections.offsets), 0)[table_frame]
+    det_start = np.cumsum(nd) - nd
+    rows = np.repeat(np.append(detections.offsets[:-1], 0)[table_frame] - det_start, nd)
+    rows += np.arange(rows.size)
+    scores = detections.score[rows]
+    # positions by frame, then descending score, ties by position: match_frame's visiting order
+    order = np.lexsort((-scores, np.repeat(np.arange(len(frames)), nd)))
+    outcomes = [[np.full(rows.size, DET_FP, np.int8) for _ in thresholds] for _ in variants]
+    for chunk in _chunks(np.flatnonzero((nd > 0) & (ng > 0)), nd, ng):
+        cd, cg = nd[chunk], ng[chunk]
+        real_det = np.arange(cd.max()) < cd[:, None]
+        real_gt = np.arange(cg.max()) < cg[:, None]
+        real = real_det[:, :, None] & real_gt[:, None]  # the real (frame, rank, GT) cells
+        f, rank, j = np.nonzero(real)
+        det = rows[order[det_start[chunk][f] + rank]]
+        gt = gt_start[chunk][f] + j
+        dv, dt, pv, pt = detections.v[det], detections.t[det], gv[gt], gt_[gt]
+        ev = np.zeros(real_gt.shape, dtype=bool)
+        ev[real_gt] = evaluable[(gt_start[chunk][:, None] + np.arange(cg.max()))[real_gt]]
+        at = order[(det_start[chunk][:, None] + np.arange(cd.max()))[real_det]]
+        for variant, per_thresh in zip(variants, outcomes):
+            pad = np.zeros(real.shape)
+            pad[real] = _overlaps(dv, dt, pv, pt, variant)
+            for thresh, out in zip(thresholds, per_thresh):
+                out[at] = _greedy_scan(pad, ev, thresh)[real_det]
+    return scores, int(np.count_nonzero(evaluable)), outcomes
 
 
 def evaluate(
@@ -431,11 +554,13 @@ def evaluate(
     """Run the full protocol over every configured variant and threshold.
 
     Detections must reference known frame ids; annotated frames without
-    detections count as all-miss frames. Each frame's detections are sliced
-    from the table, its GTs packed once, and it gets one overlap matrix per
-    variant; frames are matched one after another (the matching is GIL-bound
-    Python, so threads would not pay). Hand-built :class:`FrameDetections`
-    are packed with :meth:`DetectionTable.from_frames`.
+    detections count as all-miss frames. The GTs of all frames are packed
+    once and all frames are matched at once, in chunks whose padded
+    (frame, detection, GT) cells stay under a fixed budget, with one overlap
+    pass per variant and one greedy scan over detection rank per threshold
+    (see ``_match_frames``); the outcomes equal :func:`match_frame`'s on each
+    frame. Hand-built :class:`FrameDetections` are packed with
+    :meth:`DetectionTable.from_frames`.
     """
     ann_ids = [f.frame_id for f in annotations]
     if len(set(ann_ids)) != len(ann_ids):
@@ -453,25 +578,14 @@ def evaluate(
             + ", ".join(repr(u) for u in unknown)
         )
     filtered = filter_reasonable(annotations, config.min_height, config.height_modality)
-    thresholds = config.iou_thresholds
-    offsets = detections.offsets.tolist()
-    # matches[v][t]: one FrameMatch per frame for the v-th variant and t-th threshold
-    matches = [[[] for _ in thresholds] for _ in config.variants]
-    for frame in filtered:
-        k = row_of.get(frame.frame_id)
-        rows = slice(0, 0) if k is None else slice(offsets[k], offsets[k + 1])
-        scores, dv, dt = detections.score[rows], detections.v[rows], detections.t[rows]
-        evaluable = np.array([not g.ignore for g in frame.objects], dtype=bool)
-        gv = boxes_to_array(g.pair.visible for g in frame.objects)
-        gt_ = boxes_to_array(g.pair.thermal for g in frame.objects)
-        for variant, cells in zip(config.variants, matches):
-            overlaps = _overlap_matrix(dv, dt, gv, gt_, variant)
-            for thresh, cell in zip(thresholds, cells):
-                cell.append(match_frame(scores, overlaps, evaluable, thresh))
+    scores, n_gt, outcomes = _match_frames(
+        filtered, detections, [row_of.get(f.frame_id, -1) for f in filtered],
+        config.variants, config.iou_thresholds,
+    )
     entries = []
-    for variant, cells in zip(config.variants, matches):
-        for thresh, cell in zip(thresholds, cells):
-            curve = miss_rate_curve(cell)
+    for variant, per_thresh in zip(config.variants, outcomes):
+        for thresh, out in zip(config.iou_thresholds, per_thresh):
+            curve = _curve(scores, out, len(filtered), n_gt)
             lamr = log_average_miss_rate(curve, config.fppi_refs, config.mr_epsilon)
             entries.append(EvalEntry(variant, thresh, curve, lamr))
     return EvalReport(tuple(entries))
@@ -489,10 +603,32 @@ def write_curve_csv(report: EvalReport, dst) -> None:
         _write_curve_csv(report, fh)
 
 
+def _format_distinct(
+    columns: Sequence[np.ndarray], fmt: Callable[[np.ndarray], list[str]]
+) -> Iterator[list[str]]:
+    """Yield ``fmt`` of each float64 array of ``columns``, one at a time.
+
+    ``fmt`` maps an array to one string per value and must act elementwise:
+    it is called once, on the distinct values of all the columns, told apart
+    by their bits (so -0.0 and 0.0 stay apart), and each column's strings
+    are looked up from its result.
+    """
+    bits = [np.ascontiguousarray(c, dtype=np.float64).view(np.int64) for c in columns]
+    distinct = np.unique(np.concatenate([np.zeros(0, np.int64), *bits]))
+    text = np.array(fmt(distinct.view(np.float64)), dtype=object)
+    for b in bits:
+        yield text[np.searchsorted(distinct, b)].tolist()
+
+
+def _nine_digits(values: np.ndarray) -> list[str]:
+    return [f"{x:.9g}" for x in values.tolist()]
+
+
 def _write_curve_csv(report: EvalReport, fh: io.TextIOBase) -> None:
     fh.write("variant,iou_thresh,score_thresh,fppi,miss_rate\n")
-    for e in report.entries:
+    curves = [e.curve for e in report.entries]
+    columns = [_format_distinct([getattr(c, name) for c in curves], _nine_digits)
+               for name in ("score_thresh", "fppi", "miss_rate")]
+    for e, *texts in zip(report.entries, *columns):
         prefix = f"{e.variant},{e.iou_thresh:.9g},"
-        c = e.curve
-        rows = zip(c.score_thresh.tolist(), c.fppi.tolist(), c.miss_rate.tolist())
-        fh.write("".join(f"{prefix}{s:.9g},{f:.9g},{m:.9g}\n" for s, f, m in rows))
+        fh.write("".join(f"{prefix}{s},{f},{m}\n" for s, f, m in zip(*texts)))

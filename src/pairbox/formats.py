@@ -143,7 +143,11 @@ def _loads(text: str, path, line_no: Optional[int] = None):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, line_no or exc.lineno, f"invalid JSON ({exc.msg})") from None
-    except (ValueError, RecursionError) as exc:
+    except ValueError:  # the only other ValueError: an integer too long to convert
+        digits = sys.get_int_max_str_digits()
+        raise ParseError(path, line_no or 1,
+                         f"invalid JSON (integer of more than {digits} digits)") from None
+    except RecursionError as exc:
         raise ParseError(path, line_no or 1, f"invalid JSON ({exc})") from None
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -329,6 +330,10 @@ class TestUndecodableInput:
         line = 2 if broken.endswith(".jsonl") else 1
         assert rc == 2, err
         assert err.startswith(f"error: {paths[broken]}:{line}: invalid JSON ("), err
+        assert "set_int_max_str_digits" not in err  # advice a CLI user cannot act on
+        if value.startswith("1"):
+            limit = sys.get_int_max_str_digits()
+            assert f"invalid JSON (integer of more than {limit} digits)" in err, err
 
 
 class TestAssignCommand:
@@ -464,13 +469,40 @@ class TestNonFiniteArguments:
         assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("args", [
-        ["--center-sigma", "nan"], ["--score-sigma", "nan"], ["--fp-per-frame", "nan"],
-        ["--size-sigma", "inf"], ["--fp-per-frame", "inf"],
+        ["--center-sigma", "nan"], ["--score-sigma", "nan"], ["--size-sigma", "inf"],
     ])
     def test_shift_sweep_exits_1(self, args):
         rc, err = _run_main(["shift-sweep", str(SAMPLE), "--shift", "0", *args])
         assert rc == 1
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestBadOptionValues:
+    @pytest.mark.parametrize("command, option, value", [
+        ("losses", "--lambda", "-1"), ("losses", "--lambda", "nan"),
+        ("shift-sweep", "--miss-prob", "2"), ("shift-sweep", "--fp-per-frame", "-1"),
+        ("shift-sweep", "--fp-per-frame", "nan"), ("shift-sweep", "--fp-per-frame", "inf"),
+        ("nms", "--iou-thresh", "2"), ("nms", "--max-keep", "-1"),
+    ])
+    def test_exits_2_naming_the_option(self, tmp_path, capsys, command, option, value):
+        """The argument parser refuses the value, before any file is read."""
+        # without an rpn section and detector samples, --lambda would reach no library check
+        samples = {"rpn": {"samples": []}} if value == "nan" else {"detector": {"samples": []}}
+        (tmp_path / "samples.json").write_text(json.dumps(samples), encoding="utf-8")
+        write_detections(DetectionTable.from_frames(four_frame_fixture()[1]),
+                         tmp_path / "dets.jsonl")
+        argv = {
+            "losses": ["losses", str(tmp_path / "samples.json")],
+            "shift-sweep": ["shift-sweep", str(SAMPLE), "--shift", "0"],
+            "nms": ["nms", str(tmp_path / "dets.jsonl"), "--out", str(tmp_path / "kept.jsonl")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {option}: {value!r}: must be " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "kept.jsonl").exists()
 
 
 class TestShiftSweepCommand:

@@ -1,17 +1,25 @@
 import io
+import math
+import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pairbox import evaluation
+from pairbox.cli import render_curve_svg
 from pairbox.evaluation import (
     DET_FP,
     DET_IGNORED,
     DET_TP,
     CurvePoint,
+    VARIANTS,
     DetectionTable,
     EvalConfig,
+    EvalEntry,
+    EvalReport,
     EvaluationError,
     FrameAnnotations,
     FrameDetections,
@@ -244,6 +252,86 @@ class TestCurveProperties:
         assert list(columns) == expected
         assert curve.points == tuple(CurvePoint(*p) for p in expected)
         assert entry.lamr == naive_log_average_miss_rate(expected, config.fppi_refs)
+
+
+@st.composite
+def batched_scene(draw):
+    """Up to five frames of grid boxes from a shared pool, then a fixed tail:
+    two frames of one detection and one GT, a frame of two tied detections on
+    two tied evaluable GTs beside an ignore region, a frame without
+    detections and one without GTs. Also draws whether the table leaves out
+    frames without detections and whether it lists its frames in reverse."""
+    boxes = draw(st.lists(grid_box, min_size=1, max_size=4))
+    pool = st.sampled_from(boxes)
+    frames = draw(st.lists(
+        st.tuples(st.lists(st.tuples(pool, pool, grid_score), max_size=6),
+                  st.lists(st.tuples(pool, pool, st.booleans()), max_size=4)),
+        max_size=5,
+    ))
+    b = boxes[0]
+    frames += [
+        ([(b, b, 0.5)], [(b, b, False)]),
+        ([(b, b, 0.75)], [(b, b, False)]),
+        ([(b, b, 0.25), (b, b, 0.25)], [(b, b, False), (b, b, True), (b, b, False)]),
+        ([], [(b, b, False)]),
+        ([(b, b, 1.0)], []),
+    ]
+    return frames, draw(st.booleans()), draw(st.booleans())
+
+
+class TestBatchedMatching:
+    # budget 1 matches every frame alone; under 4 the tail's two one-cell
+    # frames share a chunk and its six-cell frame exceeds the budget alone;
+    # the last matches all frames in one chunk
+    BUDGETS = (1, 4, 1 << 62)
+    THRESHOLDS = (0.5, 1.0)
+
+    @settings(derandomize=True, deadline=None)
+    @given(scene=batched_scene())
+    def test_equals_match_frame_and_rematching_oracle_under_any_budget(self, scene):
+        frames, sparse, reverse = scene
+        gts = [[GtObject(PairedBox(Box(*v), Box(*t)), ignore=ign) for v, t, ign in g]
+               for _, g in frames]
+        dets = [[Detection(PairedBox(Box(*v), Box(*t)), s) for v, t, s in d] for d, _ in frames]
+        anns = [FrameAnnotations(f, tuple(g)) for f, g in enumerate(gts)]
+        listed = [f for f, d in enumerate(dets) if d or not sparse][::-1 if reverse else 1]
+        table = DetectionTable.from_frames(FrameDetections(f, tuple(dets[f])) for f in listed)
+        table_frame = [listed.index(f) if f in listed else -1 for f in range(len(frames))]
+        config = EvalConfig(iou_thresholds=self.THRESHOLDS, variants=VARIANTS, min_height=0.0)
+        runs, reports = [], []
+        for budget in self.BUDGETS:
+            with patch.object(evaluation, "_CELL_BUDGET", budget):
+                runs.append(evaluation._match_frames(anns, table, table_frame, VARIANTS,
+                                                     self.THRESHOLDS))
+                reports.append(evaluate(anns, table, config))
+        scores, n_gt, outcomes = runs[-1]
+        assert scores.tolist() == [s for d, _ in frames for *_, s in d]
+        assert n_gt == sum(not ign for _, g in frames for *_, ign in g)
+        for other_scores, other_n_gt, other in runs[:-1]:
+            assert np.array_equal(other_scores, scores) and other_n_gt == n_gt
+            for per_thresh, want in zip(other, outcomes):
+                assert all(np.array_equal(a, b) for a, b in zip(per_thresh, want))
+        starts = np.cumsum([0] + [len(d) for d in dets]).tolist()
+        for variant, per_thresh in zip(VARIANTS, outcomes):
+            for thresh, out in zip(self.THRESHOLDS, per_thresh):
+                for f in range(len(frames)):
+                    m = match_objects(dets[f], gts[f], variant, thresh)
+                    assert np.array_equal(out[starts[f]:starts[f + 1]], m.det_outcomes)
+        for report in reports:
+            for entry, want in zip(report.entries, reports[-1].entries):
+                for name in ("score_thresh", "fppi", "miss_rate", "tp", "fp", "fn"):
+                    assert np.array_equal(getattr(entry.curve, name), getattr(want.curve, name))
+                assert entry.lamr == want.lamr
+                expected = naive_curve(frames, entry.variant, entry.iou_thresh)
+                assert entry.curve.points == tuple(CurvePoint(*p) for p in expected)
+                assert entry.lamr == naive_log_average_miss_rate(expected, config.fppi_refs)
+
+    def test_chunks_close_under_the_cell_budget(self):
+        nd = np.array([1, 1, 2, 1, 1])
+        ng = np.array([1, 1, 3, 1, 2])
+        with patch.object(evaluation, "_CELL_BUDGET", 4):
+            chunks = evaluation._chunks(np.arange(5), nd, ng)
+            assert [c.tolist() for c in chunks] == [[0, 1], [2], [3, 4]]
 
 
 class TestMissRateCurve:
@@ -570,3 +658,37 @@ class TestCsvExport:
             "multimodal,0.5,0.5,0.5,0.333333333\n"
         )
         assert buf.getvalue() == expected
+
+
+class TestDistinctValueFormatting:
+    def test_csv_and_svg_equal_per_value_formatting(self):
+        """Each distinct value is formatted once; the text must still equal
+        formatting every value, with -0.0 kept apart from 0.0, values one ulp
+        apart, and values repeated within and across entries."""
+        up = float(np.nextafter(0.1, 1.0))
+        rows = [
+            [(0.9, 0.0, 1.0), (0.5, -0.0, 0.5), (0.1, 0.1, up), (-0.0, up, 0.1), (0.0, 0.1, 0.0)],
+            [(up, 0.1, -0.0), (0.1, 2.5, 0.1), (0.0, 1e-4, 0.0), (0.0, 20.0, 1.0)],
+        ]
+        entries = tuple(
+            EvalEntry(variant, thresh, MissRateCurve.from_points(
+                [CurvePoint(s, f, m, 0, 0, 0) for s, f, m in points], 1, 1), 0.5)
+            for variant, thresh, points in zip(("visible", "multimodal"), (0.5, 0.7), rows)
+        )
+        report = EvalReport(entries)
+        buf = io.StringIO()
+        write_curve_csv(report, buf)
+        assert buf.getvalue() == "variant,iou_thresh,score_thresh,fppi,miss_rate\n" + "".join(
+            f"{e.variant},{e.iou_thresh:.9g},{s:.9g},{f:.9g},{m:.9g}\n"
+            for e, points in zip(entries, rows) for s, f, m in points
+        )
+
+        def svg_x(fppi):
+            lo, hi = math.log10(1e-3), math.log10(10.0)
+            return 60 + (math.log10(min(max(fppi, 1e-3), 10.0)) - lo) / (hi - lo) * 560
+
+        polylines = re.findall(r'<polyline points="([^"]*)"', render_curve_svg(report))
+        assert polylines == [
+            " ".join(f"{svg_x(f):.2f},{20 + (1.0 - m) * 410:.2f}" for _, f, m in points)
+            for points in rows
+        ]
