@@ -17,7 +17,7 @@ Subcommands:
 
 Every command is deterministic given its arguments and seeds; outputs are
 byte-stable across runs. Exit codes: 0 success, 1 evaluation-domain error,
-2 I/O or parse error.
+2 I/O, parse or option error.
 """
 
 from __future__ import annotations
@@ -262,10 +262,7 @@ def cmd_nms(args) -> int:
     table = read_detections(args.detections)
     offsets = table.offsets.tolist()
     kept = [
-        lo + paired_nms(
-            table.t[lo:hi], table.score[lo:hi], table.class_id[lo:hi],
-            args.iou_thresh, args.max_keep,
-        )
+        lo + paired_nms(table.t[lo:hi], table.score[lo:hi], args.iou_thresh, args.max_keep)
         for lo, hi in zip(offsets, offsets[1:])
     ]
     write_detections(table.take(kept), args.out)
@@ -525,8 +522,11 @@ def _checked(convert, ok, rule: str):
 
 
 _fraction = _checked(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
+_iou_thresh = _checked(float, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
+_open_fraction = _checked(float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
 _non_negative = _checked(float, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
 _count = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_positive_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
 
 
 def _dets_path(pattern: str, dx: float) -> str:
@@ -544,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score detections against annotations")
     p_eval.add_argument("ground_truth", help="annotation JSONL file")
     p_eval.add_argument("detections", help="detection JSONL file")
-    p_eval.add_argument("--iou-thresh", type=float, nargs="+", default=[0.5, 0.7])
+    p_eval.add_argument("--iou-thresh", type=_iou_thresh, nargs="+", default=[0.5, 0.7])
     p_eval.add_argument("--variants", nargs="+", choices=VARIANTS, default=list(VARIANTS))
     p_eval.add_argument("--min-height", type=float, default=55.0)
     p_eval.add_argument("--format", choices=("table", "csv", "svg"), default="table")
@@ -554,13 +554,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("shift-sweep", help="miss rate vs thermal shift")
     p_sweep.add_argument("ground_truth")
     p_sweep.add_argument("--shift", type=float, nargs="+", default=list(DEFAULT_SHIFT_SWEEP))
-    p_sweep.add_argument("--iou-thresh", type=float, nargs="+", default=[0.5, 0.7])
+    p_sweep.add_argument("--iou-thresh", type=_iou_thresh, nargs="+", default=[0.5, 0.7])
     p_sweep.add_argument("--mock", choices=("paired", "single_box"), default="paired")
-    p_sweep.add_argument("--center-sigma", type=float, default=0.0)
-    p_sweep.add_argument("--size-sigma", type=float, default=0.0)
+    p_sweep.add_argument("--center-sigma", type=_non_negative, default=0.0)
+    p_sweep.add_argument("--size-sigma", type=_non_negative, default=0.0)
     p_sweep.add_argument("--miss-prob", type=_fraction, default=0.0)
     p_sweep.add_argument("--fp-per-frame", type=_non_negative, default=0.0)
-    p_sweep.add_argument("--score-sigma", type=float, default=0.0)
+    p_sweep.add_argument("--score-sigma", type=_non_negative, default=0.0)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument(
         "--dets-pattern",
@@ -574,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_shift_sweep)
 
     p_gen = sub.add_parser("generate", help="write a synthetic paired dataset")
-    p_gen.add_argument("--frames", type=int, required=True)
+    p_gen.add_argument("--frames", type=_count, required=True)
     p_gen.add_argument("--peds-mean", type=float, default=2.0)
     p_gen.add_argument("--height-range", type=float, nargs=2, default=[60.0, 120.0])
     p_gen.add_argument("--width", type=float, default=None, help="fixed box width")
@@ -611,9 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_assign.add_argument("--det-neg-lo", type=float, default=0.1)
     p_assign.add_argument("--det-neg-hi", type=float, default=0.5)
     p_assign.add_argument("--force-best-anchor", action="store_true")
-    p_assign.add_argument("--sample-batch", type=int, default=None,
+    p_assign.add_argument("--sample-batch", type=_positive_count, default=None,
                           help="also draw a mini-batch of this size")
-    p_assign.add_argument("--pos-fraction", type=float, default=0.5)
+    p_assign.add_argument("--pos-fraction", type=_open_fraction, default=0.5)
     p_assign.add_argument("--seed", type=int, default=0)
     p_assign.add_argument("--out", required=True)
     p_assign.set_defaults(func=cmd_assign)

@@ -26,7 +26,9 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .geometry import (
+# iou_matrix and iou_multimodal_matrix are unused here, but perfbench/spans.py
+# wraps them under this module's name
+from .geometry import (  # noqa: F401
     Box,
     PairedBox,
     boxes_to_array,
@@ -125,29 +127,26 @@ class FrameDetections:
 class DetectionTable(Sequence[FrameDetections]):
     """Scored paired detections of many frames, held as columns.
 
-    ``v`` and ``t`` are (N, 4) float64 box arrays, ``score`` (N,) float64 and
-    ``class_id`` (N,) int64; frame ``k`` has id ``frame_ids[k]`` and owns rows
+    ``v`` and ``t`` are (N, 4) float64 box arrays and ``score`` (N,) float64;
+    frame ``k`` has id ``frame_ids[k]`` and owns rows
     ``offsets[k]:offsets[k + 1]``. The table is a re-iterable sequence of
     :class:`FrameDetections`, each built from the columns when it is accessed.
     Frame ids are kept as given, duplicates included.
     """
 
-    def __init__(self, frame_ids, offsets, v, t, score, class_id=None):
+    def __init__(self, frame_ids, offsets, v, t, score):
         self.frame_ids = list(frame_ids)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.v = np.ascontiguousarray(v, dtype=np.float64)
         self.t = np.ascontiguousarray(t, dtype=np.float64)
         self.score = np.ascontiguousarray(score, dtype=np.float64)
         n = len(self.score)
-        if class_id is None:
-            class_id = np.zeros(n, dtype=np.int64)
-        self.class_id = np.ascontiguousarray(class_id, dtype=np.int64)
         if (
             self.offsets.shape != (len(self.frame_ids) + 1,)
             or self.offsets[0] != 0
             or self.offsets[-1] != n
             or np.any(np.diff(self.offsets) < 0)
-            or not len(self.v) == len(self.t) == len(self.class_id) == n
+            or not len(self.v) == len(self.t) == n
         ):
             raise ValueError("detection columns and frame offsets do not agree")
 
@@ -162,7 +161,6 @@ class DetectionTable(Sequence[FrameDetections]):
             boxes_to_array(d.pair.visible for d in dets),
             boxes_to_array(d.pair.thermal for d in dets),
             [d.score for d in dets],
-            [d.class_id for d in dets],
         )
 
     def take(self, rows: Sequence[np.ndarray]) -> "DetectionTable":
@@ -171,7 +169,7 @@ class DetectionTable(Sequence[FrameDetections]):
         index = np.concatenate([np.zeros(0, dtype=np.int64), *rows])
         return DetectionTable(
             self.frame_ids, np.cumsum([0] + [len(r) for r in rows]), self.v[index],
-            self.t[index], self.score[index], self.class_id[index],
+            self.t[index], self.score[index],
         )
 
     def __len__(self) -> int:
@@ -181,10 +179,9 @@ class DetectionTable(Sequence[FrameDetections]):
         k = range(len(self))[k]  # negative indices; IndexError ends iteration
         lo, hi = int(self.offsets[k]), int(self.offsets[k + 1])
         dets = tuple(
-            Detection(PairedBox(Box(*v), Box(*t)), s, c)
-            for v, t, s, c in zip(
-                self.v[lo:hi].tolist(), self.t[lo:hi].tolist(),
-                self.score[lo:hi].tolist(), self.class_id[lo:hi].tolist(),
+            Detection(PairedBox(Box(*v), Box(*t)), s)
+            for v, t, s in zip(
+                self.v[lo:hi].tolist(), self.t[lo:hi].tolist(), self.score[lo:hi].tolist()
             )
         )
         return FrameDetections(self.frame_ids[k], dets)
@@ -193,45 +190,32 @@ class DetectionTable(Sequence[FrameDetections]):
 def filter_reasonable(
     frames: Sequence[FrameAnnotations],
     min_height: float = 55.0,
-    height_modality: str = "thermal",
 ) -> list[FrameAnnotations]:
     """Mark objects outside the reasonable subset as ignore regions.
 
-    Objects at most ``min_height`` pixels tall (measured on the
-    ``height_modality`` box) or under heavy occlusion are flagged ignore;
-    they are kept, not dropped, so they can still absorb detections.
+    Objects at most ``min_height`` pixels tall (measured on the thermal
+    box, the reference modality) or under heavy occlusion are flagged
+    ignore; they are kept, not dropped, so they can still absorb detections.
     """
-    if height_modality not in ("visible", "thermal"):
-        raise ValueError("height_modality must be 'visible' or 'thermal'")
     out = []
     for frame in frames:
         objects = []
         for obj in frame.objects:
-            box = obj.pair.thermal if height_modality == "thermal" else obj.pair.visible
-            keep_out = obj.ignore or obj.occlusion == "heavy" or box.h <= min_height
+            keep_out = obj.ignore or obj.occlusion == "heavy" or obj.pair.thermal.h <= min_height
             objects.append(replace(obj, ignore=keep_out) if keep_out != obj.ignore else obj)
         out.append(FrameAnnotations(frame.frame_id, tuple(objects)))
     return out
 
 
-def _overlaps(dv, dt, gv, gt_, variant: str, iou=iou_elementwise,
-              ioum=iou_multimodal_elementwise) -> np.ndarray:
-    """The ``variant`` overlaps of detections and GTs under the IoU kernels
-    ``iou`` and ``ioum``: row by row by default."""
+def _overlaps(dv, dt, gv, gt_, variant: str) -> np.ndarray:
+    """The ``variant`` overlaps of detections and GTs, row by row."""
     if variant == "visible":
-        return iou(dv, gv)
+        return iou_elementwise(dv, gv)
     if variant == "thermal":
-        return iou(dt, gt_)
+        return iou_elementwise(dt, gt_)
     if variant == "multimodal":
-        return ioum(dv, dt, gv, gt_)
+        return iou_multimodal_elementwise(dv, dt, gv, gt_)
     raise ValueError(f"unknown IoU variant {variant!r}, expected one of {VARIANTS}")
-
-
-def _overlap_matrix(dv, dt, gv, gt_, variant: str) -> np.ndarray:
-    """The (N, M) overlap matrix of one frame, the input of :func:`match_frame`.
-    Its kernels evaluate the same expressions as the row-by-row ones, so each
-    cell has the bits of the matching row-by-row overlap."""
-    return _overlaps(dv, dt, gv, gt_, variant, iou_matrix, iou_multimodal_matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,18 +360,13 @@ def _curve(scores: np.ndarray, outcomes: np.ndarray, n_frames: int, n_gt: int) -
     )
 
 
-def log_average_miss_rate(
-    curve: MissRateCurve,
-    refs: Sequence[float] = DEFAULT_FPPI_REFS,
-    epsilon: float = 0.0,
-) -> float:
-    """Geometric mean of miss rates sampled at the reference FPPI values.
+def log_average_miss_rate(curve: MissRateCurve) -> float:
+    """Geometric mean of miss rates sampled at the ``DEFAULT_FPPI_REFS``.
 
     Each reference takes the miss rate of the curve point with the largest
     FPPI not exceeding it (for duplicate FPPI values the last point in curve
     order wins); references below the smallest achieved FPPI take the miss
-    rate at that smallest FPPI. Sampled rates are floored at ``epsilon``;
-    with the default floor of 0 the mean is defined as 0 whenever any
+    rate at that smallest FPPI. The mean is defined as 0 whenever any
     sampled rate is 0.
     """
     if curve.fppi.size == 0:
@@ -396,7 +375,7 @@ def log_average_miss_rate(
     xs, ys = curve.fppi[by_fppi], curve.miss_rate[by_fppi]
     last = np.append(xs[1:] != xs[:-1], True)  # the last point of each distinct FPPI
     xs, ys = xs[last].tolist(), ys[last].tolist()
-    sampled = [max(ys[max(bisect.bisect_right(xs, r) - 1, 0)], epsilon) for r in refs]
+    sampled = [ys[max(bisect.bisect_right(xs, r) - 1, 0)] for r in DEFAULT_FPPI_REFS]
     if any(s == 0.0 for s in sampled):
         return 0.0
     return float(math.exp(sum(math.log(s) for s in sampled) / len(sampled)))
@@ -409,9 +388,6 @@ class EvalConfig:
     iou_thresholds: tuple[float, ...] = (0.5, 0.7)
     variants: tuple[str, ...] = VARIANTS
     min_height: float = 55.0
-    height_modality: str = "thermal"
-    mr_epsilon: float = 0.0
-    fppi_refs: tuple[float, ...] = DEFAULT_FPPI_REFS
 
     def __post_init__(self):
         if not self.iou_thresholds or any(not 0.0 < t <= 1.0 for t in self.iou_thresholds):
@@ -577,7 +553,7 @@ def evaluate(
             "detections reference unknown frame ids: "
             + ", ".join(repr(u) for u in unknown)
         )
-    filtered = filter_reasonable(annotations, config.min_height, config.height_modality)
+    filtered = filter_reasonable(annotations, config.min_height)
     scores, n_gt, outcomes = _match_frames(
         filtered, detections, [row_of.get(f.frame_id, -1) for f in filtered],
         config.variants, config.iou_thresholds,
@@ -586,8 +562,7 @@ def evaluate(
     for variant, per_thresh in zip(config.variants, outcomes):
         for thresh, out in zip(config.iou_thresholds, per_thresh):
             curve = _curve(scores, out, len(filtered), n_gt)
-            lamr = log_average_miss_rate(curve, config.fppi_refs, config.mr_epsilon)
-            entries.append(EvalEntry(variant, thresh, curve, lamr))
+            entries.append(EvalEntry(variant, thresh, curve, log_average_miss_rate(curve)))
     return EvalReport(tuple(entries))
 
 
@@ -614,7 +589,11 @@ def _format_distinct(
     are looked up from its result.
     """
     bits = [np.ascontiguousarray(c, dtype=np.float64).view(np.int64) for c in columns]
-    distinct = np.unique(np.concatenate([np.zeros(0, np.int64), *bits]))
+    # a sort and an adjacent-difference mask, not np.unique, which hashes int64 and is slower
+    distinct = np.sort(np.concatenate([np.zeros(0, np.int64), *bits]))
+    first = np.ones(distinct.size, dtype=bool)
+    first[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[first]
     text = np.array(fmt(distinct.view(np.float64)), dtype=object)
     for b in bits:
         yield text[np.searchsorted(distinct, b)].tolist()

@@ -61,14 +61,6 @@ class Box:
             raise ValueError(f"box extents must be non-negative, got w={self.w}, h={self.h}")
 
     @property
-    def right(self) -> float:
-        return self.x + self.w
-
-    @property
-    def bottom(self) -> float:
-        return self.y + self.h
-
-    @property
     def center(self) -> tuple[float, float]:
         return self.x + 0.5 * self.w, self.y + 0.5 * self.h
 

@@ -27,42 +27,29 @@ class Detection:
 
     pair: PairedBox
     score: float
-    class_id: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be a finite value in [0, 1], got {self.score!r}")
 
 
-def paired_nms(
-    thermal,
-    scores,
-    class_ids,
-    iou_thresh: float,
-    max_keep: Optional[int] = None,
-) -> np.ndarray:
+def paired_nms(thermal, scores, iou_thresh: float, max_keep: Optional[int] = None) -> np.ndarray:
     """Greedy score-descending NMS on thermal boxes; returns the kept rows.
 
     ``thermal`` is the (N, 4) array of the detections' thermal boxes and
-    ``scores`` and ``class_ids`` their (N,) columns. A row stands for the
-    whole pair, so dropping it drops the visible partner too. Within each
-    class, rows are visited by descending score (ties broken by row index,
-    earlier wins); a row is suppressed when its thermal IoU with an
-    already-kept row strictly exceeds ``iou_thresh``. The kept row indices
-    are returned sorted by descending score (same tie rule), truncated to
-    ``max_keep`` if given.
+    ``scores`` their (N,) column. A row stands for the whole pair, so
+    dropping it drops the visible partner too. Rows are visited by
+    descending score (ties broken by row index, earlier wins); a row is
+    suppressed when its thermal IoU with an already-kept row strictly
+    exceeds ``iou_thresh``. The kept row indices are returned in visiting
+    order, truncated to ``max_keep`` if given.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"iou_thresh must lie in [0, 1], got {iou_thresh!r}")
     if max_keep is not None and max_keep < 0:
         raise ValueError("max_keep must be >= 0")
     scores = np.asarray(scores, dtype=np.float64)
-    classes = np.asarray(class_ids)
-    if not len(thermal) == len(scores) == len(classes):
-        raise ValueError("thermal boxes, scores and class ids must have equal lengths")
+    if len(thermal) != len(scores):
+        raise ValueError("thermal boxes and scores must have equal lengths")
     order = np.argsort(-scores, kind="stable")
-    keep = np.zeros(len(scores), dtype=bool)
-    for class_id in np.unique(classes):
-        in_class = order[classes[order] == class_id]
-        keep[_kernels.nms_keep(thermal, in_class, float(iou_thresh))] = True
-    return order[keep[order]][:max_keep]
+    return _kernels.nms_keep(thermal, order, float(iou_thresh))[:max_keep]

@@ -83,9 +83,6 @@ class AssignmentResult:
     def negatives(self) -> np.ndarray:
         return np.flatnonzero(self.labels == NEGATIVE)
 
-    def ignored(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == IGNORE)
-
 
 def _overlap_stats(candidates: tuple[np.ndarray, np.ndarray], gts: Sequence[PairedBox]):
     """Overlap matrix, best overlap and best GT index per candidate; with no

@@ -28,6 +28,7 @@ __all__ = [
     "ShiftSpec",
     "SceneSpec",
     "MockDetectorSpec",
+    "SCORE_FLOOR",
     "apply_shift",
     "generate_scene",
     "mock_detect",
@@ -154,6 +155,10 @@ def generate_scene(spec: SceneSpec) -> list[FrameAnnotations]:
     return frames
 
 
+# the lowest score a mock detection gets
+SCORE_FLOOR = 0.05
+
+
 @dataclass(frozen=True)
 class MockDetectorSpec:
     """Parametric stand-in for a trained detector.
@@ -163,7 +168,7 @@ class MockDetectorSpec:
     ``single_box`` mode perturbs one box around the visible ground truth and
     duplicates it into both modalities (a detector that emits a single box
     per object). Confidence follows
-    clamp(1 - perturbation / box_diagonal + noise, score_floor, 1);
+    clamp(1 - perturbation / box_diagonal + noise, SCORE_FLOOR, 1);
     false-positive boxes are Poisson per frame with uniform scores.
     """
 
@@ -172,7 +177,6 @@ class MockDetectorSpec:
     size_noise_sigma: float = 0.0
     miss_prob: float = 0.0
     fp_per_frame: float = 0.0
-    score_floor: float = 0.05
     score_noise_sigma: float = 0.0
     image_width: float = 640.0
     image_height: float = 512.0
@@ -189,8 +193,6 @@ class MockDetectorSpec:
             raise ValueError("miss_prob must lie in [0, 1]")
         if not 0 <= self.fp_per_frame < math.inf:
             raise ValueError("fp_per_frame must be a finite number >= 0")
-        if not 0.0 < self.score_floor <= 1.0:
-            raise ValueError("score_floor must lie in (0, 1]")
         if not (0 < self.image_width < math.inf and 0 < self.image_height < math.inf):
             raise ValueError("image dimensions must be finite and positive")
 
@@ -216,7 +218,7 @@ def _score(mag: float, box: Box, rng: np.random.Generator, spec: MockDetectorSpe
     raw = 1.0 - (mag / diag if diag > 0 else 0.0)
     if spec.score_noise_sigma > 0:
         raw += float(rng.normal(0.0, spec.score_noise_sigma))
-    return min(max(raw, spec.score_floor), 1.0)
+    return min(max(raw, SCORE_FLOOR), 1.0)
 
 
 def _false_positive(rng: np.random.Generator, spec: MockDetectorSpec) -> tuple[Box, float]:
@@ -224,7 +226,7 @@ def _false_positive(rng: np.random.Generator, spec: MockDetectorSpec) -> tuple[B
     w = 0.41 * h
     x = float(rng.uniform(0.0, max(spec.image_width - w, 1.0)))
     y = float(rng.uniform(0.0, max(spec.image_height - h, 1.0)))
-    score = float(rng.uniform(spec.score_floor, 1.0))
+    score = float(rng.uniform(SCORE_FLOOR, 1.0))
     return Box(x, y, w, h), score
 
 

@@ -22,7 +22,7 @@ def nms_detections(dets, iou_thresh, max_keep=None):
     themselves, in kept order."""
     keep = paired_nms(
         boxes_to_array(d.pair.thermal for d in dets), [d.score for d in dets],
-        [d.class_id for d in dets], iou_thresh, max_keep,
+        iou_thresh, max_keep,
     )
     return [dets[i] for i in keep]
 

@@ -471,10 +471,12 @@ class TestNonFiniteArguments:
     @pytest.mark.parametrize("args", [
         ["--center-sigma", "nan"], ["--score-sigma", "nan"], ["--size-sigma", "inf"],
     ])
-    def test_shift_sweep_exits_1(self, args):
-        rc, err = _run_main(["shift-sweep", str(SAMPLE), "--shift", "0", *args])
-        assert rc == 1
-        assert err.startswith("error: ") and "Traceback" not in err
+    def test_shift_sweep_exits_2(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(["shift-sweep", str(SAMPLE), "--shift", "0", *args])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {args[0]}: " in err and "Traceback" not in err
 
 
 class TestBadOptionValues:
@@ -483,18 +485,30 @@ class TestBadOptionValues:
         ("shift-sweep", "--miss-prob", "2"), ("shift-sweep", "--fp-per-frame", "-1"),
         ("shift-sweep", "--fp-per-frame", "nan"), ("shift-sweep", "--fp-per-frame", "inf"),
         ("nms", "--iou-thresh", "2"), ("nms", "--max-keep", "-1"),
+        ("evaluate", "--iou-thresh", "2"), ("evaluate", "--iou-thresh", "0"),
+        ("shift-sweep", "--iou-thresh", "0"), ("shift-sweep", "--center-sigma", "-1"),
+        ("shift-sweep", "--size-sigma", "-1"), ("shift-sweep", "--score-sigma", "-1"),
+        ("generate", "--frames", "-1"),
+        ("assign", "--sample-batch", "0"), ("assign", "--pos-fraction", "1.5"),
+        ("assign", "--pos-fraction", "0"),
     ])
     def test_exits_2_naming_the_option(self, tmp_path, capsys, command, option, value):
-        """The argument parser refuses the value, before any file is read."""
+        """The argument parser refuses the value, before any file is opened."""
         # without an rpn section and detector samples, --lambda would reach no library check
         samples = {"rpn": {"samples": []}} if value == "nan" else {"detector": {"samples": []}}
         (tmp_path / "samples.json").write_text(json.dumps(samples), encoding="utf-8")
         write_detections(DetectionTable.from_frames(four_frame_fixture()[1]),
                          tmp_path / "dets.jsonl")
+        out = str(tmp_path / "out.jsonl")
         argv = {
             "losses": ["losses", str(tmp_path / "samples.json")],
             "shift-sweep": ["shift-sweep", str(SAMPLE), "--shift", "0"],
-            "nms": ["nms", str(tmp_path / "dets.jsonl"), "--out", str(tmp_path / "kept.jsonl")],
+            "nms": ["nms", str(tmp_path / "dets.jsonl"), "--out", out],
+            # inputs that do not exist: an error about them would mean they were opened first
+            "evaluate": ["evaluate", str(tmp_path / "no_gt.jsonl"),
+                         str(tmp_path / "no_dets.jsonl")],
+            "generate": ["generate", "--out", out],
+            "assign": ["assign", str(SAMPLE), "--sample-batch", "4", "--out", out],
         }[command]
         with pytest.raises(SystemExit) as exc:
             main([*argv, option, value])
@@ -502,7 +516,7 @@ class TestBadOptionValues:
         err = capsys.readouterr().err
         assert f"error: argument {option}: {value!r}: must be " in err
         assert "Traceback" not in err
-        assert not (tmp_path / "kept.jsonl").exists()
+        assert not (tmp_path / "out.jsonl").exists()
 
 
 class TestShiftSweepCommand:

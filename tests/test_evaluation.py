@@ -14,6 +14,7 @@ from pairbox.evaluation import (
     DET_FP,
     DET_IGNORED,
     DET_TP,
+    DEFAULT_FPPI_REFS,
     CurvePoint,
     VARIANTS,
     DetectionTable,
@@ -31,9 +32,15 @@ from pairbox.evaluation import (
     match_frame,
     miss_rate_curve,
     write_curve_csv,
-    _overlap_matrix,
 )
-from pairbox.geometry import Box, PairedBox, iou, pairs_to_arrays
+from pairbox.geometry import (
+    Box,
+    PairedBox,
+    iou,
+    iou_matrix,
+    iou_multimodal_matrix,
+    pairs_to_arrays,
+)
 from pairbox.pairnms import Detection
 
 from oracles import (
@@ -59,7 +66,11 @@ def match_objects(dets, gts, variant, thresh):
     into arrays the way ``evaluate`` packs a frame."""
     dv, dt = pairs_to_arrays([d.pair for d in dets])
     gv, gt_ = pairs_to_arrays([g.pair for g in gts])
-    overlaps = _overlap_matrix(dv, dt, gv, gt_, variant)
+    overlaps = {
+        "visible": lambda: iou_matrix(dv, gv),
+        "thermal": lambda: iou_matrix(dt, gt_),
+        "multimodal": lambda: iou_multimodal_matrix(dv, dt, gv, gt_),
+    }[variant]()
     scores = np.array([d.score for d in dets], dtype=np.float64)
     evaluable = np.array([not g.ignore for g in gts], dtype=bool)
     return match_frame(scores, overlaps, evaluable, thresh)
@@ -90,10 +101,11 @@ class TestFilterReasonable:
         assert out[0].objects[0].ignore
 
     def test_height_measured_on_selected_modality(self):
-        pair = PairedBox(Box(0, 0, 20, 40), Box(0, 0, 20, 80))
-        frames = [FrameAnnotations(0, (GtObject(pair),))]
-        assert not filter_reasonable(frames)[0].objects[0].ignore  # thermal is tall
-        assert filter_reasonable(frames, height_modality="visible")[0].objects[0].ignore
+        short, tall = Box(0, 0, 20, 40), Box(0, 0, 20, 80)
+        frames = [FrameAnnotations(0, (GtObject(PairedBox(short, tall)),
+                                       GtObject(PairedBox(tall, short))))]
+        # the thermal box decides, whatever the visible box's height
+        assert [o.ignore for o in filter_reasonable(frames)[0].objects] == [False, True]
 
     def test_existing_ignore_preserved(self):
         frames = [FrameAnnotations(0, (GtObject(PairedBox.aligned(Box(0, 0, 20, 90)), ignore=True),))]
@@ -251,7 +263,7 @@ class TestCurveProperties:
                       curve.tp.tolist(), curve.fp.tolist(), curve.fn.tolist())
         assert list(columns) == expected
         assert curve.points == tuple(CurvePoint(*p) for p in expected)
-        assert entry.lamr == naive_log_average_miss_rate(expected, config.fppi_refs)
+        assert entry.lamr == naive_log_average_miss_rate(expected, DEFAULT_FPPI_REFS)
 
 
 @st.composite
@@ -324,7 +336,7 @@ class TestBatchedMatching:
                 assert entry.lamr == want.lamr
                 expected = naive_curve(frames, entry.variant, entry.iou_thresh)
                 assert entry.curve.points == tuple(CurvePoint(*p) for p in expected)
-                assert entry.lamr == naive_log_average_miss_rate(expected, config.fppi_refs)
+                assert entry.lamr == naive_log_average_miss_rate(expected, DEFAULT_FPPI_REFS)
 
     def test_chunks_close_under_the_cell_budget(self):
         nd = np.array([1, 1, 2, 1, 1])
@@ -430,11 +442,6 @@ class TestLogAverageMissRate:
     def test_fppi_beyond_all_refs_never_sampled(self):
         curve = self._curve([(0.9, 0.5, 0.4), (0.5, 2.0, 0.2)])
         assert log_average_miss_rate(curve) == pytest.approx(0.4, abs=1e-12)
-
-    def test_epsilon_floor(self):
-        curve = self._curve([(1.0, 0.0, 0.0)])
-        got = log_average_miss_rate(curve, epsilon=1e-4)
-        assert got == pytest.approx(1e-4, abs=1e-18)
 
     def test_empty_curve_raises(self):
         with pytest.raises(EvaluationError):
@@ -596,7 +603,7 @@ class TestDetectionTable:
     def _frames(self):
         pair = PairedBox(Box(1, 2, 3, 4), Box(1.5, 2, 3, 4))
         return [
-            FrameDetections("a", (Detection(pair, 0.5, class_id=2), det_at(0, 0, 1.0))),
+            FrameDetections("a", (Detection(pair, 0.5), det_at(0, 0, 1.0))),
             FrameDetections(7, ()),
             FrameDetections("a", (det_at(9, 9, 0.25),)),
         ]
@@ -610,7 +617,6 @@ class TestDetectionTable:
         assert table[-1] == frames[-1]
         assert table.frame_ids == ["a", 7, "a"]  # duplicates kept for evaluate to refuse
         assert table.offsets.tolist() == [0, 2, 2, 3]
-        assert table.class_id.tolist() == [2, 0, 0]
         with pytest.raises(IndexError):
             table[3]
 

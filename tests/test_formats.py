@@ -254,7 +254,7 @@ def detection_file(draw, single_box: bool):
 def _same_table(a, b):
     assert a.frame_ids == b.frame_ids
     assert [type(fid) for fid in a.frame_ids] == [type(fid) for fid in b.frame_ids]
-    for name in ("offsets", "v", "t", "score", "class_id"):
+    for name in ("offsets", "v", "t", "score"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape
         assert x.tobytes() == y.tobytes(), name  # float bits, so -0.0 != 0.0

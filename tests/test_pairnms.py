@@ -10,8 +10,8 @@ from oracles import naive_iou, naive_nms
 from scenes import nms_detections
 
 
-def det(v, t, score, class_id=0):
-    return Detection(PairedBox(Box(*v), Box(*t)), score, class_id)
+def det(v, t, score):
+    return Detection(PairedBox(Box(*v), Box(*t)), score)
 
 
 def random_scene(rng, n):
@@ -98,12 +98,6 @@ class TestPairedNms:
         kept = nms_detections(dets, 0.5, max_keep=2)
         assert [k.score for k in kept] == [0.5, 0.4]
 
-    def test_classes_suppressed_independently(self):
-        d1 = det((0, 0, 10, 10), (0, 0, 10, 10), 0.9, class_id=0)
-        d2 = det((0, 0, 10, 10), (0, 0, 10, 10), 0.8, class_id=1)
-        kept = nms_detections([d1, d2], iou_thresh=0.5)
-        assert kept == [d1, d2]
-
     def test_empty_input(self):
         assert nms_detections([], 0.5) == []
 
@@ -121,16 +115,16 @@ class TestPairedNms:
 class TestPairedNmsArrays:
     def test_returns_kept_row_indices_by_descending_score(self):
         thermal = np.array([[0, 0, 10, 10], [1, 0, 10, 10], [50, 0, 10, 10]], dtype=np.float64)
-        keep = paired_nms(thermal, [0.5, 0.9, 0.7], [0, 0, 0], 0.5)
+        keep = paired_nms(thermal, [0.5, 0.9, 0.7], 0.5)
         assert keep.dtype == np.int64
         assert keep.tolist() == [1, 2]
 
     def test_empty_columns(self):
-        assert paired_nms(np.zeros((0, 4)), [], [], 0.5).tolist() == []
+        assert paired_nms(np.zeros((0, 4)), [], 0.5).tolist() == []
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="equal lengths"):
-            paired_nms(np.zeros((2, 4)), [0.5], [0, 0], 0.5)
+            paired_nms(np.zeros((2, 4)), [0.5], 0.5)
 
 
 class TestPairedNmsProperties:
@@ -140,21 +134,15 @@ class TestPairedNmsProperties:
             st.tuples(
                 st.tuples(*(st.integers(0, 6),) * 2, *(st.integers(0, 4),) * 2),
                 st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
-                st.integers(0, 2),
             ),
             max_size=12,
         ),
         thresh=st.one_of(st.sampled_from([0.0, 1 / 3, 0.5, 1.0]), st.floats(0.0, 1.0)),
         max_keep=st.one_of(st.none(), st.integers(0, 8)),
     )
-    def test_equals_per_class_naive_nms(self, dets, thresh, max_keep):
+    def test_equals_naive_nms(self, dets, thresh, max_keep):
         # the visible box is a fixed offset of the thermal one: only thermal decides
-        inputs = [det((x + 40, y, w, h), (x, y, w, h), s, c) for (x, y, w, h), s, c in dets]
+        inputs = [det((x + 40, y, w, h), (x, y, w, h), s) for (x, y, w, h), s in dets]
         got = nms_detections(inputs, thresh, max_keep)
-        kept = []
-        for c in {c for _, _, c in dets}:
-            members = [i for i, d in enumerate(dets) if d[2] == c]
-            local = naive_nms([dets[i][0] for i in members], [dets[i][1] for i in members], thresh)
-            kept += [members[k] for k in local]
-        kept = sorted(kept, key=lambda i: (-dets[i][1], i))[:max_keep]
+        kept = naive_nms([box for box, _ in dets], [s for _, s in dets], thresh)[:max_keep]
         assert [id(d) for d in got] == [id(inputs[i]) for i in kept]

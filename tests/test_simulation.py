@@ -179,7 +179,6 @@ class TestMockDetect:
         assert isinstance(dets, DetectionTable)
         assert dets.frame_ids == [f.frame_id for f in frames]
         assert np.array_equal(dets.v, dets.t)  # one box in both modalities
-        assert dets.class_id.tolist() == [0] * len(dets.score)
 
     @pytest.mark.parametrize("score", [math.nan, -0.5, 1.5])
     def test_score_outside_unit_interval_refused(self, monkeypatch, score):
@@ -215,7 +214,7 @@ class TestMockDetect:
         )
         for fd in mock_detect(frames, spec):
             for d in fd.detections:
-                assert spec.score_floor <= d.score <= 1.0
+                assert simulation.SCORE_FLOOR <= d.score <= 1.0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
