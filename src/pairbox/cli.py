@@ -57,10 +57,10 @@ from .formats import (
 from .geometry import PairedBox, pairs_to_arrays
 from .pairnms import paired_nms
 from .regression import (
-    BoxOffsets,
     DetectorSample,
     LossConfig,
     RpnSample,
+    as_offsets,
     cross_entropy,
     detector_loss,
     rpn_loss,
@@ -375,12 +375,10 @@ def _built(cls, path, field: str, *args):
         raise ParseError(path, 1, f"{field}: {exc}") from None
 
 
-def _offsets_from(raw: dict, path, where: str) -> list[BoxOffsets]:
+def _offsets_from(raw: dict, path, where: str) -> list[np.ndarray]:
     """The pred_v, pred_t, target_v, target_t offsets of a foreground sample."""
     return [
-        _losses_field(
-            raw, key, lambda v: BoxOffsets.from_array(_floats(v)), path, f"{where}.{key}"
-        )
+        _losses_field(raw, key, lambda v: as_offsets(_floats(v)), path, f"{where}.{key}")
         for key in ("pred_v", "pred_t", "target_v", "target_t")
     ]
 
@@ -425,44 +423,35 @@ def _parse_detector_samples(section, path) -> tuple[list[DetectorSample], float]
     return samples, lam
 
 
-def _worst_gradient_error(cases, eps: float = 1e-5) -> float:
-    """The largest |analytic[i] - central difference of ``loss`` at ``x`` along
-    coordinate i| over the ``(loss, x, analytic)`` cases, taken in order."""
-    worst = 0.0
-    for loss, x, analytic in cases:
-        for i in range(x.size):
+def _worst_gradient_error(loss, x: np.ndarray, analytic: np.ndarray, eps: float = 1e-5) -> float:
+    """The largest |analytic - central difference of ``loss`` at ``x``| over
+    the coordinates on the last axis of ``x``; ``loss`` maps ``x`` to one
+    value per row, and each coordinate is perturbed for all rows at once."""
+    num = np.empty_like(analytic)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(x.shape[-1]):
             hi, lo = x.copy(), x.copy()
-            hi[i] += eps
-            lo[i] -= eps
-            num = (loss(hi) - loss(lo)) / (2 * eps)
-            worst = max(worst, abs(analytic[i] - num))
-    return worst
+            hi[..., i] += eps
+            lo[..., i] -= eps
+            num[..., i] = (loss(hi) - loss(lo)) / (2 * eps)
+        # fmax skips a NaN difference (an infinite loss on both sides) instead of returning it
+        return float(np.fmax.reduce(np.abs(analytic - num), axis=None, initial=0.0))
 
 
 def _gradient_check_lines(rpn_samples, det_samples) -> list[str]:
-    sl1_pairs = []
-    ce_inputs = []
-    for s in rpn_samples:
-        if s.label == 1:
-            sl1_pairs.append((s.pred_offsets_v, s.target_offsets_v))
-            sl1_pairs.append((s.pred_offsets_t, s.target_offsets_t))
-    for s in det_samples:
-        ce_inputs.append((np.asarray(s.class_scores, dtype=np.float64), s.true_class))
-        if s.is_foreground:
-            sl1_pairs.append((s.pred_offsets_v, s.target_offsets_v))
-            sl1_pairs.append((s.pred_offsets_t, s.target_offsets_t))
+    regressed = [s for s in rpn_samples if s.label == 1] + [s for s in det_samples if s.is_foreground]
+    # one (visible, thermal) pair of rows per regressed sample
+    pred = np.array([(s.pred_offsets_v, s.pred_offsets_t) for s in regressed]).reshape(-1, 4)
+    target = np.array([(s.target_offsets_v, s.target_offsets_t) for s in regressed]).reshape(-1, 4)
     # the losses are called through this module's names, which a tracer may wrap
-    sl1 = _worst_gradient_error(
-        (lambda x, target=target: smooth_l1(BoxOffsets.from_array(x), target)[0],
-         pred.as_array(), smooth_l1(pred, target)[1].as_array())
-        for pred, target in sl1_pairs
-    )
-    ce = _worst_gradient_error(
-        (lambda x, label=label: cross_entropy(x, label)[0], z, cross_entropy(z, label)[1])
-        for z, label in ce_inputs
-    )
-    return [f"grad_check smooth_l1 pairs={len(sl1_pairs)} max_abs_err={sl1:.3e}",
-            f"grad_check cross_entropy inputs={len(ce_inputs)} max_abs_err={ce:.3e}"]
+    sl1 = _worst_gradient_error(lambda x: smooth_l1(x, target)[0], pred, smooth_l1(pred, target)[1])
+    ce = 0.0
+    for s in det_samples:
+        z = np.asarray(s.class_scores, dtype=np.float64)
+        ce = max(ce, _worst_gradient_error(lambda x: cross_entropy(x, s.true_class)[0], z,
+                                           cross_entropy(z, s.true_class)[1]))
+    return [f"grad_check smooth_l1 pairs={len(pred)} max_abs_err={sl1:.3e}",
+            f"grad_check cross_entropy inputs={len(det_samples)} max_abs_err={ce:.3e}"]
 
 
 def cmd_losses(args) -> int:
@@ -525,6 +514,8 @@ _fraction = _checked(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
 _iou_thresh = _checked(float, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
 _open_fraction = _checked(float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
 _non_negative = _checked(float, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
+_positive = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+_finite = _checked(float, math.isfinite, "a finite number")
 _count = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _positive_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
 
@@ -546,14 +537,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("detections", help="detection JSONL file")
     p_eval.add_argument("--iou-thresh", type=_iou_thresh, nargs="+", default=[0.5, 0.7])
     p_eval.add_argument("--variants", nargs="+", choices=VARIANTS, default=list(VARIANTS))
-    p_eval.add_argument("--min-height", type=float, default=55.0)
+    p_eval.add_argument("--min-height", type=_non_negative, default=55.0)
     p_eval.add_argument("--format", choices=("table", "csv", "svg"), default="table")
     p_eval.add_argument("--out", default=None, help="directory for table/CSV/SVG outputs")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("shift-sweep", help="miss rate vs thermal shift")
     p_sweep.add_argument("ground_truth")
-    p_sweep.add_argument("--shift", type=float, nargs="+", default=list(DEFAULT_SHIFT_SWEEP))
+    p_sweep.add_argument("--shift", type=_finite, nargs="+", default=list(DEFAULT_SHIFT_SWEEP))
     p_sweep.add_argument("--iou-thresh", type=_iou_thresh, nargs="+", default=[0.5, 0.7])
     p_sweep.add_argument("--mock", choices=("paired", "single_box"), default="paired")
     p_sweep.add_argument("--center-sigma", type=_non_negative, default=0.0)
@@ -561,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--miss-prob", type=_fraction, default=0.0)
     p_sweep.add_argument("--fp-per-frame", type=_non_negative, default=0.0)
     p_sweep.add_argument("--score-sigma", type=_non_negative, default=0.0)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=_count, default=0)
     p_sweep.add_argument(
         "--dets-pattern",
         type=_dets_pattern,
@@ -583,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--image-size", type=float, nargs=2, default=[640.0, 512.0],
                        metavar=("WIDTH", "HEIGHT"))
     p_gen.add_argument("--margin", type=float, default=24.0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_count, default=0)
     p_gen.add_argument("--name", default="synthetic")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_generate)
@@ -601,20 +592,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_assign.add_argument("ground_truth")
     p_assign.add_argument("--anchors", default=None,
                           help="JSON file with an 'anchors' list of v/t boxes")
-    p_assign.add_argument("--grid-stride", type=float, default=16.0)
-    p_assign.add_argument("--grid-heights", type=float, nargs="+", default=[50.0, 100.0, 200.0])
-    p_assign.add_argument("--grid-aspect", type=float, default=0.41)
+    p_assign.add_argument("--grid-stride", type=_positive, default=16.0)
+    p_assign.add_argument("--grid-heights", type=_positive, nargs="+", default=[50.0, 100.0, 200.0])
+    p_assign.add_argument("--grid-aspect", type=_positive, default=0.41)
     p_assign.add_argument("--stage", choices=("rpn", "detector"), default="rpn")
-    p_assign.add_argument("--rpn-pos", type=float, default=0.63)
-    p_assign.add_argument("--rpn-neg", type=float, default=0.3)
-    p_assign.add_argument("--det-pos", type=float, default=0.5)
-    p_assign.add_argument("--det-neg-lo", type=float, default=0.1)
-    p_assign.add_argument("--det-neg-hi", type=float, default=0.5)
+    p_assign.add_argument("--rpn-pos", type=_fraction, default=0.63)
+    p_assign.add_argument("--rpn-neg", type=_fraction, default=0.3)
+    p_assign.add_argument("--det-pos", type=_fraction, default=0.5)
+    p_assign.add_argument("--det-neg-lo", type=_fraction, default=0.1)
+    p_assign.add_argument("--det-neg-hi", type=_fraction, default=0.5)
     p_assign.add_argument("--force-best-anchor", action="store_true")
     p_assign.add_argument("--sample-batch", type=_positive_count, default=None,
                           help="also draw a mini-batch of this size")
     p_assign.add_argument("--pos-fraction", type=_open_fraction, default=0.5)
-    p_assign.add_argument("--seed", type=int, default=0)
+    p_assign.add_argument("--seed", type=_count, default=0)
     p_assign.add_argument("--out", required=True)
     p_assign.set_defaults(func=cmd_assign)
 

@@ -395,6 +395,8 @@ class EvalConfig:
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown or not self.variants:
             raise ValueError(f"variants must be a non-empty subset of {VARIANTS}")
+        if not 0.0 <= self.min_height < math.inf:
+            raise ValueError(f"min_height must be a finite number >= 0, got {self.min_height!r}")
 
 
 @dataclass(frozen=True)
@@ -558,10 +560,13 @@ def evaluate(
         filtered, detections, [row_of.get(f.frame_id, -1) for f in filtered],
         config.variants, config.iou_thresholds,
     )
+    # one score order for every curve: _curve's own stable sort then keeps it as it is
+    desc = np.argsort(-scores, kind="stable")
+    scores = scores[desc]
     entries = []
     for variant, per_thresh in zip(config.variants, outcomes):
         for thresh, out in zip(config.iou_thresholds, per_thresh):
-            curve = _curve(scores, out, len(filtered), n_gt)
+            curve = _curve(scores, out[desc], len(filtered), n_gt)
             entries.append(EvalEntry(variant, thresh, curve, log_average_miss_rate(curve)))
     return EvalReport(tuple(entries))
 

@@ -1,9 +1,10 @@
 """Box-offset encoding and the two-stage detection losses with gradients.
 
-Offsets use the standard center/log-size parameterization. The proposal-stage
-loss is a normalized objectness cross-entropy plus one smooth-L1 regression
-term per modality; the detection-head loss is a softmax cross-entropy over
-classes plus the same two regression terms, gated off for background samples.
+Offsets (tx, ty, tw, th) use the standard center/log-size parameterization,
+as float64 arrays of shape ``(..., 4)``. The proposal-stage loss is a
+normalized objectness cross-entropy plus one smooth-L1 regression term per
+modality; the detection-head loss is a softmax cross-entropy over classes
+plus the same two regression terms, gated off for background samples.
 Gradients are derived by hand (no autodiff dependency) and checked against
 central finite differences in the test suite.
 """
@@ -19,11 +20,11 @@ import numpy as np
 from .geometry import Box
 
 __all__ = [
-    "BoxOffsets",
     "RpnSample",
     "DetectorSample",
     "LossConfig",
     "BACKGROUND_CLASS",
+    "as_offsets",
     "encode_box",
     "decode_box",
     "smooth_l1",
@@ -36,37 +37,20 @@ __all__ = [
 BACKGROUND_CLASS = 0
 
 
-@dataclass(frozen=True)
-class BoxOffsets:
-    """Dimensionless regression offsets (tx, ty, tw, th)."""
-
-    tx: float
-    ty: float
-    tw: float
-    th: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.tx, self.ty, self.tw, self.th)):
-            raise ValueError("box offsets must be finite")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.tx, self.ty, self.tw, self.th)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple(), dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, arr) -> "BoxOffsets":
-        if isinstance(arr, (str, bytes)):  # iterable, but its characters are no offsets
-            raise TypeError(f"expected 4 offset values, got {type(arr).__name__}")
-        vals = [float(v) for v in arr]
-        if len(vals) != 4:
-            raise ValueError(f"expected 4 offset values, got {len(vals)}")
-        return cls(*vals)
+def as_offsets(values) -> np.ndarray:
+    """Four finite regression offsets (tx, ty, tw, th) as a float64 ``(4,)`` array."""
+    if isinstance(values, (str, bytes)):  # iterable, but its characters are no offsets
+        raise TypeError(f"expected 4 offset values, got {type(values).__name__}")
+    offsets = np.array(values, dtype=np.float64)
+    if offsets.shape != (4,):
+        raise ValueError(f"expected 4 offset values, got shape {offsets.shape}")
+    if not np.isfinite(offsets).all():
+        raise ValueError("box offsets must be finite")
+    return offsets
 
 
-def encode_box(anchor: Box, target: Box) -> BoxOffsets:
-    """Offsets that move ``anchor`` onto ``target``.
+def encode_box(anchor: Box, target: Box) -> np.ndarray:
+    """Offsets (tx, ty, tw, th) that move ``anchor`` onto ``target``.
 
     tx, ty are the center shift in units of the anchor size; tw, th are log
     size ratios. Both boxes must have positive extents.
@@ -77,42 +61,38 @@ def encode_box(anchor: Box, target: Box) -> BoxOffsets:
         raise ValueError("encode_box requires a positive-extent target")
     acx, acy = anchor.center
     tcx, tcy = target.center
-    return BoxOffsets(
+    return np.array([
         (tcx - acx) / anchor.w,
         (tcy - acy) / anchor.h,
         math.log(target.w / anchor.w),
         math.log(target.h / anchor.h),
-    )
+    ])
 
 
-def decode_box(anchor: Box, offsets: BoxOffsets) -> Box:
-    """Inverse of :func:`encode_box`: apply offsets to an anchor."""
+def decode_box(anchor: Box, offsets) -> Box:
+    """Inverse of :func:`encode_box`: apply (tx, ty, tw, th) to an anchor."""
     if anchor.w <= 0 or anchor.h <= 0:
         raise ValueError("decode_box requires a positive-extent anchor")
-    cx = offsets.tx * anchor.w + (anchor.x + 0.5 * anchor.w)
-    cy = offsets.ty * anchor.h + (anchor.y + 0.5 * anchor.h)
-    w = anchor.w * math.exp(offsets.tw)
-    h = anchor.h * math.exp(offsets.th)
+    tx, ty, tw, th = as_offsets(offsets).tolist()
+    cx = tx * anchor.w + (anchor.x + 0.5 * anchor.w)
+    cy = ty * anchor.h + (anchor.y + 0.5 * anchor.h)
+    w = anchor.w * math.exp(tw)
+    h = anchor.h * math.exp(th)
     return Box(cx - 0.5 * w, cy - 0.5 * h, w, h)
 
 
-def smooth_l1(pred: BoxOffsets, target: BoxOffsets) -> tuple[float, BoxOffsets]:
-    """Smooth-L1 loss summed over the four offsets, with d(loss)/d(pred).
+def smooth_l1(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth-L1 loss of each ``(..., 4)`` offset row, with d(loss)/d(pred).
 
     Per coordinate: 0.5*x^2 for |x| < 1, |x| - 0.5 otherwise, with
-    x = pred - target.
+    x = pred - target; a row's loss is summed left to right.
     """
-    loss = 0.0
-    grad = []
-    for p, t in zip(pred.as_tuple(), target.as_tuple()):
-        x = p - t
-        if abs(x) < 1.0:
-            loss += 0.5 * x * x
-            grad.append(x)
-        else:
-            loss += abs(x) - 0.5
-            grad.append(math.copysign(1.0, x))
-    return loss, BoxOffsets(*grad)
+    with np.errstate(over="ignore"):  # far-apart finite offsets give an infinite loss
+        x = np.subtract(pred, target, dtype=np.float64)
+        inner = np.abs(x) < 1.0
+        per = np.where(inner, 0.5 * x * x, np.abs(x) - 0.5)
+        loss = per[..., 0] + per[..., 1] + per[..., 2] + per[..., 3]
+    return loss, np.where(inner, x, np.copysign(1.0, x))
 
 
 def cross_entropy(logits: Sequence[float] | np.ndarray, label: int) -> tuple[float, np.ndarray]:
@@ -148,37 +128,39 @@ def _objectness_cross_entropy(logit: float, label: int) -> float:
     return math.log1p(math.exp(x))
 
 
+_OFFSET_FIELDS = ("pred_offsets_v", "pred_offsets_t", "target_offsets_v", "target_offsets_t")
+
+
 def _check_offsets(sample, regressed: bool, kind: str, other: str) -> None:
-    """A ``kind`` sample (``regressed``) must carry all four offsets; an
-    ``other`` sample must carry no regression targets."""
+    """Store each given offsets field through :func:`as_offsets`. A ``kind``
+    sample (``regressed``) must carry all four offsets; an ``other`` sample
+    must carry no regression targets."""
+    for name in _OFFSET_FIELDS:
+        if getattr(sample, name) is not None:
+            object.__setattr__(sample, name, as_offsets(getattr(sample, name)))
     if regressed:
-        missing = [
-            name
-            for name in ("pred_offsets_v", "pred_offsets_t",
-                         "target_offsets_v", "target_offsets_t")
-            if getattr(sample, name) is None
-        ]
+        missing = [name for name in _OFFSET_FIELDS if getattr(sample, name) is None]
         if missing:
             raise ValueError(f"{kind} sample missing offsets: {', '.join(missing)}")
     elif sample.target_offsets_v is not None or sample.target_offsets_t is not None:
         raise ValueError(f"{other} samples must not carry regression targets")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RpnSample:
     """One anchor-pair sample for the proposal-stage loss.
 
     ``label`` is 1 (positive) or 0 (negative). Positive samples must carry
-    predicted and target offsets for both modalities; negative samples carry
-    no targets.
+    predicted and target offsets for both modalities, each stored as a
+    ``(4,)`` array by :func:`as_offsets`; negative samples carry no targets.
     """
 
     objectness_logit: float
     label: int
-    pred_offsets_v: Optional[BoxOffsets] = None
-    pred_offsets_t: Optional[BoxOffsets] = None
-    target_offsets_v: Optional[BoxOffsets] = None
-    target_offsets_t: Optional[BoxOffsets] = None
+    pred_offsets_v: Optional[np.ndarray] = None
+    pred_offsets_t: Optional[np.ndarray] = None
+    target_offsets_v: Optional[np.ndarray] = None
+    target_offsets_t: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.label not in (0, 1):
@@ -188,7 +170,7 @@ class RpnSample:
         _check_offsets(self, self.label == 1, "positive", "negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectorSample:
     """One RoI-pair sample for the detection-head loss.
 
@@ -199,10 +181,10 @@ class DetectorSample:
 
     class_scores: tuple[float, ...]
     true_class: int
-    pred_offsets_v: Optional[BoxOffsets] = None
-    pred_offsets_t: Optional[BoxOffsets] = None
-    target_offsets_v: Optional[BoxOffsets] = None
-    target_offsets_t: Optional[BoxOffsets] = None
+    pred_offsets_v: Optional[np.ndarray] = None
+    pred_offsets_t: Optional[np.ndarray] = None
+    target_offsets_v: Optional[np.ndarray] = None
+    target_offsets_t: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if len(self.class_scores) == 0:
@@ -254,8 +236,8 @@ def rpn_loss(samples: Sequence[RpnSample], cfg: LossConfig) -> float:
     for s in samples:
         cls_sum += _objectness_cross_entropy(s.objectness_logit, s.label)
         if s.label == 1:
-            reg_v += smooth_l1(s.pred_offsets_v, s.target_offsets_v)[0]
-            reg_t += smooth_l1(s.pred_offsets_t, s.target_offsets_t)[0]
+            reg_v += float(smooth_l1(s.pred_offsets_v, s.target_offsets_v)[0])
+            reg_t += float(smooth_l1(s.pred_offsets_t, s.target_offsets_t)[0])
     return cls_sum / cfg.n_cls + cfg.lam * ((reg_v + reg_t) / cfg.n_reg)
 
 
@@ -270,6 +252,6 @@ def detector_loss(sample: DetectorSample, lam: float = 1.0) -> float:
     cls_loss, _ = cross_entropy(sample.class_scores, sample.true_class)
     if not sample.is_foreground:
         return cls_loss
-    loc_v = smooth_l1(sample.pred_offsets_v, sample.target_offsets_v)[0]
-    loc_t = smooth_l1(sample.pred_offsets_t, sample.target_offsets_t)[0]
+    loc_v = float(smooth_l1(sample.pred_offsets_v, sample.target_offsets_v)[0])
+    loc_t = float(smooth_l1(sample.pred_offsets_t, sample.target_offsets_t)[0])
     return cls_loss + lam * (loc_v + loc_t)

@@ -3,7 +3,8 @@
 Everything here is deliberately written against different primitives than
 the code under test: pixel counting on boolean grids instead of closed-form
 areas, an O(n^2) pure-python NMS, central finite differences instead of
-analytic gradients, per-threshold re-matching instead of the one-pass
+analytic gradients, a per-coordinate Python-float smooth-L1 instead of
+the array one, per-threshold re-matching instead of the one-pass
 score sweep, a scalar triple loop instead of the broadcast anchor grid, and
 a field-by-field parse into detection objects instead of the column reader.
 """
@@ -247,6 +248,23 @@ def naive_anchor_grid(image_width, image_height, stride, heights, aspect):
                 w = aspect * h
                 boxes.append((cx - 0.5 * w, cy - 0.5 * h, w, h))
     return boxes
+
+
+def naive_smooth_l1(pred, target) -> tuple[float, tuple[float, ...]]:
+    """Smooth-L1 loss summed over four offsets, with d(loss)/d(pred), one
+    Python float per coordinate: 0.5*x^2 for |x| < 1, |x| - 0.5 otherwise,
+    with x = pred - target."""
+    loss = 0.0
+    grad = []
+    for p, t in zip(pred, target):
+        x = p - t
+        if abs(x) < 1.0:
+            loss += 0.5 * x * x
+            grad.append(x)
+        else:
+            loss += abs(x) - 0.5
+            grad.append(math.copysign(1.0, x))
+    return loss, tuple(grad)
 
 
 def central_difference(f, x, eps: float = 1e-5) -> np.ndarray:

@@ -35,7 +35,6 @@ from pairbox.geometry import (
 )
 from pairbox.pairnms import Detection
 from pairbox.regression import (
-    BoxOffsets,
     DetectorSample,
     LossConfig,
     RpnSample,
@@ -145,16 +144,14 @@ def test_criterion_3_gradient_checks():
         rng = np.random.default_rng(2026)
         eps = 1e-5
 
-        target = BoxOffsets(0.15, -0.4, 0.1, 0.05)
+        target = np.array([0.15, -0.4, 0.1, 0.05])
         checked = 0
         while checked < 1_000:
             x = rng.uniform(-3, 3, size=4)
-            if np.any(np.abs(np.abs(x - target.as_array()) - 1.0) < 1e-3):
+            if np.any(np.abs(np.abs(x - target) - 1.0) < 1e-3):
                 continue  # keep the FD stencil away from the regime switch
-            analytic = smooth_l1(BoxOffsets(*x), target)[1].as_array()
-            numeric = central_difference(
-                lambda v: smooth_l1(BoxOffsets(*v), target)[0], x, eps
-            )
+            analytic = smooth_l1(x, target)[1]
+            numeric = central_difference(lambda v: smooth_l1(v, target)[0], x, eps)
             assert np.max(np.abs(analytic - numeric)) < 1e-6
             checked += 1
 
@@ -192,10 +189,10 @@ def test_criterion_4_loss_structure():
             RpnSample(
                 objectness_logit=0.4,
                 label=1,
-                pred_offsets_v=BoxOffsets(0.7, 0, 0, 0),
-                pred_offsets_t=BoxOffsets(0, -1.8, 0, 0.2),
-                target_offsets_v=BoxOffsets(0, 0, 0, 0),
-                target_offsets_t=BoxOffsets(0, 0, 0, 0),
+                pred_offsets_v=np.array([0.7, 0, 0, 0]),
+                pred_offsets_t=np.array([0, -1.8, 0, 0.2]),
+                target_offsets_v=np.zeros(4),
+                target_offsets_t=np.zeros(4),
             )
         ]
         losses = {
@@ -209,10 +206,10 @@ def test_criterion_4_loss_structure():
         sample = DetectorSample(
             class_scores=(0.0, 0.0),
             true_class=1,
-            pred_offsets_v=BoxOffsets(0.5, 0, 0, 0),
-            pred_offsets_t=BoxOffsets(0, 0, 0, 0),
-            target_offsets_v=BoxOffsets(0, 0, 0, 0),
-            target_offsets_t=BoxOffsets(0, 0, 0, 0),
+            pred_offsets_v=np.array([0.5, 0, 0, 0]),
+            pred_offsets_t=np.zeros(4),
+            target_offsets_v=np.zeros(4),
+            target_offsets_t=np.zeros(4),
         )
         assert abs(detector_loss(sample, lam=1.0) - (math.log(2.0) + 0.125)) < 1e-12
 

@@ -597,6 +597,10 @@ class TestEvaluate:
             EvalConfig(iou_thresholds=(0.0,))
         with pytest.raises(ValueError):
             EvalConfig(variants=("multispectral",))
+        for bad in (math.nan, -1.0, math.inf):
+            with pytest.raises(ValueError, match="min_height"):
+                EvalConfig(min_height=bad)
+        assert EvalConfig(min_height=0).min_height == 0
 
 
 class TestDetectionTable:

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairbox.geometry import Box
 from pairbox.regression import (
-    BoxOffsets,
     DetectorSample,
     LossConfig,
     RpnSample,
+    as_offsets,
     cross_entropy,
     decode_box,
     detector_loss,
@@ -17,7 +19,7 @@ from pairbox.regression import (
     smooth_l1,
 )
 
-from oracles import central_difference
+from oracles import central_difference, naive_smooth_l1
 
 
 def random_positive_box(rng, span=200.0):
@@ -32,24 +34,25 @@ def random_positive_box(rng, span=200.0):
 class TestEncodeDecode:
     def test_identity(self):
         b = Box(0, 0, 10, 10)
-        assert encode_box(b, b) == BoxOffsets(0, 0, 0, 0)
+        assert encode_box(b, b).tolist() == [0, 0, 0, 0]
 
     def test_center_shift(self):
         got = encode_box(Box(0, 0, 10, 10), Box(5, 0, 10, 10))
-        assert got == BoxOffsets(0.5, 0, 0, 0)
+        assert got.tolist() == [0.5, 0, 0, 0]
 
     def test_width_doubling(self):
         got = encode_box(Box(0, 0, 10, 10), Box(0, 0, 20, 10))
-        assert got.tx == pytest.approx(0.5)
-        assert got.ty == 0.0
-        assert got.tw == pytest.approx(math.log(2.0))
-        assert got.th == 0.0
+        tx, ty, tw, th = got.tolist()
+        assert tx == pytest.approx(0.5)
+        assert ty == 0.0
+        assert tw == pytest.approx(math.log(2.0))
+        assert th == 0.0
 
     def test_decode_identity(self):
-        assert decode_box(Box(0, 0, 10, 10), BoxOffsets(0, 0, 0, 0)) == Box(0, 0, 10, 10)
+        assert decode_box(Box(0, 0, 10, 10), np.zeros(4)) == Box(0, 0, 10, 10)
 
     def test_decode_inverse_of_encode_example(self):
-        got = decode_box(Box(0, 0, 10, 10), BoxOffsets(0.5, 0, 0, 0))
+        got = decode_box(Box(0, 0, 10, 10), np.array([0.5, 0, 0, 0]))
         assert got.as_tuple() == pytest.approx((5, 0, 10, 10))
 
     def test_round_trip_random(self):
@@ -71,52 +74,84 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             encode_box(Box(0, 0, 10, 10), Box(0, 0, 10, 0))
         with pytest.raises(ValueError):
-            decode_box(Box(0, 0, 0, 10), BoxOffsets(0, 0, 0, 0))
+            decode_box(Box(0, 0, 0, 10), np.zeros(4))
 
     def test_non_finite_offsets_rejected(self):
         with pytest.raises(ValueError):
-            BoxOffsets(float("inf"), 0, 0, 0)
+            as_offsets([float("inf"), 0, 0, 0])
 
     def test_string_is_not_an_offset_array(self):
         with pytest.raises(TypeError):
-            BoxOffsets.from_array("0000")
+            as_offsets("0000")
+
+    @pytest.mark.parametrize("values", [[0, 0, 0], [[0, 0, 0, 0]], 0.0])
+    def test_offsets_need_shape_4(self, values):
+        with pytest.raises(ValueError):
+            as_offsets(values)
 
 
 class TestSmoothL1:
     def test_zero_at_target(self):
-        loss, grad = smooth_l1(BoxOffsets(1, 2, 3, 4), BoxOffsets(1, 2, 3, 4))
+        loss, grad = smooth_l1(np.array([1.0, 2, 3, 4]), np.array([1.0, 2, 3, 4]))
         assert loss == 0.0
-        assert grad == BoxOffsets(0, 0, 0, 0)
+        assert grad.tolist() == [0, 0, 0, 0]
 
     def test_quadratic_regime(self):
-        loss, grad = smooth_l1(BoxOffsets(0.5, 0, 0, 0), BoxOffsets(0, 0, 0, 0))
+        loss, grad = smooth_l1(np.array([0.5, 0, 0, 0]), np.zeros(4))
         assert loss == pytest.approx(0.125, abs=1e-15)
-        assert grad.tx == pytest.approx(0.5)
+        assert grad[0] == pytest.approx(0.5)
 
     def test_linear_regime(self):
-        loss, grad = smooth_l1(BoxOffsets(2, 0, 0, 0), BoxOffsets(0, 0, 0, 0))
+        loss, grad = smooth_l1(np.array([2.0, 0, 0, 0]), np.zeros(4))
         assert loss == pytest.approx(1.5, abs=1e-15)
-        assert grad.tx == 1.0
+        assert grad[0] == 1.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(37)
-        target = BoxOffsets(0.1, -0.2, 0.05, 0.3)
+        target = np.array([0.1, -0.2, 0.05, 0.3])
 
         def f(x):
-            return smooth_l1(BoxOffsets(*x), target)[0]
+            return smooth_l1(x, target)[0]
 
         checked = 0
         while checked < 300:
             x = rng.uniform(-3, 3, size=4)
             # the finite-difference stencil is inaccurate where the loss
             # switches regimes, so keep samples away from |diff| == 1
-            diffs = x - target.as_array()
+            diffs = x - target
             if np.any(np.abs(np.abs(diffs) - 1.0) < 1e-3):
                 continue
-            analytic = smooth_l1(BoxOffsets(*x), target)[1].as_array()
+            analytic = smooth_l1(x, target)[1]
             numeric = central_difference(f, x)
             assert np.max(np.abs(analytic - numeric)) < 1e-6
             checked += 1
+
+
+_ONE_BELOW, _ONE_ABOVE = float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0))
+# with a zero target these put pred - target at the kink |x| = 1, one ulp either side, or at +-0.0
+_KINK_VALUES = st.sampled_from(
+    [1.0, -1.0, _ONE_BELOW, -_ONE_BELOW, _ONE_ABOVE, -_ONE_ABOVE, 0.0, -0.0, 1.5, 0.5]
+)
+_OFFSET_VALUES = st.one_of(
+    _KINK_VALUES, st.floats(-3, 3), st.floats(allow_nan=False, allow_infinity=False)
+)
+_OFFSET_ROWS = st.lists(st.tuples(*[_OFFSET_VALUES] * 4), min_size=1, max_size=12)
+
+
+class TestSmoothL1Batch:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_rows_equal_the_scalar_form_bit_for_bit(self, data):
+        pred = data.draw(_OFFSET_ROWS)
+        target = data.draw(st.lists(st.tuples(*[_OFFSET_VALUES] * 4),
+                                    min_size=len(pred), max_size=len(pred)))
+        loss, grad = smooth_l1(np.array(pred), np.array(target))
+        assert loss.shape == (len(pred),) and grad.shape == (len(pred), 4)
+        want = [naive_smooth_l1(p, t) for p, t in zip(pred, target)]
+        want_loss = np.array([w[0] for w in want])
+        want_grad = np.array([w[1] for w in want])
+        assert loss.view(np.int64).tolist() == want_loss.view(np.int64).tolist()
+        assert grad.view(np.int64).tolist() == want_grad.view(np.int64).tolist()
 
 
 class TestCrossEntropy:
@@ -161,10 +196,10 @@ def _positive_sample(logit=2.0, pred_v=(0.2, 0, 0, 0), pred_t=(0, 0.4, 0, 0),
     return RpnSample(
         objectness_logit=logit,
         label=1,
-        pred_offsets_v=BoxOffsets(*pred_v),
-        pred_offsets_t=BoxOffsets(*pred_t),
-        target_offsets_v=BoxOffsets(*tgt_v),
-        target_offsets_t=BoxOffsets(*tgt_t),
+        pred_offsets_v=np.array(pred_v, dtype=float),
+        pred_offsets_t=np.array(pred_t, dtype=float),
+        target_offsets_v=np.array(tgt_v, dtype=float),
+        target_offsets_t=np.array(tgt_t, dtype=float),
     )
 
 
@@ -204,9 +239,9 @@ class TestRpnLoss:
             return -math.log(p) if lab == 1 else -math.log(1.0 - p)
 
         cls_term = sum(bce(s.objectness_logit, s.label) for s in samples) / cfg.n_cls
-        reg_v = sum(sl1(s.pred_offsets_v.as_tuple(), s.target_offsets_v.as_tuple())
+        reg_v = sum(sl1(s.pred_offsets_v.tolist(), s.target_offsets_v.tolist())
                     for s in samples if s.label == 1)
-        reg_t = sum(sl1(s.pred_offsets_t.as_tuple(), s.target_offsets_t.as_tuple())
+        reg_t = sum(sl1(s.pred_offsets_t.tolist(), s.target_offsets_t.tolist())
                     for s in samples if s.label == 1)
         expected = cls_term + cfg.lam * (reg_v + reg_t) / cfg.n_reg
         assert rpn_loss(samples, cfg) == pytest.approx(expected, abs=1e-12)
@@ -234,13 +269,22 @@ class TestRpnLoss:
         visible_only = rpn_loss([s_aligned_t], cfg)
         assert total == pytest.approx(visible_only + thermal_term, abs=1e-12)
 
+    def test_offsets_stored_as_arrays(self):
+        s = _positive_sample(pred_v=(1, 2, 3, 4))
+        assert s.pred_offsets_v.dtype == np.float64
+        assert s.pred_offsets_v.tolist() == [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(ValueError):
+            _positive_sample(pred_t=(0, 0, 0))
+        with pytest.raises(ValueError):
+            _positive_sample(tgt_v=(0, math.nan, 0, 0))
+
     def test_positive_without_targets_rejected(self):
         with pytest.raises(ValueError):
-            RpnSample(objectness_logit=0.0, label=1, pred_offsets_v=BoxOffsets(0, 0, 0, 0))
+            RpnSample(objectness_logit=0.0, label=1, pred_offsets_v=np.zeros(4))
 
     def test_negative_with_targets_rejected(self):
         with pytest.raises(ValueError):
-            RpnSample(objectness_logit=0.0, label=0, target_offsets_v=BoxOffsets(0, 0, 0, 0))
+            RpnSample(objectness_logit=0.0, label=0, target_offsets_v=np.zeros(4))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -262,10 +306,10 @@ class TestDetectorLoss:
         s = DetectorSample(
             class_scores=(0.0, 1000.0),
             true_class=1,
-            pred_offsets_v=BoxOffsets(0, 0, 0, 0),
-            pred_offsets_t=BoxOffsets(0, 0, 0, 0),
-            target_offsets_v=BoxOffsets(0, 0, 0, 0),
-            target_offsets_t=BoxOffsets(0, 0, 0, 0),
+            pred_offsets_v=np.zeros(4),
+            pred_offsets_t=np.zeros(4),
+            target_offsets_v=np.zeros(4),
+            target_offsets_t=np.zeros(4),
         )
         assert detector_loss(s) == pytest.approx(0.0, abs=1e-12)
 
@@ -273,10 +317,10 @@ class TestDetectorLoss:
         s = DetectorSample(
             class_scores=(0.0, 0.0),
             true_class=1,
-            pred_offsets_v=BoxOffsets(0.5, 0, 0, 0),
-            pred_offsets_t=BoxOffsets(0, 0, 0, 0),
-            target_offsets_v=BoxOffsets(0, 0, 0, 0),
-            target_offsets_t=BoxOffsets(0, 0, 0, 0),
+            pred_offsets_v=np.array([0.5, 0, 0, 0]),
+            pred_offsets_t=np.zeros(4),
+            target_offsets_v=np.zeros(4),
+            target_offsets_t=np.zeros(4),
         )
         assert detector_loss(s, lam=1.0) == pytest.approx(math.log(2.0) + 0.125, abs=1e-12)
 
@@ -310,10 +354,10 @@ class TestDetectorLoss:
             det = DetectorSample(
                 class_scores=tuple(rng.normal(0, 4, size=3)),
                 true_class=1,
-                pred_offsets_v=BoxOffsets(*rng.normal(0, 2, size=4)),
-                pred_offsets_t=BoxOffsets(*rng.normal(0, 2, size=4)),
-                target_offsets_v=BoxOffsets(*rng.normal(0, 2, size=4)),
-                target_offsets_t=BoxOffsets(*rng.normal(0, 2, size=4)),
+                pred_offsets_v=rng.normal(0, 2, size=4),
+                pred_offsets_t=rng.normal(0, 2, size=4),
+                target_offsets_v=rng.normal(0, 2, size=4),
+                target_offsets_t=rng.normal(0, 2, size=4),
             )
             dloss = detector_loss(det, lam=float(rng.uniform(0, 3)))
             assert math.isfinite(dloss) and dloss >= 0.0
