@@ -8,6 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
+# rows x columns that one overlap pass holds at most: an NMS block's IoU
+# rows here, and evaluate's padded (frame, detection, GT) cells
+CELL_BUDGET = 1 << 17
+# the most ranks one NMS block holds
+_BLOCK_ROWS = 64
+
 
 def _as_boxes(arr) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=np.float64)
@@ -69,31 +75,31 @@ def nms_keep(boxes, order, thresh: float) -> np.ndarray:
     A box is suppressed when its IoU with an already-kept box is strictly
     greater than ``thresh``. The caller fixes the tie rule by choosing
     ``order``.
+
+    The ranks are taken in blocks of at most ``_BLOCK_ROWS``, sized so that
+    a block's rows times the ranks from its start stay within
+    ``CELL_BUDGET`` (a block holds one row when even that is over). A block
+    computes the IoU of its rows not yet removed against every rank from
+    its start in one pass, then walks those rows in order: each row still
+    not removed is kept and removes the ranks it overlaps by more than
+    ``thresh``. The IoU is symmetric and made of the same operations for
+    every pair, so the keeps are those of the one-box-at-a-time walk.
     """
     boxes = _as_boxes(boxes)
     order = np.ascontiguousarray(order, dtype=np.int64)
-    x1 = boxes[:, 0]
-    y1 = boxes[:, 1]
-    x2 = x1 + boxes[:, 2]
-    y2 = y1 + boxes[:, 3]
-    areas = boxes[:, 2] * boxes[:, 3]
-    suppressed = np.zeros(boxes.shape[0], dtype=bool)
+    ranked = boxes[order]
+    n = ranked.shape[0]
+    removed = np.zeros(n, dtype=bool)
     keep = []
-    for k in range(order.shape[0]):
-        i = order[k]
-        if suppressed[i]:
-            continue
-        keep.append(i)
-        rest = order[k + 1:]
-        rest = rest[~suppressed[rest]]
-        if rest.size == 0:
-            continue
-        iw = np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest])
-        ih = np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest])
-        inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-        union = areas[i] + areas[rest] - inter
-        ov = np.zeros_like(inter)
-        mask = union > 0.0
-        ov[mask] = inter[mask] / union[mask]
-        suppressed[rest[ov > thresh]] = True
-    return np.asarray(keep, dtype=np.int64)
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, min(_BLOCK_ROWS, CELL_BUDGET // (n - start))))
+        rows = start + np.flatnonzero(~removed[start:stop])
+        if rows.size:
+            over = _ratio(*_inter_union(ranked[rows, None], ranked[None, start:])) > thresh
+            for r, row in zip(rows.tolist(), over):
+                if not removed[r]:
+                    keep.append(r)
+                    removed[start:] |= row  # ranks before r are decided already
+        start = stop
+    return order[np.asarray(keep, dtype=np.int64)]

@@ -60,7 +60,6 @@ from .regression import (
     DetectorSample,
     LossConfig,
     RpnSample,
-    as_offsets,
     cross_entropy,
     detector_loss,
     rpn_loss,
@@ -309,20 +308,29 @@ def cmd_assign(args) -> int:
         for frame in dataset.frames:
             gts = [obj.pair for obj in frame.objects if not obj.ignore]
             result = assign(anchors, gts, cfg)
-            record = {
-                "frame": frame.frame_id,
-                "labels": result.labels.tolist(),
-                "matched_gt": result.matched_gt.tolist(),
-                "max_ioum": result.max_ioum.tolist(),
-            }
+            # the bytes json.dumps(record, separators=(",", ":")) writes, each
+            # distinct value formatted once
+            labels, matched = _format_distinct([result.labels, result.matched_gt], _int_text)
+            (ioum,) = _format_distinct([result.max_ioum], _float_repr)
+            line = (f'{{"frame":{json.dumps(frame.frame_id)},"labels":[{",".join(labels)}],'
+                    f'"matched_gt":[{",".join(matched)}],"max_ioum":[{",".join(ioum)}]')
             if args.sample_batch is not None:
                 selected = sample_minibatch(
                     result, args.sample_batch, args.pos_fraction,
                     np.random.default_rng(args.seed),
                 )
-                record["selected"] = sorted(int(i) for i in selected)
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+                line += f',"selected":[{",".join(str(i) for i in sorted(selected.tolist()))}]'
+            fh.write(line + "}\n")
     return 0
+
+
+def _int_text(values: np.ndarray) -> list[str]:
+    return [str(int(v)) for v in values.tolist()]
+
+
+def _float_repr(values: np.ndarray) -> list[str]:
+    """json's form of finite floats; overlaps of boxes within ±1e100 are finite."""
+    return list(map(float.__repr__, values.tolist()))
 
 
 def _losses_field(raw: dict, key: str, convert, path, field: str, default=None):
@@ -375,10 +383,18 @@ def _built(cls, path, field: str, *args):
         raise ParseError(path, 1, f"{field}: {exc}") from None
 
 
-def _offsets_from(raw: dict, path, where: str) -> list[np.ndarray]:
-    """The pred_v, pred_t, target_v, target_t offsets of a foreground sample."""
+def _four_floats(value) -> tuple[float, ...]:
+    values = _floats(value)
+    if len(values) != 4:
+        raise ValueError(f"expected 4 offset values, got shape ({len(values)},)")
+    return values
+
+
+def _offsets_from(raw: dict, path, where: str) -> list[tuple[float, ...]]:
+    """The pred_v, pred_t, target_v, target_t offsets of a foreground sample,
+    as four finite numbers each; the sample stores them through as_offsets."""
     return [
-        _losses_field(raw, key, lambda v: as_offsets(_floats(v)), path, f"{where}.{key}")
+        _losses_field(raw, key, _four_floats, path, f"{where}.{key}")
         for key in ("pred_v", "pred_t", "target_v", "target_t")
     ]
 

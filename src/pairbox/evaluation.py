@@ -26,6 +26,9 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
+# padded (frame, detection, GT) cells that evaluate matches at once; a frame
+# with more cells than this is matched alone
+from ._kernels._python import CELL_BUDGET as _CELL_BUDGET
 # iou_matrix and iou_multimodal_matrix are unused here, but perfbench/spans.py
 # wraps them under this module's name
 from .geometry import (  # noqa: F401
@@ -77,10 +80,6 @@ DET_IGNORED = -1
 
 # nine reference FPPI values, quarter-decade steps over [1e-2, 1e0]
 DEFAULT_FPPI_REFS = tuple(10.0 ** (-2.0 + 0.25 * k) for k in range(9))
-
-# padded (frame, detection, GT) cells that evaluate matches at once; a frame
-# with more cells than this is matched alone
-_CELL_BUDGET = 1 << 17
 
 
 class EvaluationError(ValueError):

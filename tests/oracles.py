@@ -3,7 +3,8 @@
 Everything here is deliberately written against different primitives than
 the code under test: pixel counting on boolean grids instead of closed-form
 areas, an O(n^2) pure-python NMS, central finite differences instead of
-analytic gradients, a per-coordinate Python-float smooth-L1 instead of
+analytic gradients, a one-box-at-a-time NMS walk instead of the blocked
+suppression rows, a per-coordinate Python-float smooth-L1 instead of
 the array one, per-threshold re-matching instead of the one-pass
 score sweep, a scalar triple loop instead of the broadcast anchor grid, and
 a field-by-field parse into detection objects instead of the column reader.
@@ -16,6 +17,7 @@ import math
 
 import numpy as np
 
+from pairbox._kernels._python import _as_boxes
 from pairbox.evaluation import FrameDetections
 from pairbox.formats import (
     FrameId,
@@ -95,6 +97,43 @@ def naive_nms(boxes, scores, thresh):
         if all(naive_iou(boxes[i], boxes[k]) <= thresh for k in kept):
             kept.append(i)
     return kept
+
+
+def walk_nms_keep(boxes, order, thresh: float) -> np.ndarray:
+    """Greedy NMS walking ``order`` one kept box at a time, in numpy.
+
+    Each kept box computes its IoU against the later ranks not yet
+    suppressed and suppresses those strictly over ``thresh``. Returns kept
+    indices in visit order. This was the library's kernel before the
+    blocked form; it referees that form bit for bit.
+    """
+    boxes = _as_boxes(boxes)
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    x1 = boxes[:, 0]
+    y1 = boxes[:, 1]
+    x2 = x1 + boxes[:, 2]
+    y2 = y1 + boxes[:, 3]
+    areas = boxes[:, 2] * boxes[:, 3]
+    suppressed = np.zeros(boxes.shape[0], dtype=bool)
+    keep = []
+    for k in range(order.shape[0]):
+        i = order[k]
+        if suppressed[i]:
+            continue
+        keep.append(i)
+        rest = order[k + 1:]
+        rest = rest[~suppressed[rest]]
+        if rest.size == 0:
+            continue
+        iw = np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest])
+        ih = np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest])
+        inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+        union = areas[i] + areas[rest] - inter
+        ov = np.zeros_like(inter)
+        mask = union > 0.0
+        ov[mask] = inter[mask] / union[mask]
+        suppressed[rest[ov > thresh]] = True
+    return np.asarray(keep, dtype=np.int64)
 
 
 def naive_read_detections(path) -> list[FrameDetections]:

@@ -1,12 +1,15 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairbox._kernels import _python
 from pairbox.geometry import Box, PairedBox
 from pairbox.pairnms import Detection, paired_nms
 
-from oracles import naive_iou, naive_nms
+from oracles import naive_iou, naive_nms, walk_nms_keep
 from scenes import nms_detections
 
 
@@ -146,3 +149,54 @@ class TestPairedNmsProperties:
         got = nms_detections(inputs, thresh, max_keep)
         kept = naive_nms([box for box, _ in dets], [s for _, s in dets], thresh)[:max_keep]
         assert [id(d) for d in got] == [id(inputs[i]) for i in kept]
+
+
+class TestBlockedNmsKeep:
+    """``nms_keep``'s blocked suppression rows against the one-box walk."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        boxes=st.lists(
+            # small integer boxes: zero extents, touching edges and duplicates are common
+            st.tuples(*(st.integers(0, 6),) * 2, *(st.integers(0, 4),) * 2),
+            max_size=200,
+        ),
+        scores=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=200, max_size=200),
+        thresh=st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        budget=st.one_of(st.integers(1, 64), st.just(_python.CELL_BUDGET)),
+    )
+    def test_equals_walk(self, boxes, scores, thresh, budget):
+        # a budget of a few cells makes one-row blocks and ragged partial
+        # ones; the full budget makes 64-row blocks with a short last one
+        boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+        order = np.argsort(-np.array(scores[:len(boxes)]), kind="stable")  # tied scores
+        with patch.object(_python, "CELL_BUDGET", budget):
+            got = _python.nms_keep(boxes, order, thresh)
+        expected = walk_nms_keep(boxes, order, thresh)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
+    def test_iou_equal_to_thresh_is_not_suppressed(self):
+        boxes = np.array([[0, 0, 30, 10], [10, 0, 30, 10], [0, 0, 30, 10]], dtype=np.float64)
+        # rows 0 and 1 overlap by exactly 20/40; row 2 duplicates row 0
+        assert _python.nms_keep(boxes, [0, 1, 2], 0.5).tolist() == [0, 1]
+        assert _python.nms_keep(boxes, [0, 1, 2], 1.0).tolist() == [0, 1, 2]
+
+    def test_overlap_passes_stay_within_the_cell_budget(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        boxes = np.column_stack([rng.uniform(0, 600, (3000, 2)), rng.uniform(5, 80, (3000, 2))])
+        order = np.argsort(-rng.uniform(size=3000), kind="stable")
+        shapes = []
+        inter_union = _python._inter_union
+
+        def recorded(a, b):
+            shapes.append(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+            return inter_union(a, b)
+
+        monkeypatch.setattr(_python, "_inter_union", recorded)
+        keep = _python.nms_keep(boxes, order, 0.5)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(keep, walk_nms_keep(boxes, order, 0.5))
+        assert shapes and max(rows for rows, _ in shapes) > 1
+        for rows, cols in shapes:
+            assert rows * cols <= _python.CELL_BUDGET or rows == 1
