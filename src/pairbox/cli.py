@@ -57,9 +57,8 @@ from .formats import (
 from .geometry import PairedBox, pairs_to_arrays
 from .pairnms import paired_nms
 from .regression import (
-    DetectorSample,
+    BACKGROUND_CLASS,
     LossConfig,
-    RpnSample,
     cross_entropy,
     detector_loss,
     rpn_loss,
@@ -391,15 +390,17 @@ def _four_floats(value) -> tuple[float, ...]:
 
 
 def _offsets_from(raw: dict, path, where: str) -> list[tuple[float, ...]]:
-    """The pred_v, pred_t, target_v, target_t offsets of a foreground sample,
-    as four finite numbers each; the sample stores them through as_offsets."""
+    """The pred_v, pred_t, target_v, target_t offsets of a regressed sample,
+    as four finite numbers each."""
     return [
         _losses_field(raw, key, _four_floats, path, f"{where}.{key}")
         for key in ("pred_v", "pred_t", "target_v", "target_t")
     ]
 
 
-def _parse_rpn_samples(section, path) -> tuple[list[RpnSample], LossConfig]:
+def _parse_rpn_samples(section, path):
+    """The RPN samples' ``logits`` and ``labels`` columns, the positives'
+    :func:`_offsets_from` rows, and the LossConfig."""
     section = _typed(section, dict, path, "rpn")
     cfg_raw = _typed(section.get("cfg", {}), dict, path, "rpn.cfg")
     raw_samples = _typed(section.get("samples", []), list, path, "rpn.samples")
@@ -410,33 +411,42 @@ def _parse_rpn_samples(section, path) -> tuple[list[RpnSample], LossConfig]:
         _losses_field(cfg_raw, "n_cls", _integer, path, "rpn.cfg.n_cls", n_default),
         _losses_field(cfg_raw, "n_reg", _integer, path, "rpn.cfg.n_reg", n_default),
     )
-    samples = []
+    logits, labels, offsets = [], [], []
     for k, raw in enumerate(raw_samples):
         where = f"rpn.samples[{k}]"
         raw = _typed(raw, dict, path, where)
         label = raw.get("label")
         if label not in (0, 1) or isinstance(label, bool):
             raise ParseError(path, 1, f"{where}.label: expected 0 or 1")
-        logit = _losses_field(raw, "logit", _number, path, f"{where}.logit")
-        offsets = _offsets_from(raw, path, where) if label == 1 else []
-        samples.append(_built(RpnSample, path, where, logit, int(label), *offsets))
-    return samples, cfg
+        logits.append(_losses_field(raw, "logit", _number, path, f"{where}.logit"))
+        labels.append(int(label))
+        if label == 1:
+            offsets.append(_offsets_from(raw, path, where))
+    return np.array(logits, dtype=np.float64), np.array(labels), offsets, cfg
 
 
-def _parse_detector_samples(section, path) -> tuple[list[DetectorSample], float]:
+def _parse_detector_samples(section, path):
+    """The detector samples' ``scores`` rows and ``true_class`` column, the
+    foreground samples' :func:`_offsets_from` rows, and lambda."""
     section = _typed(section, dict, path, "detector")
     lam = _losses_field(section, "lambda", _number, path, "detector.lambda", 1.0)
     if lam < 0:
         raise ParseError(path, 1, f"detector.lambda: must be >= 0, got {lam!r}")
-    samples = []
+    scores, classes, offsets = [], [], []
     for k, raw in enumerate(_typed(section.get("samples", []), list, path, "detector.samples")):
         where = f"detector.samples[{k}]"
         raw = _typed(raw, dict, path, where)
-        scores = _losses_field(raw, "scores", _floats, path, f"{where}.scores", [])
+        row = _losses_field(raw, "scores", _floats, path, f"{where}.scores", [])
         true_class = _losses_field(raw, "true_class", _integer, path, f"{where}.true_class", 0)
-        offsets = _offsets_from(raw, path, where) if true_class != 0 else []
-        samples.append(_built(DetectorSample, path, where, scores, true_class, *offsets))
-    return samples, lam
+        if true_class != BACKGROUND_CLASS:
+            offsets.append(_offsets_from(raw, path, where))
+        if not row:
+            raise ParseError(path, 1, f"{where}: class_scores must be non-empty")
+        if not 0 <= true_class < len(row):
+            raise ParseError(path, 1, f"{where}: true_class {true_class} out of range for {len(row)} classes")
+        scores.append(np.array(row, dtype=np.float64))
+        classes.append(true_class)
+    return scores, np.array(classes), offsets, lam
 
 
 def _worst_gradient_error(loss, x: np.ndarray, analytic: np.ndarray, eps: float = 1e-5) -> float:
@@ -454,42 +464,40 @@ def _worst_gradient_error(loss, x: np.ndarray, analytic: np.ndarray, eps: float 
         return float(np.fmax.reduce(np.abs(analytic - num), axis=None, initial=0.0))
 
 
-def _gradient_check_lines(rpn_samples, det_samples) -> list[str]:
-    regressed = [s for s in rpn_samples if s.label == 1] + [s for s in det_samples if s.is_foreground]
-    # one (visible, thermal) pair of rows per regressed sample
-    pred = np.array([(s.pred_offsets_v, s.pred_offsets_t) for s in regressed]).reshape(-1, 4)
-    target = np.array([(s.target_offsets_v, s.target_offsets_t) for s in regressed]).reshape(-1, 4)
+def _gradient_check_lines(pred, target, scores, true_class) -> list[str]:
+    """``pred``/``target``: the ``(p, 2, 4)`` offsets of every regressed sample."""
     # the losses are called through this module's names, which a tracer may wrap
     sl1 = _worst_gradient_error(lambda x: smooth_l1(x, target)[0], pred, smooth_l1(pred, target)[1])
     ce = 0.0
-    for s in det_samples:
-        z = np.asarray(s.class_scores, dtype=np.float64)
-        ce = max(ce, _worst_gradient_error(lambda x: cross_entropy(x, s.true_class)[0], z,
-                                           cross_entropy(z, s.true_class)[1]))
-    return [f"grad_check smooth_l1 pairs={len(pred)} max_abs_err={sl1:.3e}",
-            f"grad_check cross_entropy inputs={len(det_samples)} max_abs_err={ce:.3e}"]
+    for z, label in zip(scores, true_class.tolist()):
+        ce = max(ce, _worst_gradient_error(lambda x: cross_entropy(x, label)[0], z,
+                                           cross_entropy(z, label)[1]))
+    return [f"grad_check smooth_l1 pairs={2 * len(pred)} max_abs_err={sl1:.3e}",
+            f"grad_check cross_entropy inputs={len(scores)} max_abs_err={ce:.3e}"]
 
 
 def cmd_losses(args) -> int:
     payload = read_json(args.samples)
     if not isinstance(payload, dict):
         raise ParseError(args.samples, 1, "expected a JSON object")
+    # an absent section parses as no samples
+    logits, labels, rpn_rows, cfg = _parse_rpn_samples(payload.get("rpn", {}), args.samples)
+    scores, true_class, det_rows, lam = _parse_detector_samples(payload.get("detector", {}), args.samples)
+    if args.lam is not None:
+        cfg = replace(cfg, lam=args.lam)
+        lam = args.lam
+    # (p, 2, 4) pred and target offsets stacked as (visible, thermal): the RPN
+    # positives', then the foreground detector samples'
+    pred, target = np.array(rpn_rows + det_rows, dtype=np.float64).reshape(-1, 2, 2, 4).swapaxes(0, 1)
+    p = len(rpn_rows)
     lines = []
-    rpn_samples: list[RpnSample] = []
-    det_samples: list[DetectorSample] = []
     if "rpn" in payload:
-        rpn_samples, cfg = _parse_rpn_samples(payload["rpn"], args.samples)
-        if args.lam is not None:
-            cfg = replace(cfg, lam=args.lam)
-        lines.append(f"rpn_loss {rpn_loss(rpn_samples, cfg):.9g}")
+        lines.append(f"rpn_loss {rpn_loss(logits, labels, pred[:p], target[:p], cfg):.9g}")
     if "detector" in payload:
-        det_samples, lam = _parse_detector_samples(payload["detector"], args.samples)
-        if args.lam is not None:
-            lam = args.lam
-        for k, s in enumerate(det_samples):
-            lines.append(f"detector_loss[{k}] {detector_loss(s, lam):.9g}")
+        losses = detector_loss(scores, true_class, pred[p:], target[p:], lam).tolist()
+        lines.extend(f"detector_loss[{k}] {loss:.9g}" for k, loss in enumerate(losses))
     if args.grad_check:
-        lines.extend(_gradient_check_lines(rpn_samples, det_samples))
+        lines.extend(_gradient_check_lines(pred, target, scores, true_class))
     text = "\n".join(lines) + "\n" if lines else ""
     if args.out is not None:
         _write_text(Path(args.out), text)

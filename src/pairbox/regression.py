@@ -5,6 +5,8 @@ as float64 arrays of shape ``(..., 4)``. The proposal-stage loss is a
 normalized objectness cross-entropy plus one smooth-L1 regression term per
 modality; the detection-head loss is a softmax cross-entropy over classes
 plus the same two regression terms, gated off for background samples.
+Both take a mini-batch as columns, the offsets of its regressed samples as
+``(p, 2, 4)`` arrays stacked as (visible, thermal).
 Gradients are derived by hand (no autodiff dependency) and checked against
 central finite differences in the test suite.
 """
@@ -13,15 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import Box
 
 __all__ = [
-    "RpnSample",
-    "DetectorSample",
     "LossConfig",
     "BACKGROUND_CLASS",
     "as_offsets",
@@ -107,7 +107,8 @@ def cross_entropy(logits: Sequence[float] | np.ndarray, label: int) -> tuple[flo
     if not 0 <= label < z.size:
         raise ValueError(f"label {label} out of range for {z.size} classes")
     m = float(z.max())
-    exps = np.exp(z - m)
+    with np.errstate(over="ignore"):  # logits far below the maximum give exp(-inf) = 0
+        exps = np.exp(z - m)
     total = float(exps.sum())
     loss = (m + math.log(total)) - float(z[label])
     grad = exps / total
@@ -128,76 +129,18 @@ def _objectness_cross_entropy(logit: float, label: int) -> float:
     return math.log1p(math.exp(x))
 
 
-_OFFSET_FIELDS = ("pred_offsets_v", "pred_offsets_t", "target_offsets_v", "target_offsets_t")
-
-
-def _check_offsets(sample, regressed: bool, kind: str, other: str) -> None:
-    """Store each given offsets field through :func:`as_offsets`. A ``kind``
-    sample (``regressed``) must carry all four offsets; an ``other`` sample
-    must carry no regression targets."""
-    for name in _OFFSET_FIELDS:
-        if getattr(sample, name) is not None:
-            object.__setattr__(sample, name, as_offsets(getattr(sample, name)))
-    if regressed:
-        missing = [name for name in _OFFSET_FIELDS if getattr(sample, name) is None]
-        if missing:
-            raise ValueError(f"{kind} sample missing offsets: {', '.join(missing)}")
-    elif sample.target_offsets_v is not None or sample.target_offsets_t is not None:
-        raise ValueError(f"{other} samples must not carry regression targets")
-
-
-@dataclass(frozen=True, eq=False)
-class RpnSample:
-    """One anchor-pair sample for the proposal-stage loss.
-
-    ``label`` is 1 (positive) or 0 (negative). Positive samples must carry
-    predicted and target offsets for both modalities, each stored as a
-    ``(4,)`` array by :func:`as_offsets`; negative samples carry no targets.
-    """
-
-    objectness_logit: float
-    label: int
-    pred_offsets_v: Optional[np.ndarray] = None
-    pred_offsets_t: Optional[np.ndarray] = None
-    target_offsets_v: Optional[np.ndarray] = None
-    target_offsets_t: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
-        if not math.isfinite(self.objectness_logit):
-            raise ValueError("objectness logit must be finite")
-        _check_offsets(self, self.label == 1, "positive", "negative")
-
-
-@dataclass(frozen=True, eq=False)
-class DetectorSample:
-    """One RoI-pair sample for the detection-head loss.
-
-    ``class_scores`` are logits over all classes including background
-    (class 0). Foreground samples must carry predicted and target offsets
-    for both modalities.
-    """
-
-    class_scores: tuple[float, ...]
-    true_class: int
-    pred_offsets_v: Optional[np.ndarray] = None
-    pred_offsets_t: Optional[np.ndarray] = None
-    target_offsets_v: Optional[np.ndarray] = None
-    target_offsets_t: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if len(self.class_scores) == 0:
-            raise ValueError("class_scores must be non-empty")
-        if not 0 <= self.true_class < len(self.class_scores):
-            raise ValueError(
-                f"true_class {self.true_class} out of range for {len(self.class_scores)} classes"
-            )
-        _check_offsets(self, self.is_foreground, "foreground", "background")
-
-    @property
-    def is_foreground(self) -> bool:
-        return self.true_class != BACKGROUND_CLASS
+def _regression_terms(pred, target, count: int) -> np.ndarray:
+    """The ``(count, 2)`` visible and thermal smooth-L1 terms of ``count``
+    regressed samples, whose offsets are ``(count, 2, 4)`` arrays stacked
+    as (visible, thermal)."""
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != (count, 2, 4) or target.shape != (count, 2, 4):
+        raise ValueError(f"expected ({count}, 2, 4) offsets for {count} regressed samples, "
+                         f"got {pred.shape} and {target.shape}")
+    if not (np.isfinite(pred).all() and np.isfinite(target).all()):
+        raise ValueError("box offsets must be finite")
+    return smooth_l1(pred, target)[0]
 
 
 @dataclass(frozen=True)
@@ -222,36 +165,63 @@ class LossConfig:
             raise ValueError("n_reg must be >= 1")
 
 
-def rpn_loss(samples: Sequence[RpnSample], cfg: LossConfig) -> float:
+def rpn_loss(logits, labels, pred, target, cfg: LossConfig) -> float:
     """Proposal-stage loss over a mini-batch of anchor-pair samples.
 
-    (1/n_cls) * sum of objectness cross-entropies, plus
-    lam * (1/n_reg) * (sum of visible + sum of thermal smooth-L1 terms),
-    where only positive samples contribute regression terms. Summation
-    order is fixed so results are bit-stable.
+    ``logits`` and ``labels`` are ``(n,)`` columns, a label being 1
+    (positive) or 0 (negative); ``pred`` and ``target`` hold the offsets of
+    the positives only, in sample order, as ``(p, 2, 4)`` arrays stacked as
+    (visible, thermal). The loss is (1/n_cls) * sum of objectness
+    cross-entropies, plus lam * (1/n_reg) * (sum of visible + sum of
+    thermal smooth-L1 terms). Each sum runs left to right in sample order,
+    so results are bit-stable.
     """
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels)
+    if logits.ndim != 1 or labels.shape != logits.shape:
+        raise ValueError(f"logits and labels must be (n,) columns, got {logits.shape} and {labels.shape}")
+    if not np.isfinite(logits).all():
+        raise ValueError("objectness logits must be finite")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    reg = _regression_terms(pred, target, int(np.count_nonzero(labels == 1)))
     cls_sum = 0.0
-    reg_v = 0.0
-    reg_t = 0.0
-    for s in samples:
-        cls_sum += _objectness_cross_entropy(s.objectness_logit, s.label)
-        if s.label == 1:
-            reg_v += float(smooth_l1(s.pred_offsets_v, s.target_offsets_v)[0])
-            reg_t += float(smooth_l1(s.pred_offsets_t, s.target_offsets_t)[0])
+    for logit, label in zip(logits.tolist(), labels.tolist()):
+        cls_sum += _objectness_cross_entropy(logit, label)
+    reg_v = reg_t = 0.0
+    for loc_v, loc_t in reg.tolist():
+        reg_v += loc_v
+        reg_t += loc_t
     return cls_sum / cfg.n_cls + cfg.lam * ((reg_v + reg_t) / cfg.n_reg)
 
 
-def detector_loss(sample: DetectorSample, lam: float = 1.0) -> float:
-    """Detection-head loss for one RoI-pair sample.
+def detector_loss(scores, true_class, pred, target, lam: float = 1.0) -> np.ndarray:
+    """Detection-head loss of each RoI-pair sample, as an ``(m,)`` array.
 
-    Classification cross-entropy plus, for foreground samples only,
+    ``scores`` holds one row of logits over all classes, background (class
+    0) included, per sample; rows may differ in length. ``true_class`` is
+    the ``(m,)`` column of classes. ``pred`` and ``target`` hold the offsets
+    of the foreground samples only, in sample order, as ``(p, 2, 4)``
+    arrays stacked as (visible, thermal). A sample's loss is its
+    classification cross-entropy plus, for foreground samples only,
     lam * (visible + thermal smooth-L1 localization terms).
     """
     if lam < 0 or not math.isfinite(lam):
         raise ValueError("lam must be finite and >= 0")
-    cls_loss, _ = cross_entropy(sample.class_scores, sample.true_class)
-    if not sample.is_foreground:
-        return cls_loss
-    loc_v = float(smooth_l1(sample.pred_offsets_v, sample.target_offsets_v)[0])
-    loc_t = float(smooth_l1(sample.pred_offsets_t, sample.target_offsets_t)[0])
-    return cls_loss + lam * (loc_v + loc_t)
+    true_class = np.asarray(true_class)
+    sizes = np.array([len(row) for row in scores], dtype=np.int64)
+    if true_class.shape != sizes.shape:
+        raise ValueError(f"expected one true_class per row of scores, got shape {true_class.shape}")
+    if not (sizes > 0).all():
+        raise ValueError("class_scores must be non-empty")
+    if not ((0 <= true_class) & (true_class < sizes)).all():
+        raise ValueError("true_class out of range for its class_scores")
+    if len(sizes) and not np.isfinite(np.concatenate(scores)).all():
+        raise ValueError("class_scores must be finite")
+    foreground = true_class != BACKGROUND_CLASS
+    reg = _regression_terms(pred, target, int(np.count_nonzero(foreground)))
+    loss = np.array([cross_entropy(row, label)[0] for row, label in zip(scores, true_class.tolist())],
+                    dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf, and 0 * inf = NaN
+        loss[foreground] += lam * (reg[:, 0] + reg[:, 1])
+    return loss

@@ -29,10 +29,16 @@ __all__ = [
     "SceneSpec",
     "MockDetectorSpec",
     "SCORE_FLOOR",
+    "MAX_DRAWS",
     "apply_shift",
     "generate_scene",
     "mock_detect",
 ]
+
+
+# the most frames, expected pedestrians or expected false positives one call
+# may draw; like sampling.MAX_ANCHORS, a larger request is refused up front
+MAX_DRAWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,8 @@ class SceneSpec:
     ``fixed_width`` or ``width_over_height`` times the height. Thermal boxes
     are the visible boxes offset horizontally by a uniform draw from
     ``misalign_range``. ``x_margin`` keeps objects away from the vertical
-    image borders so later shifts do not clip them.
+    image borders so later shifts do not clip them. Neither ``num_frames``
+    nor the expected pedestrian count may exceed ``MAX_DRAWS``.
     """
 
     num_frames: int
@@ -112,6 +119,8 @@ class SceneSpec:
             raise ValueError("num_frames must be >= 0")
         if not 0 <= self.peds_per_frame < math.inf:
             raise ValueError("peds_per_frame must be a finite number >= 0")
+        if not (self.num_frames <= MAX_DRAWS and self.num_frames * self.peds_per_frame <= MAX_DRAWS):
+            raise ValueError(f"more than the limit of {MAX_DRAWS} frames or expected pedestrians")
         if not (0 < self.image_width < math.inf and 0 < self.image_height < math.inf):
             raise ValueError("image dimensions must be finite and positive")
         lo, hi = self.height_range
@@ -235,10 +244,13 @@ def mock_detect(frames: Sequence[FrameAnnotations], spec: MockDetectorSpec) -> D
 
     Per object, a miss is drawn with ``miss_prob``; surviving objects get a
     perturbed detection according to the mode. Streams are keyed by frame
-    position, so results are reproducible for a fixed seed. Every emitted box
+    position, so results are reproducible for a fixed seed. More than
+    ``MAX_DRAWS`` expected false positives are refused. Every emitted box
     passes the :class:`~pairbox.geometry.Box` checks, and every score lies in
     [0, 1].
     """
+    if not len(frames) * spec.fp_per_frame <= MAX_DRAWS:
+        raise ValueError(f"more than the limit of {MAX_DRAWS} expected false positives")
     frame_ids, offsets, rows = [], [0], []
     for f, frame in enumerate(frames):
         rng = _frame_rng(spec.seed, f)

@@ -5,7 +5,7 @@ the code under test: pixel counting on boolean grids instead of closed-form
 areas, an O(n^2) pure-python NMS, central finite differences instead of
 analytic gradients, a one-box-at-a-time NMS walk instead of the blocked
 suppression rows, a per-coordinate Python-float smooth-L1 instead of
-the array one, per-threshold re-matching instead of the one-pass
+the array one, per-sample losses instead of the column ones, per-threshold re-matching instead of the one-pass
 score sweep, a scalar triple loop instead of the broadcast anchor grid, and
 a field-by-field parse into detection objects instead of the column reader.
 """
@@ -30,6 +30,7 @@ from pairbox.formats import (
 )
 from pairbox.geometry import PairedBox
 from pairbox.pairnms import Detection
+from pairbox.regression import cross_entropy
 
 
 def rasterized_counts(a, b, scale: int = 10):
@@ -304,6 +305,37 @@ def naive_smooth_l1(pred, target) -> tuple[float, tuple[float, ...]]:
             loss += abs(x) - 0.5
             grad.append(math.copysign(1.0, x))
     return loss, tuple(grad)
+
+
+def naive_rpn_loss(samples, lam: float, n_cls: int, n_reg: int) -> float:
+    """Proposal-stage loss, one sample at a time in Python floats.
+
+    Each sample is ``(logit, label, pred, target)``; a positive's ``pred``
+    and ``target`` are (visible, thermal) pairs of four offsets, a
+    negative's are ignored. Every sum runs left to right in sample order.
+    """
+    cls_sum = 0.0
+    reg_v = 0.0
+    reg_t = 0.0
+    for logit, label, pred, target in samples:
+        x = -logit if label == 1 else logit  # softplus(x): -log sigmoid(-x)
+        cls_sum += x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x))
+        if label == 1:
+            reg_v += naive_smooth_l1(pred[0], target[0])[0]
+            reg_t += naive_smooth_l1(pred[1], target[1])[0]
+    return cls_sum / n_cls + lam * ((reg_v + reg_t) / n_reg)
+
+
+def naive_detector_loss(scores, true_class: int, pred, target, lam: float) -> float:
+    """Detection-head loss of one sample in Python floats: its cross-entropy
+    plus, for a foreground sample, lam times its visible and thermal
+    smooth-L1 terms (``pred``/``target`` as for :func:`naive_rpn_loss`)."""
+    cls_loss, _ = cross_entropy(scores, true_class)
+    if true_class == 0:
+        return cls_loss
+    loc_v = naive_smooth_l1(pred[0], target[0])[0]
+    loc_t = naive_smooth_l1(pred[1], target[1])[0]
+    return cls_loss + lam * (loc_v + loc_t)
 
 
 def central_difference(f, x, eps: float = 1e-5) -> np.ndarray:

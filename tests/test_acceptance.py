@@ -35,9 +35,7 @@ from pairbox.geometry import (
 )
 from pairbox.pairnms import Detection
 from pairbox.regression import (
-    DetectorSample,
     LossConfig,
-    RpnSample,
     cross_entropy,
     decode_box,
     detector_loss,
@@ -180,38 +178,28 @@ def test_criterion_3_gradient_checks():
 
 def test_criterion_4_loss_structure():
     with criterion("criterion 4: loss structure (masking, lambda linearity, closed form)"):
-        negatives = [RpnSample(objectness_logit=l, label=0) for l in (-1.5, 0.3, 2.0)]
+        no_offsets = np.empty((0, 2, 4))
+        negatives = [-1.5, 0.3, 2.0]
         cfg0 = LossConfig(lam=0.0, n_cls=3, n_reg=5)
         cfg1 = LossConfig(lam=1.0, n_cls=3, n_reg=5)
-        assert rpn_loss(negatives, cfg1) == rpn_loss(negatives, cfg0)
+        assert (rpn_loss(negatives, [0, 0, 0], no_offsets, no_offsets, cfg1)
+                == rpn_loss(negatives, [0, 0, 0], no_offsets, no_offsets, cfg0))
 
-        mixed = negatives + [
-            RpnSample(
-                objectness_logit=0.4,
-                label=1,
-                pred_offsets_v=np.array([0.7, 0, 0, 0]),
-                pred_offsets_t=np.array([0, -1.8, 0, 0.2]),
-                target_offsets_v=np.zeros(4),
-                target_offsets_t=np.zeros(4),
-            )
-        ]
+        # one positive; its offsets stacked as (visible, thermal)
+        pred = np.array([[[0.7, 0, 0, 0], [0, -1.8, 0, 0.2]]])
+        target = np.zeros((1, 2, 4))
         losses = {
-            lam: rpn_loss(mixed, LossConfig(lam=lam, n_cls=4, n_reg=5))
+            lam: rpn_loss(negatives + [0.4], [0, 0, 0, 1], pred, target,
+                          LossConfig(lam=lam, n_cls=4, n_reg=5))
             for lam in (0.0, 1.0, 2.0)
         }
         lhs = losses[2.0] - losses[0.0]
         rhs = 2.0 * (losses[1.0] - losses[0.0])
         assert abs(lhs - rhs) < 1e-12
 
-        sample = DetectorSample(
-            class_scores=(0.0, 0.0),
-            true_class=1,
-            pred_offsets_v=np.array([0.5, 0, 0, 0]),
-            pred_offsets_t=np.zeros(4),
-            target_offsets_v=np.zeros(4),
-            target_offsets_t=np.zeros(4),
-        )
-        assert abs(detector_loss(sample, lam=1.0) - (math.log(2.0) + 0.125)) < 1e-12
+        (loss,) = detector_loss([(0.0, 0.0)], [1], np.array([[[0.5, 0, 0, 0], [0, 0, 0, 0]]]),
+                                np.zeros((1, 2, 4)), lam=1.0)
+        assert abs(loss - (math.log(2.0) + 0.125)) < 1e-12
 
 
 def test_criterion_5_paired_nms_projection():

@@ -479,6 +479,22 @@ class TestNonFiniteArguments:
         assert f"error: argument {args[0]}: " in err and "Traceback" not in err
 
 
+class TestTooManyDraws:
+    # both are refused before a frame or box is drawn; drawing them would take hours
+    def test_generate_exits_1(self, tmp_path):
+        rc, err = _run_main(["generate", "--frames", "1", "--peds-mean", "1e12",
+                             "--out", str(tmp_path / "g")])
+        assert rc == 1
+        assert err.startswith("error: ") and "limit" in err and "Traceback" not in err
+        assert not (tmp_path / "g").exists()
+
+    def test_shift_sweep_exits_1(self, tmp_path):
+        rc, err = _run_main(["shift-sweep", str(SAMPLE), "--fp-per-frame", "1e12",
+                             "--out", str(tmp_path / "sweep")])
+        assert rc == 1
+        assert err.startswith("error: ") and "limit" in err and "Traceback" not in err
+
+
 class TestBadOptionValues:
     @pytest.mark.parametrize("command, option, value", [
         ("losses", "--lambda", "-1"), ("losses", "--lambda", "nan"),
@@ -703,6 +719,48 @@ class TestLossesCommand:
             "rpn_loss inf", "grad_check smooth_l1 pairs=2 max_abs_err=7.655e-14",
         ]
         assert err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_grad_check_of_far_apart_scores_warns_nothing(self, tmp_path, capsys):
+        # exp(z - max) overflows to exp(-inf) = 0 for the -1e308 score
+        sample = {"scores": [1e308, -1e308], "true_class": 1, **self._POS}
+        p = tmp_path / "samples.json"
+        p.write_text(json.dumps({"detector": {"samples": [sample]}}), encoding="utf-8")
+        rc = main(["losses", str(p), "--grad-check"])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert out.splitlines() == [
+            "detector_loss[0] inf", "grad_check smooth_l1 pairs=2 max_abs_err=0.000e+00",
+            "grad_check cross_entropy inputs=1 max_abs_err=0.000e+00",
+        ]
+        assert err == ""
+
+    def test_grad_check_calls_smooth_l1_a_constant_number_of_times(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        from pairbox import cli, regression
+
+        calls = []
+
+        def counted(pred, target, _smooth_l1=regression.smooth_l1):
+            calls.append(len(pred))
+            return _smooth_l1(pred, target)
+
+        # the losses look the name up in regression, the gradient check in cli
+        monkeypatch.setattr(regression, "smooth_l1", counted)
+        monkeypatch.setattr(cli, "smooth_l1", counted)
+        counts = []
+        for n in (1, 50):
+            rpn = [{"logit": 0.1 * k, "label": k % 2, **self._POS} for k in range(2 * n)]
+            det = [{"scores": [0.0, 1.0], "true_class": k % 2, **self._POS} for k in range(2 * n)]
+            p = tmp_path / f"samples{n}.json"
+            p.write_text(json.dumps({"rpn": {"samples": rpn}, "detector": {"samples": det}}),
+                         encoding="utf-8")
+            calls.clear()
+            assert main(["losses", str(p), "--grad-check"]) == 0
+            counts.append(len(calls))
+            assert f"pairs={4 * n} " in capsys.readouterr().out
+        # rpn_loss, detector_loss, the analytic gradient and 2 x 4 perturbed columns
+        assert counts == [11, 11]
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from pairbox.geometry import Box
 from pairbox.regression import (
-    DetectorSample,
     LossConfig,
-    RpnSample,
     as_offsets,
     cross_entropy,
     decode_box,
@@ -19,7 +17,7 @@ from pairbox.regression import (
     smooth_l1,
 )
 
-from oracles import central_difference, naive_smooth_l1
+from oracles import central_difference, naive_detector_loss, naive_rpn_loss, naive_smooth_l1
 
 
 def random_positive_box(rng, span=200.0):
@@ -191,39 +189,68 @@ class TestCrossEntropy:
             assert math.isfinite(loss)
 
 
+# A sample is a (logits, label, pred, target) tuple, as the oracles take it:
+# pred/target are (visible, thermal) pairs of four offsets, ignored for a
+# negative or background sample. The helpers below turn samples into the
+# columns the losses take.
+_ZERO = (0, 0, 0, 0)
+
+
 def _positive_sample(logit=2.0, pred_v=(0.2, 0, 0, 0), pred_t=(0, 0.4, 0, 0),
-                     tgt_v=(0, 0, 0, 0), tgt_t=(0, 0, 0, 0)):
-    return RpnSample(
-        objectness_logit=logit,
-        label=1,
-        pred_offsets_v=np.array(pred_v, dtype=float),
-        pred_offsets_t=np.array(pred_t, dtype=float),
-        target_offsets_v=np.array(tgt_v, dtype=float),
-        target_offsets_t=np.array(tgt_t, dtype=float),
-    )
+                     tgt_v=_ZERO, tgt_t=_ZERO):
+    return (logit, 1, (pred_v, pred_t), (tgt_v, tgt_t))
+
+
+def _negative_sample(logit):
+    return (logit, 0, None, None)
+
+
+def _offset_columns(samples):
+    """The (p, 2, 4) pred and target offsets of the regressed samples."""
+    regressed = [s for s in samples if s[1] != 0]
+    pred = np.array([s[2] for s in regressed], dtype=np.float64).reshape(-1, 2, 4)
+    target = np.array([s[3] for s in regressed], dtype=np.float64).reshape(-1, 2, 4)
+    return pred, target
+
+
+def _rpn(samples, cfg):
+    return rpn_loss([s[0] for s in samples], [s[1] for s in samples], *_offset_columns(samples), cfg)
+
+
+def _detector(samples, lam=1.0):
+    """detector_loss of (scores, true_class, pred, target) samples, as a list."""
+    return detector_loss([np.array(s[0], dtype=np.float64) for s in samples],
+                         [s[1] for s in samples], *_offset_columns(samples), lam).tolist()
+
+
+def _foreground_sample(scores, pred_v=_ZERO, pred_t=_ZERO, tgt_v=_ZERO, tgt_t=_ZERO, true_class=1):
+    return (scores, true_class, (pred_v, pred_t), (tgt_v, tgt_t))
+
+
+_NO_OFFSETS = np.empty((0, 2, 4))
 
 
 class TestRpnLoss:
     def test_all_negative_batch_is_pure_classification(self):
-        samples = [RpnSample(objectness_logit=l, label=0) for l in (-2.0, 0.5, 1.0, -0.1)]
+        samples = [_negative_sample(l) for l in (-2.0, 0.5, 1.0, -0.1)]
         cfg = LossConfig(lam=1.0, n_cls=4, n_reg=4)
-        got = rpn_loss(samples, cfg)
+        got = _rpn(samples, cfg)
         # independent scalar re-derivation: -log(1 - sigmoid(l)) per sample
         expected = sum(-math.log(1.0 - 1.0 / (1.0 + math.exp(-l)))
                        for l in (-2.0, 0.5, 1.0, -0.1)) / 4.0
         assert got == pytest.approx(expected, abs=1e-12)
-        assert rpn_loss(samples, LossConfig(lam=0.0, n_cls=4, n_reg=4)) == got
+        assert _rpn(samples, LossConfig(lam=0.0, n_cls=4, n_reg=4)) == got
 
     def test_perfect_positive_is_zero(self):
         s = _positive_sample(logit=1000.0, pred_v=(0, 0, 0, 0), pred_t=(0, 0, 0, 0))
-        assert rpn_loss([s], LossConfig(n_cls=1, n_reg=1)) == pytest.approx(0.0, abs=1e-12)
+        assert _rpn([s], LossConfig(n_cls=1, n_reg=1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_independent_rederivation(self):
         samples = [
             _positive_sample(logit=0.7, pred_v=(0.3, -0.1, 0.2, 0.0), pred_t=(1.5, 0, 0, -0.4)),
-            RpnSample(objectness_logit=-1.2, label=0),
+            _negative_sample(-1.2),
             _positive_sample(logit=-0.3, pred_v=(0, 0, 0, 0), pred_t=(-2.0, 0.9, 0, 0)),
-            RpnSample(objectness_logit=0.05, label=0),
+            _negative_sample(0.05),
         ]
         cfg = LossConfig(lam=1.5, n_cls=4, n_reg=7)
 
@@ -238,21 +265,20 @@ class TestRpnLoss:
             p = 1.0 / (1.0 + math.exp(-logit))
             return -math.log(p) if lab == 1 else -math.log(1.0 - p)
 
-        cls_term = sum(bce(s.objectness_logit, s.label) for s in samples) / cfg.n_cls
-        reg_v = sum(sl1(s.pred_offsets_v.tolist(), s.target_offsets_v.tolist())
-                    for s in samples if s.label == 1)
-        reg_t = sum(sl1(s.pred_offsets_t.tolist(), s.target_offsets_t.tolist())
-                    for s in samples if s.label == 1)
+        cls_term = sum(bce(logit, label) for logit, label, _, _ in samples) / cfg.n_cls
+        positives = [s for s in samples if s[1] == 1]
+        reg_v = sum(sl1(pred[0], target[0]) for _, _, pred, target in positives)
+        reg_t = sum(sl1(pred[1], target[1]) for _, _, pred, target in positives)
         expected = cls_term + cfg.lam * (reg_v + reg_t) / cfg.n_reg
-        assert rpn_loss(samples, cfg) == pytest.approx(expected, abs=1e-12)
+        assert _rpn(samples, cfg) == pytest.approx(expected, abs=1e-12)
 
     def test_lambda_scaling_is_linear(self):
         samples = [
             _positive_sample(logit=0.2, pred_v=(0.6, 0, 0, 0), pred_t=(0, 0, 1.4, 0)),
-            RpnSample(objectness_logit=1.0, label=0),
+            _negative_sample(1.0),
         ]
         losses = {
-            lam: rpn_loss(samples, LossConfig(lam=lam, n_cls=2, n_reg=3))
+            lam: _rpn(samples, LossConfig(lam=lam, n_cls=2, n_reg=3))
             for lam in (0.0, 1.0, 2.0)
         }
         assert losses[2.0] - losses[0.0] == pytest.approx(
@@ -263,28 +289,40 @@ class TestRpnLoss:
         # total loss equals the visible-only total plus the thermal contribution
         s = _positive_sample(logit=0.4, pred_v=(0.3, 0, 0, 0), pred_t=(0, 0, 0.8, 0))
         cfg = LossConfig(lam=1.0, n_cls=1, n_reg=2)
-        total = rpn_loss([s], cfg)
-        thermal_term = smooth_l1(s.pred_offsets_t, s.target_offsets_t)[0] / cfg.n_reg
+        total = _rpn([s], cfg)
+        thermal_term = smooth_l1(np.array([0, 0, 0.8, 0]), np.zeros(4))[0] / cfg.n_reg
         s_aligned_t = _positive_sample(logit=0.4, pred_v=(0.3, 0, 0, 0), pred_t=(0, 0, 0, 0))
-        visible_only = rpn_loss([s_aligned_t], cfg)
+        visible_only = _rpn([s_aligned_t], cfg)
         assert total == pytest.approx(visible_only + thermal_term, abs=1e-12)
 
-    def test_offsets_stored_as_arrays(self):
-        s = _positive_sample(pred_v=(1, 2, 3, 4))
-        assert s.pred_offsets_v.dtype == np.float64
-        assert s.pred_offsets_v.tolist() == [1.0, 2.0, 3.0, 4.0]
+    def test_offsets_checked(self):
+        cfg = LossConfig(n_cls=1, n_reg=1)
+        good = np.zeros((1, 2, 4))
+        assert rpn_loss([2.0], [1], good.tolist(), good, cfg) == rpn_loss([2.0], [1], good, good, cfg)
         with pytest.raises(ValueError):
-            _positive_sample(pred_t=(0, 0, 0))
+            rpn_loss([2.0], [1], np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), cfg)
         with pytest.raises(ValueError):
-            _positive_sample(tgt_v=(0, math.nan, 0, 0))
+            rpn_loss([2.0], [1], np.zeros((2, 4)), np.zeros((2, 4)), cfg)
+        bad = good.copy()
+        bad[0, 0, 1] = math.nan
+        with pytest.raises(ValueError):
+            rpn_loss([2.0], [1], good, bad, cfg)
 
     def test_positive_without_targets_rejected(self):
         with pytest.raises(ValueError):
-            RpnSample(objectness_logit=0.0, label=1, pred_offsets_v=np.zeros(4))
+            rpn_loss([0.0], [1], _NO_OFFSETS, _NO_OFFSETS, LossConfig())
 
     def test_negative_with_targets_rejected(self):
         with pytest.raises(ValueError):
-            RpnSample(objectness_logit=0.0, label=0, target_offsets_v=np.zeros(4))
+            rpn_loss([0.0], [0], np.zeros((1, 2, 4)), np.zeros((1, 2, 4)), LossConfig())
+
+    @pytest.mark.parametrize("logits, labels", [
+        ([math.nan], [0]), ([math.inf], [0]), ([0.0], [2]), ([0.0], [-1]),
+        ([0.0, 1.0], [0]), ([[0.0]], [[0]]),
+    ])
+    def test_columns_checked(self, logits, labels):
+        with pytest.raises(ValueError):
+            rpn_loss(logits, labels, _NO_OFFSETS, _NO_OFFSETS, LossConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -297,40 +335,40 @@ class TestRpnLoss:
 
 class TestDetectorLoss:
     def test_background_is_classification_only(self):
-        s = DetectorSample(class_scores=(0.3, -0.7), true_class=0)
+        s = ((0.3, -0.7), 0, None, None)
         expected, _ = cross_entropy([0.3, -0.7], 0)
-        assert detector_loss(s, lam=1.0) == expected
-        assert detector_loss(s, lam=0.0) == expected
+        assert _detector([s], lam=1.0) == [expected]
+        assert _detector([s], lam=0.0) == [expected]
 
     def test_perfect_foreground_is_zero(self):
-        s = DetectorSample(
-            class_scores=(0.0, 1000.0),
-            true_class=1,
-            pred_offsets_v=np.zeros(4),
-            pred_offsets_t=np.zeros(4),
-            target_offsets_v=np.zeros(4),
-            target_offsets_t=np.zeros(4),
-        )
-        assert detector_loss(s) == pytest.approx(0.0, abs=1e-12)
+        s = _foreground_sample((0.0, 1000.0))
+        assert _detector([s]) == [pytest.approx(0.0, abs=1e-12)]
 
     def test_uniform_logits_with_visible_error(self):
-        s = DetectorSample(
-            class_scores=(0.0, 0.0),
-            true_class=1,
-            pred_offsets_v=np.array([0.5, 0, 0, 0]),
-            pred_offsets_t=np.zeros(4),
-            target_offsets_v=np.zeros(4),
-            target_offsets_t=np.zeros(4),
-        )
-        assert detector_loss(s, lam=1.0) == pytest.approx(math.log(2.0) + 0.125, abs=1e-12)
+        s = _foreground_sample((0.0, 0.0), pred_v=(0.5, 0, 0, 0))
+        assert _detector([s], lam=1.0) == [pytest.approx(math.log(2.0) + 0.125, abs=1e-12)]
+
+    def test_one_loss_per_sample_in_order(self):
+        samples = [_foreground_sample((0.0, 0.0), pred_v=(0.5, 0, 0, 0)), ((0.3, -0.7), 0, None, None),
+                   _foreground_sample((1.0, 0.0, 2.0), pred_t=(0, 3.0, 0, 0), true_class=2)]
+        got = _detector(samples, lam=0.5)
+        assert got == [naive_detector_loss(*s, 0.5) for s in samples]
 
     def test_foreground_without_targets_rejected(self):
         with pytest.raises(ValueError):
-            DetectorSample(class_scores=(0.0, 0.0), true_class=1)
+            detector_loss([(0.0, 0.0)], [1], _NO_OFFSETS, _NO_OFFSETS)
 
     def test_out_of_range_class_rejected(self):
         with pytest.raises(ValueError):
-            DetectorSample(class_scores=(0.0, 0.0), true_class=2)
+            detector_loss([(0.0, 0.0)], [2], np.zeros((1, 2, 4)), np.zeros((1, 2, 4)))
+
+    @pytest.mark.parametrize("scores, true_class, lam", [
+        ([()], [0], 1.0), ([(0.0, math.nan)], [0], 1.0), ([(0.0, 1.0)], [0, 0], 1.0),
+        ([(0.0, 1.0)], [-1], 1.0), ([(0.0, 1.0)], [0], -1.0), ([(0.0, 1.0)], [0], math.inf),
+    ])
+    def test_columns_checked(self, scores, true_class, lam):
+        with pytest.raises(ValueError):
+            detector_loss(scores, true_class, _NO_OFFSETS, _NO_OFFSETS, lam)
 
     def test_losses_finite_and_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(119)
@@ -346,18 +384,62 @@ class TestDetectorLoss:
                         tgt_t=tuple(rng.normal(0, 2, size=4)),
                     ))
                 else:
-                    samples.append(RpnSample(objectness_logit=float(rng.normal(0, 4)), label=0))
-            loss = rpn_loss(samples, LossConfig(lam=float(rng.uniform(0, 3)),
-                                                n_cls=len(samples), n_reg=len(samples)))
+                    samples.append(_negative_sample(float(rng.normal(0, 4))))
+            loss = _rpn(samples, LossConfig(lam=float(rng.uniform(0, 3)),
+                                            n_cls=len(samples), n_reg=len(samples)))
             assert math.isfinite(loss) and loss >= 0.0
 
-            det = DetectorSample(
-                class_scores=tuple(rng.normal(0, 4, size=3)),
-                true_class=1,
-                pred_offsets_v=rng.normal(0, 2, size=4),
-                pred_offsets_t=rng.normal(0, 2, size=4),
-                target_offsets_v=rng.normal(0, 2, size=4),
-                target_offsets_t=rng.normal(0, 2, size=4),
+            det = _foreground_sample(
+                tuple(rng.normal(0, 4, size=3)),
+                pred_v=rng.normal(0, 2, size=4),
+                pred_t=rng.normal(0, 2, size=4),
+                tgt_v=rng.normal(0, 2, size=4),
+                tgt_t=rng.normal(0, 2, size=4),
             )
-            dloss = detector_loss(det, lam=float(rng.uniform(0, 3)))
+            (dloss,) = _detector([det], lam=float(rng.uniform(0, 3)))
             assert math.isfinite(dloss) and dloss >= 0.0
+
+
+def _bits(values) -> list[int]:
+    return np.array(values, dtype=np.float64).reshape(-1).view(np.int64).tolist()
+
+
+# logits and scores at +-0.0 and +-1e308, where a difference overflows; offsets
+# whose differences sit at the smooth-L1 kink or one ulp either side, and in
+# half the batches also at +-1e308, where the loss is infinite
+_LOGITS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308]), st.floats(-50, 50),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_NEAR_OFFSETS = st.one_of(_KINK_VALUES, st.floats(-3, 3))
+_WIDE_OFFSETS = st.one_of(_NEAR_OFFSETS, st.sampled_from([1e308, -1e308]))
+
+
+def _pairs(offsets):
+    return st.tuples(st.tuples(*[offsets] * 4), st.tuples(*[offsets] * 4))
+
+
+def _batches(sample):
+    """Lists of up to 12 samples drawn by ``sample(pairs)``, all from the near or all from the wide offsets."""
+    return st.sampled_from([_NEAR_OFFSETS, _WIDE_OFFSETS]).flatmap(
+        lambda offsets: st.lists(sample(_pairs(offsets)), max_size=12))
+
+
+_RPN_SAMPLES = _batches(lambda pairs: st.tuples(_LOGITS, st.sampled_from([0, 1]), pairs, pairs))
+_DET_SAMPLES = _batches(lambda pairs: st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.lists(_LOGITS, min_size=k, max_size=k), st.integers(0, k - 1), pairs, pairs)))
+_LAMBDAS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.floats(0, 10))
+
+
+class TestColumnLossesMatchOracles:
+    @pytest.mark.filterwarnings("error")  # an overflow must not leak a numpy warning
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_RPN_SAMPLES, _LAMBDAS, st.integers(1, 3000), st.integers(1, 3000))
+    def test_rpn_loss_equals_the_per_sample_form_bit_for_bit(self, samples, lam, n_cls, n_reg):
+        got = _rpn(samples, LossConfig(lam=lam, n_cls=n_cls, n_reg=n_reg))
+        assert _bits(got) == _bits(naive_rpn_loss(samples, lam, n_cls, n_reg))
+
+    @pytest.mark.filterwarnings("error")
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_DET_SAMPLES, _LAMBDAS)
+    def test_detector_loss_equals_the_per_sample_form_bit_for_bit(self, samples, lam):
+        got = _detector(samples, lam)
+        assert _bits(got) == _bits([naive_detector_loss(*s, lam) for s in samples])

@@ -136,8 +136,27 @@ class TestGenerateScene:
         with pytest.raises(ValueError):
             SceneSpec(num_frames=1, x_margin=320.0)
 
+    def test_more_draws_than_the_limit_rejected(self):
+        limit = simulation.MAX_DRAWS
+        SceneSpec(num_frames=limit, peds_per_frame=1.0)
+        SceneSpec(num_frames=1, peds_per_frame=float(limit))
+        for frames, peds in ((limit + 1, 0.0), (1, 1e12), (1000, limit / 999)):
+            with pytest.raises(ValueError, match="limit"):
+                SceneSpec(num_frames=frames, peds_per_frame=peds)
+
 
 class TestMockDetect:
+    def test_more_false_positives_than_the_limit_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(simulation, "_frame_rng", no_draws)
+        frames = [FrameAnnotations(f, ()) for f in range(4)]
+        with pytest.raises(ValueError, match="limit"):
+            mock_detect(frames, MockDetectorSpec(fp_per_frame=simulation.MAX_DRAWS / 3.5))
+        with pytest.raises(AssertionError):  # at the limit it draws
+            mock_detect(frames, MockDetectorSpec(fp_per_frame=simulation.MAX_DRAWS / 4))
+
     def test_exact_detector_gives_zero_miss_rate(self):
         frames = generate_scene(SceneSpec(num_frames=60, seed=17))
         dets = mock_detect(frames, MockDetectorSpec(mode="paired", seed=5))
