@@ -44,26 +44,30 @@ def _pooled(av, at, bv, bt) -> np.ndarray:
 
 
 def iou_matrix(a, b) -> np.ndarray:
+    """Pairwise IoU between (N, 4) and (M, 4) arrays of (x, y, w, h) boxes."""
     a, b = _as_boxes(a), _as_boxes(b)
     return _ratio(*_inter_union(a[:, None], b[None]))
 
 
-def ioum_matrix(av, at, bv, bt) -> np.ndarray:
-    av, at, bv, bt = map(_as_boxes, (av, at, bv, bt))
+def ioum_matrix(a_visible, a_thermal, b_visible, b_thermal) -> np.ndarray:
+    """Pairwise multi-modal IoU between two sets of paired boxes, as (N, M)."""
+    av, at, bv, bt = map(_as_boxes, (a_visible, a_thermal, b_visible, b_thermal))
     if av.shape != at.shape or bv.shape != bt.shape:
         raise ValueError("visible and thermal box arrays must have matching shapes")
     return _pooled(av[:, None], at[:, None], bv[None], bt[None])
 
 
 def iou_elementwise(a, b) -> np.ndarray:
+    """Row-by-row IoU of two equal-length (N, 4) box arrays."""
     a, b = _as_boxes(a), _as_boxes(b)
     if a.shape != b.shape:
         raise ValueError("elementwise IoU requires equal-length box arrays")
     return _ratio(*_inter_union(a, b))
 
 
-def ioum_elementwise(av, at, bv, bt) -> np.ndarray:
-    av, at, bv, bt = map(_as_boxes, (av, at, bv, bt))
+def ioum_elementwise(a_visible, a_thermal, b_visible, b_thermal) -> np.ndarray:
+    """Row-by-row multi-modal IoU of equal-length paired box arrays."""
+    av, at, bv, bt = map(_as_boxes, (a_visible, a_thermal, b_visible, b_thermal))
     if not (av.shape == at.shape == bv.shape == bt.shape):
         raise ValueError("elementwise multi-modal IoU requires equal-length box arrays")
     return _pooled(av, at, bv, bt)

@@ -198,32 +198,28 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _mock_spec_from_args(args, meta: DatasetMeta) -> MockDetectorSpec:
-    return MockDetectorSpec(
+def cmd_shift_sweep(args) -> int:
+    dataset = read_dataset(args.ground_truth)
+    thresholds = tuple(args.iou_thresh)
+    config = EvalConfig(iou_thresholds=thresholds, variants=("multimodal",))
+    mock = None if args.dets_pattern else MockDetectorSpec(
         mode=args.mock,
         center_noise_sigma=args.center_sigma,
         size_noise_sigma=args.size_sigma,
         miss_prob=args.miss_prob,
         fp_per_frame=args.fp_per_frame,
         score_noise_sigma=args.score_sigma,
-        image_width=meta.image_width,
-        image_height=meta.image_height,
+        image_width=dataset.meta.image_width,
+        image_height=dataset.meta.image_height,
         seed=args.seed,
     )
-
-
-def cmd_shift_sweep(args) -> int:
-    dataset = read_dataset(args.ground_truth)
-    thresholds = tuple(args.iou_thresh)
     rows = []
     for dx in args.shift:
-        spec = ShiftSpec(dx, image_width=dataset.meta.image_width)
-        shifted = apply_shift(dataset.frames, spec)
-        if args.dets_pattern:
+        shifted = apply_shift(dataset.frames, ShiftSpec(dx, image_width=dataset.meta.image_width))
+        if mock is None:
             detections = read_detections(_dets_path(args.dets_pattern, dx))
         else:
-            detections = mock_detect(shifted, _mock_spec_from_args(args, dataset.meta))
-        config = EvalConfig(iou_thresholds=thresholds, variants=("multimodal",))
+            detections = mock_detect(shifted, mock)
         report = evaluate(shifted, detections, config)
         rows.append((dx, {t: report.lamr("multimodal", t) for t in thresholds}))
     table = format_sweep_table(rows, thresholds)

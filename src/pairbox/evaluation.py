@@ -130,8 +130,15 @@ class DetectionTable(Sequence[FrameDetections]):
     frame ``k`` has id ``frame_ids[k]`` and owns rows
     ``offsets[k]:offsets[k + 1]``. The table is a re-iterable sequence of
     :class:`FrameDetections`, each built from the columns when it is accessed.
-    Frame ids are kept as given, duplicates included.
+    Frame ids are kept as given, duplicates included. Every row is checked
+    once, when the table is built, against ``ROW_LO``/``ROW_HI`` (NaN fails);
+    a bad box is refused in :class:`~pairbox.geometry.Box`'s words.
     """
+
+    # the bounds of a row v[0:4], t[4:8], score[8]: Box's bound on
+    # coordinates, non-negative extents, and scores in [0, 1]
+    ROW_LO = np.array([-1e100, -1e100, 0.0, 0.0] * 2 + [0.0])
+    ROW_HI = np.array([1e100] * 8 + [1.0])
 
     def __init__(self, frame_ids, offsets, v, t, score):
         self.frame_ids = list(frame_ids)
@@ -145,9 +152,17 @@ class DetectionTable(Sequence[FrameDetections]):
             or self.offsets[0] != 0
             or self.offsets[-1] != n
             or np.any(np.diff(self.offsets) < 0)
-            or not len(self.v) == len(self.t) == n
+            or self.score.ndim != 1
+            or not self.v.shape == self.t.shape == (n, 4)
         ):
             raise ValueError("detection columns and frame offsets do not agree")
+        for boxes in (self.v, self.t):
+            inside = (self.ROW_LO[:4] <= boxes) & (boxes <= self.ROW_HI[:4])  # NaN is outside
+            if not inside.all():  # Box has the same bound: it refuses the row in its words
+                Box(*boxes[~inside.all(axis=1)][0].tolist())
+        bad = self.score[~((self.ROW_LO[8] <= self.score) & (self.score <= self.ROW_HI[8]))]
+        if bad.size:
+            raise ValueError(f"score must be a finite value in [0, 1], got {bad[0].item()!r}")
 
     @classmethod
     def from_frames(cls, frames: Iterable[FrameDetections]) -> "DetectionTable":

@@ -267,10 +267,6 @@ def write_dataset(dataset: Dataset, path) -> None:
 _RECORD_KEYS = {"frame", "dets"}
 _PAIR_KEYS = {"v", "t", "score"}
 _ROW = 9  # v[0:4], t[4:8], score[8]
-# per-column bounds of a row: the Box bound on coordinates, non-negative
-# extents, scores in [0, 1]
-_LO = np.array([-1e100, -1e100, 0.0, 0.0] * 2 + [0.0])
-_HI = np.array([1e100] * 8 + [1.0])
 
 
 def read_detections(path) -> DetectionTable:
@@ -301,8 +297,8 @@ def read_detections(path) -> DetectionTable:
 
 def _canonical_rows(record, seen) -> Optional[np.ndarray]:
     """The (n, 9) rows of a ``{"frame", "dets"}`` record of ``{"v", "t",
-    "score"}`` detections whose values are plain numbers within the column
-    bounds and whose frame id is new, or None for any other record."""
+    "score"}`` detections whose values are plain numbers within the table's
+    row bounds and whose frame id is new, or None for any other record."""
     if type(record) is not dict or record.keys() != _RECORD_KEYS:
         return None
     fid, dets = record["frame"], record["dets"]
@@ -325,7 +321,8 @@ def _canonical_rows(record, seen) -> Optional[np.ndarray]:
         rows = np.array(values, dtype=np.float64).reshape(-1, _ROW)
     except OverflowError:  # an integer too large for a float
         return None
-    return rows if ((_LO <= rows) & (rows <= _HI)).all() else None  # NaN fails the bound
+    inside = (DetectionTable.ROW_LO <= rows) & (rows <= DetectionTable.ROW_HI)  # NaN is outside
+    return rows if inside.all() else None
 
 
 def _parse_detection_record(record: dict, path, line_no: int, seen) -> np.ndarray:

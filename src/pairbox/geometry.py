@@ -20,7 +20,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
+# the array functions are the kernels themselves, under their public names
+from ._kernels import iou_elementwise, iou_matrix
+from ._kernels import ioum_elementwise as iou_multimodal_elementwise
+from ._kernels import ioum_matrix as iou_multimodal_matrix
 
 __all__ = [
     "Box",
@@ -133,23 +136,3 @@ def pairs_to_arrays(pairs: Sequence[PairedBox]) -> tuple[np.ndarray, np.ndarray]
     visible = boxes_to_array(p.visible for p in pairs)
     thermal = boxes_to_array(p.thermal for p in pairs)
     return visible, thermal
-
-
-def iou_matrix(a, b) -> np.ndarray:
-    """Pairwise IoU between (N, 4) and (M, 4) arrays of (x, y, w, h) boxes."""
-    return _kernels.iou_matrix(a, b)
-
-
-def iou_multimodal_matrix(a_visible, a_thermal, b_visible, b_thermal) -> np.ndarray:
-    """Pairwise multi-modal IoU between two sets of paired boxes, as (N, M)."""
-    return _kernels.ioum_matrix(a_visible, a_thermal, b_visible, b_thermal)
-
-
-def iou_elementwise(a, b) -> np.ndarray:
-    """Row-by-row IoU of two equal-length (N, 4) box arrays."""
-    return _kernels.iou_elementwise(a, b)
-
-
-def iou_multimodal_elementwise(a_visible, a_thermal, b_visible, b_thermal) -> np.ndarray:
-    """Row-by-row multi-modal IoU of equal-length paired box arrays."""
-    return _kernels.ioum_elementwise(a_visible, a_thermal, b_visible, b_thermal)

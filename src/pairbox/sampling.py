@@ -77,12 +77,6 @@ class AssignmentResult:
     matched_gt: np.ndarray
     max_ioum: np.ndarray
 
-    def positives(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == POSITIVE)
-
-    def negatives(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == NEGATIVE)
-
 
 def _overlap_stats(candidates: tuple[np.ndarray, np.ndarray], gts: Sequence[PairedBox]):
     """Overlap matrix, best overlap and best GT index per candidate; with no
@@ -150,12 +144,13 @@ def sample_minibatch(
     pos_fraction: float,
     rng: int | np.random.Generator,
 ) -> np.ndarray:
-    """Draw a mini-batch of candidate indices, positives first.
+    """Draw a mini-batch of up to ``batch`` candidate indices, positives first.
 
     Samples up to ``int(batch * pos_fraction)`` positives uniformly without
     replacement and fills the remainder with negatives; scarce positives are
-    compensated with extra negatives. ``rng`` must be an explicit seed or
-    generator so the draw is reproducible.
+    compensated with extra negatives; scarce candidates give a smaller batch,
+    and none an empty one. ``rng`` must be an explicit seed or generator so
+    the draw is reproducible.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
@@ -164,10 +159,8 @@ def sample_minibatch(
     if rng is None:
         raise ValueError("a seed or np.random.Generator is required")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    pos = result.positives()
-    neg = result.negatives()
-    if pos.size == 0 and neg.size == 0:
-        raise ValueError("no positive or negative candidates to sample from")
+    pos = np.flatnonzero(result.labels == POSITIVE)
+    neg = np.flatnonzero(result.labels == NEGATIVE)
     n_pos = min(pos.size, int(batch * pos_fraction))
     n_neg = min(neg.size, batch - n_pos)
     pos_sel = gen.permutation(pos)[:n_pos]

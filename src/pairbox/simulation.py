@@ -206,20 +206,32 @@ class MockDetectorSpec:
             raise ValueError("image dimensions must be finite and positive")
 
 
-def _perturb(box: Box, rng: np.random.Generator, spec: MockDetectorSpec) -> tuple[Box, float]:
-    """Jitter a box; returns the new box and the perturbation magnitude (px)."""
+def _size_factor(rng: np.random.Generator, sigma: float) -> float:
+    """A log-normal size factor of spread ``sigma``; inf past the largest float."""
+    try:
+        return math.exp(float(rng.normal(0.0, sigma))) if sigma > 0 else 1.0
+    except OverflowError:
+        return math.inf
+
+
+def _perturb(box: Box, rng: np.random.Generator, spec: MockDetectorSpec) -> tuple[tuple, float]:
+    """Jitter a box; returns the new (x, y, w, h) and the perturbation
+    magnitude (px). An extent too large for a float is inf, which the table
+    refuses."""
     dcx = float(rng.normal(0.0, spec.center_noise_sigma)) if spec.center_noise_sigma > 0 else 0.0
     dcy = float(rng.normal(0.0, spec.center_noise_sigma)) if spec.center_noise_sigma > 0 else 0.0
-    sw = math.exp(float(rng.normal(0.0, spec.size_noise_sigma))) if spec.size_noise_sigma > 0 else 1.0
-    sh = math.exp(float(rng.normal(0.0, spec.size_noise_sigma))) if spec.size_noise_sigma > 0 else 1.0
+    sw = _size_factor(rng, spec.size_noise_sigma)
+    sh = _size_factor(rng, spec.size_noise_sigma)
     if dcx == 0.0 and dcy == 0.0 and sw == 1.0 and sh == 1.0:
-        return box, 0.0
+        return box.as_tuple(), 0.0
     w = box.w * sw
     h = box.h * sh
     cx, cy = box.center
-    new = Box(cx + dcx - 0.5 * w, cy + dcy - 0.5 * h, w, h)
-    mag = math.sqrt(dcx * dcx + dcy * dcy + (w - box.w) ** 2 + (h - box.h) ** 2)
-    return new, mag
+    try:  # a squared extent may pass the largest float
+        mag = math.sqrt(dcx * dcx + dcy * dcy + (w - box.w) ** 2 + (h - box.h) ** 2)
+    except OverflowError:
+        mag = math.inf
+    return (cx + dcx - 0.5 * w, cy + dcy - 0.5 * h, w, h), mag
 
 
 def _score(mag: float, box: Box, rng: np.random.Generator, spec: MockDetectorSpec) -> float:
@@ -230,13 +242,13 @@ def _score(mag: float, box: Box, rng: np.random.Generator, spec: MockDetectorSpe
     return min(max(raw, SCORE_FLOOR), 1.0)
 
 
-def _false_positive(rng: np.random.Generator, spec: MockDetectorSpec) -> tuple[Box, float]:
+def _false_positive(rng: np.random.Generator, spec: MockDetectorSpec) -> tuple[tuple, float]:
     h = float(rng.uniform(40.0, min(160.0, spec.image_height)))
     w = 0.41 * h
     x = float(rng.uniform(0.0, max(spec.image_width - w, 1.0)))
     y = float(rng.uniform(0.0, max(spec.image_height - h, 1.0)))
     score = float(rng.uniform(SCORE_FLOOR, 1.0))
-    return Box(x, y, w, h), score
+    return (x, y, w, h), score
 
 
 def mock_detect(frames: Sequence[FrameAnnotations], spec: MockDetectorSpec) -> DetectionTable:
@@ -245,9 +257,9 @@ def mock_detect(frames: Sequence[FrameAnnotations], spec: MockDetectorSpec) -> D
     Per object, a miss is drawn with ``miss_prob``; surviving objects get a
     perturbed detection according to the mode. Streams are keyed by frame
     position, so results are reproducible for a fixed seed. More than
-    ``MAX_DRAWS`` expected false positives are refused. Every emitted box
-    passes the :class:`~pairbox.geometry.Box` checks, and every score lies in
-    [0, 1].
+    ``MAX_DRAWS`` expected false positives are refused, and the table
+    refuses a box or score outside its row bounds (an infinite extent from
+    a size factor that overflows, say).
     """
     if not len(frames) * spec.fp_per_frame <= MAX_DRAWS:
         raise ValueError(f"more than the limit of {MAX_DRAWS} expected false positives")
@@ -267,16 +279,12 @@ def mock_detect(frames: Sequence[FrameAnnotations], spec: MockDetectorSpec) -> D
                 box_v, mag = _perturb(obj.pair.visible, rng, spec)
                 box_t = box_v
             score = _score(mag, obj.pair.visible, rng, spec)
-            rows.append(box_v.as_tuple() + box_t.as_tuple() + (score,))
+            rows.append(box_v + box_t + (score,))
         if spec.fp_per_frame > 0:
             for _ in range(int(rng.poisson(spec.fp_per_frame))):
                 box, score = _false_positive(rng, spec)
-                rows.append(box.as_tuple() * 2 + (score,))
+                rows.append(box * 2 + (score,))
         frame_ids.append(frame.frame_id)
         offsets.append(len(rows))
     rows = np.array(rows, dtype=np.float64).reshape(-1, 9)
-    score = rows[:, 8]
-    bad = ~((0.0 <= score) & (score <= 1.0))  # NaN is bad too
-    if bad.any():
-        raise ValueError(f"score must be a finite value in [0, 1], got {score[bad][0].item()!r}")
-    return DetectionTable(frame_ids, offsets, rows[:, :4], rows[:, 4:8], score)
+    return DetectionTable(frame_ids, offsets, rows[:, :4], rows[:, 4:8], rows[:, 8])

@@ -382,6 +382,18 @@ class TestAssignCommand:
         assert "selected" in record
         assert len(record["selected"]) <= 32
 
+    def test_detector_stage_samples_an_empty_frame_as_an_empty_batch(self, tmp_path):
+        ds_path = tmp_path / "gt.jsonl"
+        frames = (FrameAnnotations(0, (gt(100, 100, w=20, h=70),)), FrameAnnotations(1, ()))
+        write_dataset(Dataset(frames=frames), ds_path)
+        out_path = tmp_path / "labels.jsonl"
+        assert _run_main(["assign", str(ds_path), "--stage", "detector",
+                          "--sample-batch", "8", "--out", str(out_path)]) == (0, "")
+        first, empty = map(json.loads, out_path.read_text(encoding="utf-8").splitlines())
+        assert 0 < len(first["selected"]) <= 8
+        assert set(empty["labels"]) == {-1}  # no GT: every RoI falls below the negative band
+        assert empty["selected"] == []
+
     def test_oversized_anchor_grid_exits_1(self, tmp_path, capsys):
         ds_path = tmp_path / "gt.jsonl"
         write_dataset(Dataset(frames=(FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
@@ -638,6 +650,16 @@ class TestShiftSweepCommand:
         assert rc == 0
         assert capsys.readouterr().out.startswith("shift_dx")
         assert built == []
+
+    def test_overflowing_size_factor_exits_1(self, tmp_path):
+        ds_path = tmp_path / "gt.jsonl"
+        main(["generate", "--frames", "20", "--seed", "3", "--out", str(ds_path)])
+        # seed 0 draws a size factor past the largest float: an infinite extent
+        rc, err = _run_main(["shift-sweep", str(ds_path), "--shift", "0",
+                             "--size-sigma", "1000", "--seed", "0"])
+        assert rc == 1
+        assert err.startswith("error: box ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
     def test_dets_pattern_loads_files(self, tmp_path, capsys):
         ds_path = tmp_path / "gt.jsonl"

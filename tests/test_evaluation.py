@@ -633,6 +633,33 @@ class TestDetectionTable:
         with pytest.raises(ValueError, match="offsets"):
             DetectionTable(["a"], [0, 2], np.zeros((1, 4)), np.zeros((1, 4)), [0.5])
 
+    @pytest.mark.parametrize("column", ["v", "t"])
+    @pytest.mark.parametrize("field, value", [
+        (0, math.nan), (1, math.inf), (0, -math.inf), (2, -1.0), (1, 2e100),
+    ])
+    def test_box_outside_the_row_bounds_refused_in_box_words(self, column, field, value):
+        row = [1.0, 2.0, 3.0, 4.0]
+        columns = {"v": np.array([row] * 3), "t": np.array([row] * 3)}
+        columns[column][2, field] = value
+        bad = columns[column][2].tolist()
+        with pytest.raises(ValueError) as box_error:
+            Box(*bad)
+        with pytest.raises(ValueError) as table_error:
+            DetectionTable(["a", "b"], [0, 1, 3], columns["v"], columns["t"], [0.5] * 3)
+        assert str(table_error.value) == str(box_error.value)
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, -1.0, 2e100, 1.5])
+    def test_score_outside_the_unit_interval_refused(self, score):
+        boxes = np.ones((3, 4))
+        with pytest.raises(ValueError, match=re.escape(
+                f"score must be a finite value in [0, 1], got {score!r}")):
+            DetectionTable(["a", "b"], [0, 1, 3], boxes, boxes, [0.5, 1.0, score])
+
+    def test_bound_edges_accepted(self):
+        v = np.array([[-1e100, 1e100, 0.0, 1e100], [-0.0, 0.0, -0.0, 0.0]])
+        table = DetectionTable([0], [0, 2], v, v[::-1], [0.0, 1.0])
+        assert table.score.tolist() == [0.0, 1.0]
+
     def test_take_selects_rows_per_frame(self):
         frames = self._frames()
         table = DetectionTable.from_frames(frames)

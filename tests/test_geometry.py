@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pairbox import _kernels
 from pairbox.geometry import (
     Box,
     PairedBox,
@@ -208,6 +209,12 @@ class TestIouMultimodal:
 
 
 class TestArrayHelpers:
+    def test_array_functions_are_the_kernels(self):
+        assert iou_matrix is _kernels.iou_matrix
+        assert iou_multimodal_matrix is _kernels.ioum_matrix
+        assert iou_elementwise is _kernels.iou_elementwise
+        assert iou_multimodal_elementwise is _kernels.ioum_elementwise
+
     def test_pairs_round_trip(self):
         pairs = [
             PairedBox(Box(0, 0, 4, 5), Box(1, 0, 4, 5)),

@@ -209,10 +209,10 @@ class TestMinibatch:
         b = sample_minibatch(res, batch=64, pos_fraction=0.25, rng=7)
         np.testing.assert_array_equal(a, b)
 
-    def test_no_candidates_raises(self):
+    def test_no_candidates_gives_an_empty_batch(self):
         res = self._result(0, 0)
-        with pytest.raises(ValueError):
-            sample_minibatch(res, batch=8, pos_fraction=0.5, rng=0)
+        sel = sample_minibatch(res, batch=8, pos_fraction=0.5, rng=0)
+        assert sel.size == 0 and sel.dtype == np.int64
 
     def test_size_and_positive_caps(self):
         rng = np.random.default_rng(61)

@@ -206,6 +206,27 @@ class TestMockDetect:
         with pytest.raises(ValueError, match="score must be a finite value in"):
             mock_detect(frames, MockDetectorSpec(seed=1))
 
+    def test_builds_no_box(self, monkeypatch):
+        frames = generate_scene(SceneSpec(num_frames=10, peds_per_frame=3.0, seed=23))
+        built = []
+        check = Box.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(Box, "__post_init__", counted)
+        for mode in ("paired", "single_box"):
+            spec = MockDetectorSpec(mode=mode, center_noise_sigma=2.0, size_noise_sigma=0.1,
+                                    fp_per_frame=2.0, seed=5)
+            assert len(mock_detect(frames, spec).score) > 0
+        assert built == []
+
+    def test_overflowing_size_factor_is_an_infinite_extent(self):
+        frames = generate_scene(SceneSpec(num_frames=3, peds_per_frame=3.0, seed=23))
+        with pytest.raises(ValueError, match=r"box field 'x' must be a number within ±1e100, got -inf"):
+            mock_detect(frames, MockDetectorSpec(size_noise_sigma=1e4, seed=1))
+
     def test_miss_prob_one_detects_nothing(self):
         frames = generate_scene(SceneSpec(num_frames=10, seed=31))
         dets = mock_detect(frames, MockDetectorSpec(miss_prob=1.0, seed=1))
