@@ -27,6 +27,7 @@ import json
 import math
 import string
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -54,7 +55,7 @@ from .formats import (
     write_dataset,
     write_detections,
 )
-from .geometry import PairedBox, pairs_to_arrays
+from .geometry import pairs_to_arrays
 from .pairnms import paired_nms
 from .regression import (
     BACKGROUND_CLASS,
@@ -267,15 +268,13 @@ def _load_anchor_file(path) -> tuple[np.ndarray, np.ndarray]:
     payload = read_json(path)
     if not isinstance(payload, dict) or not isinstance(payload.get("anchors"), list):
         raise ParseError(path, 1, "expected an object with an 'anchors' list")
-    anchors = []
+    visible, thermal = [], []
     for k, raw in enumerate(payload["anchors"]):
         if not isinstance(raw, dict) or "v" not in raw or "t" not in raw:
             raise ParseError(path, 1, f"anchors[{k}]: expected 'v' and 't' boxes")
-        anchors.append(PairedBox(
-            _parse_box(raw["v"], path, 1, f"anchors[{k}].v"),
-            _parse_box(raw["t"], path, 1, f"anchors[{k}].t"),
-        ))
-    return pairs_to_arrays(anchors)
+        visible.append(_parse_box(raw["v"], path, 1, f"anchors[{k}].v").as_tuple())
+        thermal.append(_parse_box(raw["t"], path, 1, f"anchors[{k}].t").as_tuple())
+    return tuple(np.array(boxes, dtype=np.float64).reshape(-1, 4) for boxes in (visible, thermal))
 
 
 def cmd_assign(args) -> int:
@@ -301,7 +300,7 @@ def cmd_assign(args) -> int:
     assign = assign_rpn if args.stage == "rpn" else assign_detector
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for frame in dataset.frames:
-            gts = [obj.pair for obj in frame.objects if not obj.ignore]
+            gts = pairs_to_arrays([obj.pair for obj in frame.objects if not obj.ignore])
             result = assign(anchors, gts, cfg)
             # the bytes json.dumps(record, separators=(",", ":")) writes, each
             # distinct value formatted once
@@ -505,18 +504,6 @@ def cmd_losses(args) -> int:
 # parser
 
 
-def _dets_pattern(text: str) -> str:
-    """A ``--dets-pattern`` whose only placeholder is ``{dx}``."""
-    try:
-        names = {name for _, name, _, _ in string.Formatter().parse(text) if name is not None}
-        if names - {"dx"}:
-            raise ValueError("the only placeholder allowed is {dx}")
-        text.format(dx=0)  # a bad conversion or format spec
-    except (ValueError, KeyError, IndexError) as exc:
-        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
-    return text
-
-
 def _checked(convert, ok, rule: str):
     """An argparse ``type``: ``convert(text)``, refused unless ``ok`` holds
     for it, so a bad value exits 2 naming its option."""
@@ -537,12 +524,38 @@ _non_negative = _checked(float, lambda x: 0.0 <= x < math.inf, "a finite number 
 _positive = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
 _finite = _checked(float, math.isfinite, "a finite number")
 _count = _checked(int, lambda n: n >= 0, "an integer >= 0")
-_positive_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
+# a batch beyond the largest float would overflow sample_minibatch's batch * pos_fraction
+_batch_size = _checked(int, lambda n: 1 <= n <= sys.float_info.max,
+                       "an integer >= 1 and at most the largest float")
 
 
 def _dets_path(pattern: str, dx: float) -> str:
     """The detection file of shift ``dx``; an integral shift is formatted as an int."""
     return pattern.format(dx=int(dx) if dx.is_integer() else dx)
+
+
+def _check_parsed(parser: argparse.ArgumentParser, args) -> None:
+    """The rules on a whole option list, or across options, that no argparse
+    ``type`` sees; a violation exits 2 naming the option, before any file is read."""
+    for dest in ("variants", "iou_thresh", "shift"):
+        values = getattr(args, dest, None)
+        if isinstance(values, list) and len(set(values)) < len(values):  # nms: one --iou-thresh
+            repeated = next(v for v, n in Counter(values).items() if n > 1)
+            parser.error(f"argument --{dest.replace('_', '-')}: {repeated!r} is given more than once")
+    pattern = getattr(args, "dets_pattern", None)
+    if not pattern:
+        return
+    try:
+        names = {name for _, name, _, _ in string.Formatter().parse(pattern) if name is not None}
+        if names - {"dx"}:
+            raise ValueError("the only placeholder allowed is {dx}")
+    except ValueError as exc:
+        parser.error(f"argument --dets-pattern: {pattern!r}: {exc}")
+    for dx in args.shift:  # formatted with each shift as cmd_shift_sweep formats it
+        try:
+            _dets_path(pattern, dx)
+        except (ValueError, KeyError, IndexError, OverflowError) as exc:
+            parser.error(f"argument --dets-pattern: {pattern!r} with --shift {dx:g}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -575,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=_count, default=0)
     p_sweep.add_argument(
         "--dets-pattern",
-        type=_dets_pattern,
         default=None,
         help="per-shift detection file template with a {dx} placeholder "
              "(overrides the mock detector)",
@@ -622,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_assign.add_argument("--det-neg-lo", type=_fraction, default=0.1)
     p_assign.add_argument("--det-neg-hi", type=_fraction, default=0.5)
     p_assign.add_argument("--force-best-anchor", action="store_true")
-    p_assign.add_argument("--sample-batch", type=_positive_count, default=None,
+    p_assign.add_argument("--sample-batch", type=_batch_size, default=None,
                           help="also draw a mini-batch of this size")
     p_assign.add_argument("--pos-fraction", type=_open_fraction, default=0.5)
     p_assign.add_argument("--seed", type=_count, default=0)
@@ -643,13 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "dets_pattern", None):
-        for dx in args.shift:  # a format spec need not suit every shift
-            try:
-                _dets_path(args.dets_pattern, dx)
-            except (ValueError, OverflowError) as exc:
-                parser.error(f"argument --dets-pattern: {args.dets_pattern!r} "
-                             f"with --shift {dx:g}: {exc}")
+    _check_parsed(parser, args)
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

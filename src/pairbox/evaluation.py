@@ -409,6 +409,10 @@ class EvalConfig:
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown or not self.variants:
             raise ValueError(f"variants must be a non-empty subset of {VARIANTS}")
+        for name in ("iou_thresholds", "variants"):  # a repeat would score its cells twice
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values!r}")
         if not 0.0 <= self.min_height < math.inf:
             raise ValueError(f"min_height must be a finite number >= 0, got {self.min_height!r}")
 

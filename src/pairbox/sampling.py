@@ -3,18 +3,21 @@
 Anchor pairs and RoI pairs are labeled positive/negative/ignore from their
 best multi-modal IoU against the ground-truth pairs, then mini-batches are
 drawn with a capped positive fraction. Assignment is pure; sampling takes an
-explicit seeded random source. Anchors and RoIs are (visible, thermal) pairs
-of (N, 4) arrays, as ``generate_anchor_grid`` and ``pairs_to_arrays`` return.
+explicit seeded random source. Anchors, RoIs and ground-truth pairs are
+(visible, thermal) pairs of (N, 4) arrays, as ``generate_anchor_grid`` and
+``pairs_to_arrays`` return.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import PairedBox, iou_multimodal_matrix, pairs_to_arrays
+# pairs_to_arrays is unused here, but perfbench/spans.py wraps it under this module's name
+from .geometry import iou_multimodal_matrix, pairs_to_arrays
 
 __all__ = [
     "POSITIVE",
@@ -78,20 +81,19 @@ class AssignmentResult:
     max_ioum: np.ndarray
 
 
-def _overlap_stats(candidates: tuple[np.ndarray, np.ndarray], gts: Sequence[PairedBox]):
+def _overlap_stats(candidates: tuple[np.ndarray, np.ndarray], gts: tuple[np.ndarray, np.ndarray]):
     """Overlap matrix, best overlap and best GT index per candidate; with no
     GT the best overlap and the best GT index are 0."""
-    cv, ct = candidates
-    overlaps = iou_multimodal_matrix(cv, ct, *pairs_to_arrays(gts))
+    overlaps = iou_multimodal_matrix(*candidates, *gts)
     max_ioum = overlaps.max(axis=1, initial=0.0)  # overlaps are never negative
     # ties resolve to the lowest GT index
-    best_gt = overlaps.argmax(axis=1) if len(gts) else np.zeros(len(cv), dtype=np.int64)
+    best_gt = overlaps.argmax(axis=1) if overlaps.shape[1] else np.zeros(len(overlaps), dtype=np.int64)
     return overlaps, max_ioum, best_gt
 
 
 def assign_rpn(
     anchors: tuple[np.ndarray, np.ndarray],
-    gts: Sequence[PairedBox],
+    gts: tuple[np.ndarray, np.ndarray],
     cfg: AssignmentConfig = AssignmentConfig(),
 ) -> AssignmentResult:
     """Label anchor pairs against GT pairs by best multi-modal IoU.
@@ -103,24 +105,21 @@ def assign_rpn(
     additionally forced positive provided its overlap is nonzero.
     """
     overlaps, max_ioum, best_gt = _overlap_stats(anchors, gts)
-    n = len(max_ioum)
+    n, m = overlaps.shape
     labels = np.full(n, IGNORE, dtype=np.int8)
     labels[max_ioum > cfg.rpn_pos_thresh] = POSITIVE
     # with no GT all are negative, also where rpn_neg_thresh == 0 would give IGNORE
-    labels[(max_ioum < cfg.rpn_neg_thresh) | (len(gts) == 0)] = NEGATIVE
+    labels[(max_ioum < cfg.rpn_neg_thresh) | (m == 0)] = NEGATIVE
     if cfg.match_best_anchor_per_gt and n > 0:
-        for j in range(len(gts)):
-            col = overlaps[:, j]
-            i = int(col.argmax())
-            if col[i] > 0.0:
-                labels[i] = POSITIVE
+        best = overlaps.argmax(axis=0)  # the first maximum: the lowest anchor index
+        labels[best[overlaps[best, np.arange(m)] > 0.0]] = POSITIVE
     matched_gt = np.where(labels == POSITIVE, best_gt, -1).astype(np.int64)
     return AssignmentResult(labels=labels, matched_gt=matched_gt, max_ioum=max_ioum)
 
 
 def assign_detector(
     rois: tuple[np.ndarray, np.ndarray],
-    gts: Sequence[PairedBox],
+    gts: tuple[np.ndarray, np.ndarray],
     cfg: AssignmentConfig = AssignmentConfig(),
 ) -> AssignmentResult:
     """Label RoI pairs against GT pairs by best multi-modal IoU.
@@ -149,11 +148,11 @@ def sample_minibatch(
     Samples up to ``int(batch * pos_fraction)`` positives uniformly without
     replacement and fills the remainder with negatives; scarce positives are
     compensated with extra negatives; scarce candidates give a smaller batch,
-    and none an empty one. ``rng`` must be an explicit seed or generator so
-    the draw is reproducible.
+    and none an empty one. ``batch`` may not exceed the largest float.
+    ``rng`` must be an explicit seed or generator so the draw is reproducible.
     """
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
+    if not 1 <= batch <= sys.float_info.max:  # batch * pos_fraction is a float
+        raise ValueError("batch must be >= 1 and at most the largest float")
     if not 0.0 < pos_fraction < 1.0:
         raise ValueError("pos_fraction must lie in (0, 1)")
     if rng is None:

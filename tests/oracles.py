@@ -5,9 +5,11 @@ the code under test: pixel counting on boolean grids instead of closed-form
 areas, an O(n^2) pure-python NMS, central finite differences instead of
 analytic gradients, a one-box-at-a-time NMS walk instead of the blocked
 suppression rows, a per-coordinate Python-float smooth-L1 instead of
-the array one, per-sample losses instead of the column ones, per-threshold re-matching instead of the one-pass
-score sweep, a scalar triple loop instead of the broadcast anchor grid, and
-a field-by-field parse into detection objects instead of the column reader.
+the array one, per-sample losses instead of the column ones, per-threshold
+re-matching instead of the one-pass score sweep, a scalar triple loop instead
+of the broadcast anchor grid, a per-GT loop instead of the one-step
+best-anchor rule, and a field-by-field parse into detection objects instead
+of the column reader.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from pairbox.formats import (
 from pairbox.geometry import PairedBox
 from pairbox.pairnms import Detection
 from pairbox.regression import cross_entropy
+from pairbox.sampling import POSITIVE
 
 
 def rasterized_counts(a, b, scale: int = 10):
@@ -288,6 +291,21 @@ def naive_anchor_grid(image_width, image_height, stride, heights, aspect):
                 w = aspect * h
                 boxes.append((cx - 0.5 * w, cy - 0.5 * h, w, h))
     return boxes
+
+
+def loop_best_anchor_per_gt(labels, overlaps) -> np.ndarray:
+    """``labels`` with each GT's first-best anchor forced positive where its
+    overlap is nonzero, one GT column at a time: the per-GT loop
+    ``assign_rpn`` ran before the rule became one array operation."""
+    labels = labels.copy()
+    if len(labels) == 0:
+        return labels
+    for j in range(overlaps.shape[1]):
+        col = overlaps[:, j]
+        i = int(col.argmax())
+        if col[i] > 0.0:
+            labels[i] = POSITIVE
+    return labels
 
 
 def naive_smooth_l1(pred, target) -> tuple[float, tuple[float, ...]]:

@@ -234,14 +234,14 @@ def test_criterion_6_assignment_thresholds():
         # exact overlaps (w - dx)/(w + dx): 0.70, 0.50, 0.20 for the proposal stage
         anchors = [aligned(3, 17), aligned(110, 30), aligned(220, 30)]
         gts = [aligned(0, 17), aligned(100, 30), aligned(200, 30)]
-        res = assign_rpn(pairs_to_arrays(anchors), gts)
+        res = assign_rpn(pairs_to_arrays(anchors), pairs_to_arrays(gts))
         assert res.max_ioum.tolist() == [0.7, 0.5, 0.2]
         assert res.labels.tolist() == [POSITIVE, IGNORE, NEGATIVE]
 
         # exact overlaps 0.55, 0.30, 0.05 for the detection stage
         rois = [aligned(9, 31), aligned(103.5, 6.5), aligned(219, 21)]
         gts = [aligned(0, 31), aligned(100, 6.5), aligned(200, 21)]
-        res = assign_detector(pairs_to_arrays(rois), gts)
+        res = assign_detector(pairs_to_arrays(rois), pairs_to_arrays(gts))
         assert res.max_ioum.tolist() == [0.55, 0.3, 0.05]
         assert res.labels.tolist() == [POSITIVE, NEGATIVE, IGNORE]
 

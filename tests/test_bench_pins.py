@@ -7,8 +7,10 @@ curves, so deleting one leaves every other test passing and only crashes a
 benchmark run. This module reads ``perfbench/`` and changes nothing in it.
 """
 
+import ast
 import importlib.util
 import io
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -21,6 +23,7 @@ from pairbox._kernels import _python
 from pairbox.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(pairbox.__file__).resolve().parent
 # the kernels perfbench/kernels.py times on the package and compares on the numpy module
 KERNELS = ("iou_matrix", "ioum_matrix", "iou_elementwise", "nms_keep")
 
@@ -83,3 +86,34 @@ def test_smoke_workloads_build_and_run_traced(tmp_path, monkeypatch):
     assert (counts["evaluation.match_calls"], counts["evaluation.tp"],
             counts["evaluation.fp"], counts["evaluation.fn"]) == (1, 1, 1, 0)
     assert counts["evaluation.curve_points"] == len(curve.points) == 2
+
+
+def _unused_imports(tree: ast.Module) -> set[str]:
+    """The names a module imports but neither uses nor lists in ``__all__``."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                 for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_every_unused_import_is_a_span_target():
+    """An import the package does not use is kept only because the benchmark
+    wraps it under that module's name; once the benchmark stops looking it
+    up, this names the import to delete."""
+    targets = set(re.findall(r'"(pairbox[\w.]*:\w+)"', (PERFBENCH / "spans.py").read_text("utf-8")))
+    assert targets  # a pattern that finds none would excuse nothing
+    dead = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(("pairbox", *path.relative_to(PACKAGE).with_suffix("").parts))
+        module = module.removesuffix(".__init__")
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        dead += [f"{module}:{name}" for name in sorted(_unused_imports(tree))]
+    assert [name for name in dead if name not in targets] == []

@@ -5,11 +5,12 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairbox import geometry, pairnms
+from pairbox import cli, geometry, pairnms
 from pairbox.cli import main
 from pairbox.evaluation import DetectionTable, FrameDetections
 from pairbox.formats import (
@@ -443,6 +444,32 @@ class TestAssignCommand:
         assert "Traceback" not in err
 
 
+    def test_anchor_file_builds_no_paired_box(self, tmp_path, monkeypatch):
+        anchors_path = tmp_path / "anchors.json"
+        anchors_path.write_text(json.dumps({"anchors": [
+            {"v": [0, 0, 10, 20], "t": [3, 0, 10, 20]}, {"v": [5.5, 1, 2, 3], "t": [6, 1, 2, 3]},
+        ]}), encoding="utf-8")
+        built = []
+        init = geometry.PairedBox.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(geometry.PairedBox, "__init__", counted)
+        visible, thermal = cli._load_anchor_file(anchors_path)
+        assert built == []
+        np.testing.assert_array_equal(visible, [[0, 0, 10, 20], [5.5, 1, 2, 3]])
+        np.testing.assert_array_equal(thermal, [[3, 0, 10, 20], [6, 1, 2, 3]])
+        for boxes in (visible, thermal):
+            assert boxes.dtype == np.float64 and boxes.flags.c_contiguous
+
+    def test_empty_anchor_file_gives_empty_arrays(self, tmp_path):
+        anchors_path = tmp_path / "anchors.json"
+        anchors_path.write_text('{"anchors": []}', encoding="utf-8")
+        assert [boxes.shape for boxes in cli._load_anchor_file(anchors_path)] == [(0, 4), (0, 4)]
+
+
 class TestGenerateCommand:
     def test_seeded_runs_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -528,6 +555,7 @@ class TestBadOptionValues:
         ("assign", "--grid-aspect", "inf"), ("assign", "--rpn-pos", "nan"),
         ("assign", "--rpn-neg", "-0.1"), ("assign", "--det-pos", "1.5"),
         ("assign", "--det-neg-lo", "nan"), ("assign", "--det-neg-hi", "2"),
+        ("assign", "--sample-batch", "1" + "0" * 400),  # past the largest float
     ])
     def test_exits_2_naming_the_option(self, tmp_path, capsys, command, option, value):
         """The argument parser refuses the value, before any file is opened."""
@@ -556,10 +584,32 @@ class TestBadOptionValues:
         assert not (tmp_path / "out.jsonl").exists()
 
 
+class TestRepeatedListValues:
+    @pytest.mark.parametrize("command, option, values", [
+        ("evaluate", "--variants", ["thermal", "thermal"]),
+        ("evaluate", "--iou-thresh", ["0.5", "0.7", "0.5"]),
+        ("shift-sweep", "--iou-thresh", ["0.5", "0.5"]),
+        ("shift-sweep", "--shift", ["5", "5"]),
+        ("shift-sweep", "--shift", ["0", "-0"]),
+    ])
+    def test_exits_2_naming_the_option_before_reading(self, tmp_path, capsys, command, option,
+                                                      values):
+        # inputs that do not exist: an error about them would mean they were opened first
+        argv = {"evaluate": ["evaluate", str(tmp_path / "no_gt.jsonl"), str(tmp_path / "no_dets.jsonl")],
+                "shift-sweep": ["shift-sweep", str(tmp_path / "no_gt.jsonl")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, *values])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {option}: " in err and "is given more than once" in err
+        assert "Traceback" not in err
+
+
 class TestShiftSweepCommand:
     @pytest.mark.parametrize("pattern", ["d_{foo}.jsonl", "d_{0}.jsonl", "d_{dx[0]}.jsonl",
                                          "d_{}.jsonl", "d_{dx.real}.jsonl", "d_{.jsonl",
-                                         "d_{dx!z}.jsonl"])
+                                         "d_{dx!z}.jsonl", "d_{dx:{y}}.jsonl",
+                                         "d_{dx:{}}.jsonl"])
     def test_bad_dets_pattern_exits_2(self, capsys, pattern):
         with pytest.raises(SystemExit) as exc:
             main(["shift-sweep", str(SAMPLE), "--shift", "0", "--dets-pattern", pattern])
@@ -576,6 +626,22 @@ class TestShiftSweepCommand:
         err = capsys.readouterr().err
         assert f"error: argument --dets-pattern: {pattern!r} with --shift 2.5: " in err
         assert "Traceback" not in err
+
+    def test_placeholder_names_message(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["shift-sweep", str(SAMPLE), "--dets-pattern", "d_{foo}.jsonl"])
+        assert ("error: argument --dets-pattern: 'd_{foo}.jsonl': the only placeholder "
+                "allowed is {dx}") in capsys.readouterr().err
+
+    def test_float_only_format_spec_takes_a_fractional_shift(self, tmp_path, capsys):
+        anns, dets = four_frame_fixture()
+        write_dataset(Dataset(frames=tuple(anns)), tmp_path / "gt.jsonl")
+        write_detections(DetectionTable.from_frames(dets), tmp_path / "d_2.5.jsonl")
+        # no integral shift: the pattern is formatted with 2.5 only, never with an int
+        rc = main(["shift-sweep", str(tmp_path / "gt.jsonl"), "--shift", "2.5",
+                   "--dets-pattern", str(tmp_path / "d_{dx:.2}.jsonl"), "--format", "csv"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("shift_dx,iou_thresh,lamr\n2.5,")
 
     def test_integral_shift_takes_an_int_format_spec(self, tmp_path, capsys):
         anns, dets = four_frame_fixture()

@@ -602,6 +602,14 @@ class TestEvaluate:
                 EvalConfig(min_height=bad)
         assert EvalConfig(min_height=0).min_height == 0
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"iou_thresholds": (0.5, 0.7, 0.5)}, "iou_thresholds"),
+        ({"variants": ("thermal", "thermal")}, "variants"),
+    ])
+    def test_config_refuses_a_repeated_value(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must not repeat a value"):
+            EvalConfig(**kwargs)
+
 
 class TestDetectionTable:
     def _frames(self):

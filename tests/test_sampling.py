@@ -1,7 +1,12 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pairbox.geometry import Box, PairedBox, pairs_to_arrays
+from pairbox.geometry import Box, PairedBox, iou_multimodal_matrix, pairs_to_arrays
 from pairbox.sampling import (
     IGNORE,
     NEGATIVE,
@@ -14,7 +19,7 @@ from pairbox.sampling import (
     sample_minibatch,
 )
 
-from oracles import naive_anchor_grid, naive_iou
+from oracles import loop_best_anchor_per_gt, naive_anchor_grid, naive_iou
 
 
 def aligned(x, y, w, h):
@@ -41,7 +46,7 @@ class TestRpnAssignment:
             aligned(100, 0, 30, 10),
             aligned(200, 0, 30, 10),
         ]
-        res = assign_rpn(pairs_to_arrays(anchors), gts)
+        res = assign_rpn(pairs_to_arrays(anchors), pairs_to_arrays(gts))
         np.testing.assert_array_equal(res.max_ioum, [0.7, 0.5, 0.2])
         assert res.labels.tolist() == [POSITIVE, IGNORE, NEGATIVE]
         assert res.matched_gt.tolist() == [0, -1, -1]
@@ -50,7 +55,7 @@ class TestRpnAssignment:
         # 126/200 = 0.63 and 30/100 = 0.30, both landing exactly on a threshold
         anchors = [aligned(37, 0, 163, 10), aligned(503.5, 0, 6.5, 10)]
         gts = [aligned(0, 0, 163, 10), aligned(500, 0, 6.5, 10)]
-        res = assign_rpn(pairs_to_arrays(anchors), gts)
+        res = assign_rpn(pairs_to_arrays(anchors), pairs_to_arrays(gts))
         np.testing.assert_array_equal(res.max_ioum, [0.63, 0.3])
         assert res.labels.tolist() == [IGNORE, IGNORE]
 
@@ -58,7 +63,7 @@ class TestRpnAssignment:
         anchors = [aligned(0, 0, 10, 10), aligned(5, 5, 4, 4)]
         # with rpn_neg_thresh == 0 the general rule would label a 0 overlap IGNORE
         for cfg in (AssignmentConfig(), AssignmentConfig(rpn_neg_thresh=0.0)):
-            res = assign_rpn(pairs_to_arrays(anchors), [], cfg)
+            res = assign_rpn(pairs_to_arrays(anchors), pairs_to_arrays([]), cfg)
             assert res.labels.tolist() == [NEGATIVE, NEGATIVE]
             np.testing.assert_array_equal(res.max_ioum, [0.0, 0.0])
             assert res.matched_gt.tolist() == [-1, -1]
@@ -73,16 +78,16 @@ class TestRpnAssignment:
             aligned(float(rng.integers(0, 120)), float(rng.integers(0, 120)), 20, 40)
             for _ in range(6)
         ]
-        base = assign_rpn(pairs_to_arrays(anchors), gts)
+        base = assign_rpn(pairs_to_arrays(anchors), pairs_to_arrays(gts))
         perm = [4, 2, 0, 5, 1, 3]
-        shuffled = assign_rpn(pairs_to_arrays(anchors), [gts[i] for i in perm])
+        shuffled = assign_rpn(pairs_to_arrays(anchors), pairs_to_arrays([gts[i] for i in perm]))
         np.testing.assert_array_equal(base.labels, shuffled.labels)
         np.testing.assert_array_equal(base.max_ioum, shuffled.max_ioum)
 
     def test_argmax_tie_breaks_to_lowest_gt_index(self):
         anchor = aligned(0, 0, 10, 10)
         gt = aligned(2, 0, 10, 10)
-        res = assign_rpn(pairs_to_arrays([anchor]), [gt, gt], AssignmentConfig(rpn_pos_thresh=0.5))
+        res = assign_rpn(pairs_to_arrays([anchor]), pairs_to_arrays([gt, gt]), AssignmentConfig(rpn_pos_thresh=0.5))
         assert res.labels[0] == POSITIVE
         assert res.matched_gt[0] == 0
 
@@ -95,7 +100,7 @@ class TestRpnAssignment:
         anchors = [aligned(*b) for b in boxes_a]
         gts = [aligned(*b) for b in boxes_g]
         cfg = AssignmentConfig()
-        res = assign_rpn(pairs_to_arrays(anchors), gts, cfg)
+        res = assign_rpn(pairs_to_arrays(anchors), pairs_to_arrays(gts), cfg)
         for i, a in enumerate(boxes_a):
             best = max(naive_iou(a, g) for g in boxes_g)
             if best > cfg.rpn_pos_thresh:
@@ -109,12 +114,54 @@ class TestRpnAssignment:
     def test_forced_best_anchor_per_gt(self):
         anchors = [aligned(0, 0, 30, 10), aligned(100, 100, 5, 5)]
         gts = [aligned(12, 0, 30, 10)]  # best anchor overlap 18/42 < pos thresh
-        off = assign_rpn(pairs_to_arrays(anchors), gts, AssignmentConfig())
+        off = assign_rpn(pairs_to_arrays(anchors), pairs_to_arrays(gts), AssignmentConfig())
         assert off.labels[0] == IGNORE
-        on = assign_rpn(pairs_to_arrays(anchors), gts, AssignmentConfig(match_best_anchor_per_gt=True))
+        on = assign_rpn(pairs_to_arrays(anchors), pairs_to_arrays(gts), AssignmentConfig(match_best_anchor_per_gt=True))
         assert on.labels[0] == POSITIVE
         assert on.matched_gt[0] == 0
         assert on.labels[1] == NEGATIVE
+
+
+# integer boxes on a small grid, zero extents allowed, so that tied overlaps, GTs
+# sharing a best anchor and GTs no anchor overlaps (all-zero columns) come up often
+_grid_box = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 5), st.integers(0, 5))
+_grid_pairs = st.lists(st.tuples(_grid_box, _grid_box), max_size=10)
+
+
+def _as_arrays(pairs):
+    """(visible, thermal) (N, 4) arrays of ``(v, t)`` box tuples."""
+    return tuple(np.array([pair[m] for pair in pairs], dtype=np.float64).reshape(-1, 4)
+                 for m in (0, 1))
+
+
+def _same(*box):
+    return box, box
+
+
+class TestBestAnchorPerGt:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(anchors=_grid_pairs, gts=_grid_pairs, neg=st.sampled_from([0.0, 0.3]))
+    @example(anchors=[], gts=[_same(0, 0, 2, 2)], neg=0.3)  # no anchors
+    @example(anchors=[_same(0, 0, 2, 2)], gts=[], neg=0.3)  # no GTs
+    # a tie between anchors 0 and 1, shared by two GTs, and a GT that overlaps nothing
+    @example(anchors=[_same(0, 0, 4, 4), _same(0, 0, 4, 4), _same(20, 20, 4, 4)],
+             gts=[_same(1, 0, 4, 4), _same(0, 1, 4, 4), _same(40, 40, 2, 2)], neg=0.3)
+    def test_equals_the_per_gt_loop(self, anchors, gts, neg):
+        a, g = _as_arrays(anchors), _as_arrays(gts)
+        cfg = AssignmentConfig(rpn_neg_thresh=neg)
+        plain = assign_rpn(a, g, cfg)
+        forced = assign_rpn(a, g, replace(cfg, match_best_anchor_per_gt=True))
+        expected = loop_best_anchor_per_gt(plain.labels, iou_multimodal_matrix(*a, *g))
+        np.testing.assert_array_equal(forced.labels, expected)
+        np.testing.assert_array_equal(forced.max_ioum, plain.max_ioum)
+
+    def test_tied_best_anchor_goes_to_the_lowest_index(self):
+        # both GTs overlap anchors 0 and 1 at 12/20 = 0.6, between the thresholds
+        anchors = _as_arrays([_same(0, 0, 4, 4), _same(0, 0, 4, 4), _same(20, 20, 4, 4)])
+        gts = _as_arrays([_same(1, 0, 4, 4), _same(0, 1, 4, 4), _same(40, 40, 2, 2)])
+        res = assign_rpn(anchors, gts, AssignmentConfig(match_best_anchor_per_gt=True))
+        assert res.labels.tolist() == [POSITIVE, IGNORE, NEGATIVE]
+        assert res.matched_gt.tolist() == [0, -1, -1]
 
 
 class TestDetectorAssignment:
@@ -129,29 +176,29 @@ class TestDetectorAssignment:
             aligned(100, 0, 6.5, 10),
             aligned(200, 0, 21, 10),
         ]
-        res = assign_detector(pairs_to_arrays(rois), gts)
+        res = assign_detector(pairs_to_arrays(rois), pairs_to_arrays(gts))
         np.testing.assert_array_equal(res.max_ioum, [0.55, 0.3, 0.05])
         assert res.labels.tolist() == [POSITIVE, NEGATIVE, IGNORE]
         assert res.matched_gt.tolist() == [0, -1, -1]
 
     def test_exact_positive_boundary_inclusive(self):
         roi, gt = offset_pair(30, 10)  # exactly 0.50
-        res = assign_detector(pairs_to_arrays([roi]), [gt])
+        res = assign_detector(pairs_to_arrays([roi]), pairs_to_arrays([gt]))
         assert res.labels[0] == POSITIVE
 
     def test_exact_negative_floor_inclusive(self):
         # 20/200: boxes (0,0,110,10) and (90,0,110,10) -> 200/2000 = 0.1
         roi = aligned(90, 0, 110, 10)
         gt = aligned(0, 0, 110, 10)
-        res = assign_detector(pairs_to_arrays([roi]), [gt])
+        res = assign_detector(pairs_to_arrays([roi]), pairs_to_arrays([gt]))
         assert res.max_ioum[0] == 0.1
         assert res.labels[0] == NEGATIVE
 
     def test_no_gts(self):
-        res = assign_detector(pairs_to_arrays([aligned(0, 0, 10, 10)]), [])
+        res = assign_detector(pairs_to_arrays([aligned(0, 0, 10, 10)]), pairs_to_arrays([]))
         assert res.labels[0] == IGNORE  # 0 overlap sits below the negative band
         res_lo0 = assign_detector(
-            pairs_to_arrays([aligned(0, 0, 10, 10)]), [], AssignmentConfig(det_neg_lo=0.0)
+            pairs_to_arrays([aligned(0, 0, 10, 10)]), pairs_to_arrays([]), AssignmentConfig(det_neg_lo=0.0)
         )
         assert res_lo0.labels[0] == NEGATIVE
 
@@ -162,7 +209,7 @@ class TestDetectorAssignment:
             for x, y in rng.integers(0, 150, size=(100, 2))
         ]
         gts = [aligned(float(x), float(y), 20, 45) for x, y in rng.integers(0, 150, size=(5, 2))]
-        res = assign_detector(pairs_to_arrays(rois), gts)
+        res = assign_detector(pairs_to_arrays(rois), pairs_to_arrays(gts))
         assert set(res.labels.tolist()) <= {POSITIVE, NEGATIVE, IGNORE}
         assert res.labels.shape == (100,)
 
@@ -229,6 +276,14 @@ class TestMinibatch:
             n_sel_pos = int(np.count_nonzero(res.labels[sel] == POSITIVE))
             assert n_sel_pos <= int(np.ceil(frac * batch))
             assert np.unique(sel).size == sel.size
+
+    def test_batch_beyond_the_largest_float_is_refused(self):
+        res = self._result(4, 4)
+        largest = int(sys.float_info.max)
+        assert sample_minibatch(res, batch=largest, pos_fraction=0.5, rng=0).size == 8
+        for batch in (largest + 1, 10**400):
+            with pytest.raises(ValueError, match="largest float"):
+                sample_minibatch(res, batch=batch, pos_fraction=0.5, rng=0)
 
     def test_requires_seed(self):
         res = self._result(4, 4)
