@@ -182,6 +182,7 @@ def cmd_evaluate(args) -> int:
         min_height=args.min_height,
     )
     report = evaluate(dataset.frames, detections, config)
+    del dataset, detections  # the writes below need only the report: they peak without the inputs
     table = format_eval_table(report)
     out = None if args.out is None else Path(args.out)
     if out is not None:
@@ -523,6 +524,9 @@ _open_fraction = _checked(float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
 _non_negative = _checked(float, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
 _positive = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
 _finite = _checked(float, math.isfinite, "a finite number")
+# within Box's bound of ±1e100: a coordinate, and a positive image extent
+_coordinate = _checked(float, lambda x: abs(x) <= 1e100, "a number within ±1e100")
+_extent = _checked(float, lambda x: 0.0 < x <= 1e100, "a number in (0, 1e100]")
 _count = _checked(int, lambda n: n >= 0, "an integer >= 0")
 # a batch beyond the largest float would overflow sample_minibatch's batch * pos_fraction
 _batch_size = _checked(int, lambda n: 1 <= n <= sys.float_info.max,
@@ -598,14 +602,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a synthetic paired dataset")
     p_gen.add_argument("--frames", type=_count, required=True)
-    p_gen.add_argument("--peds-mean", type=float, default=2.0)
-    p_gen.add_argument("--height-range", type=float, nargs=2, default=[60.0, 120.0])
-    p_gen.add_argument("--width", type=float, default=None, help="fixed box width")
-    p_gen.add_argument("--aspect", type=float, default=0.41, help="width/height when --width unset")
-    p_gen.add_argument("--misalign", type=float, nargs=2, default=[0.0, 0.0])
-    p_gen.add_argument("--image-size", type=float, nargs=2, default=[640.0, 512.0],
+    p_gen.add_argument("--peds-mean", type=_non_negative, default=2.0)
+    p_gen.add_argument("--height-range", type=_positive, nargs=2, default=[60.0, 120.0])
+    p_gen.add_argument("--width", type=_positive, default=None, help="fixed box width")
+    p_gen.add_argument("--aspect", type=_positive, default=0.41,
+                       help="width/height when --width unset")
+    p_gen.add_argument("--misalign", type=_coordinate, nargs=2, default=[0.0, 0.0])
+    p_gen.add_argument("--image-size", type=_extent, nargs=2, default=[640.0, 512.0],
                        metavar=("WIDTH", "HEIGHT"))
-    p_gen.add_argument("--margin", type=float, default=24.0)
+    p_gen.add_argument("--margin", type=_non_negative, default=24.0)
     p_gen.add_argument("--seed", type=_count, default=0)
     p_gen.add_argument("--name", default="synthetic")
     p_gen.add_argument("--out", required=True)

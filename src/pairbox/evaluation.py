@@ -124,12 +124,13 @@ class FrameDetections:
 
 
 class DetectionTable(Sequence[FrameDetections]):
-    """Scored paired detections of many frames, held as columns.
+    """Scored paired detections of many frames, held as one row block.
 
-    ``v`` and ``t`` are (N, 4) float64 box arrays and ``score`` (N,) float64;
-    frame ``k`` has id ``frame_ids[k]`` and owns rows
+    ``rows`` is the (N, 9) float64 block of rows v[0:4], t[4:8], score[8];
+    ``v`` and ``t`` are its (N, 4) box views and ``score`` its (N,) view.
+    Frame ``k`` has id ``frame_ids[k]`` and owns rows
     ``offsets[k]:offsets[k + 1]``. The table is a re-iterable sequence of
-    :class:`FrameDetections`, each built from the columns when it is accessed.
+    :class:`FrameDetections`, each built from the rows when it is accessed.
     Frame ids are kept as given, duplicates included. Every row is checked
     once, when the table is built, against ``ROW_LO``/``ROW_HI`` (NaN fails);
     a bad box is refused in :class:`~pairbox.geometry.Box`'s words.
@@ -140,41 +141,37 @@ class DetectionTable(Sequence[FrameDetections]):
     ROW_LO = np.array([-1e100, -1e100, 0.0, 0.0] * 2 + [0.0])
     ROW_HI = np.array([1e100] * 8 + [1.0])
 
-    def __init__(self, frame_ids, offsets, v, t, score):
+    def __init__(self, frame_ids, offsets, rows):
         self.frame_ids = list(frame_ids)
         self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.v = np.ascontiguousarray(v, dtype=np.float64)
-        self.t = np.ascontiguousarray(t, dtype=np.float64)
-        self.score = np.ascontiguousarray(score, dtype=np.float64)
-        n = len(self.score)
+        self.rows = np.asarray(rows, dtype=np.float64)
         if (
             self.offsets.shape != (len(self.frame_ids) + 1,)
             or self.offsets[0] != 0
-            or self.offsets[-1] != n
+            or self.rows.shape != (self.offsets[-1], self.ROW_LO.size)
             or np.any(np.diff(self.offsets) < 0)
-            or self.score.ndim != 1
-            or not self.v.shape == self.t.shape == (n, 4)
         ):
-            raise ValueError("detection columns and frame offsets do not agree")
-        for boxes in (self.v, self.t):
-            inside = (self.ROW_LO[:4] <= boxes) & (boxes <= self.ROW_HI[:4])  # NaN is outside
-            if not inside.all():  # Box has the same bound: it refuses the row in its words
-                Box(*boxes[~inside.all(axis=1)][0].tolist())
-        bad = self.score[~((self.ROW_LO[8] <= self.score) & (self.score <= self.ROW_HI[8]))]
-        if bad.size:
-            raise ValueError(f"score must be a finite value in [0, 1], got {bad[0].item()!r}")
+            raise ValueError("detection rows and frame offsets do not agree")
+        self.v, self.t, self.score = self.rows[:, 0:4], self.rows[:, 4:8], self.rows[:, 8]
+        inside = (self.ROW_LO <= self.rows) & (self.rows <= self.ROW_HI)  # NaN is outside
+        if not inside.all():  # visible boxes first, then thermal boxes, then scores
+            for lo in (0, 4):  # Box has the same bound: it refuses the row in its words
+                bad = ~inside[:, lo:lo + 4].all(axis=1)
+                if bad.any():
+                    Box(*self.rows[bad.argmax(), lo:lo + 4].tolist())
+            score = self.score[~inside[:, 8]][0].item()
+            raise ValueError(f"score must be a finite value in [0, 1], got {score!r}")
 
     @classmethod
     def from_frames(cls, frames: Iterable[FrameDetections]) -> "DetectionTable":
         """Pack frames of detection objects into one table."""
         frames = list(frames)
-        dets = [d for fd in frames for d in fd.detections]
+        rows = [d.pair.visible.as_tuple() + d.pair.thermal.as_tuple() + (d.score,)
+                for fd in frames for d in fd.detections]
         return cls(
             [fd.frame_id for fd in frames],
             np.cumsum([0] + [len(fd.detections) for fd in frames]),
-            boxes_to_array(d.pair.visible for d in dets),
-            boxes_to_array(d.pair.thermal for d in dets),
-            [d.score for d in dets],
+            np.array(rows, dtype=np.float64).reshape(-1, cls.ROW_LO.size),
         )
 
     def take(self, rows: Sequence[np.ndarray]) -> "DetectionTable":
@@ -182,8 +179,7 @@ class DetectionTable(Sequence[FrameDetections]):
         (row indices into the whole table), in that order."""
         index = np.concatenate([np.zeros(0, dtype=np.int64), *rows])
         return DetectionTable(
-            self.frame_ids, np.cumsum([0] + [len(r) for r in rows]), self.v[index],
-            self.t[index], self.score[index],
+            self.frame_ids, np.cumsum([0] + [len(r) for r in rows]), self.rows[index]
         )
 
     def __len__(self) -> int:
@@ -193,10 +189,8 @@ class DetectionTable(Sequence[FrameDetections]):
         k = range(len(self))[k]  # negative indices; IndexError ends iteration
         lo, hi = int(self.offsets[k]), int(self.offsets[k + 1])
         dets = tuple(
-            Detection(PairedBox(Box(*v), Box(*t)), s)
-            for v, t, s in zip(
-                self.v[lo:hi].tolist(), self.t[lo:hi].tolist(), self.score[lo:hi].tolist()
-            )
+            Detection(PairedBox(Box(*r[0:4]), Box(*r[4:8])), r[8])
+            for r in self.rows[lo:hi].tolist()
         )
         return FrameDetections(self.frame_ids[k], dets)
 
@@ -318,19 +312,6 @@ class MissRateCurve:
     n_frames: int
     n_evaluable: int
 
-    @classmethod
-    def from_points(cls, points: Sequence[CurvePoint], n_frames: int,
-                    n_evaluable: int) -> "MissRateCurve":
-        """A curve from hand-built points, kept in the given order."""
-        def column(field, dtype):
-            return np.array([getattr(p, field) for p in points], dtype=dtype)
-
-        return cls(
-            column("score_thresh", np.float64), column("fppi", np.float64),
-            column("miss_rate", np.float64), column("tp", np.int64),
-            column("fp", np.int64), column("fn", np.int64), n_frames, n_evaluable,
-        )
-
     @cached_property
     def points(self) -> tuple[CurvePoint, ...]:
         return tuple(
@@ -361,8 +342,8 @@ def _curve(scores: np.ndarray, outcomes: np.ndarray, n_frames: int, n_gt: int) -
     if n_gt == 0:
         raise EvaluationError("miss rate undefined: no evaluable ground truth objects")
     if scores.size == 0:
-        point = CurvePoint(1.0, 0.0, 1.0, tp=0, fp=0, fn=n_gt)
-        return MissRateCurve.from_points((point,), n_frames, n_gt)
+        return MissRateCurve(np.array([1.0]), np.array([0.0]), np.array([1.0]), np.array([0]),
+                             np.array([0]), np.array([n_gt]), n_frames, n_gt)
     desc = np.argsort(-scores, kind="stable")
     scores = scores[desc]
     ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))  # last of each tie group

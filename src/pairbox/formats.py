@@ -266,7 +266,7 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 _RECORD_KEYS = {"frame", "dets"}
 _PAIR_KEYS = {"v", "t", "score"}
-_ROW = 9  # v[0:4], t[4:8], score[8]
+_ROW = DetectionTable.ROW_LO.size  # v[0:4], t[4:8], score[8]
 
 
 def read_detections(path) -> DetectionTable:
@@ -292,7 +292,7 @@ def read_detections(path) -> DetectionTable:
         blocks.append(rows)
     offsets = np.cumsum([0] + [len(b) for b in blocks])
     rows = np.concatenate([np.zeros((0, _ROW)), *blocks])
-    return DetectionTable(frame_ids, offsets, rows[:, :4], rows[:, 4:8], rows[:, 8])
+    return DetectionTable(frame_ids, offsets, rows)
 
 
 def _canonical_rows(record, seen) -> Optional[np.ndarray]:

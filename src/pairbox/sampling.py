@@ -186,18 +186,20 @@ def generate_anchor_grid(
         raise ValueError("image dimensions and stride must be positive")
     if not (aspect > 0 and all(h > 0 for h in heights)):
         raise ValueError("aspect and anchor heights must be positive")
-    # np.floor gives inf for a vanishing stride, where math.floor raises
-    ny, nx = np.floor(image_height / stride), np.floor(image_width / stride)
-    count = nx * ny * len(heights)
-    if not count <= MAX_ANCHORS:  # an inf/inf cell count is NaN
-        raise ValueError(f"anchor grid of {count:.4g} anchors exceeds the limit of {MAX_ANCHORS}")
-    h = np.asarray(heights, dtype=np.float64)
-    w = aspect * h
-    # the scalar (i + 0.5) * stride - 0.5 * w, broadcast over (row, column, height)
-    grid = np.empty((int(ny), int(nx), len(h), 4))
-    grid[..., 0] = (np.arange(int(nx))[:, None] + 0.5) * stride - 0.5 * w
-    grid[..., 1] = (np.arange(int(ny))[:, None, None] + 0.5) * stride - 0.5 * h
-    grid[..., 2], grid[..., 3] = w, h
+    # overflows give inf, and NaN where inf meets 0, which the bounds below refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        # np.floor gives inf for a vanishing stride, where math.floor raises
+        ny, nx = np.floor(image_height / stride), np.floor(image_width / stride)
+        count = nx * ny * len(heights)
+        if not count <= MAX_ANCHORS:  # an inf/inf cell count is NaN
+            raise ValueError(f"anchor grid of {count:.4g} anchors exceeds the limit of {MAX_ANCHORS}")
+        h = np.asarray(heights, dtype=np.float64)
+        w = aspect * h
+        # the scalar (i + 0.5) * stride - 0.5 * w, broadcast over (row, column, height)
+        grid = np.empty((int(ny), int(nx), len(h), 4))
+        grid[..., 0] = (np.arange(int(nx))[:, None] + 0.5) * stride - 0.5 * w
+        grid[..., 1] = (np.arange(int(ny))[:, None, None] + 0.5) * stride - 0.5 * h
+        grid[..., 2], grid[..., 3] = w, h
     anchors = grid.reshape(-1, 4)
     if not np.all(np.abs(anchors) <= 1e100):  # the Box bound; NaN fails it too
         raise ValueError("anchor box fields must be numbers within ±1e100")

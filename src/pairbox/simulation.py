@@ -286,5 +286,4 @@ def mock_detect(frames: Sequence[FrameAnnotations], spec: MockDetectorSpec) -> D
                 rows.append(box * 2 + (score,))
         frame_ids.append(frame.frame_id)
         offsets.append(len(rows))
-    rows = np.array(rows, dtype=np.float64).reshape(-1, 9)
-    return DetectionTable(frame_ids, offsets, rows[:, :4], rows[:, 4:8], rows[:, 8])
+    return DetectionTable(frame_ids, offsets, np.array(rows).reshape(-1, DetectionTable.ROW_LO.size))

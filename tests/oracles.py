@@ -9,7 +9,8 @@ the array one, per-sample losses instead of the column ones, per-threshold
 re-matching instead of the one-pass score sweep, a scalar triple loop instead
 of the broadcast anchor grid, a per-GT loop instead of the one-step
 best-anchor rule, and a field-by-field parse into detection objects instead
-of the column reader.
+of the column reader. ``curve_from_points`` builds the hand-made curves
+that tests feed to the curve consumers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from pairbox._kernels._python import _as_boxes
-from pairbox.evaluation import FrameDetections
+from pairbox.evaluation import FrameDetections, MissRateCurve
 from pairbox.formats import (
     FrameId,
     ParseError,
@@ -391,3 +392,15 @@ def geometric_mean(values) -> float:
     if any(v == 0 for v in vals):
         return 0.0
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
+
+
+def curve_from_points(points, n_frames: int, n_evaluable: int) -> MissRateCurve:
+    """The curve of hand-built ``CurvePoint``s, kept in the given order."""
+    def column(field, dtype):
+        return np.array([getattr(p, field) for p in points], dtype=dtype)
+
+    return MissRateCurve(
+        column("score_thresh", np.float64), column("fppi", np.float64),
+        column("miss_rate", np.float64), column("tp", np.int64),
+        column("fp", np.int64), column("fn", np.int64), n_frames, n_evaluable,
+    )

@@ -20,7 +20,6 @@ from pairbox.evaluation import (
     CurvePoint,
     DetectionTable,
     EvalConfig,
-    MissRateCurve,
     evaluate,
     log_average_miss_rate,
 )
@@ -48,6 +47,7 @@ from pairbox.simulation import MockDetectorSpec, SceneSpec, ShiftSpec, apply_shi
 
 from oracles import (
     central_difference,
+    curve_from_points,
     naive_nms,
     rasterized_iou,
     rasterized_iou_multimodal,
@@ -274,7 +274,7 @@ def test_criterion_7_evaluation_protocol():
                 assert abs(entry.lamr - FOUR_FRAME_LAMR) < 1e-4
 
         for constant in (0.1, 0.37, 1.0):
-            curve = MissRateCurve.from_points(
+            curve = curve_from_points(
                 (CurvePoint(1.0, 1.0, constant, 0, 0, 0),), n_frames=1, n_evaluable=1
             )
             assert log_average_miss_rate(curve) == pytest.approx(constant, abs=1e-12)

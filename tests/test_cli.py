@@ -1,7 +1,9 @@
+import argparse
 import io
 import json
 import re
 import sys
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairbox import cli, geometry, pairnms
-from pairbox.cli import main
+from pairbox.cli import build_parser, main
 from pairbox.evaluation import DetectionTable, FrameDetections
 from pairbox.formats import (
     Dataset,
@@ -66,6 +68,30 @@ class TestEvaluateCommand:
         assert csv_text.startswith("variant,iou_thresh,score_thresh,fppi,miss_rate\n")
         svg = (out_dir / "eval_curves.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+    def test_inputs_are_released_before_the_writes(self, tmp_path, monkeypatch):
+        """The CSV and SVG writes, where evaluate peaks, hold no input table."""
+        det_path = tmp_path / "dets.jsonl"
+        gt_as_detections(SAMPLE, det_path)
+        inputs = []
+
+        def read_and_watch(read):
+            def read_input(path):
+                result = read(path)
+                inputs.append(weakref.ref(result))
+                return result
+            return read_input
+
+        def write_curve_csv(report, dst, write=cli.write_curve_csv):
+            assert [ref() for ref in inputs] == [None, None]
+            return write(report, dst)
+
+        monkeypatch.setattr(cli, "read_dataset", read_and_watch(cli.read_dataset))
+        monkeypatch.setattr(cli, "read_detections", read_and_watch(cli.read_detections))
+        monkeypatch.setattr(cli, "write_curve_csv", write_curve_csv)
+        assert _run_main(["evaluate", str(SAMPLE), str(det_path), "--out", str(tmp_path / "out"),
+                          "--format", "csv"]) == (0, "")
+        assert len(inputs) == 2
 
     def test_fixture_table_matches_hand_computed_mr(self, tmp_path, capsys):
         from scenes import FOUR_FRAME_LAMR, four_frame_fixture
@@ -501,10 +527,12 @@ class TestNonFiniteArguments:
         ["--margin", "nan"], ["--width", "nan"], ["--width", "inf"], ["--peds-mean", "nan"],
         ["--misalign", "nan", "0"], ["--misalign", "0", "inf"], ["--height-range", "60", "nan"],
     ])
-    def test_generate_exits_1(self, tmp_path, args):
-        rc, err = _run_main(["generate", "--frames", "3", *args, "--out", str(tmp_path / "g")])
-        assert rc == 1
-        assert err.startswith("error: ") and "Traceback" not in err
+    def test_generate_exits_2(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--frames", "3", *args, "--out", str(tmp_path / "g")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {args[0]}: " in err and "Traceback" not in err
         assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("args", [
@@ -556,6 +584,9 @@ class TestBadOptionValues:
         ("assign", "--rpn-neg", "-0.1"), ("assign", "--det-pos", "1.5"),
         ("assign", "--det-neg-lo", "nan"), ("assign", "--det-neg-hi", "2"),
         ("assign", "--sample-batch", "1" + "0" * 400),  # past the largest float
+        ("generate", "--peds-mean", "nan"), ("generate", "--peds-mean", "-1"),
+        ("generate", "--margin", "-1"), ("generate", "--margin", "inf"),
+        ("generate", "--aspect", "0"), ("generate", "--width", "-1"),
     ])
     def test_exits_2_naming_the_option(self, tmp_path, capsys, command, option, value):
         """The argument parser refuses the value, before any file is opened."""
@@ -582,6 +613,41 @@ class TestBadOptionValues:
         assert f"error: argument {option}: {value!r}: must be " in err
         assert "Traceback" not in err
         assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("option, values", [
+        ("--image-size", ["1e300", "512"]), ("--image-size", ["640", "0"]),
+        ("--misalign", ["0", "1e101"]), ("--height-range", ["0", "60"]),
+    ])
+    def test_generate_pairs_exit_2_naming_the_option(self, tmp_path, capsys, option, values):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--frames", "3", option, *values, "--out", str(tmp_path / "g")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {option}: " in err and "must be " in err
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--height-range", "120", "60"], "height_range must satisfy 0 < low < high"),
+        (["--height-range", "60", "600"], "height_range must fit inside the image"),
+        (["--margin", "1e308"], "x_margin leaves no room"),
+    ])
+    def test_generate_cross_value_rules_exit_1(self, tmp_path, args, message):
+        rc, err = _run_main(["generate", "--frames", "3", *args, "--out", str(tmp_path / "g")])
+        assert rc == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "g").exists()
+
+
+class TestAnchorGridOverflow:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args, message", [
+        (["--grid-stride", "1e-300"], "anchor grid of inf anchors exceeds the limit"),
+        (["--grid-aspect", "1e308"], "anchor box fields must be numbers within ±1e100"),
+    ])
+    def test_exits_1_with_one_line_and_no_warning(self, tmp_path, args, message):
+        rc, err = _run_main(["assign", str(SAMPLE), *args, "--out", str(tmp_path / "a.jsonl")])
+        assert rc == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestRepeatedListValues:
@@ -926,3 +992,54 @@ class TestLossesCommand:
         assert rc == 2
         assert f"{p}:1: {field}:" in err
         assert "Traceback" not in err
+
+
+def _numeric_options():
+    """(command, option, nargs) of every option parsed as a float or an int,
+    plainly or by a checked type (which keeps the converter's name)."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(command, action.option_strings[0], action.nargs)
+            for command, parser in commands.choices.items() for action in parser._actions
+            if action.option_strings and getattr(action.type, "__name__", None) in ("float", "int")]
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("tiny")
+    anns, dets = four_frame_fixture()
+    write_dataset(Dataset(frames=tuple(anns)), work / "gt.jsonl")
+    write_detections(DetectionTable.from_frames(dets), work / "dets.jsonl")
+    (work / "samples.json").write_text(json.dumps(TestJsonDocumentFuzz.SAMPLES), encoding="utf-8")
+    return work
+
+
+class TestNumericOptionEdges:
+    """Every numeric option of every command, one at a time, at the edges of
+    the float and int domains, on tiny inputs: each run ends in an exit code,
+    without an exception, a traceback or a warning."""
+
+    EDGES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e308", "1" + "0" * 400)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", EDGES)
+    @pytest.mark.parametrize("command, option, nargs", _numeric_options())
+    def test_exits_with_a_code(self, tiny_inputs, tmp_path, command, option, nargs, value):
+        gt_path, dets, out = tiny_inputs / "gt.jsonl", tiny_inputs / "dets.jsonl", tmp_path / "out"
+        argv = {
+            "evaluate": ["evaluate", gt_path, dets],
+            "shift-sweep": ["shift-sweep", gt_path],
+            "generate": ["generate", "--frames", "2", "--out", out],
+            "nms": ["nms", dets, "--out", out],
+            "assign": ["assign", gt_path, "--sample-batch", "4", "--out", out],
+            "losses": ["losses", tiny_inputs / "samples.json", "--grad-check"],
+        }[command]
+        # "--option=-inf": a separate "-inf" would be taken for an option
+        given = [option, value, value] if nargs == 2 else [f"{option}={value}"]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                rc = main([*map(str, argv), *given])
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

@@ -25,7 +25,6 @@ from pairbox.evaluation import (
     FrameAnnotations,
     FrameDetections,
     GtObject,
-    MissRateCurve,
     evaluate,
     filter_reasonable,
     log_average_miss_rate,
@@ -45,6 +44,7 @@ from pairbox.pairnms import Detection
 
 from oracles import (
     best_assignment_tp_count,
+    curve_from_points,
     geometric_mean,
     naive_curve,
     naive_greedy_match,
@@ -410,7 +410,7 @@ class TestMissRateCurve:
 class TestLogAverageMissRate:
     def _curve(self, pts):
         points = tuple(CurvePoint(s, f, m, 0, 0, 0) for s, f, m in pts)
-        return MissRateCurve.from_points(points, n_frames=1, n_evaluable=1)
+        return curve_from_points(points, n_frames=1, n_evaluable=1)
 
     def test_constant_curve_returns_constant(self):
         curve = self._curve([(1.0, 1.0, 0.37)])
@@ -445,7 +445,7 @@ class TestLogAverageMissRate:
 
     def test_empty_curve_raises(self):
         with pytest.raises(EvaluationError):
-            log_average_miss_rate(MissRateCurve.from_points((), 1, 1))
+            log_average_miss_rate(curve_from_points((), 1, 1))
 
     def test_duplicate_fppi_takes_latest_point(self):
         curve = self._curve([(0.9, 0.0, 0.8), (0.8, 0.5, 0.8), (0.7, 0.5, 0.4)])
@@ -639,7 +639,7 @@ class TestDetectionTable:
 
     def test_columns_must_agree_with_offsets(self):
         with pytest.raises(ValueError, match="offsets"):
-            DetectionTable(["a"], [0, 2], np.zeros((1, 4)), np.zeros((1, 4)), [0.5])
+            DetectionTable(["a"], [0, 2], np.full((1, 9), 0.5))
 
     @pytest.mark.parametrize("column", ["v", "t"])
     @pytest.mark.parametrize("field, value", [
@@ -653,7 +653,7 @@ class TestDetectionTable:
         with pytest.raises(ValueError) as box_error:
             Box(*bad)
         with pytest.raises(ValueError) as table_error:
-            DetectionTable(["a", "b"], [0, 1, 3], columns["v"], columns["t"], [0.5] * 3)
+            DetectionTable(["a", "b"], [0, 1, 3], np.hstack([columns["v"], columns["t"], [[0.5]] * 3]))
         assert str(table_error.value) == str(box_error.value)
 
     @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, -1.0, 2e100, 1.5])
@@ -661,11 +661,31 @@ class TestDetectionTable:
         boxes = np.ones((3, 4))
         with pytest.raises(ValueError, match=re.escape(
                 f"score must be a finite value in [0, 1], got {score!r}")):
-            DetectionTable(["a", "b"], [0, 1, 3], boxes, boxes, [0.5, 1.0, score])
+            DetectionTable(["a", "b"], [0, 1, 3], np.hstack([boxes, boxes, [[0.5], [1.0], [score]]]))
+
+    def test_bad_visible_box_refused_before_bad_thermal_box_and_score(self):
+        rows = np.ones((3, 9)) * 0.5
+        rows[2, 0], rows[0, 6], rows[0, 8] = math.nan, -1.0, 2.0
+        with pytest.raises(ValueError, match="box field 'x'"):
+            DetectionTable(["a"], [0, 3], rows)
+        rows[2, 0] = 0.5
+        with pytest.raises(ValueError, match="box extents"):
+            DetectionTable(["a"], [0, 3], rows)
+        rows[0, 6] = 0.5
+        with pytest.raises(ValueError, match="score"):
+            DetectionTable(["a"], [0, 3], rows)
+
+    def test_columns_are_views_of_the_rows(self):
+        table = DetectionTable.from_frames(self._frames())
+        assert table.rows.shape == (3, 9)
+        for column, cut in ((table.v, np.s_[:, 0:4]), (table.t, np.s_[:, 4:8]),
+                            (table.score, np.s_[:, 8])):
+            assert np.shares_memory(column, table.rows)
+            assert np.array_equal(column, table.rows[cut])
 
     def test_bound_edges_accepted(self):
         v = np.array([[-1e100, 1e100, 0.0, 1e100], [-0.0, 0.0, -0.0, 0.0]])
-        table = DetectionTable([0], [0, 2], v, v[::-1], [0.0, 1.0])
+        table = DetectionTable([0], [0, 2], np.hstack([v, v[::-1], [[0.0], [1.0]]]))
         assert table.score.tolist() == [0.0, 1.0]
 
     def test_take_selects_rows_per_frame(self):
@@ -716,7 +736,7 @@ class TestDistinctValueFormatting:
             [(up, 0.1, -0.0), (0.1, 2.5, 0.1), (0.0, 1e-4, 0.0), (0.0, 20.0, 1.0)],
         ]
         entries = tuple(
-            EvalEntry(variant, thresh, MissRateCurve.from_points(
+            EvalEntry(variant, thresh, curve_from_points(
                 [CurvePoint(s, f, m, 0, 0, 0) for s, f, m in points], 1, 1), 0.5)
             for variant, thresh, points in zip(("visible", "multimodal"), (0.5, 0.7), rows)
         )

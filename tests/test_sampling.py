@@ -326,11 +326,13 @@ class TestAnchorGrid:
         with pytest.raises(ValueError):
             generate_anchor_grid(64, 32, heights=(0.0,))
 
+    @pytest.mark.filterwarnings("error")  # an overflow is refused, not warned about
     @pytest.mark.parametrize("kwargs, message", [
         ({"heights": (float("nan"),)}, "positive"),
         ({"heights": (50.0, 1e200)}, "1e100"),
         ({"aspect": float("nan")}, "positive"),
         ({"aspect": 1e300}, "1e100"),
+        ({"aspect": 1e308}, "1e100"),  # an infinite width
         ({"stride": float("nan")}, "positive"),
         ({"image_width": float("nan")}, "positive"),
     ])
@@ -339,11 +341,15 @@ class TestAnchorGrid:
         with pytest.raises(ValueError, match=message):
             generate_anchor_grid(**args)
 
+    @pytest.mark.filterwarnings("error")
     def test_oversized_grid_refused_before_building(self):
         # 640 x 512 cells at a 1-px stride: 983,040 anchors with three heights, over with four
         assert 640 * 512 * 3 <= MAX_ANCHORS < 640 * 512 * 4
         with pytest.raises(ValueError, match="anchor grid"):
             generate_anchor_grid(640, 512, stride=1.0, heights=(1.0, 2.0, 3.0, 4.0))
-        for stride in (0.001, 1e-320):  # 1e-320 makes the cell counts infinite
+        for stride in (0.001, 1e-300, 1e-320):  # 1e-320 makes the cell counts infinite
             with pytest.raises(ValueError, match="anchor grid"):
                 generate_anchor_grid(640, 512, stride=stride)
+        # infinitely many columns times no row: a NaN count
+        with pytest.raises(ValueError, match="anchor grid of nan anchors"):
+            generate_anchor_grid(1e308, 1e-10, stride=1e-9)
