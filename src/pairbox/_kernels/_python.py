@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 # rows x columns that one overlap pass holds at most: an NMS block's IoU
-# rows here, and evaluate's padded (frame, detection, GT) cells
+# rows here, and the padded (detection, GT) cells of a block of evaluate's rows
 CELL_BUDGET = 1 << 17
 # the most ranks one NMS block holds
 _BLOCK_ROWS = 64

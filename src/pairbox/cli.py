@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import string
 import sys
 from collections import Counter
@@ -47,6 +48,7 @@ from .formats import (
     Dataset,
     DatasetMeta,
     ParseError,
+    _check_keys,
     _is_number,
     _parse_box,
     read_dataset,
@@ -269,10 +271,12 @@ def _load_anchor_file(path) -> tuple[np.ndarray, np.ndarray]:
     payload = read_json(path)
     if not isinstance(payload, dict) or not isinstance(payload.get("anchors"), list):
         raise ParseError(path, 1, "expected an object with an 'anchors' list")
+    _check_keys(payload, {"anchors"}, path, 1, "top level")
     visible, thermal = [], []
     for k, raw in enumerate(payload["anchors"]):
         if not isinstance(raw, dict) or "v" not in raw or "t" not in raw:
             raise ParseError(path, 1, f"anchors[{k}]: expected 'v' and 't' boxes")
+        _check_keys(raw, {"v", "t"}, path, 1, f"anchors[{k}]")
         visible.append(_parse_box(raw["v"], path, 1, f"anchors[{k}].v").as_tuple())
         thermal.append(_parse_box(raw["t"], path, 1, f"anchors[{k}].t").as_tuple())
     return tuple(np.array(boxes, dtype=np.float64).reshape(-1, 4) for boxes in (visible, thermal))
@@ -385,12 +389,15 @@ def _four_floats(value) -> tuple[float, ...]:
     return values
 
 
+_OFFSET_KEYS = ("pred_v", "pred_t", "target_v", "target_t")
+
+
 def _offsets_from(raw: dict, path, where: str) -> list[tuple[float, ...]]:
     """The pred_v, pred_t, target_v, target_t offsets of a regressed sample,
     as four finite numbers each."""
     return [
         _losses_field(raw, key, _four_floats, path, f"{where}.{key}")
-        for key in ("pred_v", "pred_t", "target_v", "target_t")
+        for key in _OFFSET_KEYS
     ]
 
 
@@ -398,7 +405,9 @@ def _parse_rpn_samples(section, path):
     """The RPN samples' ``logits`` and ``labels`` columns, the positives'
     :func:`_offsets_from` rows, and the LossConfig."""
     section = _typed(section, dict, path, "rpn")
+    _check_keys(section, {"cfg", "samples"}, path, 1, "rpn")
     cfg_raw = _typed(section.get("cfg", {}), dict, path, "rpn.cfg")
+    _check_keys(cfg_raw, {"lambda", "n_cls", "n_reg"}, path, 1, "rpn.cfg")
     raw_samples = _typed(section.get("samples", []), list, path, "rpn.samples")
     n_default = max(len(raw_samples), 1)
     cfg = _built(
@@ -411,6 +420,7 @@ def _parse_rpn_samples(section, path):
     for k, raw in enumerate(raw_samples):
         where = f"rpn.samples[{k}]"
         raw = _typed(raw, dict, path, where)
+        _check_keys(raw, {"logit", "label", *_OFFSET_KEYS}, path, 1, where)
         label = raw.get("label")
         if label not in (0, 1) or isinstance(label, bool):
             raise ParseError(path, 1, f"{where}.label: expected 0 or 1")
@@ -425,6 +435,7 @@ def _parse_detector_samples(section, path):
     """The detector samples' ``scores`` rows and ``true_class`` column, the
     foreground samples' :func:`_offsets_from` rows, and lambda."""
     section = _typed(section, dict, path, "detector")
+    _check_keys(section, {"lambda", "samples"}, path, 1, "detector")
     lam = _losses_field(section, "lambda", _number, path, "detector.lambda", 1.0)
     if lam < 0:
         raise ParseError(path, 1, f"detector.lambda: must be >= 0, got {lam!r}")
@@ -432,6 +443,7 @@ def _parse_detector_samples(section, path):
     for k, raw in enumerate(_typed(section.get("samples", []), list, path, "detector.samples")):
         where = f"detector.samples[{k}]"
         raw = _typed(raw, dict, path, where)
+        _check_keys(raw, {"scores", "true_class", *_OFFSET_KEYS}, path, 1, where)
         row = _losses_field(raw, "scores", _floats, path, f"{where}.scores", [])
         true_class = _losses_field(raw, "true_class", _integer, path, f"{where}.true_class", 0)
         if true_class != BACKGROUND_CLASS:
@@ -476,6 +488,7 @@ def cmd_losses(args) -> int:
     payload = read_json(args.samples)
     if not isinstance(payload, dict):
         raise ParseError(args.samples, 1, "expected a JSON object")
+    _check_keys(payload, {"rpn", "detector"}, args.samples, 1, "top level")
     # an absent section parses as no samples
     logits, labels, rpn_rows, cfg = _parse_rpn_samples(payload.get("rpn", {}), args.samples)
     scores, true_class, det_rows, lam = _parse_detector_samples(payload.get("detector", {}), args.samples)
@@ -531,6 +544,10 @@ _count = _checked(int, lambda n: n >= 0, "an integer >= 0")
 # a batch beyond the largest float would overflow sample_minibatch's batch * pos_fraction
 _batch_size = _checked(int, lambda n: 1 <= n <= sys.float_info.max,
                        "an integer >= 1 and at most the largest float")
+# what argparse takes for a negative number, not an option string: its own
+# pattern misses exponent forms ("-1e1", "-.5e1") and "-inf"; no option
+# string here starts with a digit, ".", "inf" or "nan"
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _dets_path(pattern: str, dx: float) -> str:
@@ -654,6 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_loss.add_argument("--out", default=None)
     p_loss.set_defaults(func=cmd_losses)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

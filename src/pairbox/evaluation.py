@@ -26,8 +26,8 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-# padded (frame, detection, GT) cells that evaluate matches at once; a frame
-# with more cells than this is matched alone
+# the (detection, GT) cells of one block of evaluate's matching; a block holds
+# at least one detection row
 from ._kernels._python import CELL_BUDGET as _CELL_BUDGET
 # iou_matrix and iou_multimodal_matrix are unused here, but perfbench/spans.py
 # wraps them under this module's name
@@ -428,40 +428,29 @@ def thread_count() -> int:
     return 1
 
 
-def _chunks(frames: np.ndarray, nd: np.ndarray, ng: np.ndarray) -> Iterator[np.ndarray]:
-    """Consecutive runs of ``frames`` whose (frames, most detections, most
-    GTs) pad stays within ``_CELL_BUDGET``; a frame over it is a run alone."""
-    lo = d = g = 0
-    for k, (a, b) in enumerate(zip(nd[frames].tolist(), ng[frames].tolist())):
-        d, g = max(d, a), max(g, b)
-        if k > lo and (k + 1 - lo) * d * g > _CELL_BUDGET:
-            yield frames[lo:k]
-            lo, d, g = k, a, b
-    if lo < len(frames):
-        yield frames[lo:]
+def _greedy_scan(pad, evaluable, gt, rank, free, thresh: float) -> np.ndarray:
+    """The outcomes of :func:`match_frame` for a block of detection rows.
 
-
-def _greedy_scan(pad: np.ndarray, evaluable: np.ndarray, thresh: float) -> np.ndarray:
-    """The (F, D) outcomes of :func:`match_frame` on F frames at once.
-
-    ``pad[f, k, j]`` is the overlap of frame f's detection of score rank k
-    with its GT j, 0 beyond the frame's real detections and GTs, and
-    ``evaluable[f, j]`` flags its evaluable GTs. Rank by rank, every frame
-    whose detection is a candidate takes one greedy step.
+    Row r is a detection of score rank ``rank[r]`` within its frame, and
+    rows come by ascending rank. ``pad[r, j]`` is its overlap with its
+    frame's GT ``gt[r, j]``, and ``evaluable[r, j]`` flags that GT as
+    evaluable; both are 0 beyond the frame's GTs. ``free`` flags the GTs
+    still unclaimed, over all frames, and is updated in place. Rank by
+    rank, every candidate row (at most one per frame) takes one greedy step.
     """
     hit = pad >= thresh
-    outcomes = np.where((hit & ~evaluable[:, None]).any(axis=2), DET_IGNORED, DET_FP)
-    outcomes = outcomes.astype(np.int8)
-    candidate = (hit & evaluable[:, None]).any(axis=2)
-    free = evaluable.copy()
-    for k in np.flatnonzero(candidate.any(axis=0)).tolist():
-        f = np.flatnonzero(candidate[:, k])
-        row = np.where(free[f], pad[f, k], 0.0)
+    outcomes = np.where((hit & ~evaluable).any(axis=1), DET_IGNORED, DET_FP).astype(np.int8)
+    candidates = np.flatnonzero((hit & evaluable).any(axis=1))
+    # where each rank's candidates start, and their end
+    bounds = np.flatnonzero(np.diff(rank[candidates], prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        r = candidates[lo:hi]
+        row = np.where(free[gt[r]], pad[r], 0.0)
         j = row.argmax(axis=1)  # the first maximum: overlap ties keep the lowest GT index
-        won = row[np.arange(f.size), j] >= thresh
-        f, j = f[won], j[won]
-        outcomes[f, k] = DET_TP
-        free[f, j] = False
+        won = row[np.arange(r.size), j] >= thresh
+        r, j = r[won], j[won]
+        outcomes[r] = DET_TP
+        free[gt[r, j]] = False
     return outcomes
 
 
@@ -481,11 +470,14 @@ def _match_frames(
     ``outcomes[v][t]``, their outcomes under the v-th variant and t-th
     threshold.
 
-    Frames with both detections and GTs are matched in chunks under
-    ``_CELL_BUDGET``: one row-by-row overlap pass per variant over the
-    chunk's real (detection, GT) pairs, scattered into a zero
-    (frames, detection rank, GT) pad, then one :func:`_greedy_scan` per
-    threshold.
+    The detections of frames with GTs are matched in blocks of rows, one
+    detection with its frame's GTs per row. Frames come by descending GT
+    count, so a block's first row is its widest, and a block holds
+    ``_CELL_BUDGET`` // that count rows (at least one), sorted by rank. Per
+    block: one overlap pass per variant over the real (detection, GT) cells,
+    scattered into a zero (row, GT) pad, then one :func:`_greedy_scan` per
+    threshold. A frame may span blocks: each (variant, threshold) carries
+    one ``free`` mask over all GTs from block to block.
     """
     objects = [g for f in frames for g in f.objects]
     gv = boxes_to_array(g.pair.visible for g in objects)
@@ -500,26 +492,31 @@ def _match_frames(
     rows = np.repeat(np.append(detections.offsets[:-1], 0)[table_frame] - det_start, nd)
     rows += np.arange(rows.size)
     scores = detections.score[rows]
-    # positions by frame, then descending score, ties by position: match_frame's visiting order
-    order = np.lexsort((-scores, np.repeat(np.arange(len(frames)), nd)))
+    frame = np.repeat(np.arange(len(frames)), nd)
+    # positions by descending GT count, then frame, then descending score, ties by
+    # position: match_frame's visiting order within each frame; frames without GTs drop out
+    order = np.lexsort((-scores, frame, -ng[frame]))[: np.count_nonzero(ng[frame])]
+    frame = frame[order]
+    run = np.flatnonzero(np.diff(frame, prepend=-1))  # where each frame's run starts
+    rank = np.arange(order.size) - np.repeat(run, np.diff(run, append=order.size))
     outcomes = [[np.full(rows.size, DET_FP, np.int8) for _ in thresholds] for _ in variants]
-    for chunk in _chunks(np.flatnonzero((nd > 0) & (ng > 0)), nd, ng):
-        cd, cg = nd[chunk], ng[chunk]
-        real_det = np.arange(cd.max()) < cd[:, None]
-        real_gt = np.arange(cg.max()) < cg[:, None]
-        real = real_det[:, :, None] & real_gt[:, None]  # the real (frame, rank, GT) cells
-        f, rank, j = np.nonzero(real)
-        det = rows[order[det_start[chunk][f] + rank]]
-        gt = gt_start[chunk][f] + j
-        dv, dt, pv, pt = detections.v[det], detections.t[det], gv[gt], gt_[gt]
-        ev = np.zeros(real_gt.shape, dtype=bool)
-        ev[real_gt] = evaluable[(gt_start[chunk][:, None] + np.arange(cg.max()))[real_gt]]
-        at = order[(det_start[chunk][:, None] + np.arange(cd.max()))[real_det]]
-        for variant, per_thresh in zip(variants, outcomes):
+    free = [[evaluable.copy() for _ in thresholds] for _ in variants]
+    stop = 0
+    while stop < order.size:
+        g = int(ng[frame[stop]])
+        # the block's rows by ascending rank: _greedy_scan takes each rank's rows together
+        block = stop + np.argsort(rank[stop:stop + max(1, _CELL_BUDGET // g)], kind="stable")
+        stop += block.size
+        real = np.arange(g) < ng[frame[block], None]  # the real (row, GT) cells
+        gt = np.where(real, gt_start[frame[block], None] + np.arange(g), 0)
+        det = np.repeat(rows[order[block]], ng[frame[block]])
+        dv, dt, pv, pt = detections.v[det], detections.t[det], gv[gt[real]], gt_[gt[real]]
+        ev = evaluable[gt] & real
+        for variant, per_thresh, per_free in zip(variants, outcomes, free):
             pad = np.zeros(real.shape)
             pad[real] = _overlaps(dv, dt, pv, pt, variant)
-            for thresh, out in zip(thresholds, per_thresh):
-                out[at] = _greedy_scan(pad, ev, thresh)[real_det]
+            for thresh, out, fr in zip(thresholds, per_thresh, per_free):
+                out[order[block]] = _greedy_scan(pad, ev, gt, rank[block], fr, thresh)
     return scores, int(np.count_nonzero(evaluable)), outcomes
 
 
@@ -532,11 +529,11 @@ def evaluate(
 
     Detections must reference known frame ids; annotated frames without
     detections count as all-miss frames. The GTs of all frames are packed
-    once and all frames are matched at once, in chunks whose padded
-    (frame, detection, GT) cells stay under a fixed budget, with one overlap
-    pass per variant and one greedy scan over detection rank per threshold
-    (see ``_match_frames``); the outcomes equal :func:`match_frame`'s on each
-    frame. Hand-built :class:`FrameDetections` are packed with
+    once and all frames are matched at once, in blocks of detection rows
+    whose padded (detection, GT) cells stay under a fixed budget, with one
+    overlap pass per variant and one greedy scan over detection rank per
+    threshold (see ``_match_frames``); the outcomes equal :func:`match_frame`'s
+    on each frame. Hand-built :class:`FrameDetections` are packed with
     :meth:`DetectionTable.from_frames`.
     """
     ann_ids = [f.frame_id for f in annotations]

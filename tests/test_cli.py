@@ -452,8 +452,11 @@ class TestAssignCommand:
         ('{"v": [0, 0, 1, 1], "t": [0, 0, 1, 1' + "0" * 400 + ']}', "anchors[1].t"),
         ('{"v": "1234", "t": "5678"}', "anchors[1].v"),
         ('{"v": [true, 0, 1, 1], "t": [0, 0, 1, 1]}', "anchors[1].v"),
+        ('{"v": [0, 0, 1, 1], "t": [0, 0, 1, 1], "score": 1}', "anchors[1]"),
+        # closes the list, so the unknown field is the document's own
+        ('{"v": [0, 0, 1, 1], "t": [0, 0, 1, 1]}], "anchor": [', "top level"),
     ], ids=["missing-t", "three-fields", "negative-width", "string-field", "int-too-large-for-float",
-            "string-box", "bool-field"])
+            "string-box", "bool-field", "unknown-field", "unknown-top-level-field"])
     def test_malformed_anchor_file_exits_2_naming_entry(self, tmp_path, capsys, entry, field):
         ds_path = tmp_path / "gt.jsonl"
         write_dataset(Dataset(frames=(FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
@@ -983,6 +986,13 @@ class TestLossesCommand:
         ({"detector": {"samples": [{"scores": []}]}}, "detector.samples[0]"),
         ({"detector": {"samples": [{"scores": [0, 1], "true_class": 5, **_POS}]}},
          "detector.samples[0]"),
+        ({"rpn": {}, "detectr": {}}, "top level"),
+        ({"rpn": {"sample": []}}, "rpn"),
+        ({"rpn": {"cfg": {"lamda": 0.5}}}, "rpn.cfg"),
+        ({"rpn": {"samples": [{"logit": 0.5, "label": 0, "weight": 1}]}}, "rpn.samples[0]"),
+        ({"detector": {"lamda": 0.5}}, "detector"),
+        ({"detector": {"samples": [{"scores": [0, 1], "true_class": 0, "label": 0}]}},
+         "detector.samples[0]"),
     ])
     def test_malformed_samples_exit_2_naming_file_and_field(self, tmp_path, capsys, payload, field):
         p = tmp_path / "samples.json"
@@ -1033,8 +1043,7 @@ class TestNumericOptionEdges:
             "assign": ["assign", gt_path, "--sample-batch", "4", "--out", out],
             "losses": ["losses", tiny_inputs / "samples.json", "--grad-check"],
         }[command]
-        # "--option=-inf": a separate "-inf" would be taken for an option
-        given = [option, value, value] if nargs == 2 else [f"{option}={value}"]
+        given = [option, *[value] * (2 if nargs == 2 else 1)]
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             try:
@@ -1043,3 +1052,21 @@ class TestNumericOptionEdges:
                 rc = exc.code
         assert rc in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        # every value reaches the option's type, "-1" and "-inf" too
+        assert not re.search(r"expected (one|at least one|\d+) argument", err.getvalue())
+
+    @pytest.mark.parametrize("argv, same_as", [
+        (["shift-sweep", "{gt}", "--shift", "-1e1"], ["shift-sweep", "{gt}", "--shift", "-10"]),
+        (["shift-sweep", "{gt}", "--shift", "-.5e1"], ["shift-sweep", "{gt}", "--shift", "-5"]),
+        (["generate", "--frames", "2", "--misalign", "-1e-1", "0", "--out", "{out}"],
+         ["generate", "--frames", "2", "--misalign", "-0.1", "0", "--out", "{out}"]),
+    ], ids=["shift-exponent", "shift-dot-exponent", "misalign-exponent"])
+    def test_negative_exponent_form_is_a_value(self, tiny_inputs, tmp_path, argv, same_as):
+        outputs = []
+        for k, args in enumerate((argv, same_as)):
+            out = tmp_path / f"out{k}.jsonl"
+            stdout = io.StringIO()
+            with redirect_stdout(stdout):
+                assert main([a.format(gt=tiny_inputs / "gt.jsonl", out=out) for a in args]) == 0
+            outputs.append((stdout.getvalue(), out.read_bytes() if out.exists() else None))
+        assert outputs[0] == outputs[1]

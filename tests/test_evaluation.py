@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -292,10 +293,10 @@ def batched_scene(draw):
 
 
 class TestBatchedMatching:
-    # budget 1 matches every frame alone; under 4 the tail's two one-cell
-    # frames share a chunk and its six-cell frame exceeds the budget alone;
-    # the last matches all frames in one chunk
-    BUDGETS = (1, 4, 1 << 62)
+    # budget 1 gives every block one detection row; under 3 and 4 the tail's
+    # six-cell frame (two detections, three GTs) spans two one-row blocks and
+    # one-GT rows share blocks; the last matches every row in one block
+    BUDGETS = (1, 3, 4, 1 << 62)
     THRESHOLDS = (0.5, 1.0)
 
     @settings(derandomize=True, deadline=None)
@@ -338,12 +339,37 @@ class TestBatchedMatching:
                 assert entry.curve.points == tuple(CurvePoint(*p) for p in expected)
                 assert entry.lamr == naive_log_average_miss_rate(expected, DEFAULT_FPPI_REFS)
 
-    def test_chunks_close_under_the_cell_budget(self):
-        nd = np.array([1, 1, 2, 1, 1])
-        ng = np.array([1, 1, 3, 1, 2])
-        with patch.object(evaluation, "_CELL_BUDGET", 4):
-            chunks = evaluation._chunks(np.arange(5), nd, ng)
-            assert [c.tolist() for c in chunks] == [[0, 1], [2], [3, 4]]
+    def test_blocks_close_under_the_cell_budget(self):
+        # detections per frame 1, 1, 2, 1, 1 against GTs 1, 1, 3, 1, 2: by
+        # descending GT count, the six-cell frame's two rows come first, one
+        # per block, then the two-GT row with a one-GT row, then two one-GT rows
+        anns = [FrameAnnotations(f, tuple(gt(0.0, 0.0) for _ in range(n)))
+                for f, n in enumerate((1, 1, 3, 1, 2))]
+        table = DetectionTable.from_frames(
+            FrameDetections(f, tuple(det_at(0.0, 0.0, 0.5) for _ in range(n)))
+            for f, n in enumerate((1, 1, 2, 1, 1)))
+        spy = patch.object(evaluation, "_overlaps", wraps=evaluation._overlaps)
+        with patch.object(evaluation, "_CELL_BUDGET", 4), spy as overlaps:
+            evaluation._match_frames(anns, table, range(5), ("thermal",), (0.5,))
+        assert [len(c.args[0]) for c in overlaps.call_args_list] == [3, 3, 3, 2]
+
+    @pytest.mark.parametrize("n_gt", [200, 400])
+    def test_one_large_frame_peaks_under_a_fixed_bound(self, n_gt):
+        rng = np.random.default_rng(0)
+        boxes = np.column_stack([rng.uniform(0, 600, (4000, 2)), rng.uniform(20, 80, (4000, 2))])
+        rows = np.column_stack([boxes, boxes, rng.uniform(0, 1, 4000)])
+        table = DetectionTable(["f"], [0, 4000], rows)
+        gts = tuple(GtObject(PairedBox(Box(*r), Box(*r))) for r in boxes[:n_gt].tolist())
+        anns = [FrameAnnotations("f", gts)]
+        tracemalloc.start()
+        try:
+            evaluate(anns, table, EvalConfig(min_height=0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a bound that does not grow with the GT count: all of the frame's cells
+        # at once would take about 234 bytes each, 179 MB at 200 GTs
+        assert peak < 64 << 20
 
 
 class TestMissRateCurve:
