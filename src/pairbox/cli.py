@@ -217,12 +217,13 @@ def cmd_shift_sweep(args) -> int:
         image_height=dataset.meta.image_height,
         seed=args.seed,
     )
-    rows = []
+    rows, detections = [], None
     for dx in args.shift:
         shifted = apply_shift(dataset.frames, ShiftSpec(dx, image_width=dataset.meta.image_width))
         if mock is None:
             detections = read_detections(_dets_path(args.dets_pattern, dx))
-        else:
+        elif detections is None or mock.reads_thermal:
+            # a detector blind to the thermal boxes gives one table at every shift
             detections = mock_detect(shifted, mock)
         report = evaluate(shifted, detections, config)
         rows.append((dx, {t: report.lamr("multimodal", t) for t in thresholds}))

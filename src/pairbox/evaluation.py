@@ -510,7 +510,10 @@ def _match_frames(
         real = np.arange(g) < ng[frame[block], None]  # the real (row, GT) cells
         gt = np.where(real, gt_start[frame[block], None] + np.arange(g), 0)
         det = np.repeat(rows[order[block]], ng[frame[block]])
-        dv, dt, pv, pt = detections.v[det], detections.t[det], gv[gt[real]], gt_[gt[real]]
+        # np.take gathers rows several times faster than fancy indexing
+        cells = gt[real]
+        dv, dt = np.take(detections.v, det, axis=0), np.take(detections.t, det, axis=0)
+        pv, pt = np.take(gv, cells, axis=0), np.take(gt_, cells, axis=0)
         ev = evaluable[gt] & real
         for variant, per_thresh, per_free in zip(variants, outcomes, free):
             pad = np.zeros(real.shape)

@@ -179,6 +179,10 @@ class MockDetectorSpec:
     per object). Confidence follows
     clamp(1 - perturbation / box_diagonal + noise, SCORE_FLOOR, 1);
     false-positive boxes are Poisson per frame with uniform scores.
+
+    Of the ground truth, both modes read the frame ids, the order of the
+    objects and each object's ``ignore`` flag and visible box; only
+    ``paired`` mode also reads the thermal box (see :attr:`reads_thermal`).
     """
 
     mode: str = "paired"
@@ -204,6 +208,13 @@ class MockDetectorSpec:
             raise ValueError("fp_per_frame must be a finite number >= 0")
         if not (0 < self.image_width < math.inf and 0 < self.image_height < math.inf):
             raise ValueError("image dimensions must be finite and positive")
+
+    @property
+    def reads_thermal(self) -> bool:
+        """Whether the detections depend on the thermal ground truth: only in
+        ``paired`` mode. A ``single_box`` detector reads nothing that
+        :func:`apply_shift` changes, so it gives one table under every shift."""
+        return self.mode == "paired"
 
 
 def _size_factor(rng: np.random.Generator, sigma: float) -> float:
@@ -255,11 +266,13 @@ def mock_detect(frames: Sequence[FrameAnnotations], spec: MockDetectorSpec) -> D
     """Emit detections for every non-ignored object, plus false positives.
 
     Per object, a miss is drawn with ``miss_prob``; surviving objects get a
-    perturbed detection according to the mode. Streams are keyed by frame
-    position, so results are reproducible for a fixed seed. More than
-    ``MAX_DRAWS`` expected false positives are refused, and the table
-    refuses a box or score outside its row bounds (an infinite extent from
-    a size factor that overflows, say).
+    perturbed detection according to the mode: ``paired`` reads each
+    object's visible and thermal boxes, ``single_box`` only its visible box
+    (both read the frame ids, object order and ignore flags). Streams are
+    keyed by frame position, so results are reproducible for a fixed seed.
+    More than ``MAX_DRAWS`` expected false positives are refused, and the
+    table refuses a box or score outside its row bounds (an infinite extent
+    from a size factor that overflows, say).
     """
     if not len(frames) * spec.fp_per_frame <= MAX_DRAWS:
         raise ValueError(f"more than the limit of {MAX_DRAWS} expected false positives")

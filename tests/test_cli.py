@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pairbox import cli, geometry, pairnms
 from pairbox.cli import build_parser, main
-from pairbox.evaluation import DetectionTable, FrameDetections
+from pairbox.evaluation import DetectionTable, EvalConfig, FrameDetections, evaluate
 from pairbox.formats import (
     Dataset,
     read_dataset,
@@ -24,6 +24,7 @@ from pairbox.formats import (
 )
 from pairbox.evaluation import FrameAnnotations
 from pairbox.pairnms import Detection
+from pairbox.simulation import MockDetectorSpec, ShiftSpec, apply_shift, mock_detect
 
 from mutations import mutated_text
 from oracles import naive_nms
@@ -786,11 +787,69 @@ class TestShiftSweepCommand:
         assert capsys.readouterr().out.startswith("shift_dx")
         assert built == []
 
-    def test_overflowing_size_factor_exits_1(self, tmp_path):
+    @pytest.mark.parametrize("mode,calls", [("single_box", 1), ("paired", 3)])
+    def test_mock_is_built_once_unless_it_reads_the_shift(self, tmp_path, monkeypatch, mode,
+                                                           calls):
+        ds_path = tmp_path / "gt.jsonl"
+        main(["generate", "--frames", "10", "--seed", "3", "--out", str(ds_path)])
+        built = []
+
+        def counted(frames, spec):
+            built.append(spec)
+            return mock_detect(frames, spec)
+
+        monkeypatch.setattr(cli, "mock_detect", counted)
+        rc, _ = _run_main(["shift-sweep", str(ds_path), "--shift", "0", "10", "20",
+                           "--mock", mode, "--seed", "5"])
+        assert rc == 0
+        assert len(built) == calls
+
+    @pytest.mark.parametrize("mode", ["single_box", "paired"])
+    def test_outputs_equal_a_table_per_shift(self, tmp_path, capsys, mode):
+        ds_path = tmp_path / "gt.jsonl"
+        main(["generate", "--frames", "30", "--seed", "3", "--out", str(ds_path)])
+        shifts, thresholds = [0.0, -7.5, 20.0, 630.0], (0.5, 0.7)
+        options = ["--center-sigma", "2", "--size-sigma", "0.1", "--miss-prob", "0.1",
+                   "--fp-per-frame", "1.5", "--score-sigma", "0.05", "--seed", "11"]
+        rc = main(["shift-sweep", str(ds_path), "--shift", *map(str, shifts), "--mock", mode,
+                   *options, "--format", "csv", "--out", str(tmp_path / "sweep")])
+        assert rc == 0
+        stdout = capsys.readouterr().out
+        # the reference: a fresh detection table at every shift
+        ds = read_dataset(ds_path)
+        spec = MockDetectorSpec(mode=mode, center_noise_sigma=2.0, size_noise_sigma=0.1,
+                                miss_prob=0.1, fp_per_frame=1.5, score_noise_sigma=0.05,
+                                image_width=ds.meta.image_width,
+                                image_height=ds.meta.image_height, seed=11)
+        config = EvalConfig(iou_thresholds=thresholds, variants=("multimodal",))
+        rows = []
+        for dx in shifts:
+            shifted = apply_shift(ds.frames, ShiftSpec(dx, image_width=ds.meta.image_width))
+            report = evaluate(shifted, mock_detect(shifted, spec), config)
+            rows.append((dx, {t: report.lamr("multimodal", t) for t in thresholds}))
+        csv_text = cli.format_sweep_csv(rows, thresholds)
+        assert stdout == csv_text
+        assert (tmp_path / "sweep" / "shift_sweep.csv").read_bytes() == csv_text.encode()
+        assert ((tmp_path / "sweep" / "shift_sweep.txt").read_bytes()
+                == cli.format_sweep_table(rows, thresholds).encode())
+
+    @pytest.mark.parametrize("mode", ["single_box", "paired"])
+    def test_out_of_range_first_shift_exits_1_before_any_mock(self, tmp_path, monkeypatch, mode):
+        ds_path = tmp_path / "gt.jsonl"
+        main(["generate", "--frames", "5", "--seed", "3", "--out", str(ds_path)])
+        built = []
+        monkeypatch.setattr(cli, "mock_detect", lambda frames, spec: built.append(spec))
+        rc, err = _run_main(["shift-sweep", str(ds_path), "--shift", "640", "0", "--mock", mode])
+        assert rc == 1
+        assert err == "error: |dx| must be smaller than the image width\n"
+        assert built == []
+
+    @pytest.mark.parametrize("mode", ["single_box", "paired"])
+    def test_overflowing_size_factor_exits_1(self, tmp_path, mode):
         ds_path = tmp_path / "gt.jsonl"
         main(["generate", "--frames", "20", "--seed", "3", "--out", str(ds_path)])
         # seed 0 draws a size factor past the largest float: an infinite extent
-        rc, err = _run_main(["shift-sweep", str(ds_path), "--shift", "0",
+        rc, err = _run_main(["shift-sweep", str(ds_path), "--shift", "0", "--mock", mode,
                              "--size-sigma", "1000", "--seed", "0"])
         assert rc == 1
         assert err.startswith("error: box ") and err.count("\n") == 1, err
@@ -800,8 +859,6 @@ class TestShiftSweepCommand:
         ds_path = tmp_path / "gt.jsonl"
         main(["generate", "--frames", "5", "--seed", "3", "--out", str(ds_path)])
         for dx in (0, 10):
-            from pairbox.simulation import ShiftSpec, apply_shift
-
             ds = read_dataset(ds_path)
             shifted = apply_shift(ds.frames, ShiftSpec(float(dx)))
             dets = [

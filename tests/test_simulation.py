@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairbox import simulation
-from pairbox.evaluation import DetectionTable, EvalConfig, FrameAnnotations, evaluate
+from pairbox.evaluation import DetectionTable, EvalConfig, FrameAnnotations, GtObject, evaluate
 from pairbox.geometry import Box, PairedBox
 from pairbox.simulation import (
     MockDetectorSpec,
@@ -234,8 +236,6 @@ class TestMockDetect:
 
     def test_ignored_objects_not_detected(self):
         pair = PairedBox.aligned(Box(100, 100, 20, 60))
-        from pairbox.evaluation import GtObject
-
         frames = [FrameAnnotations(0, (GtObject(pair, ignore=True),))]
         dets = mock_detect(frames, MockDetectorSpec(seed=1))
         assert dets[0].detections == ()
@@ -263,6 +263,56 @@ class TestMockDetect:
             MockDetectorSpec(miss_prob=1.5)
         with pytest.raises(ValueError):
             MockDetectorSpec(center_noise_sigma=-1.0)
+
+
+WIDTH = 640.0
+
+
+@st.composite
+def shift_scene(draw):
+    """Frames of pairs anywhere in the image, some ignored and some at a
+    vertical border, so that a shift clips their thermal boxes."""
+    frames = []
+    for f in range(draw(st.integers(0, 4))):
+        objects = []
+        for _ in range(draw(st.integers(0, 4))):
+            w, h = draw(st.floats(1.0, 80.0)), draw(st.floats(1.0, 160.0))
+            x = draw(st.floats(0.0, 4.0) | st.floats(0.0, WIDTH - w) | st.just(WIDTH - w))
+            visible = Box(x, draw(st.floats(0.0, 300.0)), w, h)
+            thermal = visible.translate(draw(st.floats(-8.0, 8.0)), 0.0)
+            objects.append(GtObject(PairedBox(visible, thermal), ignore=draw(st.booleans())))
+        frames.append(FrameAnnotations(2 * f + 1, tuple(objects)))
+    return frames
+
+
+class TestShiftInvariance:
+    """A detector that does not read the thermal boxes gives one table at
+    every shift, which is what lets ``shift-sweep`` build it once."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(frames=shift_scene(),
+           dx=st.floats(-WIDTH, WIDTH, exclude_min=True, exclude_max=True),
+           center=st.floats(0.1, 6.0), size=st.floats(0.01, 0.3), miss=st.floats(0.05, 0.6),
+           fp=st.floats(0.1, 3.0), score=st.floats(0.01, 0.2), seed=st.integers(0, 2**32 - 1))
+    def test_single_box_table_ignores_the_shift(self, frames, dx, center, size, miss, fp, score,
+                                                seed):
+        spec = MockDetectorSpec(mode="single_box", center_noise_sigma=center,
+                                size_noise_sigma=size, miss_prob=miss, fp_per_frame=fp,
+                                score_noise_sigma=score, image_width=WIDTH, seed=seed)
+        assert not spec.reads_thermal
+        shifted = apply_shift(frames, ShiftSpec(dx, image_width=WIDTH))
+        moved, plain = mock_detect(shifted, spec), mock_detect(frames, spec)
+        assert moved.frame_ids == plain.frame_ids and np.array_equal(moved.offsets, plain.offsets)
+        assert moved.rows.tobytes() == plain.rows.tobytes()
+
+    def test_paired_table_follows_the_shift(self):
+        frames = generate_scene(SceneSpec(num_frames=8, seed=19))
+        shifted = apply_shift(frames, ShiftSpec(12.0, image_width=WIDTH))
+        spec = MockDetectorSpec(mode="paired", center_noise_sigma=3.0, size_noise_sigma=0.1,
+                                miss_prob=0.2, fp_per_frame=1.5, score_noise_sigma=0.05, seed=7)
+        assert spec.reads_thermal
+        # the thermal columns follow the shifted ground truth
+        assert not np.array_equal(mock_detect(shifted, spec).t, mock_detect(frames, spec).t)
 
 
 class TestTrendReproduction:
