@@ -48,25 +48,16 @@ from .formats import (
     Dataset,
     DatasetMeta,
     ParseError,
-    _check_keys,
-    _is_number,
-    _parse_box,
+    read_anchors,
     read_dataset,
     read_detections,
-    read_json,
+    read_samples,
     write_dataset,
     write_detections,
 )
 from .geometry import pairs_to_arrays
 from .pairnms import paired_nms
-from .regression import (
-    BACKGROUND_CLASS,
-    LossConfig,
-    cross_entropy,
-    detector_loss,
-    rpn_loss,
-    smooth_l1,
-)
+from .regression import cross_entropy, detector_loss, rpn_loss, smooth_l1
 from .sampling import (
     AssignmentConfig,
     assign_detector,
@@ -268,25 +259,10 @@ def cmd_nms(args) -> int:
     return 0
 
 
-def _load_anchor_file(path) -> tuple[np.ndarray, np.ndarray]:
-    payload = read_json(path)
-    if not isinstance(payload, dict) or not isinstance(payload.get("anchors"), list):
-        raise ParseError(path, 1, "expected an object with an 'anchors' list")
-    _check_keys(payload, {"anchors"}, path, 1, "top level")
-    visible, thermal = [], []
-    for k, raw in enumerate(payload["anchors"]):
-        if not isinstance(raw, dict) or "v" not in raw or "t" not in raw:
-            raise ParseError(path, 1, f"anchors[{k}]: expected 'v' and 't' boxes")
-        _check_keys(raw, {"v", "t"}, path, 1, f"anchors[{k}]")
-        visible.append(_parse_box(raw["v"], path, 1, f"anchors[{k}].v").as_tuple())
-        thermal.append(_parse_box(raw["t"], path, 1, f"anchors[{k}].t").as_tuple())
-    return tuple(np.array(boxes, dtype=np.float64).reshape(-1, 4) for boxes in (visible, thermal))
-
-
 def cmd_assign(args) -> int:
     dataset = read_dataset(args.ground_truth)
     if args.anchors:
-        anchors = _load_anchor_file(args.anchors)
+        anchors = read_anchors(args.anchors)
     else:
         anchors = generate_anchor_grid(
             dataset.meta.image_width,
@@ -333,131 +309,6 @@ def _float_repr(values: np.ndarray) -> list[str]:
     return list(map(float.__repr__, values.tolist()))
 
 
-def _losses_field(raw: dict, key: str, convert, path, field: str, default=None):
-    """``convert(raw[key])``, or ``convert(default)`` when the key is absent.
-
-    A required (no default) key that is missing, or a value ``convert``
-    rejects, is a ParseError naming ``field``.
-    """
-    if key not in raw and default is None:
-        raise ParseError(path, 1, f"{field}: missing")
-    try:
-        return convert(raw.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(path, 1, f"{field}: {exc}") from None
-
-
-def _number(value) -> float:
-    """A JSON number as a float; strings, bools, NaN, infinities and integers
-    too large for a float are refused."""
-    if not _is_number(value):
-        raise TypeError("expected a finite number")
-    return float(value)
-
-
-def _integer(value) -> int:
-    _number(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _floats(value) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise TypeError("expected a JSON array")
-    return tuple(_number(v) for v in value)
-
-
-def _typed(value, kind: type, path, field: str):
-    if not isinstance(value, kind):
-        name = "object" if kind is dict else "array"
-        raise ParseError(path, 1, f"{field}: expected a JSON {name}")
-    return value
-
-
-def _built(cls, path, field: str, *args):
-    """``cls(*args)``; a ValueError it raises is a ParseError naming ``field``."""
-    try:
-        return cls(*args)
-    except ValueError as exc:
-        raise ParseError(path, 1, f"{field}: {exc}") from None
-
-
-def _four_floats(value) -> tuple[float, ...]:
-    values = _floats(value)
-    if len(values) != 4:
-        raise ValueError(f"expected 4 offset values, got shape ({len(values)},)")
-    return values
-
-
-_OFFSET_KEYS = ("pred_v", "pred_t", "target_v", "target_t")
-
-
-def _offsets_from(raw: dict, path, where: str) -> list[tuple[float, ...]]:
-    """The pred_v, pred_t, target_v, target_t offsets of a regressed sample,
-    as four finite numbers each."""
-    return [
-        _losses_field(raw, key, _four_floats, path, f"{where}.{key}")
-        for key in _OFFSET_KEYS
-    ]
-
-
-def _parse_rpn_samples(section, path):
-    """The RPN samples' ``logits`` and ``labels`` columns, the positives'
-    :func:`_offsets_from` rows, and the LossConfig."""
-    section = _typed(section, dict, path, "rpn")
-    _check_keys(section, {"cfg", "samples"}, path, 1, "rpn")
-    cfg_raw = _typed(section.get("cfg", {}), dict, path, "rpn.cfg")
-    _check_keys(cfg_raw, {"lambda", "n_cls", "n_reg"}, path, 1, "rpn.cfg")
-    raw_samples = _typed(section.get("samples", []), list, path, "rpn.samples")
-    n_default = max(len(raw_samples), 1)
-    cfg = _built(
-        LossConfig, path, "rpn.cfg",
-        _losses_field(cfg_raw, "lambda", _number, path, "rpn.cfg.lambda", 1.0),
-        _losses_field(cfg_raw, "n_cls", _integer, path, "rpn.cfg.n_cls", n_default),
-        _losses_field(cfg_raw, "n_reg", _integer, path, "rpn.cfg.n_reg", n_default),
-    )
-    logits, labels, offsets = [], [], []
-    for k, raw in enumerate(raw_samples):
-        where = f"rpn.samples[{k}]"
-        raw = _typed(raw, dict, path, where)
-        _check_keys(raw, {"logit", "label", *_OFFSET_KEYS}, path, 1, where)
-        label = raw.get("label")
-        if label not in (0, 1) or isinstance(label, bool):
-            raise ParseError(path, 1, f"{where}.label: expected 0 or 1")
-        logits.append(_losses_field(raw, "logit", _number, path, f"{where}.logit"))
-        labels.append(int(label))
-        if label == 1:
-            offsets.append(_offsets_from(raw, path, where))
-    return np.array(logits, dtype=np.float64), np.array(labels), offsets, cfg
-
-
-def _parse_detector_samples(section, path):
-    """The detector samples' ``scores`` rows and ``true_class`` column, the
-    foreground samples' :func:`_offsets_from` rows, and lambda."""
-    section = _typed(section, dict, path, "detector")
-    _check_keys(section, {"lambda", "samples"}, path, 1, "detector")
-    lam = _losses_field(section, "lambda", _number, path, "detector.lambda", 1.0)
-    if lam < 0:
-        raise ParseError(path, 1, f"detector.lambda: must be >= 0, got {lam!r}")
-    scores, classes, offsets = [], [], []
-    for k, raw in enumerate(_typed(section.get("samples", []), list, path, "detector.samples")):
-        where = f"detector.samples[{k}]"
-        raw = _typed(raw, dict, path, where)
-        _check_keys(raw, {"scores", "true_class", *_OFFSET_KEYS}, path, 1, where)
-        row = _losses_field(raw, "scores", _floats, path, f"{where}.scores", [])
-        true_class = _losses_field(raw, "true_class", _integer, path, f"{where}.true_class", 0)
-        if true_class != BACKGROUND_CLASS:
-            offsets.append(_offsets_from(raw, path, where))
-        if not row:
-            raise ParseError(path, 1, f"{where}: class_scores must be non-empty")
-        if not 0 <= true_class < len(row):
-            raise ParseError(path, 1, f"{where}: true_class {true_class} out of range for {len(row)} classes")
-        scores.append(np.array(row, dtype=np.float64))
-        classes.append(true_class)
-    return scores, np.array(classes), offsets, lam
-
-
 def _worst_gradient_error(loss, x: np.ndarray, analytic: np.ndarray, eps: float = 1e-5) -> float:
     """The largest |analytic - central difference of ``loss`` at ``x``| over
     the coordinates on the last axis of ``x``; ``loss`` maps ``x`` to one
@@ -486,13 +337,8 @@ def _gradient_check_lines(pred, target, scores, true_class) -> list[str]:
 
 
 def cmd_losses(args) -> int:
-    payload = read_json(args.samples)
-    if not isinstance(payload, dict):
-        raise ParseError(args.samples, 1, "expected a JSON object")
-    _check_keys(payload, {"rpn", "detector"}, args.samples, 1, "top level")
-    # an absent section parses as no samples
-    logits, labels, rpn_rows, cfg = _parse_rpn_samples(payload.get("rpn", {}), args.samples)
-    scores, true_class, det_rows, lam = _parse_detector_samples(payload.get("detector", {}), args.samples)
+    rpn, detector, sections = read_samples(args.samples)
+    (logits, labels, rpn_rows, cfg), (scores, true_class, det_rows, lam) = rpn, detector
     if args.lam is not None:
         cfg = replace(cfg, lam=args.lam)
         lam = args.lam
@@ -501,9 +347,9 @@ def cmd_losses(args) -> int:
     pred, target = np.array(rpn_rows + det_rows, dtype=np.float64).reshape(-1, 2, 2, 4).swapaxes(0, 1)
     p = len(rpn_rows)
     lines = []
-    if "rpn" in payload:
+    if "rpn" in sections:
         lines.append(f"rpn_loss {rpn_loss(logits, labels, pred[:p], target[:p], cfg):.9g}")
-    if "detector" in payload:
+    if "detector" in sections:
         losses = detector_loss(scores, true_class, pred[p:], target[p:], lam).tolist()
         lines.extend(f"detector_loss[{k}] {loss:.9g}" for k, loss in enumerate(losses))
     if args.grad_check:

@@ -1,4 +1,5 @@
-"""JSON-Lines dataset and detection files.
+"""The input and output files: JSON-Lines annotation and detection files,
+and the single-document anchor and loss sample files.
 
 One frame per line. Annotation files optionally start with a metadata line:
 
@@ -20,6 +21,12 @@ line number, and offending field; a byte that is not UTF-8 is reported at
 its line too. Detection files are read into a
 :class:`~pairbox.evaluation.DetectionTable` of columns in one pass, and
 written from its columns.
+
+An anchor file (``assign --anchors``) and a loss sample file (``losses``)
+each hold one JSON document, read by :func:`read_anchors` and
+:func:`read_samples`; an error in one is reported at line 1 and names the
+entry (``anchors[k].v``, ``rpn.cfg.n_cls``). All four readers check fields
+with the same checkers, so a value is refused in the same words everywhere.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import numpy as np
 
 from .evaluation import OCCLUSION_LEVELS, DetectionTable, FrameAnnotations, FrameId, GtObject
 from .geometry import Box, PairedBox
+from .regression import BACKGROUND_CLASS, LossConfig
 
 __all__ = [
     "ParseError",
@@ -43,6 +51,8 @@ __all__ = [
     "read_detections",
     "write_detections",
     "read_json",
+    "read_anchors",
+    "read_samples",
 ]
 
 
@@ -84,32 +94,88 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _parse_frame_id(record: dict, path, line_no: int) -> FrameId:
-    if "frame" not in record:
-        raise ParseError(path, line_no, "missing 'frame' field")
-    fid = record["frame"]
-    if isinstance(fid, bool) or not isinstance(fid, (str, int)):
-        raise ParseError(path, line_no, f"frame id must be a string or integer, got {fid!r}")
-    return fid
+def _record(value, keys: set, path, line_no: int, field: str) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise ParseError(path, line_no, f"{field}: expected a JSON object")
+    unknown = sorted(set(value) - keys)
+    if unknown:
+        raise ParseError(path, line_no, f"{field}: unknown field(s) {', '.join(unknown)}")
+    return value
 
 
-def _parse_box(value, path, line_no: int, field: str) -> Box:
+def _check(convert, value, path, line_no: int, field: str):
+    """``convert(value)``; a TypeError or ValueError it raises is a ParseError
+    naming ``field``. So ``convert`` raises no ParseError: its field would show twice."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(path, line_no, f"{field}: {exc}") from None
+
+
+def _field(raw: dict, key: str, convert, path, line_no: int, where: str, default=None):
+    """:func:`_check` of ``raw[key]`` (or ``default`` if it is absent) naming
+    the field ``where.key``; a required (no default) key that is absent is ``missing``."""
+    if key not in raw and default is None:
+        raise ParseError(path, line_no, f"{where}.{key}: missing")
+    return _check(convert, raw.get(key, default), path, line_no, f"{where}.{key}")
+
+
+def _number(value) -> float:
+    """A JSON number as a float; strings, bools, NaN, infinities and integers
+    too large for a float are refused."""
+    if not _is_number(value):
+        raise TypeError("expected a finite number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    _number(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _array(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("expected a JSON array")
+    return value
+
+
+def _floats(value) -> tuple[float, ...]:
+    return tuple(map(_number, _array(value)))
+
+
+def _four_floats(value) -> tuple[float, ...]:
+    values = _floats(value)
+    if len(values) != 4:
+        raise ValueError(f"expected 4 offset values, got shape ({len(values)},)")
+    return values
+
+
+def _box(value) -> Box:
     if (
         not isinstance(value, list)
         or len(value) != 4
         or not all(_is_number(v) for v in value)
     ):
-        raise ParseError(path, line_no, f"{field}: expected [x, y, w, h] with finite numbers")
-    try:
-        return Box(*(float(v) for v in value))
-    except ValueError as exc:
-        raise ParseError(path, line_no, f"{field}: {exc}") from None
+        raise TypeError("expected [x, y, w, h] with finite numbers")
+    return Box(*(float(v) for v in value))
 
 
-def _check_keys(record: dict, allowed: set, path, line_no: int, context: str):
-    unknown = sorted(set(record) - allowed)
-    if unknown:
-        raise ParseError(path, line_no, f"{context}: unknown field(s) {', '.join(unknown)}")
+def _parse_frame(record: dict, key: str, path, line_no: int, field: str, seen) -> tuple[FrameId, list]:
+    """A ``{"frame", key}`` record's new frame id and its ``key`` list."""
+    _record(record, {"frame", key}, path, line_no, field)
+    if "frame" not in record:
+        raise ParseError(path, line_no, "missing 'frame' field")
+    fid = record["frame"]
+    if isinstance(fid, bool) or not isinstance(fid, (str, int)):
+        raise ParseError(path, line_no, f"frame id must be a string or integer, got {fid!r}")
+    if fid in seen:
+        raise ParseError(path, line_no, f"duplicate frame id {fid!r}")
+    if not isinstance(record.get(key), list):
+        raise ParseError(path, line_no, f"missing or invalid '{key}' list")
+    return fid, record[key]
 
 
 def _check_utf8(text: str, path, line_no: int) -> None:
@@ -125,13 +191,18 @@ def _check_utf8(text: str, path, line_no: int) -> None:
         raise ParseError(path, line_no, f"invalid UTF-8 (byte 0x{byte:02x})") from None
 
 
-def _lines(path):
-    """The numbered lines of a UTF-8 text file; a line that is not UTF-8 is
-    a ParseError at that line."""
+def _records(path):
+    """The numbered JSON objects on a JSON-Lines file's non-blank lines; a
+    line that is not UTF-8, JSON or an object is a ParseError at that line."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             _check_utf8(line, path, line_no)
-            yield line_no, line
+            if not line.strip():
+                continue
+            record = _loads(line, path, line_no)
+            if not isinstance(record, dict):
+                raise ParseError(path, line_no, "expected a JSON object")
+            yield line_no, record
 
 
 def _loads(text: str, path, line_no: Optional[int] = None):
@@ -161,18 +232,8 @@ def read_json(path):
     return _loads(text, path)
 
 
-def _load_json_line(line: str, path, line_no: int) -> dict:
-    record = _loads(line, path, line_no)
-    if not isinstance(record, dict):
-        raise ParseError(path, line_no, "expected a JSON object")
-    return record
-
-
 def _parse_meta(record: dict, path, line_no: int) -> DatasetMeta:
-    meta = record["meta"]
-    if not isinstance(meta, dict):
-        raise ParseError(path, line_no, "meta: expected a JSON object")
-    _check_keys(meta, {"name", "width", "height"}, path, line_no, "meta")
+    meta = _record(record["meta"], {"name", "width", "height"}, path, line_no, "meta")
     name = meta.get("name", "")
     if not isinstance(name, str):
         raise ParseError(path, line_no, "meta.name: expected a string")
@@ -188,33 +249,22 @@ def read_dataset(path) -> Dataset:
     meta = DatasetMeta()
     frames: list[FrameAnnotations] = []
     seen: set[FrameId] = set()
-    for line_no, line in _lines(path):
-        if not line.strip():
-            continue
-        record = _load_json_line(line, path, line_no)
+    for line_no, record in _records(path):
         if "meta" in record:
             if line_no != 1 or frames:
                 raise ParseError(path, line_no, "metadata line only allowed first")
-            _check_keys(record, {"meta"}, path, line_no, "metadata line")
+            _record(record, {"meta"}, path, line_no, "metadata line")
             meta = _parse_meta(record, path, line_no)
             continue
-        _check_keys(record, {"frame", "objects"}, path, line_no, "frame record")
-        fid = _parse_frame_id(record, path, line_no)
-        if fid in seen:
-            raise ParseError(path, line_no, f"duplicate frame id {fid!r}")
+        fid, raw_objects = _parse_frame(record, "objects", path, line_no, "frame record", seen)
         seen.add(fid)
-        raw_objects = record.get("objects")
-        if not isinstance(raw_objects, list):
-            raise ParseError(path, line_no, "missing or invalid 'objects' list")
         objects = []
         for k, raw in enumerate(raw_objects):
-            if not isinstance(raw, dict):
-                raise ParseError(path, line_no, f"objects[{k}]: expected a JSON object")
-            _check_keys(raw, {"v", "t", "occ", "ignore"}, path, line_no, f"objects[{k}]")
+            raw = _record(raw, {"v", "t", "occ", "ignore"}, path, line_no, f"objects[{k}]")
             if "v" not in raw or "t" not in raw:
                 raise ParseError(path, line_no, f"objects[{k}]: needs both 'v' and 't' boxes")
-            box_v = _parse_box(raw["v"], path, line_no, f"objects[{k}].v")
-            box_t = _parse_box(raw["t"], path, line_no, f"objects[{k}].t")
+            box_v = _check(_box, raw["v"], path, line_no, f"objects[{k}].v")
+            box_t = _check(_box, raw["t"], path, line_no, f"objects[{k}].t")
             occ = raw.get("occ", "none")
             if occ not in OCCLUSION_LEVELS:
                 raise ParseError(
@@ -280,10 +330,7 @@ def read_detections(path) -> DetectionTable:
     frame_ids: list[FrameId] = []
     blocks: list[np.ndarray] = []
     seen: set[FrameId] = set()
-    for line_no, line in _lines(path):
-        if not line.strip():
-            continue
-        record = _load_json_line(line, path, line_no)
+    for line_no, record in _records(path):
         rows = _canonical_rows(record, seen)
         if rows is None:
             rows = _parse_detection_record(record, path, line_no, seen)
@@ -327,21 +374,11 @@ def _canonical_rows(record, seen) -> Optional[np.ndarray]:
 
 def _parse_detection_record(record: dict, path, line_no: int, seen) -> np.ndarray:
     """The (n, 9) rows of one detection record, checked field by field."""
-    _check_keys(record, _RECORD_KEYS, path, line_no, "detection record")
-    fid = _parse_frame_id(record, path, line_no)
-    if fid in seen:
-        raise ParseError(path, line_no, f"duplicate frame id {fid!r}")
-    raw_dets = record.get("dets")
-    if not isinstance(raw_dets, list):
-        raise ParseError(path, line_no, "missing or invalid 'dets' list")
+    _, raw_dets = _parse_frame(record, "dets", path, line_no, "detection record", seen)
     rows = []
     for k, raw in enumerate(raw_dets):
-        if not isinstance(raw, dict):
-            raise ParseError(path, line_no, f"dets[{k}]: expected a JSON object")
-        _check_keys(raw, {"v", "t", "box", "score"}, path, line_no, f"dets[{k}]")
-        if "score" not in raw or not _is_number(raw["score"]):
-            raise ParseError(path, line_no, f"dets[{k}].score: expected a finite number")
-        score = float(raw["score"])
+        raw = _record(raw, {"v", "t", "box", "score"}, path, line_no, f"dets[{k}]")
+        score = _check(_number, raw.get("score"), path, line_no, f"dets[{k}].score")
         if not 0.0 <= score <= 1.0:
             raise ParseError(
                 path, line_no, f"dets[{k}].score: must lie in [0, 1], got {score}"
@@ -352,17 +389,16 @@ def _parse_detection_record(record: dict, path, line_no: int, seen) -> np.ndarra
                     path, line_no,
                     f"dets[{k}]: 'box' cannot be combined with 'v'/'t'",
                 )
-            box = _parse_box(raw["box"], path, line_no, f"dets[{k}].box")
-            rows.append(box.as_tuple() * 2 + (score,))
+            box_v = box_t = _check(_box, raw["box"], path, line_no, f"dets[{k}].box")
         else:
             if "v" not in raw or "t" not in raw:
                 raise ParseError(
                     path, line_no,
                     f"dets[{k}]: needs 'v' and 't' boxes (or a single 'box')",
                 )
-            box_v = _parse_box(raw["v"], path, line_no, f"dets[{k}].v")
-            box_t = _parse_box(raw["t"], path, line_no, f"dets[{k}].t")
-            rows.append(box_v.as_tuple() + box_t.as_tuple() + (score,))
+            box_v = _check(_box, raw["v"], path, line_no, f"dets[{k}].v")
+            box_t = _check(_box, raw["t"], path, line_no, f"dets[{k}].t")
+        rows.append(box_v.as_tuple() + box_t.as_tuple() + (score,))
     return np.array(rows, dtype=np.float64).reshape(-1, _ROW)
 
 
@@ -377,3 +413,88 @@ def write_detections(table: DetectionTable, path) -> None:
                 for i in range(offsets[k], offsets[k + 1])
             ]
             fh.write(_dump({"frame": fid, "dets": dets}) + "\n")
+
+
+def read_anchors(path) -> tuple[np.ndarray, np.ndarray]:
+    """The visible and thermal ``(n, 4)`` boxes of an anchor file's
+    ``anchors`` list."""
+    payload = read_json(path)
+    if not isinstance(payload, dict) or not isinstance(payload.get("anchors"), list):
+        raise ParseError(path, 1, "expected an object with an 'anchors' list")
+    _record(payload, {"anchors"}, path, 1, "top level")
+    visible, thermal = [], []
+    for k, raw in enumerate(payload["anchors"]):
+        if not isinstance(raw, dict) or "v" not in raw or "t" not in raw:
+            raise ParseError(path, 1, f"anchors[{k}]: expected 'v' and 't' boxes")
+        _record(raw, {"v", "t"}, path, 1, f"anchors[{k}]")
+        visible.append(_check(_box, raw["v"], path, 1, f"anchors[{k}].v").as_tuple())
+        thermal.append(_check(_box, raw["t"], path, 1, f"anchors[{k}].t").as_tuple())
+    return tuple(np.array(boxes, dtype=np.float64).reshape(-1, 4) for boxes in (visible, thermal))
+
+
+_OFFSET_KEYS = ("pred_v", "pred_t", "target_v", "target_t")
+
+
+def read_samples(path):
+    """The ``rpn`` and ``detector`` sections of a loss sample file, and the
+    set of section names it holds; an absent section parses as no samples.
+
+    ``rpn`` is ``(logits, labels, offsets, cfg)``: the samples' logit and
+    label columns, the positives' offset rows and the :class:`LossConfig`.
+    ``detector`` is ``(scores, true_class, offsets, lam)``: the samples'
+    class-score rows and true-class column, the foreground samples' offset
+    rows and the regression weight. An offset row is a sample's ``pred_v``,
+    ``pred_t``, ``target_v`` and ``target_t``, four numbers each.
+    """
+    payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise ParseError(path, 1, "expected a JSON object")
+    _record(payload, {"rpn", "detector"}, path, 1, "top level")
+    return (_rpn_samples(payload.get("rpn", {}), path),
+            _detector_samples(payload.get("detector", {}), path), set(payload))
+
+
+def _rpn_samples(section, path):
+    section = _record(section, {"cfg", "samples"}, path, 1, "rpn")
+    raw_cfg = _record(section.get("cfg", {}), {"lambda", "n_cls", "n_reg"}, path, 1, "rpn.cfg")
+    raw_samples = _field(section, "samples", _array, path, 1, "rpn", [])
+    n_default = max(len(raw_samples), 1)
+    fields = (_field(raw_cfg, "lambda", _number, path, 1, "rpn.cfg", 1.0),
+              _field(raw_cfg, "n_cls", _integer, path, 1, "rpn.cfg", n_default),
+              _field(raw_cfg, "n_reg", _integer, path, 1, "rpn.cfg", n_default))
+    # built once its fields are checked, so that a field's error is not the config's too
+    cfg = _check(lambda args: LossConfig(*args), fields, path, 1, "rpn.cfg")
+    logits, labels, offsets = [], [], []
+    for k, raw in enumerate(raw_samples):
+        where = f"rpn.samples[{k}]"
+        raw = _record(raw, {"logit", "label", *_OFFSET_KEYS}, path, 1, where)
+        label = raw.get("label")
+        if label not in (0, 1) or isinstance(label, bool):
+            raise ParseError(path, 1, f"{where}.label: expected 0 or 1")
+        logits.append(_field(raw, "logit", _number, path, 1, where))
+        labels.append(int(label))
+        if label == 1:
+            offsets.append([_field(raw, key, _four_floats, path, 1, where) for key in _OFFSET_KEYS])
+    return np.array(logits, dtype=np.float64), np.array(labels), offsets, cfg
+
+
+def _detector_samples(section, path):
+    section = _record(section, {"lambda", "samples"}, path, 1, "detector")
+    lam = _field(section, "lambda", _number, path, 1, "detector", 1.0)
+    if lam < 0:
+        raise ParseError(path, 1, f"detector.lambda: must be >= 0, got {lam!r}")
+    scores, classes, offsets = [], [], []
+    for k, raw in enumerate(_field(section, "samples", _array, path, 1, "detector", [])):
+        where = f"detector.samples[{k}]"
+        raw = _record(raw, {"scores", "true_class", *_OFFSET_KEYS}, path, 1, where)
+        row = _field(raw, "scores", _floats, path, 1, where, [])
+        true_class = _field(raw, "true_class", _integer, path, 1, where, 0)
+        if true_class != BACKGROUND_CLASS:
+            offsets.append([_field(raw, key, _four_floats, path, 1, where) for key in _OFFSET_KEYS])
+        if not row:
+            raise ParseError(path, 1, f"{where}: class_scores must be non-empty")
+        if not 0 <= true_class < len(row):
+            raise ParseError(path, 1, f"{where}: true_class {true_class} out of range for {len(row)} classes")
+        scores.append(np.array(row, dtype=np.float64))
+        classes.append(true_class)
+    return scores, np.array(classes), offsets, lam

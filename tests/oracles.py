@@ -8,9 +8,11 @@ suppression rows, a per-coordinate Python-float smooth-L1 instead of
 the array one, per-sample losses instead of the column ones, per-threshold
 re-matching instead of the one-pass score sweep, a scalar triple loop instead
 of the broadcast anchor grid, a per-GT loop instead of the one-step
-best-anchor rule, and a field-by-field parse into detection objects instead
-of the column reader. ``curve_from_points`` builds the hand-made curves
-that tests feed to the curve consumers.
+best-anchor rule, a field-by-field parse into detection objects instead
+of the column reader, and the hand-written anchor and sample document
+parsers, each with its own checks, instead of the readers' shared field
+checkers. ``curve_from_points`` builds the hand-made curves that tests feed
+to the curve consumers.
 """
 
 from __future__ import annotations
@@ -25,16 +27,49 @@ from pairbox.evaluation import FrameDetections, MissRateCurve
 from pairbox.formats import (
     FrameId,
     ParseError,
-    _check_keys,
     _is_number,
-    _load_json_line,
-    _parse_box,
-    _parse_frame_id,
+    _loads,
+    read_json,
 )
-from pairbox.geometry import PairedBox
+from pairbox.geometry import Box, PairedBox
 from pairbox.pairnms import Detection
-from pairbox.regression import cross_entropy
+from pairbox.regression import BACKGROUND_CLASS, LossConfig, cross_entropy
 from pairbox.sampling import POSITIVE
+
+
+def _check_keys(record: dict, allowed: set, path, line_no: int, context: str):
+    unknown = sorted(set(record) - allowed)
+    if unknown:
+        raise ParseError(path, line_no, f"{context}: unknown field(s) {', '.join(unknown)}")
+
+
+def _load_json_line(line: str, path, line_no: int) -> dict:
+    record = _loads(line, path, line_no)
+    if not isinstance(record, dict):
+        raise ParseError(path, line_no, "expected a JSON object")
+    return record
+
+
+def _parse_frame_id(record: dict, path, line_no: int) -> FrameId:
+    if "frame" not in record:
+        raise ParseError(path, line_no, "missing 'frame' field")
+    fid = record["frame"]
+    if isinstance(fid, bool) or not isinstance(fid, (str, int)):
+        raise ParseError(path, line_no, f"frame id must be a string or integer, got {fid!r}")
+    return fid
+
+
+def _parse_box(value, path, line_no: int, field: str) -> Box:
+    if (
+        not isinstance(value, list)
+        or len(value) != 4
+        or not all(_is_number(v) for v in value)
+    ):
+        raise ParseError(path, line_no, f"{field}: expected [x, y, w, h] with finite numbers")
+    try:
+        return Box(*(float(v) for v in value))
+    except ValueError as exc:
+        raise ParseError(path, line_no, f"{field}: {exc}") from None
 
 
 def rasterized_counts(a, b, scale: int = 10):
@@ -189,6 +224,158 @@ def naive_read_detections(path) -> list[FrameDetections]:
                     dets.append(Detection(PairedBox(box_v, box_t), score))
             out.append(FrameDetections(fid, tuple(dets)))
     return out
+
+
+def naive_read_anchors(path) -> tuple[np.ndarray, np.ndarray]:
+    """An anchor file's visible and thermal boxes, parsed entry by entry."""
+    payload = read_json(path)
+    if not isinstance(payload, dict) or not isinstance(payload.get("anchors"), list):
+        raise ParseError(path, 1, "expected an object with an 'anchors' list")
+    _check_keys(payload, {"anchors"}, path, 1, "top level")
+    visible, thermal = [], []
+    for k, raw in enumerate(payload["anchors"]):
+        if not isinstance(raw, dict) or "v" not in raw or "t" not in raw:
+            raise ParseError(path, 1, f"anchors[{k}]: expected 'v' and 't' boxes")
+        _check_keys(raw, {"v", "t"}, path, 1, f"anchors[{k}]")
+        visible.append(_parse_box(raw["v"], path, 1, f"anchors[{k}].v").as_tuple())
+        thermal.append(_parse_box(raw["t"], path, 1, f"anchors[{k}].t").as_tuple())
+    return tuple(np.array(boxes, dtype=np.float64).reshape(-1, 4) for boxes in (visible, thermal))
+
+
+def _losses_field(raw: dict, key: str, convert, path, field: str, default=None):
+    """``convert(raw[key])``, or ``convert(default)`` when the key is absent.
+
+    A required (no default) key that is missing, or a value ``convert``
+    rejects, is a ParseError naming ``field``.
+    """
+    if key not in raw and default is None:
+        raise ParseError(path, 1, f"{field}: missing")
+    try:
+        return convert(raw.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(path, 1, f"{field}: {exc}") from None
+
+
+def _number(value) -> float:
+    """A JSON number as a float; strings, bools, NaN, infinities and integers
+    too large for a float are refused."""
+    if not _is_number(value):
+        raise TypeError("expected a finite number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    _number(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _floats(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError("expected a JSON array")
+    return tuple(_number(v) for v in value)
+
+
+def _typed(value, kind: type, path, field: str):
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ParseError(path, 1, f"{field}: expected a JSON {name}")
+    return value
+
+
+def _built(cls, path, field: str, *args):
+    """``cls(*args)``; a ValueError it raises is a ParseError naming ``field``."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ParseError(path, 1, f"{field}: {exc}") from None
+
+
+def _four_floats(value) -> tuple[float, ...]:
+    values = _floats(value)
+    if len(values) != 4:
+        raise ValueError(f"expected 4 offset values, got shape ({len(values)},)")
+    return values
+
+
+_OFFSET_KEYS = ("pred_v", "pred_t", "target_v", "target_t")
+
+
+def _offsets_from(raw: dict, path, where: str) -> list[tuple[float, ...]]:
+    """The pred_v, pred_t, target_v, target_t offsets of a regressed sample,
+    as four finite numbers each."""
+    return [
+        _losses_field(raw, key, _four_floats, path, f"{where}.{key}")
+        for key in _OFFSET_KEYS
+    ]
+
+
+def _parse_rpn_samples(section, path):
+    """The RPN samples' ``logits`` and ``labels`` columns, the positives'
+    :func:`_offsets_from` rows, and the LossConfig."""
+    section = _typed(section, dict, path, "rpn")
+    _check_keys(section, {"cfg", "samples"}, path, 1, "rpn")
+    cfg_raw = _typed(section.get("cfg", {}), dict, path, "rpn.cfg")
+    _check_keys(cfg_raw, {"lambda", "n_cls", "n_reg"}, path, 1, "rpn.cfg")
+    raw_samples = _typed(section.get("samples", []), list, path, "rpn.samples")
+    n_default = max(len(raw_samples), 1)
+    cfg = _built(
+        LossConfig, path, "rpn.cfg",
+        _losses_field(cfg_raw, "lambda", _number, path, "rpn.cfg.lambda", 1.0),
+        _losses_field(cfg_raw, "n_cls", _integer, path, "rpn.cfg.n_cls", n_default),
+        _losses_field(cfg_raw, "n_reg", _integer, path, "rpn.cfg.n_reg", n_default),
+    )
+    logits, labels, offsets = [], [], []
+    for k, raw in enumerate(raw_samples):
+        where = f"rpn.samples[{k}]"
+        raw = _typed(raw, dict, path, where)
+        _check_keys(raw, {"logit", "label", *_OFFSET_KEYS}, path, 1, where)
+        label = raw.get("label")
+        if label not in (0, 1) or isinstance(label, bool):
+            raise ParseError(path, 1, f"{where}.label: expected 0 or 1")
+        logits.append(_losses_field(raw, "logit", _number, path, f"{where}.logit"))
+        labels.append(int(label))
+        if label == 1:
+            offsets.append(_offsets_from(raw, path, where))
+    return np.array(logits, dtype=np.float64), np.array(labels), offsets, cfg
+
+
+def _parse_detector_samples(section, path):
+    """The detector samples' ``scores`` rows and ``true_class`` column, the
+    foreground samples' :func:`_offsets_from` rows, and lambda."""
+    section = _typed(section, dict, path, "detector")
+    _check_keys(section, {"lambda", "samples"}, path, 1, "detector")
+    lam = _losses_field(section, "lambda", _number, path, "detector.lambda", 1.0)
+    if lam < 0:
+        raise ParseError(path, 1, f"detector.lambda: must be >= 0, got {lam!r}")
+    scores, classes, offsets = [], [], []
+    for k, raw in enumerate(_typed(section.get("samples", []), list, path, "detector.samples")):
+        where = f"detector.samples[{k}]"
+        raw = _typed(raw, dict, path, where)
+        _check_keys(raw, {"scores", "true_class", *_OFFSET_KEYS}, path, 1, where)
+        row = _losses_field(raw, "scores", _floats, path, f"{where}.scores", [])
+        true_class = _losses_field(raw, "true_class", _integer, path, f"{where}.true_class", 0)
+        if true_class != BACKGROUND_CLASS:
+            offsets.append(_offsets_from(raw, path, where))
+        if not row:
+            raise ParseError(path, 1, f"{where}: class_scores must be non-empty")
+        if not 0 <= true_class < len(row):
+            raise ParseError(path, 1, f"{where}: true_class {true_class} out of range for {len(row)} classes")
+        scores.append(np.array(row, dtype=np.float64))
+        classes.append(true_class)
+    return scores, np.array(classes), offsets, lam
+
+def naive_read_samples(path):
+    """A loss sample file's rpn and detector sections and its section
+    names, parsed field by field."""
+    payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise ParseError(path, 1, "expected a JSON object")
+    _check_keys(payload, {"rpn", "detector"}, path, 1, "top level")
+    # an absent section parses as no samples
+    return (_parse_rpn_samples(payload.get("rpn", {}), path),
+            _parse_detector_samples(payload.get("detector", {}), path), set(payload))
 
 
 def naive_greedy_match(dets, gts, variant, thresh):

@@ -1,27 +1,32 @@
+import ast
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairbox import formats
+import test_cli
+from pairbox import cli, formats, geometry
 from pairbox.evaluation import DetectionTable, FrameAnnotations, FrameDetections
 from pairbox.formats import (
     Dataset,
     DatasetMeta,
     ParseError,
     _canonical_rows,
+    read_anchors,
     read_dataset,
     read_detections,
     read_json,
+    read_samples,
     write_dataset,
     write_detections,
 )
 from pairbox.geometry import Box
 
 from mutations import mutated_text
-from oracles import naive_read_detections
+from oracles import naive_read_anchors, naive_read_detections, naive_read_samples
 from scenes import det_at, gt
 
 SAMPLE = Path(__file__).parent / "data" / "sample_dataset.jsonl"
@@ -339,10 +344,11 @@ class TestColumnReader:
         assert expected.startswith(f"ParseError: {p}:2: ")
         assert _outcome(read_detections, p) == expected
 
-    @settings(derandomize=True, deadline=None)
+    @settings(derandomize=True, deadline=None, max_examples=400)
     @given(data=st.data())
     def test_mutated_files_read_as_the_scalar_parser_reads_them(self, tmp_path_factory, data):
-        text = data.draw(detection_file(single_box=False).filter(lambda t: t.count("\n") > 1))
+        files = detection_file(single_box=False) | detection_file(single_box=True)
+        text = data.draw(files.filter(lambda t: t.count("\n") > 1))
         p = tmp_path_factory.mktemp("dets") / "d.jsonl"
         p.write_text(data.draw(mutated_text(text)), encoding="utf-8")
         expected = _outcome(_oracle_table, p)
@@ -356,3 +362,96 @@ class TestColumnReader:
             assert _canonical_rows(_decoded(lines[line_no - 1]), seen) is None
         else:
             _same_table(got, expected)
+
+
+# --- the anchor and loss sample documents ----------------------------------
+
+
+class TestDocumentReaders:
+    def test_anchor_file_builds_no_paired_box(self, tmp_path, monkeypatch):
+        anchors_path = tmp_path / "anchors.json"
+        anchors_path.write_text(json.dumps({"anchors": [
+            {"v": [0, 0, 10, 20], "t": [3, 0, 10, 20]}, {"v": [5.5, 1, 2, 3], "t": [6, 1, 2, 3]},
+        ]}), encoding="utf-8")
+        built = []
+        init = geometry.PairedBox.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(geometry.PairedBox, "__init__", counted)
+        visible, thermal = read_anchors(anchors_path)
+        assert built == []
+        np.testing.assert_array_equal(visible, [[0, 0, 10, 20], [5.5, 1, 2, 3]])
+        np.testing.assert_array_equal(thermal, [[3, 0, 10, 20], [6, 1, 2, 3]])
+        for boxes in (visible, thermal):
+            assert boxes.dtype == np.float64 and boxes.flags.c_contiguous
+
+    def test_empty_anchor_file_gives_empty_arrays(self, tmp_path):
+        anchors_path = tmp_path / "anchors.json"
+        anchors_path.write_text('{"anchors": []}', encoding="utf-8")
+        assert [boxes.shape for boxes in read_anchors(anchors_path)] == [(0, 4), (0, 4)]
+
+    @pytest.mark.parametrize("target", ["anchors", "samples"])
+    def test_valid_documents_read_as_the_naive_parsers_read_them(self, tmp_path, target):
+        documents = test_cli.TestJsonDocumentFuzz
+        p = tmp_path / f"{target}.json"
+        p.write_text(json.dumps(documents.ANCHORS if target == "anchors" else documents.SAMPLES),
+                     encoding="utf-8")
+        read, naive_read, parts = DOCUMENT_READERS[target]
+        got = _document_outcome(read, p, parts)
+        assert not isinstance(got, str) and got == _document_outcome(naive_read, p, parts)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(data=st.data(), target=st.sampled_from(["anchors", "samples"]))
+    def test_mutated_documents_read_as_the_naive_parsers_read_them(self, tmp_path_factory,
+                                                                   data, target):
+        """The readers against hand-written parsers with checks of their own:
+        the same arrays, config and section names, or the same error."""
+        documents = test_cli.TestJsonDocumentFuzz
+        valid = json.dumps(documents.ANCHORS if target == "anchors" else documents.SAMPLES)
+        p = tmp_path_factory.mktemp("doc") / f"{target}.json"
+        p.write_text(data.draw(mutated_text(valid, bad_bytes=True)), encoding="utf-8",
+                     errors="surrogateescape")
+        read, naive_read, parts = DOCUMENT_READERS[target]
+        assert _document_outcome(read, p, parts) == _document_outcome(naive_read, p, parts)
+
+
+def _sample_parts(result):
+    """A loss sample file's arrays (both sections' columns and offset rows,
+    and lambda) and its other values (the LossConfig and section names)."""
+    (logits, labels, rpn_rows, cfg), (scores, true_class, det_rows, lam), sections = result
+    rows = [np.array(r, dtype=np.float64) for r in (rpn_rows, det_rows)]
+    return [logits, labels, *rows, *scores, true_class, np.float64(lam)], (cfg, sections)
+
+
+DOCUMENT_READERS = {
+    "anchors": (read_anchors, naive_read_anchors, lambda boxes: (boxes, ())),
+    "samples": (read_samples, naive_read_samples, _sample_parts),
+}
+
+
+def _document_outcome(read, path, parts):
+    """The dtype, shape and bytes (so -0.0 != 0.0) of each array ``read(path)``
+    gives and its other values, split by ``parts``; or the error it raises."""
+    try:
+        arrays, values = parts(read(path))
+    except ValueError as exc:  # a ParseError, or any other value the reader refuses
+        return f"{type(exc).__name__}: {exc}"
+    return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, arrays)], values
+
+
+def test_cli_leaves_parsing_to_formats():
+    """The command module imports no private name of ``formats`` and raises
+    no ParseError, so every input file is parsed in ``formats`` alone."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("formats")
+               for alias in node.names if alias.name.startswith("_")]
+    private += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "formats" and node.attr.startswith("_")]
+    raised = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and "ParseError" in {getattr(n, "id", getattr(n, "attr", None))
+                                   for n in ast.walk(node)}]
+    assert private == [] and raised == []
