@@ -45,8 +45,8 @@ from .evaluation import (
     write_curve_csv,
 )
 from .formats import (
-    Dataset,
     DatasetMeta,
+    GtTable,
     ParseError,
     read_anchors,
     read_dataset,
@@ -55,7 +55,6 @@ from .formats import (
     write_dataset,
     write_detections,
 )
-from .geometry import pairs_to_arrays
 from .pairnms import paired_nms
 from .regression import cross_entropy, detector_loss, rpn_loss, smooth_l1
 from .sampling import (
@@ -137,7 +136,7 @@ def render_curve_svg(report: EvalReport) -> str:
     ys = _format_distinct([e.curve.miss_rate for e in report.entries], two_decimals(py))
     for i, (e, x_text, y_text) in enumerate(zip(report.entries, xs, ys)):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        pts = " ".join(f"{x},{y}" for x, y in zip(x_text, y_text))
+        pts = " ".join(map(",".join, zip(x_text, y_text)))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -167,15 +166,15 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = read_dataset(args.ground_truth)
+    annotations = read_dataset(args.ground_truth)
     detections = read_detections(args.detections)
     config = EvalConfig(
         iou_thresholds=tuple(args.iou_thresh),
         variants=tuple(args.variants),
         min_height=args.min_height,
     )
-    report = evaluate(dataset.frames, detections, config)
-    del dataset, detections  # the writes below need only the report: they peak without the inputs
+    report = evaluate(annotations, detections, config)
+    del annotations, detections  # the writes below need only the report: they peak without inputs
     table = format_eval_table(report)
     out = None if args.out is None else Path(args.out)
     if out is not None:
@@ -194,7 +193,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_shift_sweep(args) -> int:
-    dataset = read_dataset(args.ground_truth)
+    annotations = read_dataset(args.ground_truth)
     thresholds = tuple(args.iou_thresh)
     config = EvalConfig(iou_thresholds=thresholds, variants=("multimodal",))
     mock = None if args.dets_pattern else MockDetectorSpec(
@@ -204,13 +203,13 @@ def cmd_shift_sweep(args) -> int:
         miss_prob=args.miss_prob,
         fp_per_frame=args.fp_per_frame,
         score_noise_sigma=args.score_sigma,
-        image_width=dataset.meta.image_width,
-        image_height=dataset.meta.image_height,
+        image_width=annotations.meta.image_width,
+        image_height=annotations.meta.image_height,
         seed=args.seed,
     )
     rows, detections = [], None
     for dx in args.shift:
-        shifted = apply_shift(dataset.frames, ShiftSpec(dx, image_width=dataset.meta.image_width))
+        shifted = apply_shift(annotations, ShiftSpec(dx, image_width=annotations.meta.image_width))
         if mock is None:
             detections = read_detections(_dets_path(args.dets_pattern, dx))
         elif detections is None or mock.reads_thermal:
@@ -244,7 +243,7 @@ def cmd_generate(args) -> int:
     )
     frames = generate_scene(spec)
     meta = DatasetMeta(name=args.name, image_width=spec.image_width, image_height=spec.image_height)
-    write_dataset(Dataset(frames=tuple(frames), meta=meta), args.out)
+    write_dataset(GtTable.from_frames(frames, meta), args.out)
     return 0
 
 
@@ -260,13 +259,13 @@ def cmd_nms(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    dataset = read_dataset(args.ground_truth)
+    annotations = read_dataset(args.ground_truth)
     if args.anchors:
         anchors = read_anchors(args.anchors)
     else:
         anchors = generate_anchor_grid(
-            dataset.meta.image_width,
-            dataset.meta.image_height,
+            annotations.meta.image_width,
+            annotations.meta.image_height,
             stride=args.grid_stride,
             heights=tuple(args.grid_heights),
             aspect=args.grid_aspect,
@@ -281,14 +280,15 @@ def cmd_assign(args) -> int:
     )
     assign = assign_rpn if args.stage == "rpn" else assign_detector
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for frame in dataset.frames:
-            gts = pairs_to_arrays([obj.pair for obj in frame.objects if not obj.ignore])
-            result = assign(anchors, gts, cfg)
+        offsets = annotations.offsets.tolist()
+        for fid, lo, hi in zip(annotations.frame_ids, offsets, offsets[1:]):
+            evaluable = lo + np.flatnonzero(~annotations.ignore[lo:hi])
+            result = assign(anchors, (annotations.v[evaluable], annotations.t[evaluable]), cfg)
             # the bytes json.dumps(record, separators=(",", ":")) writes, each
             # distinct value formatted once
             labels, matched = _format_distinct([result.labels, result.matched_gt], _int_text)
             (ioum,) = _format_distinct([result.max_ioum], _float_repr)
-            line = (f'{{"frame":{json.dumps(frame.frame_id)},"labels":[{",".join(labels)}],'
+            line = (f'{{"frame":{json.dumps(fid)},"labels":[{",".join(labels)}],'
                     f'"matched_gt":[{",".join(matched)}],"max_ioum":[{",".join(ioum)}]')
             if args.sample_batch is not None:
                 selected = sample_minibatch(

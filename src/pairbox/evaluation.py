@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -29,8 +29,8 @@ import numpy as np
 # the (detection, GT) cells of one block of evaluate's matching; a block holds
 # at least one detection row
 from ._kernels._python import CELL_BUDGET as _CELL_BUDGET
-# iou_matrix and iou_multimodal_matrix are unused here, but perfbench/spans.py
-# wraps them under this module's name
+# boxes_to_array, iou_matrix and iou_multimodal_matrix are unused here, but
+# perfbench/spans.py wraps them under this module's name
 from .geometry import (  # noqa: F401
     Box,
     PairedBox,
@@ -48,6 +48,8 @@ __all__ = [
     "VARIANTS",
     "GtObject",
     "FrameAnnotations",
+    "DatasetMeta",
+    "GtTable",
     "FrameDetections",
     "DetectionTable",
     "FrameMatch",
@@ -113,6 +115,17 @@ class FrameAnnotations:
 
 
 @dataclass(frozen=True)
+class DatasetMeta:
+    name: str = ""
+    image_width: float = 640.0
+    image_height: float = 512.0
+
+    def __post_init__(self):
+        if self.image_width <= 0 or self.image_height <= 0:
+            raise ValueError("image dimensions must be positive")
+
+
+@dataclass(frozen=True)
 class FrameDetections:
     """Scored detections for one image (possibly none)."""
 
@@ -123,17 +136,35 @@ class FrameDetections:
         object.__setattr__(self, "detections", tuple(self.detections))
 
 
-class DetectionTable(Sequence[FrameDetections]):
-    """Scored paired detections of many frames, held as one row block.
+class _FrameRows:
+    """Rows of many frames in one float64 block: frame ``k`` has id
+    ``frame_ids[k]`` and owns rows ``offsets[k]:offsets[k + 1]``; ``v`` and
+    ``t`` are the (N, 4) views of the visible [0:4] and thermal [4:8] boxes.
+    Every row is checked once, when the table is built, against the class's
+    ``ROW_LO``/``ROW_HI`` (NaN fails); a bad box is refused in
+    :class:`~pairbox.geometry.Box`'s words, visible boxes first."""
 
-    ``rows`` is the (N, 9) float64 block of rows v[0:4], t[4:8], score[8];
-    ``v`` and ``t`` are its (N, 4) box views and ``score`` its (N,) view.
-    Frame ``k`` has id ``frame_ids[k]`` and owns rows
-    ``offsets[k]:offsets[k + 1]``. The table is a re-iterable sequence of
-    :class:`FrameDetections`, each built from the rows when it is accessed.
-    Frame ids are kept as given, duplicates included. Every row is checked
-    once, when the table is built, against ``ROW_LO``/``ROW_HI`` (NaN fails);
-    a bad box is refused in :class:`~pairbox.geometry.Box`'s words.
+    def __init__(self, frame_ids, offsets, rows):
+        self.frame_ids = list(frame_ids)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.rows = np.asarray(rows, dtype=np.float64)
+        if (self.offsets.shape != (len(self.frame_ids) + 1,) or self.offsets[0] != 0
+                or self.rows.shape != (self.offsets[-1], self.ROW_LO.size)
+                or np.any(np.diff(self.offsets) < 0)):
+            raise ValueError(f"{type(self).__name__} rows and frame offsets do not agree")
+        self.v, self.t = self.rows[:, 0:4], self.rows[:, 4:8]
+        inside = (self.ROW_LO <= self.rows) & (self.rows <= self.ROW_HI)
+        for k in (0, 4):  # Box has the same bound: it refuses the row in its words
+            bad = ~inside[:, k:k + 4].all(axis=1)
+            if bad.any():
+                Box(*self.rows[bad.argmax(), k:k + 4].tolist())
+
+
+class DetectionTable(_FrameRows, Sequence[FrameDetections]):
+    """Scored paired detections of many frames, held as one row block of
+    rows v[0:4], t[4:8], score[8]; ``score`` is its (N,) view. The table is a
+    re-iterable sequence of :class:`FrameDetections`, each built from the
+    rows when it is accessed. Frame ids are kept as given, duplicates included.
     """
 
     # the bounds of a row v[0:4], t[4:8], score[8]: Box's bound on
@@ -142,24 +173,11 @@ class DetectionTable(Sequence[FrameDetections]):
     ROW_HI = np.array([1e100] * 8 + [1.0])
 
     def __init__(self, frame_ids, offsets, rows):
-        self.frame_ids = list(frame_ids)
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.rows = np.asarray(rows, dtype=np.float64)
-        if (
-            self.offsets.shape != (len(self.frame_ids) + 1,)
-            or self.offsets[0] != 0
-            or self.rows.shape != (self.offsets[-1], self.ROW_LO.size)
-            or np.any(np.diff(self.offsets) < 0)
-        ):
-            raise ValueError("detection rows and frame offsets do not agree")
-        self.v, self.t, self.score = self.rows[:, 0:4], self.rows[:, 4:8], self.rows[:, 8]
-        inside = (self.ROW_LO <= self.rows) & (self.rows <= self.ROW_HI)  # NaN is outside
-        if not inside.all():  # visible boxes first, then thermal boxes, then scores
-            for lo in (0, 4):  # Box has the same bound: it refuses the row in its words
-                bad = ~inside[:, lo:lo + 4].all(axis=1)
-                if bad.any():
-                    Box(*self.rows[bad.argmax(), lo:lo + 4].tolist())
-            score = self.score[~inside[:, 8]][0].item()
+        super().__init__(frame_ids, offsets, rows)
+        self.score = self.rows[:, 8]
+        outside = ~((0.0 <= self.score) & (self.score <= 1.0))  # NaN is outside
+        if outside.any():
+            score = self.score[outside][0].item()
             raise ValueError(f"score must be a finite value in [0, 1], got {score!r}")
 
     @classmethod
@@ -195,24 +213,44 @@ class DetectionTable(Sequence[FrameDetections]):
         return FrameDetections(self.frame_ids[k], dets)
 
 
-def filter_reasonable(
-    frames: Sequence[FrameAnnotations],
-    min_height: float = 55.0,
-) -> list[FrameAnnotations]:
-    """Mark objects outside the reasonable subset as ignore regions.
+class GtTable(_FrameRows):
+    """Annotated objects of many frames, held as one row block of rows
+    v[0:4], t[4:8] under :class:`DetectionTable`'s box bounds; ``occ`` holds
+    each object's occlusion level as an int8 index into ``OCCLUSION_LEVELS``,
+    ``ignore`` its ignore flag and ``meta`` the image size. Frame ids are distinct."""
+
+    ROW_LO, ROW_HI = DetectionTable.ROW_LO[:8], DetectionTable.ROW_HI[:8]
+
+    def __init__(self, frame_ids, offsets, rows, occ, ignore, meta: DatasetMeta = DatasetMeta()):
+        super().__init__(frame_ids, offsets, rows)
+        self.occ, self.ignore, self.meta = np.asarray(occ, np.int8), np.asarray(ignore, bool), meta
+        if not self.occ.shape == self.ignore.shape == (len(self.rows),) or np.any(
+                (self.occ < 0) | (self.occ >= len(OCCLUSION_LEVELS))):
+            raise ValueError("occlusion codes and ignore flags do not agree with the rows")
+        if len(set(self.frame_ids)) != len(self.frame_ids):
+            raise ValueError("duplicate frame ids in dataset")
+
+    @classmethod
+    def from_frames(cls, frames: Iterable[FrameAnnotations], meta=DatasetMeta()) -> "GtTable":
+        """Pack frames of annotation objects into one table."""
+        frames = list(frames)
+        objects = [o for f in frames for o in f.objects]
+        rows = [o.pair.visible.as_tuple() + o.pair.thermal.as_tuple() for o in objects]
+        return cls([f.frame_id for f in frames], np.cumsum([0] + [len(f.objects) for f in frames]),
+                   np.array(rows, dtype=np.float64).reshape(-1, cls.ROW_LO.size),
+                   [OCCLUSION_LEVELS.index(o.occlusion) for o in objects],
+                   [o.ignore for o in objects], meta)
+
+
+def filter_reasonable(table: GtTable, min_height: float = 55.0) -> np.ndarray:
+    """The ignore flags of ``table``'s objects under the reasonable subset.
 
     Objects at most ``min_height`` pixels tall (measured on the thermal
     box, the reference modality) or under heavy occlusion are flagged
     ignore; they are kept, not dropped, so they can still absorb detections.
     """
-    out = []
-    for frame in frames:
-        objects = []
-        for obj in frame.objects:
-            keep_out = obj.ignore or obj.occlusion == "heavy" or obj.pair.thermal.h <= min_height
-            objects.append(replace(obj, ignore=keep_out) if keep_out != obj.ignore else obj)
-        out.append(FrameAnnotations(frame.frame_id, tuple(objects)))
-    return out
+    heavy = table.occ == OCCLUSION_LEVELS.index("heavy")
+    return table.ignore | heavy | (table.t[:, 3] <= min_height)
 
 
 def _overlaps(dv, dt, gv, gt_, variant: str) -> np.ndarray:
@@ -455,7 +493,8 @@ def _greedy_scan(pad, evaluable, gt, rank, free, thresh: float) -> np.ndarray:
 
 
 def _match_frames(
-    frames: Sequence[FrameAnnotations],
+    annotations: GtTable,
+    ignore: np.ndarray,
     detections: DetectionTable,
     table_frame: Sequence[int],
     variants: Sequence[str],
@@ -463,11 +502,11 @@ def _match_frames(
 ) -> tuple[np.ndarray, int, list[list[np.ndarray]]]:
     """Match every frame greedily by the rules of :func:`match_frame`.
 
-    ``frames`` holds the annotations, ignore flags final, and
+    ``ignore`` holds the final ignore flags of the ``annotations``, and
     ``table_frame[k]`` the frame of ``detections`` with the detections of
-    ``frames[k]``, or -1 for none. The detections are taken frame by frame
-    in that order. Returns their scores, the number of evaluable GTs and
-    ``outcomes[v][t]``, their outcomes under the v-th variant and t-th
+    annotated frame ``k``, or -1 for none. The detections are taken frame by
+    frame in that order. Returns their scores, the number of evaluable GTs
+    and ``outcomes[v][t]``, their outcomes under the v-th variant and t-th
     threshold.
 
     The detections of frames with GTs are matched in blocks of rows, one
@@ -479,11 +518,8 @@ def _match_frames(
     threshold. A frame may span blocks: each (variant, threshold) carries
     one ``free`` mask over all GTs from block to block.
     """
-    objects = [g for f in frames for g in f.objects]
-    gv = boxes_to_array(g.pair.visible for g in objects)
-    gt_ = boxes_to_array(g.pair.thermal for g in objects)
-    evaluable = np.array([not g.ignore for g in objects], dtype=bool)
-    ng = np.array([len(f.objects) for f in frames], dtype=np.int64)
+    gv, gt_, evaluable = annotations.v, annotations.t, ~ignore
+    ng = np.diff(annotations.offsets)
     gt_start = np.cumsum(ng) - ng
     # frame -1 (no detections) picks the appended empty frame
     table_frame = np.asarray(table_frame, dtype=np.int64)
@@ -492,7 +528,7 @@ def _match_frames(
     rows = np.repeat(np.append(detections.offsets[:-1], 0)[table_frame] - det_start, nd)
     rows += np.arange(rows.size)
     scores = detections.score[rows]
-    frame = np.repeat(np.arange(len(frames)), nd)
+    frame = np.repeat(np.arange(ng.size), nd)
     # positions by descending GT count, then frame, then descending score, ties by
     # position: match_frame's visiting order within each frame; frames without GTs drop out
     order = np.lexsort((-scores, frame, -ng[frame]))[: np.count_nonzero(ng[frame])]
@@ -524,39 +560,37 @@ def _match_frames(
 
 
 def evaluate(
-    annotations: Sequence[FrameAnnotations],
+    annotations: Union[GtTable, Sequence[FrameAnnotations]],
     detections: DetectionTable,
     config: EvalConfig = EvalConfig(),
 ) -> EvalReport:
     """Run the full protocol over every configured variant and threshold.
 
     Detections must reference known frame ids; annotated frames without
-    detections count as all-miss frames. The GTs of all frames are packed
-    once and all frames are matched at once, in blocks of detection rows
-    whose padded (detection, GT) cells stay under a fixed budget, with one
-    overlap pass per variant and one greedy scan over detection rank per
-    threshold (see ``_match_frames``); the outcomes equal :func:`match_frame`'s
-    on each frame. Hand-built :class:`FrameDetections` are packed with
-    :meth:`DetectionTable.from_frames`.
+    detections count as all-miss frames. All frames are matched at once, in
+    blocks of detection rows whose padded (detection, GT) cells stay under a
+    fixed budget, with one overlap pass per variant and one greedy scan over
+    detection rank per threshold (see ``_match_frames``); the outcomes equal
+    :func:`match_frame`'s on each frame. Objects built by hand are packed
+    with :meth:`GtTable.from_frames` and :meth:`DetectionTable.from_frames`.
     """
-    ann_ids = [f.frame_id for f in annotations]
-    if len(set(ann_ids)) != len(ann_ids):
-        raise EvaluationError("duplicate frame ids in annotations")
+    if not isinstance(annotations, GtTable):
+        annotations = GtTable.from_frames(annotations)
     row_of: dict[FrameId, int] = {}
     for k, fid in enumerate(detections.frame_ids):
         if fid in row_of:
             raise EvaluationError(f"duplicate detection entries for frame {fid!r}")
         row_of[fid] = k
-    ann_id_set = set(ann_ids)
-    unknown = [fid for fid in row_of if fid not in ann_id_set]
+    ann_ids = set(annotations.frame_ids)
+    unknown = [fid for fid in row_of if fid not in ann_ids]
     if unknown:
         raise EvaluationError(
             "detections reference unknown frame ids: "
             + ", ".join(repr(u) for u in unknown)
         )
-    filtered = filter_reasonable(annotations, config.min_height)
     scores, n_gt, outcomes = _match_frames(
-        filtered, detections, [row_of.get(f.frame_id, -1) for f in filtered],
+        annotations, filter_reasonable(annotations, config.min_height), detections,
+        [row_of.get(fid, -1) for fid in annotations.frame_ids],
         config.variants, config.iou_thresholds,
     )
     # one score order for every curve: _curve's own stable sort then keeps it as it is
@@ -565,7 +599,7 @@ def evaluate(
     entries = []
     for variant, per_thresh in zip(config.variants, outcomes):
         for thresh, out in zip(config.iou_thresholds, per_thresh):
-            curve = _curve(scores, out[desc], len(filtered), n_gt)
+            curve = _curve(scores, out[desc], len(annotations.frame_ids), n_gt)
             entries.append(EvalEntry(variant, thresh, curve, log_average_miss_rate(curve)))
     return EvalReport(tuple(entries))
 
@@ -614,4 +648,4 @@ def _write_curve_csv(report: EvalReport, fh: io.TextIOBase) -> None:
                for name in ("score_thresh", "fppi", "miss_rate")]
     for e, *texts in zip(report.entries, *columns):
         prefix = f"{e.variant},{e.iou_thresh:.9g},"
-        fh.write("".join(f"{prefix}{s},{f},{m}\n" for s, f, m in zip(*texts)))
+        fh.write(prefix + ("\n" + prefix).join(map(",".join, zip(*texts))) + "\n")

@@ -18,9 +18,9 @@ separators, floats in shortest round-trip notation, LF endings), so
 write(read(f)) is byte-identical for files produced by these writers.
 Parsers reject records that violate domain invariants and report the file,
 line number, and offending field; a byte that is not UTF-8 is reported at
-its line too. Detection files are read into a
-:class:`~pairbox.evaluation.DetectionTable` of columns in one pass, and
-written from its columns.
+its line too. Each file is read in one pass into the columns of a
+:class:`~pairbox.evaluation.GtTable` or a :class:`~pairbox.evaluation.DetectionTable`
+(``from_frames`` packs objects built by hand into either), and written from them.
 
 An anchor file (``assign --anchors``) and a loss sample file (``losses``)
 each hold one JSON document, read by :func:`read_anchors` and
@@ -33,19 +33,18 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .evaluation import OCCLUSION_LEVELS, DetectionTable, FrameAnnotations, FrameId, GtObject
-from .geometry import Box, PairedBox
+from .evaluation import OCCLUSION_LEVELS, DatasetMeta, DetectionTable, FrameId, GtTable
+from .geometry import Box
 from .regression import BACKGROUND_CLASS, LossConfig
 
 __all__ = [
     "ParseError",
     "DatasetMeta",
-    "Dataset",
+    "GtTable",
     "read_dataset",
     "write_dataset",
     "read_detections",
@@ -64,29 +63,6 @@ class ParseError(ValueError):
         self.path = path
         self.line_no = line_no
         self.reason = reason
-
-
-@dataclass(frozen=True)
-class DatasetMeta:
-    name: str = ""
-    image_width: float = 640.0
-    image_height: float = 512.0
-
-    def __post_init__(self):
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ValueError("image dimensions must be positive")
-
-
-@dataclass(frozen=True)
-class Dataset:
-    frames: tuple[FrameAnnotations, ...]
-    meta: DatasetMeta = DatasetMeta()
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        ids = [f.frame_id for f in self.frames]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate frame ids in dataset")
 
 
 def _is_number(v) -> bool:
@@ -244,77 +220,124 @@ def _parse_meta(record: dict, path, line_no: int) -> DatasetMeta:
     return DatasetMeta(name=name, image_width=float(width), image_height=float(height))
 
 
-def read_dataset(path) -> Dataset:
-    """Parse an annotation file; raises :class:`ParseError` on bad records."""
+def _canonical_list(record, key: str, seen) -> Optional[list]:
+    """The ``key`` list of a ``{"frame", key}`` record with a new frame id, or None."""
+    if type(record) is not dict or record.keys() != {"frame", key}:
+        return None
+    fid, items = record["frame"], record[key]
+    if type(fid) not in (int, str) or fid in seen or type(items) is not list:
+        return None
+    return items
+
+
+def _plain_rows(values: list, table) -> Optional[np.ndarray]:
+    """``values`` as ``table`` rows if they are plain numbers within its row bounds, or None."""
+    # bools are not numbers here; numpy converts an int exactly as float() does
+    if not set(map(type, values)) <= {float, int}:
+        return None
+    try:
+        rows = np.array(values, dtype=np.float64).reshape(-1, table.ROW_LO.size)
+    except OverflowError:  # an integer too large for a float
+        return None
+    inside = (table.ROW_LO <= rows) & (rows <= table.ROW_HI)  # NaN is outside
+    return rows if inside.all() else None
+
+
+_OBJECT_KEYS = {"v", "t", "occ", "ignore"}
+_GT_ROW = GtTable.ROW_LO.size  # v[0:4], t[4:8]
+
+
+def read_dataset(path) -> GtTable:
+    """Parse an annotation file into columns in one pass over its lines, as
+    :func:`read_detections` parses a detection file."""
     meta = DatasetMeta()
-    frames: list[FrameAnnotations] = []
-    seen: set[FrameId] = set()
+    frame_ids: list[FrameId] = []
+    blocks, occ, ignore, seen = [], [], [], set()
     for line_no, record in _records(path):
         if "meta" in record:
-            if line_no != 1 or frames:
+            if line_no != 1 or frame_ids:
                 raise ParseError(path, line_no, "metadata line only allowed first")
             _record(record, {"meta"}, path, line_no, "metadata line")
             meta = _parse_meta(record, path, line_no)
             continue
-        fid, raw_objects = _parse_frame(record, "objects", path, line_no, "frame record", seen)
-        seen.add(fid)
-        objects = []
-        for k, raw in enumerate(raw_objects):
-            raw = _record(raw, {"v", "t", "occ", "ignore"}, path, line_no, f"objects[{k}]")
-            if "v" not in raw or "t" not in raw:
-                raise ParseError(path, line_no, f"objects[{k}]: needs both 'v' and 't' boxes")
-            box_v = _check(_box, raw["v"], path, line_no, f"objects[{k}].v")
-            box_t = _check(_box, raw["t"], path, line_no, f"objects[{k}].t")
-            occ = raw.get("occ", "none")
-            if occ not in OCCLUSION_LEVELS:
-                raise ParseError(
-                    path, line_no,
-                    f"objects[{k}].occ: expected one of {OCCLUSION_LEVELS}, got {occ!r}",
-                )
-            ignore = raw.get("ignore", False)
-            if not isinstance(ignore, bool):
-                raise ParseError(path, line_no, f"objects[{k}].ignore: expected a boolean")
-            objects.append(GtObject(PairedBox(box_v, box_t), occlusion=occ, ignore=ignore))
-        frames.append(FrameAnnotations(fid, tuple(objects)))
-    return Dataset(frames=tuple(frames), meta=meta)
+        rows, codes, flags = (_canonical_objects(record, seen)
+                              or _parse_objects(record, path, line_no, seen))
+        seen.add(record["frame"])
+        frame_ids.append(record["frame"])
+        blocks.append(rows)
+        occ += codes
+        ignore += flags
+    offsets = np.cumsum([0] + [len(b) for b in blocks])
+    rows = np.concatenate([np.zeros((0, _GT_ROW)), *blocks])
+    return GtTable(frame_ids, offsets, rows, occ, ignore, meta)
 
 
-def _box_json(b: Box) -> list[float]:
-    return [float(b.x), float(b.y), float(b.w), float(b.h)]
+def _canonical_objects(record, seen) -> Optional[tuple[np.ndarray, list, list]]:
+    """The (n, 8) rows, occlusion codes and ignore flags of a canonical
+    ``{"frame", "objects"}`` record (``{"v", "t", "occ", "ignore"}`` objects,
+    a known ``occ``, a boolean ``ignore``, boxes as :func:`_plain_rows`), or None."""
+    objects = _canonical_list(record, "objects", seen)
+    if objects is None:
+        return None
+    values, occ, ignore = [], [], []
+    for o in objects:
+        if type(o) is not dict or o.keys() != _OBJECT_KEYS:
+            return None
+        v, t, level = o["v"], o["t"], o["occ"]
+        if (type(v) is not list or type(t) is not list or len(v) != 4 or len(t) != 4
+                or level not in OCCLUSION_LEVELS or type(o["ignore"]) is not bool):
+            return None
+        values += v
+        values += t
+        occ.append(OCCLUSION_LEVELS.index(level))
+        ignore.append(o["ignore"])
+    rows = _plain_rows(values, GtTable)
+    return None if rows is None else (rows, occ, ignore)
+
+
+def _parse_objects(record: dict, path, line_no: int, seen) -> tuple[np.ndarray, list, list]:
+    """:func:`_canonical_objects` of any record, checked field by field."""
+    _, raw_objects = _parse_frame(record, "objects", path, line_no, "frame record", seen)
+    rows, occ, ignore = [], [], []
+    for k, raw in enumerate(raw_objects):
+        raw = _record(raw, _OBJECT_KEYS, path, line_no, f"objects[{k}]")
+        if "v" not in raw or "t" not in raw:
+            raise ParseError(path, line_no, f"objects[{k}]: needs both 'v' and 't' boxes")
+        box_v = _check(_box, raw["v"], path, line_no, f"objects[{k}].v")
+        box_t = _check(_box, raw["t"], path, line_no, f"objects[{k}].t")
+        level = raw.get("occ", "none")
+        if level not in OCCLUSION_LEVELS:
+            raise ParseError(path, line_no,
+                             f"objects[{k}].occ: expected one of {OCCLUSION_LEVELS}, got {level!r}")
+        flag = raw.get("ignore", False)
+        if not isinstance(flag, bool):
+            raise ParseError(path, line_no, f"objects[{k}].ignore: expected a boolean")
+        rows.append(box_v.as_tuple() + box_t.as_tuple())
+        occ.append(OCCLUSION_LEVELS.index(level))
+        ignore.append(flag)
+    return np.array(rows, dtype=np.float64).reshape(-1, _GT_ROW), occ, ignore
 
 
 def _dump(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"), ensure_ascii=True)
 
 
-def write_dataset(dataset: Dataset, path) -> None:
+def write_dataset(table: GtTable, path) -> None:
     """Write the canonical annotation form (metadata line, then frames)."""
+    v, t, ignore = table.v.tolist(), table.t.tolist(), table.ignore.tolist()
+    occ = [OCCLUSION_LEVELS[k] for k in table.occ.tolist()]
+    offsets, meta = table.offsets.tolist(), table.meta
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        meta = {
-            "meta": {
-                "name": dataset.meta.name,
-                "width": float(dataset.meta.image_width),
-                "height": float(dataset.meta.image_height),
-            }
-        }
-        fh.write(_dump(meta) + "\n")
-        for frame in dataset.frames:
-            record = {
-                "frame": frame.frame_id,
-                "objects": [
-                    {
-                        "v": _box_json(obj.pair.visible),
-                        "t": _box_json(obj.pair.thermal),
-                        "occ": obj.occlusion,
-                        "ignore": obj.ignore,
-                    }
-                    for obj in frame.objects
-                ],
-            }
-            fh.write(_dump(record) + "\n")
+        fh.write(_dump({"meta": {"name": meta.name, "width": float(meta.image_width),
+                                 "height": float(meta.image_height)}}) + "\n")
+        for k, fid in enumerate(table.frame_ids):
+            objects = [
+                {"v": v[i], "t": t[i], "occ": occ[i], "ignore": ignore[i]}
+                for i in range(offsets[k], offsets[k + 1])
+            ]
+            fh.write(_dump({"frame": fid, "objects": objects}) + "\n")
 
 
-_RECORD_KEYS = {"frame", "dets"}
 _PAIR_KEYS = {"v", "t", "score"}
 _ROW = DetectionTable.ROW_LO.size  # v[0:4], t[4:8], score[8]
 
@@ -346,10 +369,8 @@ def _canonical_rows(record, seen) -> Optional[np.ndarray]:
     """The (n, 9) rows of a ``{"frame", "dets"}`` record of ``{"v", "t",
     "score"}`` detections whose values are plain numbers within the table's
     row bounds and whose frame id is new, or None for any other record."""
-    if type(record) is not dict or record.keys() != _RECORD_KEYS:
-        return None
-    fid, dets = record["frame"], record["dets"]
-    if type(fid) not in (int, str) or fid in seen or type(dets) is not list:
+    dets = _canonical_list(record, "dets", seen)
+    if dets is None:
         return None
     values = []
     for d in dets:
@@ -361,15 +382,7 @@ def _canonical_rows(record, seen) -> Optional[np.ndarray]:
         values += v
         values += t
         values.append(d["score"])
-    # bools are not numbers here; numpy converts an int exactly as float() does
-    if not set(map(type, values)) <= {float, int}:
-        return None
-    try:
-        rows = np.array(values, dtype=np.float64).reshape(-1, _ROW)
-    except OverflowError:  # an integer too large for a float
-        return None
-    inside = (DetectionTable.ROW_LO <= rows) & (rows <= DetectionTable.ROW_HI)  # NaN is outside
-    return rows if inside.all() else None
+    return _plain_rows(values, DetectionTable)
 
 
 def _parse_detection_record(record: dict, path, line_no: int, seen) -> np.ndarray:

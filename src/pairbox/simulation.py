@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
-from .evaluation import DetectionTable, FrameAnnotations, GtObject
+from .evaluation import DetectionTable, FrameAnnotations, GtObject, GtTable
 from .geometry import Box, PairedBox
 
 __all__ = [
@@ -57,36 +57,25 @@ class ShiftSpec:
             raise ValueError("|dx| must be smaller than the image width")
 
 
-def _shift_box(b: Box, dx: float, width: float) -> Box:
-    left = min(max(b.x + dx, 0.0), width)
-    right = min(max(b.x + b.w + dx, 0.0), width)
-    return Box(left, b.y, right - left, b.h)
-
-
-def apply_shift(frames: Sequence[FrameAnnotations], spec: ShiftSpec) -> list[FrameAnnotations]:
+def apply_shift(annotations: Union[GtTable, Sequence[FrameAnnotations]],
+                spec: ShiftSpec) -> GtTable:
     """Translate every thermal box horizontally by ``spec.dx``.
 
     Shifted boxes are clipped to [0, image_width], possibly down to zero
-    width. Visible boxes, pairing, occlusion and ignore flags are untouched.
-    A zero shift returns the input frames unchanged.
+    width. Visible boxes, occlusion and ignore flags are untouched. A zero
+    shift returns the annotations unchanged, packed into a table.
     """
+    table = annotations if isinstance(annotations, GtTable) else GtTable.from_frames(annotations)
     if spec.dx == 0.0:
-        return list(frames)
-    out = []
-    for frame in frames:
-        objects = tuple(
-            GtObject(
-                pair=PairedBox(
-                    visible=obj.pair.visible,
-                    thermal=_shift_box(obj.pair.thermal, spec.dx, spec.image_width),
-                ),
-                occlusion=obj.occlusion,
-                ignore=obj.ignore,
-            )
-            for obj in frame.objects
-        )
-        out.append(FrameAnnotations(frame.frame_id, objects))
-    return out
+        return table
+    x, w = table.t[:, 0], table.t[:, 2]
+    # max(v, 0.0) and min(v, width) as Python computes them: on a tie, as of
+    # 0.0 and -0.0, Python keeps the first argument and numpy the second
+    left = np.minimum(spec.image_width, np.maximum(0.0, x + spec.dx))
+    right = np.minimum(spec.image_width, np.maximum(0.0, (x + w) + spec.dx))
+    rows = table.rows.copy()
+    rows[:, 4], rows[:, 6] = left, right - left
+    return GtTable(table.frame_ids, table.offsets, rows, table.occ, table.ignore, table.meta)
 
 
 @dataclass(frozen=True)
@@ -225,28 +214,30 @@ def _size_factor(rng: np.random.Generator, sigma: float) -> float:
         return math.inf
 
 
-def _perturb(box: Box, rng: np.random.Generator, spec: MockDetectorSpec) -> tuple[tuple, float]:
-    """Jitter a box; returns the new (x, y, w, h) and the perturbation
+def _perturb(box, rng: np.random.Generator, spec: MockDetectorSpec) -> tuple[tuple, float]:
+    """Jitter an (x, y, w, h) box; returns the new box and the perturbation
     magnitude (px). An extent too large for a float is inf, which the table
     refuses."""
+    x, y, bw, bh = box
     dcx = float(rng.normal(0.0, spec.center_noise_sigma)) if spec.center_noise_sigma > 0 else 0.0
     dcy = float(rng.normal(0.0, spec.center_noise_sigma)) if spec.center_noise_sigma > 0 else 0.0
     sw = _size_factor(rng, spec.size_noise_sigma)
     sh = _size_factor(rng, spec.size_noise_sigma)
     if dcx == 0.0 and dcy == 0.0 and sw == 1.0 and sh == 1.0:
-        return box.as_tuple(), 0.0
-    w = box.w * sw
-    h = box.h * sh
-    cx, cy = box.center
+        return tuple(box), 0.0
+    w = bw * sw
+    h = bh * sh
+    cx, cy = x + 0.5 * bw, y + 0.5 * bh
     try:  # a squared extent may pass the largest float
-        mag = math.sqrt(dcx * dcx + dcy * dcy + (w - box.w) ** 2 + (h - box.h) ** 2)
+        mag = math.sqrt(dcx * dcx + dcy * dcy + (w - bw) ** 2 + (h - bh) ** 2)
     except OverflowError:
         mag = math.inf
     return (cx + dcx - 0.5 * w, cy + dcy - 0.5 * h, w, h), mag
 
 
-def _score(mag: float, box: Box, rng: np.random.Generator, spec: MockDetectorSpec) -> float:
-    diag = math.sqrt(box.w * box.w + box.h * box.h)
+def _score(mag: float, box, rng: np.random.Generator, spec: MockDetectorSpec) -> float:
+    _, _, w, h = box
+    diag = math.sqrt(w * w + h * h)
     raw = 1.0 - (mag / diag if diag > 0 else 0.0)
     if spec.score_noise_sigma > 0:
         raw += float(rng.normal(0.0, spec.score_noise_sigma))
@@ -262,7 +253,8 @@ def _false_positive(rng: np.random.Generator, spec: MockDetectorSpec) -> tuple[t
     return (x, y, w, h), score
 
 
-def mock_detect(frames: Sequence[FrameAnnotations], spec: MockDetectorSpec) -> DetectionTable:
+def mock_detect(annotations: Union[GtTable, Sequence[FrameAnnotations]],
+                spec: MockDetectorSpec) -> DetectionTable:
     """Emit detections for every non-ignored object, plus false positives.
 
     Per object, a miss is drawn with ``miss_prob``; surviving objects get a
@@ -274,29 +266,30 @@ def mock_detect(frames: Sequence[FrameAnnotations], spec: MockDetectorSpec) -> D
     table refuses a box or score outside its row bounds (an infinite extent
     from a size factor that overflows, say).
     """
-    if not len(frames) * spec.fp_per_frame <= MAX_DRAWS:
+    table = annotations if isinstance(annotations, GtTable) else GtTable.from_frames(annotations)
+    if not len(table.frame_ids) * spec.fp_per_frame <= MAX_DRAWS:
         raise ValueError(f"more than the limit of {MAX_DRAWS} expected false positives")
-    frame_ids, offsets, rows = [], [0], []
-    for f, frame in enumerate(frames):
+    visible, thermal, ignore = table.v.tolist(), table.t.tolist(), table.ignore.tolist()
+    bounds = table.offsets.tolist()
+    offsets, rows = [0], []
+    for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         rng = _frame_rng(spec.seed, f)
-        for obj in frame.objects:
-            if obj.ignore:
-                continue
-            if rng.random() < spec.miss_prob:
+        for i in range(lo, hi):
+            if ignore[i] or rng.random() < spec.miss_prob:  # no draw for an ignored object
                 continue
             if spec.mode == "paired":
-                box_v, mag_v = _perturb(obj.pair.visible, rng, spec)
-                box_t, mag_t = _perturb(obj.pair.thermal, rng, spec)
+                box_v, mag_v = _perturb(visible[i], rng, spec)
+                box_t, mag_t = _perturb(thermal[i], rng, spec)
                 mag = 0.5 * (mag_v + mag_t)
             else:
-                box_v, mag = _perturb(obj.pair.visible, rng, spec)
+                box_v, mag = _perturb(visible[i], rng, spec)
                 box_t = box_v
-            score = _score(mag, obj.pair.visible, rng, spec)
+            score = _score(mag, visible[i], rng, spec)
             rows.append(box_v + box_t + (score,))
         if spec.fp_per_frame > 0:
             for _ in range(int(rng.poisson(spec.fp_per_frame))):
                 box, score = _false_positive(rng, spec)
                 rows.append(box * 2 + (score,))
-        frame_ids.append(frame.frame_id)
         offsets.append(len(rows))
-    return DetectionTable(frame_ids, offsets, np.array(rows).reshape(-1, DetectionTable.ROW_LO.size))
+    return DetectionTable(table.frame_ids, offsets,
+                          np.array(rows).reshape(-1, DetectionTable.ROW_LO.size))

@@ -8,11 +8,12 @@ suppression rows, a per-coordinate Python-float smooth-L1 instead of
 the array one, per-sample losses instead of the column ones, per-threshold
 re-matching instead of the one-pass score sweep, a scalar triple loop instead
 of the broadcast anchor grid, a per-GT loop instead of the one-step
-best-anchor rule, a field-by-field parse into detection objects instead
-of the column reader, and the hand-written anchor and sample document
-parsers, each with its own checks, instead of the readers' shared field
-checkers. ``curve_from_points`` builds the hand-made curves that tests feed
-to the curve consumers.
+best-anchor rule, a field-by-field parse into detection and annotation
+objects instead of the column readers, the hand-written anchor and sample
+document parsers, each with its own checks, instead of the readers' shared
+field checkers, and a shift of one box object at a time instead of the
+column shift. ``curve_from_points`` builds the hand-made curves that tests
+feed to the curve consumers.
 """
 
 from __future__ import annotations
@@ -23,12 +24,25 @@ import math
 import numpy as np
 
 from pairbox._kernels._python import _as_boxes
-from pairbox.evaluation import FrameDetections, MissRateCurve
+from pairbox.evaluation import (
+    OCCLUSION_LEVELS,
+    FrameAnnotations,
+    FrameDetections,
+    GtObject,
+    MissRateCurve,
+)
 from pairbox.formats import (
+    DatasetMeta,
     FrameId,
     ParseError,
+    _box,
+    _check,
     _is_number,
     _loads,
+    _parse_frame,
+    _parse_meta,
+    _record,
+    _records,
     read_json,
 )
 from pairbox.geometry import Box, PairedBox
@@ -224,6 +238,50 @@ def naive_read_detections(path) -> list[FrameDetections]:
                     dets.append(Detection(PairedBox(box_v, box_t), score))
             out.append(FrameDetections(fid, tuple(dets)))
     return out
+
+
+def naive_read_dataset(path) -> tuple[list[FrameAnnotations], DatasetMeta]:
+    """Parse an annotation file record by record, field by field, into
+    annotation objects; returns the frames and the metadata."""
+    meta = DatasetMeta()
+    frames: list[FrameAnnotations] = []
+    seen: set[FrameId] = set()
+    for line_no, record in _records(path):
+        if "meta" in record:
+            if line_no != 1 or frames:
+                raise ParseError(path, line_no, "metadata line only allowed first")
+            _record(record, {"meta"}, path, line_no, "metadata line")
+            meta = _parse_meta(record, path, line_no)
+            continue
+        fid, raw_objects = _parse_frame(record, "objects", path, line_no, "frame record", seen)
+        seen.add(fid)
+        objects = []
+        for k, raw in enumerate(raw_objects):
+            raw = _record(raw, {"v", "t", "occ", "ignore"}, path, line_no, f"objects[{k}]")
+            if "v" not in raw or "t" not in raw:
+                raise ParseError(path, line_no, f"objects[{k}]: needs both 'v' and 't' boxes")
+            box_v = _check(_box, raw["v"], path, line_no, f"objects[{k}].v")
+            box_t = _check(_box, raw["t"], path, line_no, f"objects[{k}].t")
+            occ = raw.get("occ", "none")
+            if occ not in OCCLUSION_LEVELS:
+                raise ParseError(
+                    path, line_no,
+                    f"objects[{k}].occ: expected one of {OCCLUSION_LEVELS}, got {occ!r}",
+                )
+            ignore = raw.get("ignore", False)
+            if not isinstance(ignore, bool):
+                raise ParseError(path, line_no, f"objects[{k}].ignore: expected a boolean")
+            objects.append(GtObject(PairedBox(box_v, box_t), occlusion=occ, ignore=ignore))
+        frames.append(FrameAnnotations(fid, tuple(objects)))
+    return frames, meta
+
+
+def shift_box(b: Box, dx: float, width: float) -> Box:
+    """``b`` moved by ``dx`` and clipped to [0, width], one box object at a
+    time: the scalar form ``apply_shift`` had before its column form."""
+    left = min(max(b.x + dx, 0.0), width)
+    right = min(max(b.x + b.w + dx, 0.0), width)
+    return Box(left, b.y, right - left, b.h)
 
 
 def naive_read_anchors(path) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from pairbox.evaluation import FrameAnnotations, FrameDetections, GtObject
+from pairbox.evaluation import OCCLUSION_LEVELS, FrameAnnotations, FrameDetections, GtObject
 from pairbox.geometry import Box, PairedBox, boxes_to_array
 from pairbox.pairnms import Detection, paired_nms
 
@@ -11,6 +11,20 @@ def gt(x, y, w=20.0, h=60.0, occlusion="none", dx_thermal=0.0):
     box_v = Box(x, y, w, h)
     box_t = Box(x + dx_thermal, y, w, h)
     return GtObject(PairedBox(box_v, box_t), occlusion=occlusion)
+
+
+def table_frames(table):
+    """The frames of a ``GtTable`` as annotation objects."""
+    v, t, ignore = table.v.tolist(), table.t.tolist(), table.ignore.tolist()
+    occ = [OCCLUSION_LEVELS[k] for k in table.occ.tolist()]
+    offsets = table.offsets.tolist()
+    return [
+        FrameAnnotations(fid, tuple(
+            GtObject(PairedBox(Box(*v[i]), Box(*t[i])), occlusion=occ[i], ignore=ignore[i])
+            for i in range(offsets[k], offsets[k + 1])
+        ))
+        for k, fid in enumerate(table.frame_ids)
+    ]
 
 
 def det_at(x, y, score, w=20.0, h=60.0):

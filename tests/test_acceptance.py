@@ -335,9 +335,8 @@ def test_criterion_9_cli_determinism(tmp_path):
         from pairbox.evaluation import FrameDetections
         from pairbox.simulation import MockDetectorSpec, mock_detect
 
-        ds = read_dataset(gt_path)
         write_detections(
-            mock_detect(ds.frames, MockDetectorSpec(mode="paired", center_noise_sigma=2.0,
+            mock_detect(read_dataset(gt_path), MockDetectorSpec(mode="paired", center_noise_sigma=2.0,
                                                     fp_per_frame=0.5, seed=3)),
             det_path,
         )

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import re
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairbox import cli, geometry, pairnms
+from pairbox import cli, evaluation, geometry, pairnms
 from pairbox.cli import build_parser, main
 from pairbox.evaluation import DetectionTable, EvalConfig, FrameDetections, evaluate
 from pairbox.formats import (
-    Dataset,
+    GtTable,
     read_dataset,
     read_detections,
     write_dataset,
@@ -28,16 +29,15 @@ from pairbox.simulation import MockDetectorSpec, ShiftSpec, apply_shift, mock_de
 
 from mutations import mutated_text
 from oracles import naive_nms
-from scenes import det_at, four_frame_fixture, gt
+from scenes import det_at, four_frame_fixture, gt, table_frames
 
 SAMPLE = Path(__file__).parent / "data" / "sample_dataset.jsonl"
 
 
 def gt_as_detections(dataset_path, out_path):
-    ds = read_dataset(dataset_path)
     dets = [
         FrameDetections(f.frame_id, tuple(Detection(o.pair, 1.0) for o in f.objects))
-        for f in ds.frames
+        for f in table_frames(read_dataset(dataset_path))
     ]
     write_detections(DetectionTable.from_frames(dets), out_path)
     return dets
@@ -100,7 +100,7 @@ class TestEvaluateCommand:
         anns, dets = four_frame_fixture()
         gt_path = tmp_path / "gt.jsonl"
         det_path = tmp_path / "dets.jsonl"
-        write_dataset(Dataset(frames=tuple(anns)), gt_path)
+        write_dataset(GtTable.from_frames(anns), gt_path)
         write_detections(DetectionTable.from_frames(dets), det_path)
         rc = main(["evaluate", str(gt_path), str(det_path)])
         assert rc == 0
@@ -129,7 +129,7 @@ class TestEvaluateCommand:
     def test_no_evaluable_gts_exits_1(self, tmp_path, capsys):
         ds_path = tmp_path / "short.jsonl"
         frames = (FrameAnnotations(0, (gt(10, 10, h=30),)),)
-        write_dataset(Dataset(frames=frames), ds_path)
+        write_dataset(GtTable.from_frames(frames), ds_path)
         det_path = tmp_path / "dets.jsonl"
         gt_as_detections(ds_path, det_path)
         rc = main(["evaluate", str(ds_path), str(det_path)])
@@ -226,6 +226,37 @@ class TestNmsCommand:
         assert (tmp_path / "k.jsonl").read_bytes() == det_path.read_bytes()  # nothing overlaps
 
 
+class TestAnnotationColumns:
+    """The commands that read an annotation file work on its columns."""
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "{gt}", "{dets}", "--format", "svg", "--out", "{out}"],
+        ["shift-sweep", "{gt}", "--shift", "0", "-10", "--mock", "single_box",
+         "--center-sigma", "2", "--fp-per-frame", "1", "--out", "{out}"],
+        ["shift-sweep", "{gt}", "--shift", "0", "10", "--mock", "paired",
+         "--center-sigma", "2", "--fp-per-frame", "1", "--out", "{out}"],
+        ["assign", "{gt}", "--grid-stride", "64", "--sample-batch", "8", "--out", "{out}.jsonl"],
+    ], ids=["evaluate", "shift-sweep-single_box", "shift-sweep-paired", "assign"])
+    def test_canonical_files_build_no_annotation_object_or_box(self, tmp_path, monkeypatch,
+                                                               argv):
+        gt_path, det_path = tmp_path / "gt.jsonl", tmp_path / "dets.jsonl"
+        assert main(["generate", "--frames", "20", "--seed", "3", "--out", str(gt_path)]) == 0
+        spec = MockDetectorSpec(center_noise_sigma=2.0, fp_per_frame=1.0, seed=1)
+        write_detections(mock_detect(read_dataset(gt_path), spec), det_path)
+        built = []
+        for cls in (geometry.Box, evaluation.GtObject):
+            check = cls.__post_init__
+
+            def counted(self, check=check):
+                built.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        paths = {"gt": gt_path, "dets": det_path, "out": tmp_path / "out"}
+        assert _run_main([a.format(**paths) for a in argv]) == (0, "")
+        assert built == []
+
+
 def _run_main(argv):
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -243,7 +274,7 @@ class TestJsonlReaderFuzz:
         anns, dets = four_frame_fixture()
         work = tmp_path_factory.mktemp("fuzz")
         paths = {"gt": work / "gt.jsonl", "dets": work / "dets.jsonl"}
-        write_dataset(Dataset(frames=tuple(anns)), paths["gt"])
+        write_dataset(GtTable.from_frames(anns), paths["gt"])
         write_detections(DetectionTable.from_frames(dets), paths["dets"])
         broken = paths[target]
         text = data.draw(mutated_text(broken.read_text(encoding="utf-8"), bad_bytes=True))
@@ -291,7 +322,7 @@ class TestJsonDocumentFuzz:
     def test_broken_document_exits_cleanly(self, tmp_path_factory, data, target):
         work = tmp_path_factory.mktemp("fuzz")
         gt_path = work / "gt.jsonl"
-        write_dataset(Dataset(frames=(FrameAnnotations(0, (gt(0, 0, w=17, h=70),)),)), gt_path)
+        write_dataset(GtTable.from_frames((FrameAnnotations(0, (gt(0, 0, w=17, h=70),)),)), gt_path)
         doc = work / f"{target}.json"
         valid = json.dumps(self.ANCHORS if target == "anchors" else self.SAMPLES)
         text = data.draw(mutated_text(valid, bad_bytes=True))
@@ -316,7 +347,7 @@ class TestUndecodableInput:
     def _inputs(self, tmp_path):
         anns, dets = four_frame_fixture()
         paths = {name: tmp_path / name for name in ("gt.jsonl", "dets.jsonl", "a.json", "s.json")}
-        write_dataset(Dataset(frames=tuple(anns)), paths["gt.jsonl"])
+        write_dataset(GtTable.from_frames(anns), paths["gt.jsonl"])
         write_detections(DetectionTable.from_frames(dets), paths["dets.jsonl"])
         paths["a.json"].write_text('{"anchors":\n[{"v":[0,0,1,1],"t":[0,0,1,1]}]}\n')
         paths["s.json"].write_text('{"rpn":\n{"samples":[]}}\n')
@@ -365,11 +396,27 @@ class TestUndecodableInput:
 
 
 class TestAssignCommand:
+    def test_ignored_objects_label_as_if_absent(self, tmp_path):
+        ignored = dataclasses.replace(gt(96, 200, w=40, h=100), ignore=True)
+        kept = (gt(90, 190, w=41, h=100), gt(300, 100, w=20, h=50))
+        paths = {"with": tmp_path / "with.jsonl", "without": tmp_path / "without.jsonl"}
+        write_dataset(GtTable.from_frames([FrameAnnotations(0, (kept[0], ignored, kept[1])),
+                                           FrameAnnotations(1, (ignored,))]), paths["with"])
+        write_dataset(GtTable.from_frames([FrameAnnotations(0, kept), FrameAnnotations(1, ())]),
+                      paths["without"])
+        for name, path in paths.items():
+            assert main(["assign", str(path), "--grid-stride", "32", "--sample-batch", "16",
+                         "--out", str(tmp_path / f"{name}.labels")]) == 0
+        labels = (tmp_path / "with.labels").read_bytes()
+        assert labels == (tmp_path / "without.labels").read_bytes()
+        records = [json.loads(line) for line in labels.splitlines()]
+        assert 1 in records[0]["labels"] and 1 not in records[1]["labels"]
+
     def test_anchor_at_070_is_positive(self, tmp_path):
         ds_path = tmp_path / "gt.jsonl"
         # GT box (0,0,17,10); anchor (3,0,17,10) overlaps at exactly 14/20 = 0.7
         frames = (FrameAnnotations(0, (gt(0, 0, w=17, h=70),)),)
-        write_dataset(Dataset(frames=frames), ds_path)
+        write_dataset(GtTable.from_frames(frames), ds_path)
         anchors_path = tmp_path / "anchors.json"
         anchors_path.write_text(
             json.dumps(
@@ -395,7 +442,7 @@ class TestAssignCommand:
     def test_sampling_deterministic(self, tmp_path):
         ds_path = tmp_path / "gt.jsonl"
         frames = (FrameAnnotations(0, (gt(100, 100, w=20, h=70),)),)
-        write_dataset(Dataset(frames=frames), ds_path)
+        write_dataset(GtTable.from_frames(frames), ds_path)
         outs = []
         for name in ("a.jsonl", "b.jsonl"):
             out_path = tmp_path / name
@@ -413,7 +460,7 @@ class TestAssignCommand:
     def test_detector_stage_samples_an_empty_frame_as_an_empty_batch(self, tmp_path):
         ds_path = tmp_path / "gt.jsonl"
         frames = (FrameAnnotations(0, (gt(100, 100, w=20, h=70),)), FrameAnnotations(1, ()))
-        write_dataset(Dataset(frames=frames), ds_path)
+        write_dataset(GtTable.from_frames(frames), ds_path)
         out_path = tmp_path / "labels.jsonl"
         assert _run_main(["assign", str(ds_path), "--stage", "detector",
                           "--sample-batch", "8", "--out", str(out_path)]) == (0, "")
@@ -424,7 +471,7 @@ class TestAssignCommand:
 
     def test_oversized_anchor_grid_exits_1(self, tmp_path, capsys):
         ds_path = tmp_path / "gt.jsonl"
-        write_dataset(Dataset(frames=(FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
+        write_dataset(GtTable.from_frames((FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
         rc = main([
             "assign", str(ds_path), "--grid-stride", "0.001", "--out", str(tmp_path / "l.jsonl"),
         ])
@@ -436,7 +483,7 @@ class TestAssignCommand:
     @pytest.mark.parametrize("heights", ["1e200"])
     def test_anchor_grid_a_box_refuses_exits_1(self, tmp_path, capsys, heights):
         ds_path = tmp_path / "gt.jsonl"
-        write_dataset(Dataset(frames=(FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
+        write_dataset(GtTable.from_frames((FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
         rc = main([
             "assign", str(ds_path), "--grid-heights", heights, "--out", str(tmp_path / "l.jsonl"),
         ])
@@ -460,7 +507,7 @@ class TestAssignCommand:
             "string-box", "bool-field", "unknown-field", "unknown-top-level-field"])
     def test_malformed_anchor_file_exits_2_naming_entry(self, tmp_path, capsys, entry, field):
         ds_path = tmp_path / "gt.jsonl"
-        write_dataset(Dataset(frames=(FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
+        write_dataset(GtTable.from_frames((FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
         anchors_path = tmp_path / "anchors.json"
         anchors_path.write_text('{"anchors": [{"v": [0, 0, 1, 1], "t": [0, 0, 1, 1]}, %s]}' % entry,
                                 encoding="utf-8")
@@ -497,7 +544,7 @@ class TestGenerateCommand:
         main(["generate", "--frames", "6", "--seed", "1", "--name", "demo", "--out", str(p)])
         ds = read_dataset(p)
         assert ds.meta.name == "demo"
-        assert len(ds.frames) == 6
+        assert len(ds.frame_ids) == 6
 
 
 class TestNonFiniteArguments:
@@ -680,7 +727,7 @@ class TestShiftSweepCommand:
 
     def test_float_only_format_spec_takes_a_fractional_shift(self, tmp_path, capsys):
         anns, dets = four_frame_fixture()
-        write_dataset(Dataset(frames=tuple(anns)), tmp_path / "gt.jsonl")
+        write_dataset(GtTable.from_frames(anns), tmp_path / "gt.jsonl")
         write_detections(DetectionTable.from_frames(dets), tmp_path / "d_2.5.jsonl")
         # no integral shift: the pattern is formatted with 2.5 only, never with an int
         rc = main(["shift-sweep", str(tmp_path / "gt.jsonl"), "--shift", "2.5",
@@ -690,7 +737,7 @@ class TestShiftSweepCommand:
 
     def test_integral_shift_takes_an_int_format_spec(self, tmp_path, capsys):
         anns, dets = four_frame_fixture()
-        write_dataset(Dataset(frames=tuple(anns)), tmp_path / "gt.jsonl")
+        write_dataset(GtTable.from_frames(anns), tmp_path / "gt.jsonl")
         write_detections(DetectionTable.from_frames(dets), tmp_path / "d_5.jsonl")
         rc = main(["shift-sweep", str(tmp_path / "gt.jsonl"), "--shift", "5",
                    "--dets-pattern", str(tmp_path / "d_{dx:d}.jsonl"), "--format", "csv"])
@@ -799,7 +846,7 @@ class TestShiftSweepCommand:
         config = EvalConfig(iou_thresholds=thresholds, variants=("multimodal",))
         rows = []
         for dx in shifts:
-            shifted = apply_shift(ds.frames, ShiftSpec(dx, image_width=ds.meta.image_width))
+            shifted = apply_shift(ds, ShiftSpec(dx, image_width=ds.meta.image_width))
             report = evaluate(shifted, mock_detect(shifted, spec), config)
             rows.append((dx, {t: report.lamr("multimodal", t) for t in thresholds}))
         csv_text = cli.format_sweep_csv(rows, thresholds)
@@ -834,11 +881,10 @@ class TestShiftSweepCommand:
         ds_path = tmp_path / "gt.jsonl"
         main(["generate", "--frames", "5", "--seed", "3", "--out", str(ds_path)])
         for dx in (0, 10):
-            ds = read_dataset(ds_path)
-            shifted = apply_shift(ds.frames, ShiftSpec(float(dx)))
+            shifted = apply_shift(read_dataset(ds_path), ShiftSpec(float(dx)))
             dets = [
                 FrameDetections(f.frame_id, tuple(Detection(o.pair, 1.0) for o in f.objects))
-                for f in shifted
+                for f in table_frames(shifted)
             ]
             write_detections(DetectionTable.from_frames(dets), tmp_path / f"dets_{dx}.jsonl")
         rc = main([
@@ -1050,7 +1096,7 @@ def _numeric_options():
 def tiny_inputs(tmp_path_factory):
     work = tmp_path_factory.mktemp("tiny")
     anns, dets = four_frame_fixture()
-    write_dataset(Dataset(frames=tuple(anns)), work / "gt.jsonl")
+    write_dataset(GtTable.from_frames(anns), work / "gt.jsonl")
     write_detections(DetectionTable.from_frames(dets), work / "dets.jsonl")
     (work / "samples.json").write_text(json.dumps(TestJsonDocumentFuzz.SAMPLES), encoding="utf-8")
     return work

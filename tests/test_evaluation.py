@@ -26,6 +26,7 @@ from pairbox.evaluation import (
     FrameAnnotations,
     FrameDetections,
     GtObject,
+    GtTable,
     evaluate,
     filter_reasonable,
     log_average_miss_rate,
@@ -59,6 +60,7 @@ from scenes import (
     four_frame_fixture,
     gt,
     perfect_detections,
+    table_frames,
 )
 
 
@@ -77,6 +79,13 @@ def match_objects(dets, gts, variant, thresh):
     return match_frame(scores, overlaps, evaluable, thresh)
 
 
+def reasonable_frames(frames, min_height: float = 55.0):
+    """``frames`` with the ignore flags ``filter_reasonable`` gives them."""
+    table = GtTable.from_frames(frames)
+    ignore = filter_reasonable(table, min_height)
+    return table_frames(GtTable(table.frame_ids, table.offsets, table.rows, table.occ, ignore))
+
+
 class TestFilterReasonable:
     def test_height_and_occlusion_rules(self):
         frames = [
@@ -90,27 +99,24 @@ class TestFilterReasonable:
                 ),
             )
         ]
-        out = filter_reasonable(frames, min_height=55)
-        flags = [o.ignore for o in out[0].objects]
-        assert flags == [False, True, True, False]
+        flags = filter_reasonable(GtTable.from_frames(frames), min_height=55).tolist()
         # objects are kept as ignore regions, not dropped
-        assert len(out[0].objects) == 4
+        assert flags == [False, True, True, False]
 
     def test_exactly_cutoff_height_ignored(self):
         frames = [FrameAnnotations(0, (gt(0, 0, h=55),))]
-        out = filter_reasonable(frames, min_height=55)
-        assert out[0].objects[0].ignore
+        assert filter_reasonable(GtTable.from_frames(frames), min_height=55).tolist() == [True]
 
     def test_height_measured_on_selected_modality(self):
         short, tall = Box(0, 0, 20, 40), Box(0, 0, 20, 80)
         frames = [FrameAnnotations(0, (GtObject(PairedBox(short, tall)),
                                        GtObject(PairedBox(tall, short))))]
         # the thermal box decides, whatever the visible box's height
-        assert [o.ignore for o in filter_reasonable(frames)[0].objects] == [False, True]
+        assert filter_reasonable(GtTable.from_frames(frames)).tolist() == [False, True]
 
     def test_existing_ignore_preserved(self):
         frames = [FrameAnnotations(0, (GtObject(PairedBox.aligned(Box(0, 0, 20, 90)), ignore=True),))]
-        assert filter_reasonable(frames)[0].objects[0].ignore
+        assert filter_reasonable(GtTable.from_frames(frames)).tolist() == [True]
 
     def test_bad_occlusion_rejected(self):
         with pytest.raises(ValueError):
@@ -151,7 +157,7 @@ class TestMatchFrame:
 
     def test_ignore_region_absorbs(self):
         gts = [gt(0, 0, occlusion="heavy")]
-        gts = filter_reasonable([FrameAnnotations(0, tuple(gts))])[0].objects
+        gts = reasonable_frames([FrameAnnotations(0, tuple(gts))])[0].objects
         dets = [det_at(0, 0, 0.9)]
         m = match_objects(dets, gts, "multimodal", 0.5)
         assert m.det_outcomes.tolist() == [DET_IGNORED]
@@ -310,12 +316,13 @@ class TestBatchedMatching:
         listed = [f for f, d in enumerate(dets) if d or not sparse][::-1 if reverse else 1]
         table = DetectionTable.from_frames(FrameDetections(f, tuple(dets[f])) for f in listed)
         table_frame = [listed.index(f) if f in listed else -1 for f in range(len(frames))]
+        gt_table = GtTable.from_frames(anns)
         config = EvalConfig(iou_thresholds=self.THRESHOLDS, variants=VARIANTS, min_height=0.0)
         runs, reports = [], []
         for budget in self.BUDGETS:
             with patch.object(evaluation, "_CELL_BUDGET", budget):
-                runs.append(evaluation._match_frames(anns, table, table_frame, VARIANTS,
-                                                     self.THRESHOLDS))
+                runs.append(evaluation._match_frames(gt_table, gt_table.ignore, table, table_frame,
+                                                     VARIANTS, self.THRESHOLDS))
                 reports.append(evaluate(anns, table, config))
         scores, n_gt, outcomes = runs[-1]
         assert scores.tolist() == [s for d, _ in frames for *_, s in d]
@@ -343,14 +350,14 @@ class TestBatchedMatching:
         # detections per frame 1, 1, 2, 1, 1 against GTs 1, 1, 3, 1, 2: by
         # descending GT count, the six-cell frame's two rows come first, one
         # per block, then the two-GT row with a one-GT row, then two one-GT rows
-        anns = [FrameAnnotations(f, tuple(gt(0.0, 0.0) for _ in range(n)))
-                for f, n in enumerate((1, 1, 3, 1, 2))]
+        anns = GtTable.from_frames(FrameAnnotations(f, tuple(gt(0.0, 0.0) for _ in range(n)))
+                                   for f, n in enumerate((1, 1, 3, 1, 2)))
         table = DetectionTable.from_frames(
             FrameDetections(f, tuple(det_at(0.0, 0.0, 0.5) for _ in range(n)))
             for f, n in enumerate((1, 1, 2, 1, 1)))
         spy = patch.object(evaluation, "_overlaps", wraps=evaluation._overlaps)
         with patch.object(evaluation, "_CELL_BUDGET", 4), spy as overlaps:
-            evaluation._match_frames(anns, table, range(5), ("thermal",), (0.5,))
+            evaluation._match_frames(anns, anns.ignore, table, range(5), ("thermal",), (0.5,))
         assert [len(c.args[0]) for c in overlaps.call_args_list] == [3, 3, 3, 2]
 
     @pytest.mark.parametrize("n_gt", [200, 400])
@@ -375,7 +382,7 @@ class TestBatchedMatching:
 class TestMissRateCurve:
     def test_perfect_detector_single_point(self):
         anns, _ = four_frame_fixture()
-        anns = filter_reasonable(anns)
+        anns = reasonable_frames(anns)
         dets = perfect_detections(anns)
         matches = [
             match_objects(d.detections, a.objects, "multimodal", 0.5)
@@ -388,7 +395,7 @@ class TestMissRateCurve:
 
     def test_empty_detections_all_miss(self):
         anns, _ = four_frame_fixture()
-        anns = filter_reasonable(anns)
+        anns = reasonable_frames(anns)
         matches = [match_objects([], a.objects, "multimodal", 0.5) for a in anns]
         curve = miss_rate_curve(matches)
         assert len(curve.points) == 1
@@ -410,7 +417,7 @@ class TestMissRateCurve:
 
     def test_zero_evaluable_gts_raises(self):
         frames = [FrameAnnotations(0, (gt(0, 0, h=30),))]
-        frames = filter_reasonable(frames)
+        frames = reasonable_frames(frames)
         matches = [match_objects([], f.objects, "multimodal", 0.5) for f in frames]
         with pytest.raises(EvaluationError):
             miss_rate_curve(matches)
@@ -556,7 +563,7 @@ class TestEvaluate:
         anns, dets = _random_scene(rng, 25, peds=3, noise=6.0, fp_per_frame=1.0)
         config = EvalConfig(variants=("multimodal",))
         report = evaluate(anns, DetectionTable.from_frames(dets), config)
-        filtered = filter_reasonable(anns)
+        filtered = reasonable_frames(anns)
         det_map = {d.frame_id: d.detections for d in dets}
         for e in report.entries:
             for p in e.curve.points:

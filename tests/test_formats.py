@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import test_cli
 from pairbox import cli, formats, geometry
-from pairbox.evaluation import DetectionTable, FrameAnnotations, FrameDetections
+from pairbox.evaluation import OCCLUSION_LEVELS, DetectionTable, FrameAnnotations, FrameDetections
 from pairbox.formats import (
-    Dataset,
     DatasetMeta,
+    GtTable,
     ParseError,
     _canonical_rows,
     read_anchors,
@@ -26,7 +26,7 @@ from pairbox.formats import (
 from pairbox.geometry import Box
 
 from mutations import mutated_text
-from oracles import naive_read_anchors, naive_read_detections, naive_read_samples
+from oracles import naive_read_anchors, naive_read_dataset, naive_read_detections, naive_read_samples
 from scenes import det_at, gt
 
 SAMPLE = Path(__file__).parent / "data" / "sample_dataset.jsonl"
@@ -38,7 +38,7 @@ def small_dataset():
         FrameAnnotations("b", ()),
         FrameAnnotations(3, (gt(0, 0, w=18, h=44),)),
     )
-    return Dataset(frames=frames, meta=DatasetMeta(name="tiny", image_width=320, image_height=256))
+    return GtTable.from_frames(frames, DatasetMeta(name="tiny", image_width=320, image_height=256))
 
 
 class TestDatasetRoundTrip:
@@ -48,18 +48,18 @@ class TestDatasetRoundTrip:
         ds = small_dataset()
         write_dataset(ds, p1)
         back = read_dataset(p1)
-        assert back == ds
+        _same_gt_table(back, ds)
         write_dataset(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_sample_fixture_parses(self):
         ds = read_dataset(SAMPLE)
-        assert len(ds.frames) == 8
+        assert len(ds.frame_ids) == 8
         assert ds.meta.name == "sample8"
         assert ds.meta.image_width == 640.0
-        assert sum(len(f.objects) for f in ds.frames) == 12
-        assert ds.frames[3].objects == ()
-        occ = [o.occlusion for f in ds.frames for o in f.objects]
+        assert ds.rows.shape == (12, 8) and ds.offsets[-1] == 12
+        assert ds.offsets[3] == ds.offsets[4]  # frame 3 holds no object
+        occ = [OCCLUSION_LEVELS[k] for k in ds.occ.tolist()]
         assert occ.count("heavy") == 1
         assert occ.count("partial") == 1
 
@@ -74,7 +74,7 @@ class TestDatasetRoundTrip:
         p.write_text('{"frame":1,"objects":[]}\n', encoding="utf-8")
         ds = read_dataset(p)
         assert ds.meta == DatasetMeta()
-        assert ds.frames[0].frame_id == 1
+        assert ds.frame_ids == [1]
 
 
 class TestDatasetErrors:
@@ -219,7 +219,7 @@ class TestDatasetValidation:
     def test_duplicate_ids_rejected(self):
         frames = (FrameAnnotations("a", ()), FrameAnnotations("a", ()))
         with pytest.raises(ValueError, match="duplicate"):
-            Dataset(frames=frames)
+            GtTable.from_frames(frames)
 
     def test_bad_meta_rejected(self):
         with pytest.raises(ValueError):
@@ -362,6 +362,111 @@ class TestColumnReader:
             assert _canonical_rows(_decoded(lines[line_no - 1]), seen) is None
         else:
             _same_table(got, expected)
+
+
+# --- the annotation column reader against the field-by-field parser ---------
+
+# objects with and without their optional fields, so both default on read
+gt_object = st.fixed_dictionaries(
+    {"v": box, "t": box},
+    optional={"occ": st.sampled_from(OCCLUSION_LEVELS), "ignore": st.booleans()},
+)
+meta_record = st.fixed_dictionaries({}, optional={
+    "name": st.text("xy", max_size=2),
+    "width": st.sampled_from([640.0, 7, 2.5, 1e100]),
+    "height": st.sampled_from([512.0, 3, 0.5]),
+})
+
+
+@st.composite
+def annotation_file(draw):
+    ids = draw(st.lists(st.integers(-5, 5) | st.text("ab1", max_size=2), unique=True,
+                        min_size=1, max_size=5))
+    meta = draw(st.none() | meta_record)
+    records = [] if meta is None else [{"meta": meta}]
+    records += [{"frame": fid, "objects": draw(st.lists(gt_object, max_size=4))} for fid in ids]
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+def _same_gt_table(a, b):
+    assert a.frame_ids == b.frame_ids and a.meta == b.meta
+    assert [type(fid) for fid in a.frame_ids] == [type(fid) for fid in b.frame_ids]
+    for name in ("offsets", "v", "t", "occ", "ignore"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes(), name  # float bits, so -0.0 != 0.0
+
+
+def _oracle_gt_table(path):
+    return GtTable.from_frames(*naive_read_dataset(path))
+
+
+class TestAnnotationColumnReader:
+    @settings(derandomize=True, deadline=None)
+    @given(text=annotation_file())
+    def test_equals_scalar_parser_bit_for_bit(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("gt") / "gt.jsonl"
+        p.write_text(text, encoding="utf-8")
+        _same_gt_table(read_dataset(p), _oracle_gt_table(p))
+        out, ref = p.with_name("out.jsonl"), p.with_name("ref.jsonl")
+        write_dataset(read_dataset(p), out)
+        write_dataset(_oracle_gt_table(p), ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_canonical_records_take_the_column_path(self, tmp_path, monkeypatch):
+        p = tmp_path / "gt.jsonl"
+        p.write_text(
+            '{"frame":1,"objects":[{"v":[1,-0.0,3,4],"t":[2,0,3,4e0],"occ":"heavy","ignore":true},'
+            '{"v":[0,0,0,0],"t":[0,0,0,0],"occ":"none","ignore":false}]}\n\n'
+            '{"frame":"x","objects":[]}\n', encoding="utf-8")
+        expected = _oracle_gt_table(p)
+
+        def field_by_field(*args):
+            raise AssertionError("a canonical record went to the field-by-field parser")
+
+        monkeypatch.setattr(formats, "_parse_objects", field_by_field)
+        table = read_dataset(p)
+        _same_gt_table(table, expected)
+        assert table.offsets.tolist() == [0, 2, 2] and table.occ.tolist() == [2, 0]
+        assert np.signbit(table.v[0, 1])
+
+    @pytest.mark.parametrize("line", [
+        '{"frame":1,"objects":[{"v":[0,0,1,1],"t":[0,0,1,1],"occ":"none","ignore":1}]}',
+        '{"frame":1,"objects":[{"v":[0,0,1,1],"t":[0,0,1,1],"occ":"none","ignore":null}]}',
+        '{"frame":1,"objects":[{"v":[0,0,1,1],"t":[0,0,1,1],"occ":"total","ignore":false}]}',
+        '{"frame":1,"objects":[{"v":[0,0,1,1],"t":[0,0,1,1],"occ":["none"],"ignore":false}]}',
+        '{"frame":1,"objects":[{"v":[0,0,1,1],"t":[0,0,1,1],"occ":true,"ignore":false}]}',
+        '{"frame":1,"objects":[{"v":[0,NaN,1,1],"t":[0,0,1,1],"occ":"none","ignore":false}]}',
+        '{"frame":1,"objects":[{"v":[0,0,-1,1],"t":[0,0,1,1],"occ":"none","ignore":false}]}',
+        '{"frame":1,"objects":[{"v":[0,0,1,1],"t":[0,0,1e101,1],"occ":"none","ignore":false}]}',
+        '{"frame":1,"objects":[{"v":[0,0,1,1],"t":[0,false,1,1],"occ":"none","ignore":false}]}',
+        '{"frame":1,"objects":[{"v":[0,0,1],"t":[0,0,1,1,1],"occ":"none","ignore":false}]}',
+        '{"frame":1,"objects":[{"t":[0,0,1,1],"occ":"none","ignore":false}]}',
+        '{"frame":1,"objects":[{"v":[0,0,1,1],"t":[0,0,1,1],"occ":"none","ignore":false,"x":1}]}',
+        '{"frame":0,"objects":[]}',                                             # duplicate id
+        '{"frame":[1],"objects":[]}',
+    ])
+    def test_mutations_raise_the_scalar_parsers_error(self, tmp_path, line):
+        p = tmp_path / "gt.jsonl"
+        p.write_text('{"frame":0,"objects":[]}\n' + line + "\n", encoding="utf-8")
+        assert formats._canonical_objects(json.loads(line), {0}) is None
+        expected = _outcome(_oracle_gt_table, p)
+        assert expected.startswith(f"ParseError: {p}:2: ")
+        assert _outcome(read_dataset, p) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_mutated_files_read_as_the_scalar_parser_reads_them(self, tmp_path_factory, data):
+        text = data.draw(annotation_file())
+        p = tmp_path_factory.mktemp("gt") / "gt.jsonl"
+        p.write_text(data.draw(mutated_text(text, bad_bytes=True)), encoding="utf-8",
+                     errors="surrogateescape")
+        expected = _outcome(_oracle_gt_table, p)
+        got = _outcome(read_dataset, p)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            _same_gt_table(got, expected)
 
 
 # --- the anchor and loss sample documents ----------------------------------

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairbox import simulation
-from pairbox.evaluation import DetectionTable, EvalConfig, FrameAnnotations, GtObject, evaluate
+from pairbox.evaluation import (
+    DetectionTable,
+    EvalConfig,
+    FrameAnnotations,
+    GtObject,
+    GtTable,
+    evaluate,
+)
 from pairbox.geometry import Box, PairedBox
 from pairbox.simulation import (
     MockDetectorSpec,
@@ -17,32 +24,35 @@ from pairbox.simulation import (
     mock_detect,
 )
 
-from scenes import gt
+from oracles import shift_box
+from scenes import gt, table_frames
+
+
+def thermal_after(frames, dx, width=640.0):
+    """The thermal column block of ``frames`` shifted by ``dx``."""
+    return apply_shift(frames, ShiftSpec(dx, image_width=width)).t.tolist()
 
 
 class TestApplyShift:
     def test_zero_shift_is_identity(self):
         frames = [FrameAnnotations(0, (gt(100, 50, w=30, h=60),))]
-        assert apply_shift(frames, ShiftSpec(0.0)) == frames
+        table = GtTable.from_frames(frames)
+        assert apply_shift(table, ShiftSpec(0.0)) is table
+        assert table_frames(apply_shift(frames, ShiftSpec(-0.0))) == frames
 
     def test_pure_translation(self):
         frames = [FrameAnnotations(0, (gt(100, 50, w=30, h=60),))]
         out = apply_shift(frames, ShiftSpec(-20.0))
-        obj = out[0].objects[0]
-        assert obj.pair.thermal == Box(80, 50, 30, 60)
-        assert obj.pair.visible == Box(100, 50, 30, 60)
+        assert out.t.tolist() == [[80, 50, 30, 60]]
+        assert out.v.tolist() == [[100, 50, 30, 60]]
 
     def test_clipping_at_right_border(self):
         frames = [FrameAnnotations(0, (gt(630, 50, w=30, h=60),))]
-        out = apply_shift(frames, ShiftSpec(20.0, image_width=640.0))
-        thermal = out[0].objects[0].pair.thermal
-        assert thermal == Box(640, 50, 0, 60)
+        assert thermal_after(frames, 20.0, width=640.0) == [[640, 50, 0, 60]]
 
     def test_partial_clip_at_left_border(self):
         frames = [FrameAnnotations(0, (gt(5, 0, w=30, h=60),))]
-        out = apply_shift(frames, ShiftSpec(-15.0))
-        thermal = out[0].objects[0].pair.thermal
-        assert thermal == Box(0, 0, 20, 60)
+        assert thermal_after(frames, -15.0) == [[0, 0, 20, 60]]
 
     def test_round_trip_without_clipping(self):
         rng = np.random.default_rng(103)
@@ -54,20 +64,19 @@ class TestApplyShift:
             )
             frames.append(FrameAnnotations(f, objects))
         for dx in (5.0, 12.0, 20.0):
-            assert apply_shift(apply_shift(frames, ShiftSpec(dx)), ShiftSpec(-dx)) == frames
+            back = apply_shift(apply_shift(frames, ShiftSpec(dx)), ShiftSpec(-dx))
+            assert table_frames(back) == frames
 
     def test_only_thermal_x_changes(self):
         frames = [FrameAnnotations("a", (gt(100, 30, w=30, h=70, dx_thermal=4),))]
-        out = apply_shift(frames, ShiftSpec(7.0))
-        before = frames[0].objects[0]
-        after = out[0].objects[0]
-        assert after.pair.visible == before.pair.visible
-        assert after.pair.thermal.y == before.pair.thermal.y
-        assert after.pair.thermal.h == before.pair.thermal.h
-        assert after.pair.thermal.x == before.pair.thermal.x + 7.0
-        assert after.occlusion == before.occlusion
-        assert after.ignore == before.ignore
-        assert out[0].frame_id == "a"
+        before = GtTable.from_frames(frames)
+        after = apply_shift(before, ShiftSpec(7.0))
+        assert after.v.tolist() == before.v.tolist()
+        assert after.t[:, 1:].tolist() == before.t[:, 1:].tolist()
+        assert after.t[0, 0] == before.t[0, 0] + 7.0
+        assert after.occ.tolist() == before.occ.tolist()
+        assert after.ignore.tolist() == before.ignore.tolist()
+        assert after.frame_ids == ["a"]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -76,6 +85,44 @@ class TestApplyShift:
             ShiftSpec(float("nan"))
         with pytest.raises(ValueError):
             ShiftSpec(0.0, image_width=0.0)
+
+
+@st.composite
+def shift_case(draw):
+    """An image width, a nonzero shift and thermal boxes whose shifted edges
+    often land exactly on 0 or on the width, or outside the image, with
+    zero and -0.0 coordinates and extents."""
+    width = draw(st.sampled_from([640.0, 7.5]) | st.floats(1.0, 1e6))
+    dx = draw(st.floats(-width, width, exclude_min=True, exclude_max=True).filter(bool))
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        w = draw(st.sampled_from([0.0, -0.0, 1.0, width]) | st.floats(0.0, 2 * width))
+        x = draw(st.sampled_from([-dx, width - dx, -dx - w, width - dx - w, -0.0, 0.0])
+                 | st.floats(-2 * width, 2 * width))
+        boxes.append((x, draw(st.sampled_from([-0.0, 3.0])), w, draw(st.sampled_from([-0.0, 9.0]))))
+    return width, dx, boxes
+
+
+class TestShiftArithmetic:
+    """The column shift against the scalar one it replaced, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(case=shift_case())
+    def test_equals_scalar_shift_box(self, case):
+        width, dx, boxes = case
+        objects = tuple(GtObject(PairedBox(Box(3.0, 4.0, 5.0, 6.0), Box(*b))) for b in boxes)
+        table = GtTable.from_frames([FrameAnnotations(0, objects)])
+        shifted = apply_shift(table, ShiftSpec(dx, image_width=width))
+        want = np.array([shift_box(Box(*b), dx, width).as_tuple() for b in boxes])
+        assert shifted.t.tobytes() == want.tobytes()  # float bits, so -0.0 != 0.0
+        assert shifted.v.tobytes() == table.v.tobytes()
+
+    def test_clip_ties_keep_the_value_as_python_does(self):
+        # max(v, 0.0) and min(v, width) keep v on a tie; np.maximum and
+        # np.minimum keep their second argument, so apply_shift passes v second
+        v = np.array([-0.0, 0.0])
+        assert np.maximum(0.0, v).tobytes() == np.array([max(x, 0.0) for x in v.tolist()]).tobytes()
+        assert np.minimum(-0.0, v).tobytes() == np.array([min(x, -0.0) for x in v.tolist()]).tobytes()
 
 
 class TestGenerateScene:
