@@ -140,9 +140,9 @@ class _FrameRows:
     """Rows of many frames in one float64 block: frame ``k`` has id
     ``frame_ids[k]`` and owns rows ``offsets[k]:offsets[k + 1]``; ``v`` and
     ``t`` are the (N, 4) views of the visible [0:4] and thermal [4:8] boxes.
-    Every row is checked once, when the table is built, against the class's
-    ``ROW_LO``/``ROW_HI`` (NaN fails); a bad box is refused in
-    :class:`~pairbox.geometry.Box`'s words, visible boxes first."""
+    Frame ids are distinct. Every row is checked once, when the table is
+    built, against the class's ``ROW_LO``/``ROW_HI`` (NaN fails); a bad box
+    is refused in :class:`~pairbox.geometry.Box`'s words, visible boxes first."""
 
     def __init__(self, frame_ids, offsets, rows):
         self.frame_ids = list(frame_ids)
@@ -152,6 +152,8 @@ class _FrameRows:
                 or self.rows.shape != (self.offsets[-1], self.ROW_LO.size)
                 or np.any(np.diff(self.offsets) < 0)):
             raise ValueError(f"{type(self).__name__} rows and frame offsets do not agree")
+        if len(set(self.frame_ids)) != len(self.frame_ids):
+            raise ValueError(f"duplicate frame ids in {type(self).__name__}")
         self.v, self.t = self.rows[:, 0:4], self.rows[:, 4:8]
         inside = (self.ROW_LO <= self.rows) & (self.rows <= self.ROW_HI)
         for k in (0, 4):  # Box has the same bound: it refuses the row in its words
@@ -164,7 +166,7 @@ class DetectionTable(_FrameRows, Sequence[FrameDetections]):
     """Scored paired detections of many frames, held as one row block of
     rows v[0:4], t[4:8], score[8]; ``score`` is its (N,) view. The table is a
     re-iterable sequence of :class:`FrameDetections`, each built from the
-    rows when it is accessed. Frame ids are kept as given, duplicates included.
+    rows when it is accessed.
     """
 
     # the bounds of a row v[0:4], t[4:8], score[8]: Box's bound on
@@ -217,7 +219,7 @@ class GtTable(_FrameRows):
     """Annotated objects of many frames, held as one row block of rows
     v[0:4], t[4:8] under :class:`DetectionTable`'s box bounds; ``occ`` holds
     each object's occlusion level as an int8 index into ``OCCLUSION_LEVELS``,
-    ``ignore`` its ignore flag and ``meta`` the image size. Frame ids are distinct."""
+    ``ignore`` its ignore flag and ``meta`` the image size."""
 
     ROW_LO, ROW_HI = DetectionTable.ROW_LO[:8], DetectionTable.ROW_HI[:8]
 
@@ -227,8 +229,6 @@ class GtTable(_FrameRows):
         if not self.occ.shape == self.ignore.shape == (len(self.rows),) or np.any(
                 (self.occ < 0) | (self.occ >= len(OCCLUSION_LEVELS))):
             raise ValueError("occlusion codes and ignore flags do not agree with the rows")
-        if len(set(self.frame_ids)) != len(self.frame_ids):
-            raise ValueError("duplicate frame ids in dataset")
 
     @classmethod
     def from_frames(cls, frames: Iterable[FrameAnnotations], meta=DatasetMeta()) -> "GtTable":
@@ -576,11 +576,7 @@ def evaluate(
     """
     if not isinstance(annotations, GtTable):
         annotations = GtTable.from_frames(annotations)
-    row_of: dict[FrameId, int] = {}
-    for k, fid in enumerate(detections.frame_ids):
-        if fid in row_of:
-            raise EvaluationError(f"duplicate detection entries for frame {fid!r}")
-        row_of[fid] = k
+    row_of = {fid: k for k, fid in enumerate(detections.frame_ids)}
     ann_ids = set(annotations.frame_ids)
     unknown = [fid for fid in row_of if fid not in ann_ids]
     if unknown:

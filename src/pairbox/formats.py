@@ -220,16 +220,6 @@ def _parse_meta(record: dict, path, line_no: int) -> DatasetMeta:
     return DatasetMeta(name=name, image_width=float(width), image_height=float(height))
 
 
-def _canonical_list(record, key: str, seen) -> Optional[list]:
-    """The ``key`` list of a ``{"frame", key}`` record with a new frame id, or None."""
-    if type(record) is not dict or record.keys() != {"frame", key}:
-        return None
-    fid, items = record["frame"], record[key]
-    if type(fid) not in (int, str) or fid in seen or type(items) is not list:
-        return None
-    return items
-
-
 def _plain_rows(values: list, table) -> Optional[np.ndarray]:
     """``values`` as ``table`` rows if they are plain numbers within its row bounds, or None."""
     # bools are not numbers here; numpy converts an int exactly as float() does
@@ -260,10 +250,10 @@ def read_dataset(path) -> GtTable:
             _record(record, {"meta"}, path, line_no, "metadata line")
             meta = _parse_meta(record, path, line_no)
             continue
-        rows, codes, flags = (_canonical_objects(record, seen)
-                              or _parse_objects(record, path, line_no, seen))
-        seen.add(record["frame"])
-        frame_ids.append(record["frame"])
+        fid, objects = _parse_frame(record, "objects", path, line_no, "frame record", seen)
+        rows, codes, flags = _canonical_objects(objects) or _parse_objects(objects, path, line_no)
+        seen.add(fid)
+        frame_ids.append(fid)
         blocks.append(rows)
         occ += codes
         ignore += flags
@@ -272,13 +262,10 @@ def read_dataset(path) -> GtTable:
     return GtTable(frame_ids, offsets, rows, occ, ignore, meta)
 
 
-def _canonical_objects(record, seen) -> Optional[tuple[np.ndarray, list, list]]:
+def _canonical_objects(objects: list) -> Optional[tuple[np.ndarray, list, list]]:
     """The (n, 8) rows, occlusion codes and ignore flags of a canonical
-    ``{"frame", "objects"}`` record (``{"v", "t", "occ", "ignore"}`` objects,
-    a known ``occ``, a boolean ``ignore``, boxes as :func:`_plain_rows`), or None."""
-    objects = _canonical_list(record, "objects", seen)
-    if objects is None:
-        return None
+    ``objects`` list (``{"v", "t", "occ", "ignore"}`` objects, a known
+    ``occ``, a boolean ``ignore``, boxes as :func:`_plain_rows`), or None."""
     values, occ, ignore = [], [], []
     for o in objects:
         if type(o) is not dict or o.keys() != _OBJECT_KEYS:
@@ -295,11 +282,10 @@ def _canonical_objects(record, seen) -> Optional[tuple[np.ndarray, list, list]]:
     return None if rows is None else (rows, occ, ignore)
 
 
-def _parse_objects(record: dict, path, line_no: int, seen) -> tuple[np.ndarray, list, list]:
-    """:func:`_canonical_objects` of any record, checked field by field."""
-    _, raw_objects = _parse_frame(record, "objects", path, line_no, "frame record", seen)
+def _parse_objects(objects: list, path, line_no: int) -> tuple[np.ndarray, list, list]:
+    """:func:`_canonical_objects` of any ``objects`` list, checked field by field."""
     rows, occ, ignore = [], [], []
-    for k, raw in enumerate(raw_objects):
+    for k, raw in enumerate(objects):
         raw = _record(raw, _OBJECT_KEYS, path, line_no, f"objects[{k}]")
         if "v" not in raw or "t" not in raw:
             raise ParseError(path, line_no, f"objects[{k}]: needs both 'v' and 't' boxes")
@@ -354,24 +340,22 @@ def read_detections(path) -> DetectionTable:
     blocks: list[np.ndarray] = []
     seen: set[FrameId] = set()
     for line_no, record in _records(path):
-        rows = _canonical_rows(record, seen)
+        fid, dets = _parse_frame(record, "dets", path, line_no, "detection record", seen)
+        rows = _canonical_rows(dets)
         if rows is None:
-            rows = _parse_detection_record(record, path, line_no, seen)
-        seen.add(record["frame"])
-        frame_ids.append(record["frame"])
+            rows = _parse_detection_record(dets, path, line_no)
+        seen.add(fid)
+        frame_ids.append(fid)
         blocks.append(rows)
     offsets = np.cumsum([0] + [len(b) for b in blocks])
     rows = np.concatenate([np.zeros((0, _ROW)), *blocks])
     return DetectionTable(frame_ids, offsets, rows)
 
 
-def _canonical_rows(record, seen) -> Optional[np.ndarray]:
-    """The (n, 9) rows of a ``{"frame", "dets"}`` record of ``{"v", "t",
-    "score"}`` detections whose values are plain numbers within the table's
-    row bounds and whose frame id is new, or None for any other record."""
-    dets = _canonical_list(record, "dets", seen)
-    if dets is None:
-        return None
+def _canonical_rows(dets: list) -> Optional[np.ndarray]:
+    """The (n, 9) rows of a ``dets`` list of ``{"v", "t", "score"}``
+    detections whose values are plain numbers within the table's row
+    bounds, or None for any other list."""
     values = []
     for d in dets:
         if type(d) is not dict or d.keys() != _PAIR_KEYS:
@@ -385,11 +369,10 @@ def _canonical_rows(record, seen) -> Optional[np.ndarray]:
     return _plain_rows(values, DetectionTable)
 
 
-def _parse_detection_record(record: dict, path, line_no: int, seen) -> np.ndarray:
-    """The (n, 9) rows of one detection record, checked field by field."""
-    _, raw_dets = _parse_frame(record, "dets", path, line_no, "detection record", seen)
+def _parse_detection_record(dets: list, path, line_no: int) -> np.ndarray:
+    """The (n, 9) rows of one detection record's ``dets`` list, checked field by field."""
     rows = []
-    for k, raw in enumerate(raw_dets):
+    for k, raw in enumerate(dets):
         raw = _record(raw, {"v", "t", "box", "score"}, path, line_no, f"dets[{k}]")
         score = _check(_number, raw.get("score"), path, line_no, f"dets[{k}].score")
         if not 0.0 <= score <= 1.0:

@@ -39,7 +39,6 @@ from pairbox.formats import (
     _check,
     _is_number,
     _loads,
-    _parse_frame,
     _parse_meta,
     _record,
     _records,
@@ -253,8 +252,14 @@ def naive_read_dataset(path) -> tuple[list[FrameAnnotations], DatasetMeta]:
             _record(record, {"meta"}, path, line_no, "metadata line")
             meta = _parse_meta(record, path, line_no)
             continue
-        fid, raw_objects = _parse_frame(record, "objects", path, line_no, "frame record", seen)
+        _check_keys(record, {"frame", "objects"}, path, line_no, "frame record")
+        fid = _parse_frame_id(record, path, line_no)
+        if fid in seen:
+            raise ParseError(path, line_no, f"duplicate frame id {fid!r}")
         seen.add(fid)
+        raw_objects = record.get("objects")
+        if not isinstance(raw_objects, list):
+            raise ParseError(path, line_no, "missing or invalid 'objects' list")
         objects = []
         for k, raw in enumerate(raw_objects):
             raw = _record(raw, {"v", "t", "occ", "ignore"}, path, line_no, f"objects[{k}]")

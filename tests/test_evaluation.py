@@ -553,9 +553,9 @@ class TestEvaluate:
             evaluate(anns, DetectionTable.from_frames(bad))
 
     def test_duplicate_detection_frames_rejected(self):
-        anns, dets = four_frame_fixture()
-        with pytest.raises(EvaluationError):
-            evaluate(anns, DetectionTable.from_frames(dets + [dets[0]]))
+        _, dets = four_frame_fixture()
+        with pytest.raises(ValueError, match="duplicate frame ids in DetectionTable"):
+            DetectionTable.from_frames(dets + [dets[0]])
 
     def test_matches_per_threshold_rematching(self):
         # one-pass matching + score sweep == literal re-matching per threshold
@@ -650,7 +650,7 @@ class TestDetectionTable:
         return [
             FrameDetections("a", (Detection(pair, 0.5), det_at(0, 0, 1.0))),
             FrameDetections(7, ()),
-            FrameDetections("a", (det_at(9, 9, 0.25),)),
+            FrameDetections("b", (det_at(9, 9, 0.25),)),
         ]
 
     def test_round_trips_frames_and_is_re_iterable(self):
@@ -660,10 +660,20 @@ class TestDetectionTable:
         assert list(table) == frames
         assert list(table) == frames  # a second pass sees the same frames
         assert table[-1] == frames[-1]
-        assert table.frame_ids == ["a", 7, "a"]  # duplicates kept for evaluate to refuse
+        assert table.frame_ids == ["a", 7, "b"]
         assert table.offsets.tolist() == [0, 2, 2, 3]
         with pytest.raises(IndexError):
             table[3]
+
+    @pytest.mark.parametrize("build", [
+        lambda: DetectionTable(["a", 7, "a"], [0, 0, 0, 0], np.zeros((0, 9))),
+        lambda: DetectionTable.from_frames([FrameDetections(7, ()), FrameDetections(7, ())]),
+        lambda: GtTable(["a", 7, "a"], [0, 0, 0, 0], np.zeros((0, 8)), [], []),
+        lambda: GtTable.from_frames([FrameAnnotations("a", ()), FrameAnnotations("a", ())]),
+    ], ids=["DetectionTable", "DetectionTable.from_frames", "GtTable", "GtTable.from_frames"])
+    def test_repeated_frame_id_refused_when_built(self, build):
+        with pytest.raises(ValueError, match="duplicate frame ids in (Detection|Gt)Table"):
+            build()
 
     def test_empty(self):
         table = DetectionTable.from_frames([])
@@ -734,10 +744,8 @@ class TestDetectionTable:
             table.take([np.array([0])])  # one row list per frame
 
     def test_duplicate_ids_in_a_table_rejected(self):
-        anns, _ = four_frame_fixture()
-        table = DetectionTable.from_frames([FrameDetections("f1", ()), FrameDetections("f1", ())])
-        with pytest.raises(EvaluationError, match="duplicate detection entries for frame 'f1'"):
-            evaluate(anns, table)
+        with pytest.raises(ValueError, match="duplicate frame ids in DetectionTable"):
+            DetectionTable.from_frames([FrameDetections("f1", ()), FrameDetections("f1", ())])
 
 
 class TestCsvExport:

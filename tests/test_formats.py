@@ -186,6 +186,13 @@ class TestDetections:
         p.write_text('{"frame":"a","dets":[]}\n', encoding="utf-8")
         assert list(read_detections(p)) == [FrameDetections("a", ())]
 
+    def test_repeated_frame_id_table_cannot_be_built_or_written(self, tmp_path):
+        # read_detections refuses such a file, so no writer may produce one
+        p = tmp_path / "dup.jsonl"
+        with pytest.raises(ValueError, match="duplicate frame ids in DetectionTable"):
+            write_detections(DetectionTable(["a", "a"], [0, 1, 1], np.full((1, 9), 0.5)), p)
+        assert not p.exists()
+
 
 class TestUndecodableBytes:
     """A byte that is not UTF-8 is a parse error at its line."""
@@ -285,6 +292,20 @@ def _decoded(line):
         return line
 
 
+def _off_canonical(line, key, seen) -> bool:
+    """Whether the record on ``line`` fails ``_parse_frame`` given the frame
+    ids ``seen`` before it, or its ``key`` list is off the canonical form."""
+    record = _decoded(line)
+    if not isinstance(record, dict):
+        return True
+    try:
+        _, items = formats._parse_frame(record, key, "f", 1, "record", seen)
+    except ParseError:
+        return True
+    canonical = {"dets": _canonical_rows, "objects": formats._canonical_objects}[key]
+    return canonical(items) is None
+
+
 class TestColumnReader:
     @settings(derandomize=True, deadline=None)
     @given(text=detection_file(single_box=False) | detection_file(single_box=True))
@@ -305,7 +326,7 @@ class TestColumnReader:
         ]
         p = tmp_path / "d.jsonl"
         p.write_text(lines[0] + "\n\n" + lines[1] + "\n", encoding="utf-8")
-        rows = [_canonical_rows(json.loads(line), set()) for line in lines]
+        rows = [_canonical_rows(json.loads(line)["dets"]) for line in lines]
         assert rows[0].tolist() == [[1.0, 2.0, 3.0, 4.0, 1.5, 2.0, 3.0, 4.0, 0.5]]
         assert rows[1].shape == (0, 9)
         expected = _oracle_table(p)
@@ -339,7 +360,7 @@ class TestColumnReader:
     def test_mutations_raise_the_scalar_parsers_error(self, tmp_path, line):
         p = tmp_path / "d.jsonl"
         p.write_text('{"frame":0,"dets":[]}\n' + line + "\n", encoding="utf-8")
-        assert _canonical_rows(_decoded(line), {0}) is None
+        assert _off_canonical(line, "dets", {0})
         expected = _outcome(_oracle_table, p)
         assert expected.startswith(f"ParseError: {p}:2: ")
         assert _outcome(read_detections, p) == expected
@@ -359,7 +380,7 @@ class TestColumnReader:
             line_no = int(expected.removeprefix(f"ParseError: {p}:").split(":")[0])
             lines = p.read_text(encoding="utf-8").splitlines()
             seen = {json.loads(line)["frame"] for line in lines[:line_no - 1]}
-            assert _canonical_rows(_decoded(lines[line_no - 1]), seen) is None
+            assert _off_canonical(lines[line_no - 1], "dets", seen)
         else:
             _same_table(got, expected)
 
@@ -449,7 +470,7 @@ class TestAnnotationColumnReader:
     def test_mutations_raise_the_scalar_parsers_error(self, tmp_path, line):
         p = tmp_path / "gt.jsonl"
         p.write_text('{"frame":0,"objects":[]}\n' + line + "\n", encoding="utf-8")
-        assert formats._canonical_objects(json.loads(line), {0}) is None
+        assert _off_canonical(line, "objects", {0})
         expected = _outcome(_oracle_gt_table, p)
         assert expected.startswith(f"ParseError: {p}:2: ")
         assert _outcome(read_dataset, p) == expected
