@@ -273,8 +273,10 @@ class TestMinibatch:
             res = self._result(n_pos, n_neg)
             sel = sample_minibatch(res, batch=batch, pos_fraction=frac, rng=int(rng.integers(1 << 30)))
             assert sel.size <= batch
+            # the documented rule: int(batch * frac) positives at most, negatives fill the rest
             n_sel_pos = int(np.count_nonzero(res.labels[sel] == POSITIVE))
-            assert n_sel_pos <= int(np.ceil(frac * batch))
+            assert n_sel_pos == min(n_pos, int(batch * frac))
+            assert sel.size == n_sel_pos + min(n_neg, batch - n_sel_pos)
             assert np.unique(sel).size == sel.size
 
     def test_batch_beyond_the_largest_float_is_refused(self):
