@@ -45,8 +45,6 @@ from .evaluation import (
     write_curve_csv,
 )
 from .formats import (
-    DatasetMeta,
-    GtTable,
     ParseError,
     read_anchors,
     read_dataset,
@@ -241,9 +239,9 @@ def cmd_generate(args) -> int:
         x_margin=args.margin,
         seed=args.seed,
     )
-    frames = generate_scene(spec)
-    meta = DatasetMeta(name=args.name, image_width=spec.image_width, image_height=spec.image_height)
-    write_dataset(GtTable.from_frames(frames, meta), args.out)
+    table = generate_scene(spec)
+    table.meta = replace(table.meta, name=args.name)
+    write_dataset(table, args.out)
     return 0
 
 

@@ -22,7 +22,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -142,7 +142,10 @@ class _FrameRows:
     ``t`` are the (N, 4) views of the visible [0:4] and thermal [4:8] boxes.
     Frame ids are distinct. Every row is checked once, when the table is
     built, against the class's ``ROW_LO``/``ROW_HI`` (NaN fails); a bad box
-    is refused in :class:`~pairbox.geometry.Box`'s words, visible boxes first."""
+    is refused in :class:`~pairbox.geometry.Box`'s words, visible boxes first.
+
+    The table is a re-iterable sequence of frame objects, each built from its
+    rows by the subclass's ``_frame`` when it is accessed; a slice gives a list."""
 
     def __init__(self, frame_ids, offsets, rows):
         self.frame_ids = list(frame_ids)
@@ -161,12 +164,20 @@ class _FrameRows:
             if bad.any():
                 Box(*self.rows[bad.argmax(), k:k + 4].tolist())
 
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]  # negative indices; IndexError ends iteration
+        return self._frame(self.frame_ids[k], int(self.offsets[k]), int(self.offsets[k + 1]))
+
 
 class DetectionTable(_FrameRows, Sequence[FrameDetections]):
     """Scored paired detections of many frames, held as one row block of
     rows v[0:4], t[4:8], score[8]; ``score`` is its (N,) view. The table is a
-    re-iterable sequence of :class:`FrameDetections`, each built from the
-    rows when it is accessed.
+    sequence of :class:`FrameDetections`.
     """
 
     # the bounds of a row v[0:4], t[4:8], score[8]: Box's bound on
@@ -182,18 +193,6 @@ class DetectionTable(_FrameRows, Sequence[FrameDetections]):
             score = self.score[outside][0].item()
             raise ValueError(f"score must be a finite value in [0, 1], got {score!r}")
 
-    @classmethod
-    def from_frames(cls, frames: Iterable[FrameDetections]) -> "DetectionTable":
-        """Pack frames of detection objects into one table."""
-        frames = list(frames)
-        rows = [d.pair.visible.as_tuple() + d.pair.thermal.as_tuple() + (d.score,)
-                for fd in frames for d in fd.detections]
-        return cls(
-            [fd.frame_id for fd in frames],
-            np.cumsum([0] + [len(fd.detections) for fd in frames]),
-            np.array(rows, dtype=np.float64).reshape(-1, cls.ROW_LO.size),
-        )
-
     def take(self, rows: Sequence[np.ndarray]) -> "DetectionTable":
         """The table whose frame ``k`` holds this table's rows ``rows[k]``
         (row indices into the whole table), in that order."""
@@ -202,24 +201,20 @@ class DetectionTable(_FrameRows, Sequence[FrameDetections]):
             self.frame_ids, np.cumsum([0] + [len(r) for r in rows]), self.rows[index]
         )
 
-    def __len__(self) -> int:
-        return len(self.frame_ids)
-
-    def __getitem__(self, k: int) -> FrameDetections:
-        k = range(len(self))[k]  # negative indices; IndexError ends iteration
-        lo, hi = int(self.offsets[k]), int(self.offsets[k + 1])
-        dets = tuple(
+    def _frame(self, fid: FrameId, lo: int, hi: int) -> FrameDetections:
+        return FrameDetections(fid, tuple(
             Detection(PairedBox(Box(*r[0:4]), Box(*r[4:8])), r[8])
             for r in self.rows[lo:hi].tolist()
-        )
-        return FrameDetections(self.frame_ids[k], dets)
+        ))
 
 
-class GtTable(_FrameRows):
+class GtTable(_FrameRows, Sequence[FrameAnnotations]):
     """Annotated objects of many frames, held as one row block of rows
     v[0:4], t[4:8] under :class:`DetectionTable`'s box bounds; ``occ`` holds
     each object's occlusion level as an int8 index into ``OCCLUSION_LEVELS``,
-    ``ignore`` its ignore flag and ``meta`` the image size."""
+    ``ignore`` its ignore flag and ``meta`` the image size. The table is a
+    sequence of :class:`FrameAnnotations`.
+    """
 
     ROW_LO, ROW_HI = DetectionTable.ROW_LO[:8], DetectionTable.ROW_HI[:8]
 
@@ -230,16 +225,12 @@ class GtTable(_FrameRows):
                 (self.occ < 0) | (self.occ >= len(OCCLUSION_LEVELS))):
             raise ValueError("occlusion codes and ignore flags do not agree with the rows")
 
-    @classmethod
-    def from_frames(cls, frames: Iterable[FrameAnnotations], meta=DatasetMeta()) -> "GtTable":
-        """Pack frames of annotation objects into one table."""
-        frames = list(frames)
-        objects = [o for f in frames for o in f.objects]
-        rows = [o.pair.visible.as_tuple() + o.pair.thermal.as_tuple() for o in objects]
-        return cls([f.frame_id for f in frames], np.cumsum([0] + [len(f.objects) for f in frames]),
-                   np.array(rows, dtype=np.float64).reshape(-1, cls.ROW_LO.size),
-                   [OCCLUSION_LEVELS.index(o.occlusion) for o in objects],
-                   [o.ignore for o in objects], meta)
+    def _frame(self, fid: FrameId, lo: int, hi: int) -> FrameAnnotations:
+        rows, occ, ignore = (a[lo:hi].tolist() for a in (self.rows, self.occ, self.ignore))
+        return FrameAnnotations(fid, tuple(
+            GtObject(PairedBox(Box(*r[0:4]), Box(*r[4:8])), OCCLUSION_LEVELS[o], i)
+            for r, o, i in zip(rows, occ, ignore)
+        ))
 
 
 def filter_reasonable(table: GtTable, min_height: float = 55.0) -> np.ndarray:
@@ -560,7 +551,7 @@ def _match_frames(
 
 
 def evaluate(
-    annotations: Union[GtTable, Sequence[FrameAnnotations]],
+    annotations: GtTable,
     detections: DetectionTable,
     config: EvalConfig = EvalConfig(),
 ) -> EvalReport:
@@ -571,11 +562,8 @@ def evaluate(
     blocks of detection rows whose padded (detection, GT) cells stay under a
     fixed budget, with one overlap pass per variant and one greedy scan over
     detection rank per threshold (see ``_match_frames``); the outcomes equal
-    :func:`match_frame`'s on each frame. Objects built by hand are packed
-    with :meth:`GtTable.from_frames` and :meth:`DetectionTable.from_frames`.
+    :func:`match_frame`'s on each frame.
     """
-    if not isinstance(annotations, GtTable):
-        annotations = GtTable.from_frames(annotations)
     row_of = {fid: k for k, fid in enumerate(detections.frame_ids)}
     ann_ids = set(annotations.frame_ids)
     unknown = [fid for fid in row_of if fid not in ann_ids]

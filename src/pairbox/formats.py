@@ -19,8 +19,8 @@ write(read(f)) is byte-identical for files produced by these writers.
 Parsers reject records that violate domain invariants and report the file,
 line number, and offending field; a byte that is not UTF-8 is reported at
 its line too. Each file is read in one pass into the columns of a
-:class:`~pairbox.evaluation.GtTable` or a :class:`~pairbox.evaluation.DetectionTable`
-(``from_frames`` packs objects built by hand into either), and written from them.
+:class:`~pairbox.evaluation.GtTable` or a :class:`~pairbox.evaluation.DetectionTable`,
+and written from them.
 
 An anchor file (``assign --anchors``) and a loss sample file (``losses``)
 each hold one JSON document, read by :func:`read_anchors` and

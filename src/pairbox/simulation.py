@@ -16,13 +16,12 @@ iteration or thread order.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
-from .evaluation import DetectionTable, FrameAnnotations, GtObject, GtTable
-from .geometry import Box, PairedBox
+from .evaluation import DatasetMeta, DetectionTable, GtTable
 
 __all__ = [
     "ShiftSpec",
@@ -57,20 +56,16 @@ class ShiftSpec:
             raise ValueError("|dx| must be smaller than the image width")
 
 
-def apply_shift(annotations: Union[GtTable, Sequence[FrameAnnotations]],
-                spec: ShiftSpec) -> GtTable:
+def apply_shift(table: GtTable, spec: ShiftSpec) -> GtTable:
     """Translate every thermal box horizontally by ``spec.dx``.
 
     Shifted boxes are clipped to [0, image_width], possibly down to zero
     width. Visible boxes, occlusion and ignore flags are untouched. A zero
-    shift returns the annotations unchanged, packed into a table.
+    shift returns ``table`` itself.
     """
-    table = annotations if isinstance(annotations, GtTable) else GtTable.from_frames(annotations)
     if spec.dx == 0.0:
         return table
     x, w = table.t[:, 0], table.t[:, 2]
-    # max(v, 0.0) and min(v, width) as Python computes them: on a tie, as of
-    # 0.0 and -0.0, Python keeps the first argument and numpy the second
     left = np.minimum(spec.image_width, np.maximum(0.0, x + spec.dx))
     right = np.minimum(spec.image_width, np.maximum(0.0, (x + w) + spec.dx))
     rows = table.rows.copy()
@@ -135,22 +130,26 @@ def _frame_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def generate_scene(spec: SceneSpec) -> list[FrameAnnotations]:
-    """Generate seeded paired ground truth; frame ids are 0..num_frames-1."""
-    frames = []
+def generate_scene(spec: SceneSpec) -> GtTable:
+    """Generate seeded paired ground truth as the rows of a table of the
+    spec's image size; frame ids are 0..num_frames-1, and no object is
+    occluded or ignored."""
+    rows, offsets = array("d"), [0]
     for f in range(spec.num_frames):
         rng = _frame_rng(spec.seed, f)
-        objects = []
         for _ in range(int(rng.poisson(spec.peds_per_frame))):
             h = float(rng.uniform(*spec.height_range))
             w = float(spec.fixed_width) if spec.fixed_width is not None else spec.width_over_height * h
             x = float(rng.uniform(spec.x_margin, spec.image_width - w - spec.x_margin))
             y = float(rng.uniform(0.0, spec.image_height - h))
             dx = float(rng.uniform(*spec.misalign_range))
-            visible = Box(x, y, w, h)
-            objects.append(GtObject(PairedBox(visible, visible.translate(dx, 0.0))))
-        frames.append(FrameAnnotations(f, tuple(objects)))
-    return frames
+            # a row is v[0:4], t[4:8]; t is v moved as by Box.translate(dx, 0.0)
+            rows.extend((x, y, w, h, x + dx, y + 0.0, w, h))
+        offsets.append(len(rows) // 8)
+    n = offsets[-1]
+    return GtTable(range(spec.num_frames), offsets, np.frombuffer(rows).reshape(n, 8),
+                   np.zeros(n, np.int8), np.zeros(n, bool),
+                   DatasetMeta(image_width=spec.image_width, image_height=spec.image_height))
 
 
 # the lowest score a mock detection gets
@@ -253,8 +252,7 @@ def _false_positive(rng: np.random.Generator, spec: MockDetectorSpec) -> tuple[t
     return (x, y, w, h), score
 
 
-def mock_detect(annotations: Union[GtTable, Sequence[FrameAnnotations]],
-                spec: MockDetectorSpec) -> DetectionTable:
+def mock_detect(table: GtTable, spec: MockDetectorSpec) -> DetectionTable:
     """Emit detections for every non-ignored object, plus false positives.
 
     Per object, a miss is drawn with ``miss_prob``; surviving objects get a
@@ -266,7 +264,6 @@ def mock_detect(annotations: Union[GtTable, Sequence[FrameAnnotations]],
     table refuses a box or score outside its row bounds (an infinite extent
     from a size factor that overflows, say).
     """
-    table = annotations if isinstance(annotations, GtTable) else GtTable.from_frames(annotations)
     if not len(table.frame_ids) * spec.fp_per_frame <= MAX_DRAWS:
         raise ValueError(f"more than the limit of {MAX_DRAWS} expected false positives")
     visible, thermal, ignore = table.v.tolist(), table.t.tolist(), table.ignore.tolist()

@@ -11,8 +11,9 @@ of the broadcast anchor grid, a per-GT loop instead of the one-step
 best-anchor rule, a field-by-field parse into detection and annotation
 objects instead of the column readers, the hand-written anchor and sample
 document parsers, each with its own checks, instead of the readers' shared
-field checkers, and a shift of one box object at a time instead of the
-column shift. ``curve_from_points`` builds the hand-made curves that tests
+field checkers, a shift of one box object at a time instead of the
+column shift, and a scene generator that builds box objects instead of the
+table rows. ``curve_from_points`` builds the hand-made curves that tests
 feed to the curve consumers.
 """
 
@@ -48,6 +49,7 @@ from pairbox.geometry import Box, PairedBox
 from pairbox.pairnms import Detection
 from pairbox.regression import BACKGROUND_CLASS, LossConfig, cross_entropy
 from pairbox.sampling import POSITIVE
+from pairbox.simulation import SceneSpec, _frame_rng
 
 
 def _check_keys(record: dict, allowed: set, path, line_no: int, context: str):
@@ -287,6 +289,24 @@ def shift_box(b: Box, dx: float, width: float) -> Box:
     left = min(max(b.x + dx, 0.0), width)
     right = min(max(b.x + b.w + dx, 0.0), width)
     return Box(left, b.y, right - left, b.h)
+
+
+def naive_generate_scene(spec: SceneSpec) -> list[FrameAnnotations]:
+    """Generate seeded paired ground truth; frame ids are 0..num_frames-1."""
+    frames = []
+    for f in range(spec.num_frames):
+        rng = _frame_rng(spec.seed, f)
+        objects = []
+        for _ in range(int(rng.poisson(spec.peds_per_frame))):
+            h = float(rng.uniform(*spec.height_range))
+            w = float(spec.fixed_width) if spec.fixed_width is not None else spec.width_over_height * h
+            x = float(rng.uniform(spec.x_margin, spec.image_width - w - spec.x_margin))
+            y = float(rng.uniform(0.0, spec.image_height - h))
+            dx = float(rng.uniform(*spec.misalign_range))
+            visible = Box(x, y, w, h)
+            objects.append(GtObject(PairedBox(visible, visible.translate(dx, 0.0))))
+        frames.append(FrameAnnotations(f, tuple(objects)))
+    return frames
 
 
 def naive_read_anchors(path) -> tuple[np.ndarray, np.ndarray]:

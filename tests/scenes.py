@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
-from pairbox.evaluation import OCCLUSION_LEVELS, FrameAnnotations, FrameDetections, GtObject
+import numpy as np
+
+from pairbox.evaluation import (
+    OCCLUSION_LEVELS,
+    DatasetMeta,
+    DetectionTable,
+    FrameAnnotations,
+    FrameDetections,
+    GtObject,
+    GtTable,
+)
 from pairbox.geometry import Box, PairedBox, boxes_to_array
 from pairbox.pairnms import Detection, paired_nms
 
@@ -13,18 +23,27 @@ def gt(x, y, w=20.0, h=60.0, occlusion="none", dx_thermal=0.0):
     return GtObject(PairedBox(box_v, box_t), occlusion=occlusion)
 
 
-def table_frames(table):
-    """The frames of a ``GtTable`` as annotation objects."""
-    v, t, ignore = table.v.tolist(), table.t.tolist(), table.ignore.tolist()
-    occ = [OCCLUSION_LEVELS[k] for k in table.occ.tolist()]
-    offsets = table.offsets.tolist()
-    return [
-        FrameAnnotations(fid, tuple(
-            GtObject(PairedBox(Box(*v[i]), Box(*t[i])), occlusion=occ[i], ignore=ignore[i])
-            for i in range(offsets[k], offsets[k + 1])
-        ))
-        for k, fid in enumerate(table.frame_ids)
-    ]
+def gt_table(frames, meta=DatasetMeta()) -> GtTable:
+    """Pack frames of annotation objects into one table."""
+    frames = list(frames)
+    objects = [o for f in frames for o in f.objects]
+    rows = [o.pair.visible.as_tuple() + o.pair.thermal.as_tuple() for o in objects]
+    return GtTable([f.frame_id for f in frames], np.cumsum([0] + [len(f.objects) for f in frames]),
+                   np.array(rows, dtype=np.float64).reshape(-1, GtTable.ROW_LO.size),
+                   [OCCLUSION_LEVELS.index(o.occlusion) for o in objects],
+                   [o.ignore for o in objects], meta)
+
+
+def detection_table(frames) -> DetectionTable:
+    """Pack frames of detection objects into one table."""
+    frames = list(frames)
+    rows = [d.pair.visible.as_tuple() + d.pair.thermal.as_tuple() + (d.score,)
+            for fd in frames for d in fd.detections]
+    return DetectionTable(
+        [fd.frame_id for fd in frames],
+        np.cumsum([0] + [len(fd.detections) for fd in frames]),
+        np.array(rows, dtype=np.float64).reshape(-1, DetectionTable.ROW_LO.size),
+    )
 
 
 def det_at(x, y, score, w=20.0, h=60.0):

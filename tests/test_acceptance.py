@@ -18,7 +18,6 @@ import pytest
 import pairbox
 from pairbox.evaluation import (
     CurvePoint,
-    DetectionTable,
     EvalConfig,
     evaluate,
     log_average_miss_rate,
@@ -55,7 +54,9 @@ from oracles import (
 from scenes import (
     FOUR_FRAME_CURVE,
     FOUR_FRAME_LAMR,
+    detection_table,
     four_frame_fixture,
+    gt_table,
     nms_detections,
     perfect_detections,
 )
@@ -128,7 +129,7 @@ def test_criterion_2_degeneracy():
             assert iou_multimodal(PairedBox.aligned(a), PairedBox.aligned(b)) == iou(a, b)
 
         annotations, detections = four_frame_fixture()  # visible == thermal throughout
-        report = evaluate(annotations, DetectionTable.from_frames(detections))
+        report = evaluate(gt_table(annotations), detection_table(detections))
         for thresh in (0.5, 0.7):
             e_v = report.entry("visible", thresh)
             e_t = report.entry("thermal", thresh)
@@ -250,18 +251,18 @@ def test_criterion_7_evaluation_protocol():
     with criterion("criterion 7: protocol extremes, 4-frame fixture, constant curve"):
         annotations, detections = four_frame_fixture()
 
-        perfect = evaluate(annotations, DetectionTable.from_frames(perfect_detections(annotations)))
+        perfect = evaluate(gt_table(annotations), detection_table(perfect_detections(annotations)))
         for e in perfect.entries:
             assert e.lamr == 0.0
 
         from pairbox.evaluation import FrameDetections
 
         empty = [FrameDetections(f.frame_id, ()) for f in annotations]
-        blind = evaluate(annotations, DetectionTable.from_frames(empty))
+        blind = evaluate(gt_table(annotations), detection_table(empty))
         for e in blind.entries:
             assert e.lamr == 1.0
 
-        report = evaluate(annotations, DetectionTable.from_frames(detections))
+        report = evaluate(gt_table(annotations), detection_table(detections))
         for variant in ("visible", "thermal", "multimodal"):
             for thresh in (0.5, 0.7):
                 entry = report.entry(variant, thresh)

@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 from pairbox import cli, evaluation, geometry, pairnms
 from pairbox.cli import build_parser, main
-from pairbox.evaluation import DetectionTable, EvalConfig, FrameDetections, evaluate
+from pairbox.evaluation import EvalConfig, FrameDetections, evaluate
 from pairbox.formats import (
-    GtTable,
     read_dataset,
     read_detections,
     write_dataset,
@@ -29,7 +28,7 @@ from pairbox.simulation import MockDetectorSpec, ShiftSpec, apply_shift, mock_de
 
 from mutations import mutated_text
 from oracles import naive_nms
-from scenes import det_at, four_frame_fixture, gt, table_frames
+from scenes import det_at, detection_table, four_frame_fixture, gt, gt_table
 
 SAMPLE = Path(__file__).parent / "data" / "sample_dataset.jsonl"
 
@@ -37,9 +36,9 @@ SAMPLE = Path(__file__).parent / "data" / "sample_dataset.jsonl"
 def gt_as_detections(dataset_path, out_path):
     dets = [
         FrameDetections(f.frame_id, tuple(Detection(o.pair, 1.0) for o in f.objects))
-        for f in table_frames(read_dataset(dataset_path))
+        for f in list(read_dataset(dataset_path))
     ]
-    write_detections(DetectionTable.from_frames(dets), out_path)
+    write_detections(detection_table(dets), out_path)
     return dets
 
 
@@ -100,8 +99,8 @@ class TestEvaluateCommand:
         anns, dets = four_frame_fixture()
         gt_path = tmp_path / "gt.jsonl"
         det_path = tmp_path / "dets.jsonl"
-        write_dataset(GtTable.from_frames(anns), gt_path)
-        write_detections(DetectionTable.from_frames(dets), det_path)
+        write_dataset(gt_table(anns), gt_path)
+        write_detections(detection_table(dets), det_path)
         rc = main(["evaluate", str(gt_path), str(det_path)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -129,7 +128,7 @@ class TestEvaluateCommand:
     def test_no_evaluable_gts_exits_1(self, tmp_path, capsys):
         ds_path = tmp_path / "short.jsonl"
         frames = (FrameAnnotations(0, (gt(10, 10, h=30),)),)
-        write_dataset(GtTable.from_frames(frames), ds_path)
+        write_dataset(gt_table(frames), ds_path)
         det_path = tmp_path / "dets.jsonl"
         gt_as_detections(ds_path, det_path)
         rc = main(["evaluate", str(ds_path), str(det_path)])
@@ -139,7 +138,7 @@ class TestEvaluateCommand:
     def test_unknown_frame_exits_1(self, tmp_path, capsys):
         det_path = tmp_path / "dets.jsonl"
         ghost = [FrameDetections("ghost", (det_at(0, 0, 0.5),))]
-        write_detections(DetectionTable.from_frames(ghost), det_path)
+        write_detections(detection_table(ghost), det_path)
         rc = main(["evaluate", str(SAMPLE), str(det_path)])
         assert rc == 1
         assert "ghost" in capsys.readouterr().err
@@ -157,7 +156,7 @@ class TestNmsCommand:
                 ),
             )
         ]
-        write_detections(DetectionTable.from_frames(dets), det_path)
+        write_detections(detection_table(dets), det_path)
         out_path = tmp_path / "kept.jsonl"
         rc = main(["nms", str(det_path), "--iou-thresh", "0.5", "--out", str(out_path)])
         assert rc == 0
@@ -210,7 +209,7 @@ class TestNmsCommand:
     def test_canonical_file_builds_no_box_or_detection(self, tmp_path, monkeypatch):
         anns, dets = four_frame_fixture()
         det_path = tmp_path / "dets.jsonl"
-        write_detections(DetectionTable.from_frames(dets), det_path)
+        write_detections(detection_table(dets), det_path)
         built = []
         for cls in (geometry.Box, pairnms.Detection):
             check = cls.__post_init__
@@ -274,8 +273,8 @@ class TestJsonlReaderFuzz:
         anns, dets = four_frame_fixture()
         work = tmp_path_factory.mktemp("fuzz")
         paths = {"gt": work / "gt.jsonl", "dets": work / "dets.jsonl"}
-        write_dataset(GtTable.from_frames(anns), paths["gt"])
-        write_detections(DetectionTable.from_frames(dets), paths["dets"])
+        write_dataset(gt_table(anns), paths["gt"])
+        write_detections(detection_table(dets), paths["dets"])
         broken = paths[target]
         text = data.draw(mutated_text(broken.read_text(encoding="utf-8"), bad_bytes=True))
         broken.write_text(text, encoding="utf-8", errors="surrogateescape")
@@ -322,7 +321,7 @@ class TestJsonDocumentFuzz:
     def test_broken_document_exits_cleanly(self, tmp_path_factory, data, target):
         work = tmp_path_factory.mktemp("fuzz")
         gt_path = work / "gt.jsonl"
-        write_dataset(GtTable.from_frames((FrameAnnotations(0, (gt(0, 0, w=17, h=70),)),)), gt_path)
+        write_dataset(gt_table((FrameAnnotations(0, (gt(0, 0, w=17, h=70),)),)), gt_path)
         doc = work / f"{target}.json"
         valid = json.dumps(self.ANCHORS if target == "anchors" else self.SAMPLES)
         text = data.draw(mutated_text(valid, bad_bytes=True))
@@ -347,8 +346,8 @@ class TestUndecodableInput:
     def _inputs(self, tmp_path):
         anns, dets = four_frame_fixture()
         paths = {name: tmp_path / name for name in ("gt.jsonl", "dets.jsonl", "a.json", "s.json")}
-        write_dataset(GtTable.from_frames(anns), paths["gt.jsonl"])
-        write_detections(DetectionTable.from_frames(dets), paths["dets.jsonl"])
+        write_dataset(gt_table(anns), paths["gt.jsonl"])
+        write_detections(detection_table(dets), paths["dets.jsonl"])
         paths["a.json"].write_text('{"anchors":\n[{"v":[0,0,1,1],"t":[0,0,1,1]}]}\n')
         paths["s.json"].write_text('{"rpn":\n{"samples":[]}}\n')
         return paths
@@ -400,9 +399,9 @@ class TestAssignCommand:
         ignored = dataclasses.replace(gt(96, 200, w=40, h=100), ignore=True)
         kept = (gt(90, 190, w=41, h=100), gt(300, 100, w=20, h=50))
         paths = {"with": tmp_path / "with.jsonl", "without": tmp_path / "without.jsonl"}
-        write_dataset(GtTable.from_frames([FrameAnnotations(0, (kept[0], ignored, kept[1])),
+        write_dataset(gt_table([FrameAnnotations(0, (kept[0], ignored, kept[1])),
                                            FrameAnnotations(1, (ignored,))]), paths["with"])
-        write_dataset(GtTable.from_frames([FrameAnnotations(0, kept), FrameAnnotations(1, ())]),
+        write_dataset(gt_table([FrameAnnotations(0, kept), FrameAnnotations(1, ())]),
                       paths["without"])
         for name, path in paths.items():
             assert main(["assign", str(path), "--grid-stride", "32", "--sample-batch", "16",
@@ -416,7 +415,7 @@ class TestAssignCommand:
         ds_path = tmp_path / "gt.jsonl"
         # GT box (0,0,17,10); anchor (3,0,17,10) overlaps at exactly 14/20 = 0.7
         frames = (FrameAnnotations(0, (gt(0, 0, w=17, h=70),)),)
-        write_dataset(GtTable.from_frames(frames), ds_path)
+        write_dataset(gt_table(frames), ds_path)
         anchors_path = tmp_path / "anchors.json"
         anchors_path.write_text(
             json.dumps(
@@ -442,7 +441,7 @@ class TestAssignCommand:
     def test_sampling_deterministic(self, tmp_path):
         ds_path = tmp_path / "gt.jsonl"
         frames = (FrameAnnotations(0, (gt(100, 100, w=20, h=70),)),)
-        write_dataset(GtTable.from_frames(frames), ds_path)
+        write_dataset(gt_table(frames), ds_path)
         outs = []
         for name in ("a.jsonl", "b.jsonl"):
             out_path = tmp_path / name
@@ -460,7 +459,7 @@ class TestAssignCommand:
     def test_detector_stage_samples_an_empty_frame_as_an_empty_batch(self, tmp_path):
         ds_path = tmp_path / "gt.jsonl"
         frames = (FrameAnnotations(0, (gt(100, 100, w=20, h=70),)), FrameAnnotations(1, ()))
-        write_dataset(GtTable.from_frames(frames), ds_path)
+        write_dataset(gt_table(frames), ds_path)
         out_path = tmp_path / "labels.jsonl"
         assert _run_main(["assign", str(ds_path), "--stage", "detector",
                           "--sample-batch", "8", "--out", str(out_path)]) == (0, "")
@@ -471,7 +470,7 @@ class TestAssignCommand:
 
     def test_oversized_anchor_grid_exits_1(self, tmp_path, capsys):
         ds_path = tmp_path / "gt.jsonl"
-        write_dataset(GtTable.from_frames((FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
+        write_dataset(gt_table((FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
         rc = main([
             "assign", str(ds_path), "--grid-stride", "0.001", "--out", str(tmp_path / "l.jsonl"),
         ])
@@ -483,7 +482,7 @@ class TestAssignCommand:
     @pytest.mark.parametrize("heights", ["1e200"])
     def test_anchor_grid_a_box_refuses_exits_1(self, tmp_path, capsys, heights):
         ds_path = tmp_path / "gt.jsonl"
-        write_dataset(GtTable.from_frames((FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
+        write_dataset(gt_table((FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
         rc = main([
             "assign", str(ds_path), "--grid-heights", heights, "--out", str(tmp_path / "l.jsonl"),
         ])
@@ -507,7 +506,7 @@ class TestAssignCommand:
             "string-box", "bool-field", "unknown-field", "unknown-top-level-field"])
     def test_malformed_anchor_file_exits_2_naming_entry(self, tmp_path, capsys, entry, field):
         ds_path = tmp_path / "gt.jsonl"
-        write_dataset(GtTable.from_frames((FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
+        write_dataset(gt_table((FrameAnnotations(0, (gt(0, 0),)),)), ds_path)
         anchors_path = tmp_path / "anchors.json"
         anchors_path.write_text('{"anchors": [{"v": [0, 0, 1, 1], "t": [0, 0, 1, 1]}, %s]}' % entry,
                                 encoding="utf-8")
@@ -619,7 +618,7 @@ class TestBadOptionValues:
         # without an rpn section and detector samples, --lambda would reach no library check
         samples = {"rpn": {"samples": []}} if value == "nan" else {"detector": {"samples": []}}
         (tmp_path / "samples.json").write_text(json.dumps(samples), encoding="utf-8")
-        write_detections(DetectionTable.from_frames(four_frame_fixture()[1]),
+        write_detections(detection_table(four_frame_fixture()[1]),
                          tmp_path / "dets.jsonl")
         out = str(tmp_path / "out.jsonl")
         argv = {
@@ -727,8 +726,8 @@ class TestShiftSweepCommand:
 
     def test_float_only_format_spec_takes_a_fractional_shift(self, tmp_path, capsys):
         anns, dets = four_frame_fixture()
-        write_dataset(GtTable.from_frames(anns), tmp_path / "gt.jsonl")
-        write_detections(DetectionTable.from_frames(dets), tmp_path / "d_2.5.jsonl")
+        write_dataset(gt_table(anns), tmp_path / "gt.jsonl")
+        write_detections(detection_table(dets), tmp_path / "d_2.5.jsonl")
         # no integral shift: the pattern is formatted with 2.5 only, never with an int
         rc = main(["shift-sweep", str(tmp_path / "gt.jsonl"), "--shift", "2.5",
                    "--dets-pattern", str(tmp_path / "d_{dx:.2}.jsonl"), "--format", "csv"])
@@ -737,8 +736,8 @@ class TestShiftSweepCommand:
 
     def test_integral_shift_takes_an_int_format_spec(self, tmp_path, capsys):
         anns, dets = four_frame_fixture()
-        write_dataset(GtTable.from_frames(anns), tmp_path / "gt.jsonl")
-        write_detections(DetectionTable.from_frames(dets), tmp_path / "d_5.jsonl")
+        write_dataset(gt_table(anns), tmp_path / "gt.jsonl")
+        write_detections(detection_table(dets), tmp_path / "d_5.jsonl")
         rc = main(["shift-sweep", str(tmp_path / "gt.jsonl"), "--shift", "5",
                    "--dets-pattern", str(tmp_path / "d_{dx:d}.jsonl"), "--format", "csv"])
         assert rc == 0
@@ -884,9 +883,9 @@ class TestShiftSweepCommand:
             shifted = apply_shift(read_dataset(ds_path), ShiftSpec(float(dx)))
             dets = [
                 FrameDetections(f.frame_id, tuple(Detection(o.pair, 1.0) for o in f.objects))
-                for f in table_frames(shifted)
+                for f in list(shifted)
             ]
-            write_detections(DetectionTable.from_frames(dets), tmp_path / f"dets_{dx}.jsonl")
+            write_detections(detection_table(dets), tmp_path / f"dets_{dx}.jsonl")
         rc = main([
             "shift-sweep", str(ds_path), "--shift", "0", "10",
             "--dets-pattern", str(tmp_path / "dets_{dx}.jsonl"), "--format", "csv",
@@ -1096,8 +1095,8 @@ def _numeric_options():
 def tiny_inputs(tmp_path_factory):
     work = tmp_path_factory.mktemp("tiny")
     anns, dets = four_frame_fixture()
-    write_dataset(GtTable.from_frames(anns), work / "gt.jsonl")
-    write_detections(DetectionTable.from_frames(dets), work / "dets.jsonl")
+    write_dataset(gt_table(anns), work / "gt.jsonl")
+    write_detections(detection_table(dets), work / "dets.jsonl")
     (work / "samples.json").write_text(json.dumps(TestJsonDocumentFuzz.SAMPLES), encoding="utf-8")
     return work
 

@@ -57,10 +57,11 @@ from scenes import (
     FOUR_FRAME_CURVE,
     FOUR_FRAME_LAMR,
     det_at,
+    detection_table,
     four_frame_fixture,
     gt,
+    gt_table,
     perfect_detections,
-    table_frames,
 )
 
 
@@ -81,9 +82,9 @@ def match_objects(dets, gts, variant, thresh):
 
 def reasonable_frames(frames, min_height: float = 55.0):
     """``frames`` with the ignore flags ``filter_reasonable`` gives them."""
-    table = GtTable.from_frames(frames)
+    table = gt_table(frames)
     ignore = filter_reasonable(table, min_height)
-    return table_frames(GtTable(table.frame_ids, table.offsets, table.rows, table.occ, ignore))
+    return list(GtTable(table.frame_ids, table.offsets, table.rows, table.occ, ignore))
 
 
 class TestFilterReasonable:
@@ -99,24 +100,24 @@ class TestFilterReasonable:
                 ),
             )
         ]
-        flags = filter_reasonable(GtTable.from_frames(frames), min_height=55).tolist()
+        flags = filter_reasonable(gt_table(frames), min_height=55).tolist()
         # objects are kept as ignore regions, not dropped
         assert flags == [False, True, True, False]
 
     def test_exactly_cutoff_height_ignored(self):
         frames = [FrameAnnotations(0, (gt(0, 0, h=55),))]
-        assert filter_reasonable(GtTable.from_frames(frames), min_height=55).tolist() == [True]
+        assert filter_reasonable(gt_table(frames), min_height=55).tolist() == [True]
 
     def test_height_measured_on_selected_modality(self):
         short, tall = Box(0, 0, 20, 40), Box(0, 0, 20, 80)
         frames = [FrameAnnotations(0, (GtObject(PairedBox(short, tall)),
                                        GtObject(PairedBox(tall, short))))]
         # the thermal box decides, whatever the visible box's height
-        assert filter_reasonable(GtTable.from_frames(frames)).tolist() == [False, True]
+        assert filter_reasonable(gt_table(frames)).tolist() == [False, True]
 
     def test_existing_ignore_preserved(self):
         frames = [FrameAnnotations(0, (GtObject(PairedBox.aligned(Box(0, 0, 20, 90)), ignore=True),))]
-        assert filter_reasonable(GtTable.from_frames(frames)).tolist() == [True]
+        assert filter_reasonable(gt_table(frames)).tolist() == [True]
 
     def test_bad_occlusion_rejected(self):
         with pytest.raises(ValueError):
@@ -263,7 +264,7 @@ class TestCurveProperties:
             for f, (ds, _) in enumerate(frames)
         ]
         config = EvalConfig(iou_thresholds=(thresh,), variants=(variant,), min_height=0.0)
-        (entry,) = evaluate(anns, DetectionTable.from_frames(dets), config).entries
+        (entry,) = evaluate(gt_table(anns), detection_table(dets), config).entries
         expected = naive_curve(frames, variant, thresh)
         curve = entry.curve
         columns = zip(curve.score_thresh.tolist(), curve.fppi.tolist(), curve.miss_rate.tolist(),
@@ -314,16 +315,16 @@ class TestBatchedMatching:
         dets = [[Detection(PairedBox(Box(*v), Box(*t)), s) for v, t, s in d] for d, _ in frames]
         anns = [FrameAnnotations(f, tuple(g)) for f, g in enumerate(gts)]
         listed = [f for f, d in enumerate(dets) if d or not sparse][::-1 if reverse else 1]
-        table = DetectionTable.from_frames(FrameDetections(f, tuple(dets[f])) for f in listed)
+        table = detection_table(FrameDetections(f, tuple(dets[f])) for f in listed)
         table_frame = [listed.index(f) if f in listed else -1 for f in range(len(frames))]
-        gt_table = GtTable.from_frames(anns)
+        truth = gt_table(anns)
         config = EvalConfig(iou_thresholds=self.THRESHOLDS, variants=VARIANTS, min_height=0.0)
         runs, reports = [], []
         for budget in self.BUDGETS:
             with patch.object(evaluation, "_CELL_BUDGET", budget):
-                runs.append(evaluation._match_frames(gt_table, gt_table.ignore, table, table_frame,
+                runs.append(evaluation._match_frames(truth, truth.ignore, table, table_frame,
                                                      VARIANTS, self.THRESHOLDS))
-                reports.append(evaluate(anns, table, config))
+                reports.append(evaluate(gt_table(anns), table, config))
         scores, n_gt, outcomes = runs[-1]
         assert scores.tolist() == [s for d, _ in frames for *_, s in d]
         assert n_gt == sum(not ign for _, g in frames for *_, ign in g)
@@ -350,9 +351,9 @@ class TestBatchedMatching:
         # detections per frame 1, 1, 2, 1, 1 against GTs 1, 1, 3, 1, 2: by
         # descending GT count, the six-cell frame's two rows come first, one
         # per block, then the two-GT row with a one-GT row, then two one-GT rows
-        anns = GtTable.from_frames(FrameAnnotations(f, tuple(gt(0.0, 0.0) for _ in range(n)))
+        anns = gt_table(FrameAnnotations(f, tuple(gt(0.0, 0.0) for _ in range(n)))
                                    for f, n in enumerate((1, 1, 3, 1, 2)))
-        table = DetectionTable.from_frames(
+        table = detection_table(
             FrameDetections(f, tuple(det_at(0.0, 0.0, 0.5) for _ in range(n)))
             for f, n in enumerate((1, 1, 2, 1, 1)))
         spy = patch.object(evaluation, "_overlaps", wraps=evaluation._overlaps)
@@ -370,7 +371,7 @@ class TestBatchedMatching:
         anns = [FrameAnnotations("f", gts)]
         tracemalloc.start()
         try:
-            evaluate(anns, table, EvalConfig(min_height=0.0))
+            evaluate(gt_table(anns), table, EvalConfig(min_height=0.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -404,7 +405,7 @@ class TestMissRateCurve:
 
     def test_four_frame_fixture_matches_hand_enumeration(self):
         anns, dets = four_frame_fixture()
-        report = evaluate(anns, DetectionTable.from_frames(dets))
+        report = evaluate(gt_table(anns), detection_table(dets))
         for variant in ("visible", "thermal", "multimodal"):
             for thresh in (0.5, 0.7):
                 curve = report.entry(variant, thresh).curve
@@ -424,7 +425,7 @@ class TestMissRateCurve:
 
     def test_tp_plus_fn_constant(self):
         anns, dets = four_frame_fixture()
-        report = evaluate(anns, DetectionTable.from_frames(dets))
+        report = evaluate(gt_table(anns), detection_table(dets))
         for e in report.entries:
             for p in e.curve.points:
                 assert p.tp + p.fn == e.curve.n_evaluable
@@ -432,7 +433,7 @@ class TestMissRateCurve:
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(83)
         anns, dets = _random_scene(rng, 30, peds=3, noise=4.0, fp_per_frame=1.0)
-        report = evaluate(anns, DetectionTable.from_frames(dets))
+        report = evaluate(gt_table(anns), detection_table(dets))
         for e in report.entries:
             fppis = [p.fppi for p in e.curve.points]
             misses = [p.miss_rate for p in e.curve.points]
@@ -517,7 +518,7 @@ def _random_scene(rng, n_frames, peds=2, noise=0.0, fp_per_frame=0.0, dx_thermal
 class TestEvaluate:
     def test_gt_as_detections_is_zero_everywhere(self):
         anns, _ = four_frame_fixture()
-        report = evaluate(anns, DetectionTable.from_frames(perfect_detections(anns)))
+        report = evaluate(gt_table(anns), detection_table(perfect_detections(anns)))
         assert len(report.entries) == 6
         for e in report.entries:
             assert e.lamr == 0.0
@@ -527,7 +528,7 @@ class TestEvaluate:
         # IoU_v = 1, IoU_t = 10/50 = 0.2, pooled = 40/80 = 0.5
         anns = [FrameAnnotations(0, (gt(100, 100, w=30, h=60, dx_thermal=20),))]
         dets = [FrameDetections(0, (det_at(100, 100, 1.0, w=30, h=60),))]
-        report = evaluate(anns, DetectionTable.from_frames(dets))
+        report = evaluate(gt_table(anns), detection_table(dets))
         assert report.lamr("visible", 0.5) == 0.0
         assert report.lamr("visible", 0.7) == 0.0
         assert report.lamr("thermal", 0.5) == 1.0
@@ -538,7 +539,7 @@ class TestEvaluate:
     def test_aligned_modalities_give_identical_rows(self):
         rng = np.random.default_rng(89)
         anns, dets = _random_scene(rng, 40, peds=3, noise=5.0, fp_per_frame=0.7)
-        report = evaluate(anns, DetectionTable.from_frames(dets))
+        report = evaluate(gt_table(anns), detection_table(dets))
         for thresh in (0.5, 0.7):
             e_v = report.entry("visible", thresh)
             e_t = report.entry("thermal", thresh)
@@ -550,19 +551,19 @@ class TestEvaluate:
         anns, dets = four_frame_fixture()
         bad = dets + [FrameDetections("ghost", ())]
         with pytest.raises(EvaluationError, match="ghost"):
-            evaluate(anns, DetectionTable.from_frames(bad))
+            evaluate(gt_table(anns), detection_table(bad))
 
     def test_duplicate_detection_frames_rejected(self):
         _, dets = four_frame_fixture()
         with pytest.raises(ValueError, match="duplicate frame ids in DetectionTable"):
-            DetectionTable.from_frames(dets + [dets[0]])
+            detection_table(dets + [dets[0]])
 
     def test_matches_per_threshold_rematching(self):
         # one-pass matching + score sweep == literal re-matching per threshold
         rng = np.random.default_rng(97)
         anns, dets = _random_scene(rng, 25, peds=3, noise=6.0, fp_per_frame=1.0)
         config = EvalConfig(variants=("multimodal",))
-        report = evaluate(anns, DetectionTable.from_frames(dets), config)
+        report = evaluate(gt_table(anns), detection_table(dets), config)
         filtered = reasonable_frames(anns)
         det_map = {d.frame_id: d.detections for d in dets}
         for e in report.entries:
@@ -582,12 +583,12 @@ class TestEvaluate:
     def test_low_score_distant_fp_only_extends_curve(self):
         anns, dets = four_frame_fixture()
         config = EvalConfig(variants=("multimodal",), iou_thresholds=(0.5,))
-        base = evaluate(anns, DetectionTable.from_frames(dets), config)
+        base = evaluate(gt_table(anns), detection_table(dets), config)
         extra = list(dets)
         extra[3] = FrameDetections(
             "f4", extra[3].detections + (det_at(600, 400, 0.01),)
         )
-        bumped = evaluate(anns, DetectionTable.from_frames(extra), config)
+        bumped = evaluate(gt_table(anns), detection_table(extra), config)
         b_pts = base.entries[0].curve.points
         x_pts = bumped.entries[0].curve.points
         assert x_pts[: len(b_pts)] == b_pts
@@ -598,10 +599,10 @@ class TestEvaluate:
     def test_frame_order_invariance(self):
         rng = np.random.default_rng(101)
         anns, dets = _random_scene(rng, 20, peds=2, noise=5.0, fp_per_frame=0.5)
-        base = evaluate(anns, DetectionTable.from_frames(dets))
+        base = evaluate(gt_table(anns), detection_table(dets))
         perm = rng.permutation(len(anns))
-        shuffled = evaluate([anns[i] for i in perm],
-                            DetectionTable.from_frames(dets[i] for i in perm))
+        shuffled = evaluate(gt_table(anns[i] for i in perm),
+                            detection_table(dets[i] for i in perm))
         for e1, e2 in zip(base.entries, shuffled.entries):
             assert e1.lamr == e2.lamr
             assert e1.curve.points == e2.curve.points
@@ -610,7 +611,7 @@ class TestEvaluate:
         # with distinct scores the score sort makes input order irrelevant
         rng = np.random.default_rng(113)
         anns, dets = _random_scene(rng, 15, peds=3, noise=5.0, fp_per_frame=1.0)
-        base = evaluate(anns, DetectionTable.from_frames(dets))
+        base = evaluate(gt_table(anns), detection_table(dets))
         reordered = [
             FrameDetections(
                 fd.frame_id,
@@ -618,7 +619,7 @@ class TestEvaluate:
             )
             for fd in dets
         ]
-        again = evaluate(anns, DetectionTable.from_frames(reordered))
+        again = evaluate(gt_table(anns), detection_table(reordered))
         for e1, e2 in zip(base.entries, again.entries):
             assert e1.lamr == e2.lamr
             assert e1.curve.points == e2.curve.points
@@ -655,7 +656,7 @@ class TestDetectionTable:
 
     def test_round_trips_frames_and_is_re_iterable(self):
         frames = self._frames()
-        table = DetectionTable.from_frames(frames)
+        table = detection_table(frames)
         assert len(table) == 3
         assert list(table) == frames
         assert list(table) == frames  # a second pass sees the same frames
@@ -667,16 +668,16 @@ class TestDetectionTable:
 
     @pytest.mark.parametrize("build", [
         lambda: DetectionTable(["a", 7, "a"], [0, 0, 0, 0], np.zeros((0, 9))),
-        lambda: DetectionTable.from_frames([FrameDetections(7, ()), FrameDetections(7, ())]),
+        lambda: detection_table([FrameDetections(7, ()), FrameDetections(7, ())]),
         lambda: GtTable(["a", 7, "a"], [0, 0, 0, 0], np.zeros((0, 8)), [], []),
-        lambda: GtTable.from_frames([FrameAnnotations("a", ()), FrameAnnotations("a", ())]),
+        lambda: gt_table([FrameAnnotations("a", ()), FrameAnnotations("a", ())]),
     ], ids=["DetectionTable", "DetectionTable.from_frames", "GtTable", "GtTable.from_frames"])
     def test_repeated_frame_id_refused_when_built(self, build):
         with pytest.raises(ValueError, match="duplicate frame ids in (Detection|Gt)Table"):
             build()
 
     def test_empty(self):
-        table = DetectionTable.from_frames([])
+        table = detection_table([])
         assert len(table) == 0 and list(table) == []
         assert table.v.shape == table.t.shape == (0, 4)
 
@@ -719,7 +720,7 @@ class TestDetectionTable:
             DetectionTable(["a"], [0, 3], rows)
 
     def test_columns_are_views_of_the_rows(self):
-        table = DetectionTable.from_frames(self._frames())
+        table = detection_table(self._frames())
         assert table.rows.shape == (3, 9)
         for column, cut in ((table.v, np.s_[:, 0:4]), (table.t, np.s_[:, 4:8]),
                             (table.score, np.s_[:, 8])):
@@ -733,7 +734,7 @@ class TestDetectionTable:
 
     def test_take_selects_rows_per_frame(self):
         frames = self._frames()
-        table = DetectionTable.from_frames(frames)
+        table = detection_table(frames)
         kept = table.take([np.array([1, 0]), np.array([], dtype=np.int64), np.array([2])])
         assert kept.frame_ids == table.frame_ids
         assert list(kept) == [
@@ -745,14 +746,14 @@ class TestDetectionTable:
 
     def test_duplicate_ids_in_a_table_rejected(self):
         with pytest.raises(ValueError, match="duplicate frame ids in DetectionTable"):
-            DetectionTable.from_frames([FrameDetections("f1", ()), FrameDetections("f1", ())])
+            detection_table([FrameDetections("f1", ()), FrameDetections("f1", ())])
 
 
 class TestCsvExport:
     def test_golden_output(self):
         anns, dets = four_frame_fixture()
         config = EvalConfig(variants=("multimodal",), iou_thresholds=(0.5,))
-        report = evaluate(anns, DetectionTable.from_frames(dets), config)
+        report = evaluate(gt_table(anns), detection_table(dets), config)
         buf = io.StringIO()
         write_curve_csv(report, buf)
         expected = (

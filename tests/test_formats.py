@@ -12,7 +12,6 @@ from pairbox import cli, formats, geometry
 from pairbox.evaluation import OCCLUSION_LEVELS, DetectionTable, FrameAnnotations, FrameDetections
 from pairbox.formats import (
     DatasetMeta,
-    GtTable,
     ParseError,
     _canonical_rows,
     read_anchors,
@@ -27,7 +26,7 @@ from pairbox.geometry import Box
 
 from mutations import mutated_text
 from oracles import naive_read_anchors, naive_read_dataset, naive_read_detections, naive_read_samples
-from scenes import det_at, gt
+from scenes import det_at, detection_table, gt, gt_table
 
 SAMPLE = Path(__file__).parent / "data" / "sample_dataset.jsonl"
 
@@ -38,7 +37,7 @@ def small_dataset():
         FrameAnnotations("b", ()),
         FrameAnnotations(3, (gt(0, 0, w=18, h=44),)),
     )
-    return GtTable.from_frames(frames, DatasetMeta(name="tiny", image_width=320, image_height=256))
+    return gt_table(frames, DatasetMeta(name="tiny", image_width=320, image_height=256))
 
 
 class TestDatasetRoundTrip:
@@ -146,7 +145,7 @@ class TestDetections:
         ]
         p1 = tmp_path / "d1.jsonl"
         p2 = tmp_path / "d2.jsonl"
-        write_detections(DetectionTable.from_frames(dets), p1)
+        write_detections(detection_table(dets), p1)
         back = read_detections(p1)
         assert list(back) == dets
         write_detections(back, p2)
@@ -226,7 +225,7 @@ class TestDatasetValidation:
     def test_duplicate_ids_rejected(self):
         frames = (FrameAnnotations("a", ()), FrameAnnotations("a", ()))
         with pytest.raises(ValueError, match="duplicate"):
-            GtTable.from_frames(frames)
+            gt_table(frames)
 
     def test_bad_meta_rejected(self):
         with pytest.raises(ValueError):
@@ -280,7 +279,7 @@ def _outcome(read, path):
 
 
 def _oracle_table(path):
-    return DetectionTable.from_frames(naive_read_detections(path))
+    return detection_table(naive_read_detections(path))
 
 
 def _decoded(line):
@@ -419,7 +418,7 @@ def _same_gt_table(a, b):
 
 
 def _oracle_gt_table(path):
-    return GtTable.from_frames(*naive_read_dataset(path))
+    return gt_table(*naive_read_dataset(path))
 
 
 class TestAnnotationColumnReader:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from pairbox.evaluation import (
     EvalConfig,
     FrameAnnotations,
     GtObject,
-    GtTable,
     evaluate,
 )
 from pairbox.geometry import Box, PairedBox
@@ -24,25 +24,25 @@ from pairbox.simulation import (
     mock_detect,
 )
 
-from oracles import shift_box
-from scenes import gt, table_frames
+from oracles import naive_generate_scene, shift_box
+from scenes import gt, gt_table
 
 
 def thermal_after(frames, dx, width=640.0):
     """The thermal column block of ``frames`` shifted by ``dx``."""
-    return apply_shift(frames, ShiftSpec(dx, image_width=width)).t.tolist()
+    return apply_shift(gt_table(frames), ShiftSpec(dx, image_width=width)).t.tolist()
 
 
 class TestApplyShift:
     def test_zero_shift_is_identity(self):
         frames = [FrameAnnotations(0, (gt(100, 50, w=30, h=60),))]
-        table = GtTable.from_frames(frames)
+        table = gt_table(frames)
         assert apply_shift(table, ShiftSpec(0.0)) is table
-        assert table_frames(apply_shift(frames, ShiftSpec(-0.0))) == frames
+        assert list(apply_shift(table, ShiftSpec(-0.0))) == frames
 
     def test_pure_translation(self):
         frames = [FrameAnnotations(0, (gt(100, 50, w=30, h=60),))]
-        out = apply_shift(frames, ShiftSpec(-20.0))
+        out = apply_shift(gt_table(frames), ShiftSpec(-20.0))
         assert out.t.tolist() == [[80, 50, 30, 60]]
         assert out.v.tolist() == [[100, 50, 30, 60]]
 
@@ -64,12 +64,12 @@ class TestApplyShift:
             )
             frames.append(FrameAnnotations(f, objects))
         for dx in (5.0, 12.0, 20.0):
-            back = apply_shift(apply_shift(frames, ShiftSpec(dx)), ShiftSpec(-dx))
-            assert table_frames(back) == frames
+            back = apply_shift(apply_shift(gt_table(frames), ShiftSpec(dx)), ShiftSpec(-dx))
+            assert list(back) == frames
 
     def test_only_thermal_x_changes(self):
         frames = [FrameAnnotations("a", (gt(100, 30, w=30, h=70, dx_thermal=4),))]
-        before = GtTable.from_frames(frames)
+        before = gt_table(frames)
         after = apply_shift(before, ShiftSpec(7.0))
         assert after.v.tolist() == before.v.tolist()
         assert after.t[:, 1:].tolist() == before.t[:, 1:].tolist()
@@ -111,7 +111,7 @@ class TestShiftArithmetic:
     def test_equals_scalar_shift_box(self, case):
         width, dx, boxes = case
         objects = tuple(GtObject(PairedBox(Box(3.0, 4.0, 5.0, 6.0), Box(*b))) for b in boxes)
-        table = GtTable.from_frames([FrameAnnotations(0, objects)])
+        table = gt_table([FrameAnnotations(0, objects)])
         shifted = apply_shift(table, ShiftSpec(dx, image_width=width))
         want = np.array([shift_box(Box(*b), dx, width).as_tuple() for b in boxes])
         assert shifted.t.tobytes() == want.tobytes()  # float bits, so -0.0 != 0.0
@@ -119,21 +119,58 @@ class TestShiftArithmetic:
 
     def test_clip_ties_keep_the_value_as_python_does(self):
         # max(v, 0.0) and min(v, width) keep v on a tie; np.maximum and
-        # np.minimum keep their second argument, so apply_shift passes v second
+        # np.minimum keep their second argument. No tie reaches apply_shift:
+        # x + dx is -0.0 only if both are, and a zero shift returns first
         v = np.array([-0.0, 0.0])
         assert np.maximum(0.0, v).tobytes() == np.array([max(x, 0.0) for x in v.tolist()]).tobytes()
         assert np.minimum(-0.0, v).tobytes() == np.array([min(x, -0.0) for x in v.tolist()]).tobytes()
 
 
+SCENES = [
+    SceneSpec(num_frames=0),
+    SceneSpec(num_frames=5, peds_per_frame=0.0),
+    SceneSpec(num_frames=40, peds_per_frame=3.0, misalign_range=(-3.0, 3.0), seed=1),
+    SceneSpec(num_frames=30, fixed_width=30.0, misalign_range=(-6.0, 6.0), seed=13),
+    SceneSpec(num_frames=30, width_over_height=0.6, seed=2),
+    SceneSpec(num_frames=30, peds_per_frame=4.0, x_margin=50.0, image_width=800.0,
+              image_height=600.0, height_range=(40.0, 200.0), seed=9),
+    SceneSpec(num_frames=25, misalign_range=(-1e100, 1e100), seed=4),
+    SceneSpec(num_frames=5, misalign_range=(1e100, 1e100), seed=4),
+    *(SceneSpec(num_frames=20, peds_per_frame=2.5, misalign_range=(-6.0, 6.0), seed=s)
+      for s in (3, 77, 2**40)),
+]
+
+
 class TestGenerateScene:
+    @pytest.mark.parametrize("spec", SCENES, ids=range(len(SCENES)))
+    def test_rows_equal_the_object_generator(self, spec):
+        table, frames = generate_scene(spec), naive_generate_scene(spec)
+        assert list(table) == frames
+        assert table.rows.tobytes() == gt_table(frames).rows.tobytes()
+        assert not table.occ.any() and not table.ignore.any()
+        assert (table.meta.image_width, table.meta.image_height) == (spec.image_width,
+                                                                     spec.image_height)
+
+    def test_peak_memory_per_pedestrian_is_bounded(self):
+        spec = SceneSpec(num_frames=20000, peds_per_frame=3, seed=1)
+        tracemalloc.start()
+        try:
+            table = generate_scene(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the rows take 64 bytes a pedestrian; box objects took about 600
+        assert len(table.rows) == 59980
+        assert peak < 300 * len(table.rows)
+
     def test_deterministic_under_seed(self):
         spec = SceneSpec(num_frames=30, seed=7, misalign_range=(-4.0, 4.0))
-        assert generate_scene(spec) == generate_scene(spec)
+        assert list(generate_scene(spec)) == list(generate_scene(spec))
 
     def test_different_seeds_differ(self):
         a = generate_scene(SceneSpec(num_frames=30, seed=1))
         b = generate_scene(SceneSpec(num_frames=30, seed=2))
-        assert a != b
+        assert list(a) != list(b)
 
     def test_zero_misalignment_aligns_pairs(self):
         frames = generate_scene(SceneSpec(num_frames=50, seed=3))
@@ -200,7 +237,7 @@ class TestMockDetect:
             raise AssertionError("drew before refusing")
 
         monkeypatch.setattr(simulation, "_frame_rng", no_draws)
-        frames = [FrameAnnotations(f, ()) for f in range(4)]
+        frames = gt_table(FrameAnnotations(f, ()) for f in range(4))
         with pytest.raises(ValueError, match="limit"):
             mock_detect(frames, MockDetectorSpec(fp_per_frame=simulation.MAX_DRAWS / 3.5))
         with pytest.raises(AssertionError):  # at the limit it draws
@@ -283,7 +320,7 @@ class TestMockDetect:
 
     def test_ignored_objects_not_detected(self):
         pair = PairedBox.aligned(Box(100, 100, 20, 60))
-        frames = [FrameAnnotations(0, (GtObject(pair, ignore=True),))]
+        frames = gt_table([FrameAnnotations(0, (GtObject(pair, ignore=True),))])
         dets = mock_detect(frames, MockDetectorSpec(seed=1))
         assert dets[0].detections == ()
 
@@ -329,7 +366,7 @@ def shift_scene(draw):
             thermal = visible.translate(draw(st.floats(-8.0, 8.0)), 0.0)
             objects.append(GtObject(PairedBox(visible, thermal), ignore=draw(st.booleans())))
         frames.append(FrameAnnotations(2 * f + 1, tuple(objects)))
-    return frames
+    return gt_table(frames)
 
 
 class TestShiftInvariance:
