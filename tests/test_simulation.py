@@ -293,7 +293,6 @@ class TestMockDetect:
             mock_detect(frames, MockDetectorSpec(seed=1))
 
     def test_builds_no_box(self, monkeypatch):
-        frames = generate_scene(SceneSpec(num_frames=10, peds_per_frame=3.0, seed=23))
         built = []
         check = Box.__post_init__
 
@@ -302,6 +301,8 @@ class TestMockDetect:
             check(self)
 
         monkeypatch.setattr(Box, "__post_init__", counted)
+        # neither the scene generator nor the detector builds one
+        frames = generate_scene(SceneSpec(num_frames=10, peds_per_frame=3.0, seed=23))
         for mode in ("paired", "single_box"):
             spec = MockDetectorSpec(mode=mode, center_noise_sigma=2.0, size_noise_sigma=0.1,
                                     fp_per_frame=2.0, seed=5)
