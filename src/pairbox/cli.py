@@ -25,7 +25,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pickle
 import re
+import signal
 import string
 import sys
 from collections import Counter
@@ -46,19 +49,22 @@ from .evaluation import (
 )
 from .formats import (
     ParseError,
+    detection_lines,
     read_anchors,
     read_dataset,
+    read_detection_range,
     read_detections,
     read_samples,
     write_dataset,
     write_detections,
 )
 from .pairnms import paired_nms
-from .regression import cross_entropy, detector_loss, rpn_loss, smooth_l1
+from .regression import cross_entropy, detector_loss, rows_by_length, rpn_loss, smooth_l1
 from .sampling import (
     AssignmentConfig,
     assign_detector,
     assign_rpn,
+    frame_overlap_stats,
     generate_anchor_grid,
     sample_minibatch,
 )
@@ -160,6 +166,115 @@ def _write_text(path: Path, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# ranges of frames, one process each
+
+# A fork and the return of its result cost 2.5-3 ms, so a range is given
+# about twenty times that in work, at which the fork costs it under 5%: 1 MiB
+# of detection lines (about 60 ns a byte to parse, suppress and format) or
+# 131,072 labelled anchors (about 0.4 us each to label and format).
+MIN_RANGE_BYTES = 1 << 20
+MIN_RANGE_LABELS = 1 << 17
+
+
+def _range_count(work: int, min_work: int) -> int:
+    """One range per CPU this process may run on, each of at least
+    ``min_work`` units of ``work``, and at least one range."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return 1
+    return max(1, min(cpus, work // min_work))
+
+
+def _split(n: int, count: int) -> list[tuple[int, int]]:
+    """``range(n)`` as ``count`` consecutive non-empty ``(lo, hi)`` ranges
+    of about equal length, or one empty range for ``n == 0``."""
+    bounds = sorted({n * k // count for k in range(count + 1)})
+    return list(zip(bounds, bounds[1:])) or [(0, 0)]
+
+
+def _line_ranges(path) -> list[tuple[int, int]]:
+    """A file's bytes as ``_range_count`` ranges, each moved on to the next
+    line start; none if the file cannot be opened and sought."""
+    try:
+        with open(path, "rb") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            bounds = {0, size}
+            for lo, _ in _split(size, _range_count(size, MIN_RANGE_BYTES))[1:]:
+                fh.seek(lo - 1)
+                fh.readline()  # the line holding byte lo - 1, with its LF
+                bounds.add(fh.tell())
+    except OSError:
+        return []
+    bounds = sorted(bounds)
+    return list(zip(bounds, bounds[1:])) or [(0, 0)]
+
+
+def map_ranges(fn, ranges: list) -> list:
+    """``[fn(r) for r in ranges]``, where the first range runs in this
+    process and each other range in a child forked for it, which sends its
+    pickled result back through a pipe.
+
+    ``fn`` must return a picklable value and leave nothing behind in its
+    process that the caller needs. A child that fails in any way (an
+    exception, a signal, a short pipe, no fork at all) returns nothing, and
+    its range is run here instead, so the results and the first error
+    raised are the serial loop's. Every child is reaped before this returns
+    or raises.
+    """
+    children = []  # (pid, read end of its pipe), or None where no child was made
+    try:
+        for r in ranges[1:]:
+            children.append(_fork(fn, r))
+        results = [fn(r) for r in ranges[:1]]
+        for k, r in enumerate(ranges[1:]):
+            child, children[k] = children[k], None
+            sent = _collect(child) if child else None
+            results.append(sent[0] if sent else fn(r))
+        return results
+    finally:
+        for child in filter(None, children):  # left only if something raised
+            os.kill(child[0], signal.SIGKILL)
+            _collect(child)
+
+
+def _fork(fn, r) -> Optional[tuple[int, int]]:
+    """A child computing ``fn(r)`` into a pipe: its pid and the read end."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:  # the child leaves only by _exit: no unwinding into the caller, no stdio flush
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump((fn(r),), pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect(child: tuple[int, int]) -> Optional[tuple]:
+    """The one-tuple a child sent, once it exited with status 0; otherwise None."""
+    pid, read_fd = child
+    try:
+        with open(read_fd, "rb") as pipe:
+            data = pipe.read()
+    finally:  # a child still writing fails on the closed pipe, and exits
+        _, status = os.waitpid(pid, 0)
+    return pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -246,14 +361,32 @@ def cmd_generate(args) -> int:
 
 
 def cmd_nms(args) -> int:
-    table = read_detections(args.detections)
+    path = args.detections
+    results = map_ranges(lambda span: _nms_range(path, span, args), _line_ranges(path))
+    frame_ids = [fid for r in results if r is not None for fid in r[0]]
+    if results and None not in results and len(set(frame_ids)) == len(frame_ids):
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(text for _, text in results)
+    else:  # the serial path, which reports the first line that is not a canonical record
+        write_detections(_nms_table(read_detections(path), args), args.out)
+    return 0
+
+
+def _nms_range(path, span: tuple[int, int], args):
+    """The frame ids and the kept records' text of the detection lines in
+    bytes ``span`` of ``path``, or None unless they are canonical records."""
+    table = read_detection_range(path, *span)
+    if table is None:
+        return None
+    return table.frame_ids, "".join(detection_lines(_nms_table(table, args)))
+
+
+def _nms_table(table, args):
     offsets = table.offsets.tolist()
-    kept = [
+    return table.take([
         lo + paired_nms(table.t[lo:hi], table.score[lo:hi], args.iou_thresh, args.max_keep)
         for lo, hi in zip(offsets, offsets[1:])
-    ]
-    write_detections(table.take(kept), args.out)
-    return 0
+    ])
 
 
 def cmd_assign(args) -> int:
@@ -277,11 +410,19 @@ def cmd_assign(args) -> int:
         match_best_anchor_per_gt=args.force_best_anchor,
     )
     assign = assign_rpn if args.stage == "rpn" else assign_detector
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        offsets = annotations.offsets.tolist()
-        for fid, lo, hi in zip(annotations.frame_ids, offsets, offsets[1:]):
-            evaluable = lo + np.flatnonzero(~annotations.ignore[lo:hi])
-            result = assign(anchors, (annotations.v[evaluable], annotations.t[evaluable]), cfg)
+    evaluable = np.flatnonzero(~annotations.ignore)
+    gts = (annotations.v[evaluable], annotations.t[evaluable])
+    # frame k's evaluable GTs are rows offsets[k]:offsets[k + 1] of gts
+    offsets = np.searchsorted(evaluable, annotations.offsets).tolist()
+    frame_ids = annotations.frame_ids
+
+    def assign_frames(frames: tuple[int, int]) -> str:
+        lo, hi = frames
+        lines = []
+        stats = frame_overlap_stats(anchors, gts, offsets[lo:hi + 1])
+        for fid, g_lo, g_hi, stat in zip(frame_ids[lo:hi], offsets[lo:hi], offsets[lo + 1:hi + 1],
+                                         stats):
+            result = assign(anchors, (gts[0][g_lo:g_hi], gts[1][g_lo:g_hi]), cfg, stat)
             # the bytes json.dumps(record, separators=(",", ":")) writes, each
             # distinct value formatted once
             labels, matched = _format_distinct([result.labels, result.matched_gt], _int_text)
@@ -294,7 +435,13 @@ def cmd_assign(args) -> int:
                     np.random.default_rng(args.seed),
                 )
                 line += f',"selected":[{",".join(str(i) for i in sorted(selected.tolist()))}]'
-            fh.write(line + "}\n")
+            lines.append(line + "}\n")
+        return "".join(lines)
+
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        work = len(frame_ids) * len(anchors[0])
+        fh.writelines(map_ranges(assign_frames, _split(len(frame_ids),
+                                                       _range_count(work, MIN_RANGE_LABELS))))
     return 0
 
 
@@ -327,9 +474,10 @@ def _gradient_check_lines(pred, target, scores, true_class) -> list[str]:
     # the losses are called through this module's names, which a tracer may wrap
     sl1 = _worst_gradient_error(lambda x: smooth_l1(x, target)[0], pred, smooth_l1(pred, target)[1])
     ce = 0.0
-    for z, label in zip(scores, true_class.tolist()):
-        ce = max(ce, _worst_gradient_error(lambda x: cross_entropy(x, label)[0], z,
-                                           cross_entropy(z, label)[1]))
+    for group, z in rows_by_length(scores):
+        labels = true_class[group]
+        ce = max(ce, _worst_gradient_error(lambda x: cross_entropy(x, labels)[0], z,
+                                           cross_entropy(z, labels)[1]))
     return [f"grad_check smooth_l1 pairs={2 * len(pred)} max_abs_err={sl1:.3e}",
             f"grad_check cross_entropy inputs={len(scores)} max_abs_err={ce:.3e}"]
 
@@ -408,6 +556,15 @@ def _check_parsed(parser: argparse.ArgumentParser, args) -> None:
         if isinstance(values, list) and len(set(values)) < len(values):  # nms: one --iou-thresh
             repeated = next(v for v, n in Counter(values).items() if n > 1)
             parser.error(f"argument --{dest.replace('_', '-')}: {repeated!r} is given more than once")
+    if args.command == "assign":  # the bands AssignmentConfig takes
+        if args.rpn_neg > args.rpn_pos:
+            parser.error(f"argument --rpn-neg: {args.rpn_neg!r} must not exceed --rpn-pos {args.rpn_pos!r}")
+        if not args.det_neg_lo < args.det_neg_hi <= args.det_pos:
+            parser.error(f"argument --det-neg-hi: {args.det_neg_hi!r} must exceed --det-neg-lo "
+                         f"{args.det_neg_lo!r} and not exceed --det-pos {args.det_pos!r}")
+    if args.command == "generate" and not args.height_range[1] < args.image_size[1]:
+        parser.error(f"argument --height-range: {args.height_range[1]!r} must be below "
+                     f"--image-size HEIGHT {args.image_size[1]!r}")
     pattern = getattr(args, "dets_pattern", None)
     if not pattern:
         return

@@ -48,6 +48,8 @@ __all__ = [
     "read_dataset",
     "write_dataset",
     "read_detections",
+    "read_detection_range",
+    "detection_lines",
     "write_detections",
     "read_json",
     "read_anchors",
@@ -63,6 +65,9 @@ class ParseError(ValueError):
         self.path = path
         self.line_no = line_no
         self.reason = reason
+
+    def __reduce__(self):  # ``args`` holds the message alone
+        return type(self), (self.path, self.line_no, self.reason)
 
 
 def _is_number(v) -> bool:
@@ -398,17 +403,58 @@ def _parse_detection_record(dets: list, path, line_no: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, _ROW)
 
 
-def write_detections(table: DetectionTable, path) -> None:
-    """Write the canonical paired detection form from the table's columns."""
+def read_detection_range(path, start: int, stop: int) -> Optional[DetectionTable]:
+    """The table of the lines in bytes ``start:stop`` of a detection file,
+    which start and end on line boundaries, if every line there is a
+    canonical paired record (ASCII, LF-ended, ``{"frame", "dets"}`` with
+    rows as :func:`_canonical_rows` takes them) with a new frame id;
+    otherwise None, and :func:`read_detections` reports the file's first
+    bad line. Nothing is raised: an unreadable file is None too."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            data = fh.read(stop - start)
+        if not data.isascii() or b"\r" in data:
+            return None
+        lines = data.split(b"\n")
+        if not lines[-1]:  # what follows the last LF
+            lines.pop()
+        frame_ids, blocks, seen = [], [], set()
+        for line in lines:
+            record = json.loads(line)
+            if type(record) is not dict or record.keys() != {"frame", "dets"}:
+                return None
+            fid, dets = record["frame"], record["dets"]
+            if type(fid) not in (int, str) or fid in seen or type(dets) is not list:
+                return None
+            rows = _canonical_rows(dets)
+            if rows is None:
+                return None
+            seen.add(fid)
+            frame_ids.append(fid)
+            blocks.append(rows)
+        offsets = np.cumsum([0] + [len(b) for b in blocks])
+        return DetectionTable(frame_ids, offsets, np.concatenate([np.zeros((0, _ROW)), *blocks]))
+    except Exception:  # bad JSON, nesting too deep, an integer too long to convert, ...
+        return None
+
+
+def detection_lines(table: DetectionTable):
+    """The lines of the canonical paired detection form of the table, one per frame."""
     v, t = table.v.tolist(), table.t.tolist()
     score, offsets = table.score.tolist(), table.offsets.tolist()
+    for k, fid in enumerate(table.frame_ids):
+        dets = [
+            {"v": v[i], "t": t[i], "score": score[i]}
+            for i in range(offsets[k], offsets[k + 1])
+        ]
+        yield _dump({"frame": fid, "dets": dets}) + "\n"
+
+
+def write_detections(table: DetectionTable, path) -> None:
+    """Write the canonical paired detection form from the table's columns."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for k, fid in enumerate(table.frame_ids):
-            dets = [
-                {"v": v[i], "t": t[i], "score": score[i]}
-                for i in range(offsets[k], offsets[k + 1])
-            ]
-            fh.write(_dump({"frame": fid, "dets": dets}) + "\n")
+        fh.writelines(detection_lines(table))
 
 
 def read_anchors(path) -> tuple[np.ndarray, np.ndarray]:

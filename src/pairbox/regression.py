@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .geometry import Box
@@ -29,6 +27,7 @@ __all__ = [
     "decode_box",
     "smooth_l1",
     "cross_entropy",
+    "rows_by_length",
     "rpn_loss",
     "detector_loss",
 ]
@@ -95,25 +94,38 @@ def smooth_l1(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndar
     return loss, np.where(inner, x, np.copysign(1.0, x))
 
 
-def cross_entropy(logits: Sequence[float] | np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy with gradient w.r.t. the logits.
+def cross_entropy(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax cross-entropy of each row of an ``(m, k)`` block of logits,
+    row ``i`` against class ``labels[i]``, with the gradient w.r.t. the logits.
 
-    loss = -log softmax(logits)[label], computed via the log-sum-exp trick;
-    grad = softmax(logits) - one_hot(label).
+    loss = -log softmax(row)[label], computed via the log-sum-exp trick;
+    grad = softmax(row) - one_hot(label). The log is ``math.log`` of each
+    row's sum, as the reductions along a row are exact or row-local.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("logits must be a non-empty 1-D vector")
-    if not 0 <= label < z.size:
-        raise ValueError(f"label {label} out of range for {z.size} classes")
-    m = float(z.max())
-    with np.errstate(over="ignore"):  # logits far below the maximum give exp(-inf) = 0
-        exps = np.exp(z - m)
-    total = float(exps.sum())
-    loss = (m + math.log(total)) - float(z[label])
-    grad = exps / total
-    grad[label] -= 1.0
+    labels = np.asarray(labels)
+    if z.ndim != 2 or z.shape[1] == 0:
+        raise ValueError("logits must be an (m, k) block with k >= 1")
+    if labels.shape != (len(z),) or not ((0 <= labels) & (labels < z.shape[1])).all():
+        raise ValueError(f"labels must be one class in [0, {z.shape[1]}) per row of logits")
+    rows = np.arange(len(z))
+    m = z.max(axis=1)
+    # logits far below the maximum give exp(-inf) = 0; far-apart ones an infinite loss
+    with np.errstate(over="ignore"):
+        exps = np.exp(z - m[:, None])
+        total = exps.sum(axis=1)
+        loss = (m + np.array(list(map(math.log, total.tolist())))) - z[rows, labels]
+    grad = exps / total[:, None]
+    grad[rows, labels] -= 1.0
     return loss, grad
+
+
+def rows_by_length(rows) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Ragged ``rows`` grouped by length, shortest first: each group's row
+    indices and its ``(g, k)`` block, for one :func:`cross_entropy` call."""
+    sizes = np.array([len(row) for row in rows], dtype=np.int64)
+    groups = [np.flatnonzero(sizes == k) for k in np.unique(sizes).tolist()]
+    return [(g, np.array([rows[i] for i in g.tolist()], dtype=np.float64)) for g in groups]
 
 
 def _objectness_cross_entropy(logit: float, label: int) -> float:
@@ -220,8 +232,9 @@ def detector_loss(scores, true_class, pred, target, lam: float = 1.0) -> np.ndar
         raise ValueError("class_scores must be finite")
     foreground = true_class != BACKGROUND_CLASS
     reg = _regression_terms(pred, target, int(np.count_nonzero(foreground)))
-    loss = np.array([cross_entropy(row, label)[0] for row, label in zip(scores, true_class.tolist())],
-                    dtype=np.float64)
+    loss = np.empty(len(sizes))
+    for group, block in rows_by_length(scores):
+        loss[group] = cross_entropy(block, true_class[group])[0]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf, and 0 * inf = NaN
         loss[foreground] += lam * (reg[:, 0] + reg[:, 1])
     return loss

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,11 +25,14 @@ __all__ = [
     "IGNORE",
     "AssignmentConfig",
     "AssignmentResult",
+    "OverlapStats",
+    "frame_overlap_stats",
     "assign_rpn",
     "assign_detector",
     "sample_minibatch",
     "generate_anchor_grid",
     "MAX_ANCHORS",
+    "CELL_BUDGET",
 ]
 
 POSITIVE = 1
@@ -38,6 +41,9 @@ IGNORE = -1
 
 # largest grid generate_anchor_grid builds (a 1-px stride over 640x512 with 3 heights: 983,040)
 MAX_ANCHORS = 1_000_000
+
+# overlap cells computed at once: 34 GT pairs of the default 3,840-anchor grid
+CELL_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -81,20 +87,66 @@ class AssignmentResult:
     max_ioum: np.ndarray
 
 
-def _overlap_stats(candidates: tuple[np.ndarray, np.ndarray], gts: tuple[np.ndarray, np.ndarray]):
-    """Overlap matrix, best overlap and best GT index per candidate; with no
-    GT the best overlap and the best GT index are 0."""
-    overlaps = iou_multimodal_matrix(*candidates, *gts)
-    max_ioum = overlaps.max(axis=1, initial=0.0)  # overlaps are never negative
-    # ties resolve to the lowest GT index
-    best_gt = overlaps.argmax(axis=1) if overlaps.shape[1] else np.zeros(len(overlaps), dtype=np.int64)
-    return overlaps, max_ioum, best_gt
+class OverlapStats(NamedTuple):
+    """What labelling needs of the overlaps of n candidates with m GT pairs:
+    each candidate's best overlap (0 with no GT) and the index of its first
+    best GT (0 with no GT), and each GT's first best candidate (0 with no
+    candidate) and that overlap (0 with no candidate)."""
+
+    max_ioum: np.ndarray
+    best_gt: np.ndarray
+    gt_best: np.ndarray
+    gt_max: np.ndarray
+
+
+def frame_overlap_stats(candidates: tuple[np.ndarray, np.ndarray],
+                        gts: tuple[np.ndarray, np.ndarray], offsets: Sequence[int]):
+    """The :class:`OverlapStats` of ``candidates`` against each frame's GT
+    pairs, frame ``k`` holding rows ``offsets[k]:offsets[k + 1]`` of ``gts``.
+
+    The GTs are taken in blocks of at most ``CELL_BUDGET // n`` rows against
+    all n candidates, whatever frames the rows belong to, so memory is bounded
+    by the budget. A frame's running best per candidate is replaced only by a
+    strictly larger overlap, so each statistic is the value and first index
+    a whole frame's overlap matrix gives.
+    """
+    n = len(candidates[0])
+    rows = max(1, CELL_BUDGET // max(n, 1))
+    block_lo = block_hi = 0
+    for lo, hi in zip(offsets, offsets[1:]):
+        max_ioum, best_gt = np.zeros(n), np.zeros(n, dtype=np.int64)
+        gt_best, gt_max = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+        c = lo
+        while c < hi:
+            if c >= block_hi:
+                block_lo, block_hi = c, min(c + rows, offsets[-1])
+                block = iou_multimodal_matrix(*candidates, gts[0][block_lo:block_hi],
+                                              gts[1][block_lo:block_hi])
+                # the first maximum: the lowest candidate index; overlaps are never negative
+                block_best = block.argmax(axis=0) if n else np.zeros(block.shape[1], np.int64)
+                block_max = block.max(axis=0, initial=0.0)
+            end = min(hi, block_hi)
+            cols = block[:, c - block_lo:end - block_lo]
+            col_max = cols.max(axis=1, initial=0.0)
+            better = col_max > max_ioum
+            max_ioum = np.where(better, col_max, max_ioum)
+            best_gt = np.where(better, cols.argmax(axis=1) + (c - lo), best_gt)
+            gt_best.append(block_best[c - block_lo:end - block_lo])
+            gt_max.append(block_max[c - block_lo:end - block_lo])
+            c = end
+        yield OverlapStats(max_ioum, best_gt, np.concatenate(gt_best), np.concatenate(gt_max))
+
+
+def _overlap_stats(candidates, gts) -> OverlapStats:
+    (stats,) = frame_overlap_stats(candidates, gts, [0, len(gts[0])])
+    return stats
 
 
 def assign_rpn(
     anchors: tuple[np.ndarray, np.ndarray],
     gts: tuple[np.ndarray, np.ndarray],
     cfg: AssignmentConfig = AssignmentConfig(),
+    stats: Optional[OverlapStats] = None,
 ) -> AssignmentResult:
     """Label anchor pairs against GT pairs by best multi-modal IoU.
 
@@ -103,16 +155,16 @@ def assign_rpn(
     negative. When ``cfg.match_best_anchor_per_gt`` is set, the
     first-best anchor of each GT (by lowest anchor index among maxima) is
     additionally forced positive provided its overlap is nonzero.
+    ``stats`` are the overlap statistics of ``anchors`` against ``gts``, if
+    :func:`frame_overlap_stats` has taken them already.
     """
-    overlaps, max_ioum, best_gt = _overlap_stats(anchors, gts)
-    n, m = overlaps.shape
-    labels = np.full(n, IGNORE, dtype=np.int8)
+    max_ioum, best_gt, gt_best, gt_max = stats or _overlap_stats(anchors, gts)
+    labels = np.full(len(max_ioum), IGNORE, dtype=np.int8)
     labels[max_ioum > cfg.rpn_pos_thresh] = POSITIVE
     # with no GT all are negative, also where rpn_neg_thresh == 0 would give IGNORE
-    labels[(max_ioum < cfg.rpn_neg_thresh) | (m == 0)] = NEGATIVE
-    if cfg.match_best_anchor_per_gt and n > 0:
-        best = overlaps.argmax(axis=0)  # the first maximum: the lowest anchor index
-        labels[best[overlaps[best, np.arange(m)] > 0.0]] = POSITIVE
+    labels[(max_ioum < cfg.rpn_neg_thresh) | (len(gt_max) == 0)] = NEGATIVE
+    if cfg.match_best_anchor_per_gt:
+        labels[gt_best[gt_max > 0.0]] = POSITIVE
     matched_gt = np.where(labels == POSITIVE, best_gt, -1).astype(np.int64)
     return AssignmentResult(labels=labels, matched_gt=matched_gt, max_ioum=max_ioum)
 
@@ -121,6 +173,7 @@ def assign_detector(
     rois: tuple[np.ndarray, np.ndarray],
     gts: tuple[np.ndarray, np.ndarray],
     cfg: AssignmentConfig = AssignmentConfig(),
+    stats: Optional[OverlapStats] = None,
 ) -> AssignmentResult:
     """Label RoI pairs against GT pairs by best multi-modal IoU.
 
@@ -128,8 +181,9 @@ def assign_detector(
     [det_neg_lo, det_neg_hi); everything else (including RoIs below the
     negative band) is ignore. With no GT pairs the best overlap is 0, which
     falls below the band, so all RoIs are ignore unless ``det_neg_lo`` is 0.
+    ``stats`` are as :func:`assign_rpn` takes them.
     """
-    _, max_ioum, best_gt = _overlap_stats(rois, gts)
+    max_ioum, best_gt, _, _ = stats or _overlap_stats(rois, gts)
     labels = np.full(len(max_ioum), IGNORE, dtype=np.int8)
     labels[(max_ioum >= cfg.det_neg_lo) & (max_ioum < cfg.det_neg_hi)] = NEGATIVE
     labels[max_ioum >= cfg.det_pos_thresh] = POSITIVE

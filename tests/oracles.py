@@ -47,7 +47,7 @@ from pairbox.formats import (
 )
 from pairbox.geometry import Box, PairedBox
 from pairbox.pairnms import Detection
-from pairbox.regression import BACKGROUND_CLASS, LossConfig, cross_entropy
+from pairbox.regression import BACKGROUND_CLASS, LossConfig
 from pairbox.sampling import POSITIVE
 from pairbox.simulation import SceneSpec, _frame_rng
 
@@ -615,11 +615,33 @@ def naive_rpn_loss(samples, lam: float, n_cls: int, n_reg: int) -> float:
     return cls_sum / n_cls + lam * ((reg_v + reg_t) / n_reg)
 
 
+def row_cross_entropy(logits, label: int) -> tuple[float, np.ndarray]:
+    """Softmax cross-entropy of one row of logits, with its gradient: the
+    per-row form ``regression.cross_entropy`` had before it took blocks.
+
+    loss = -log softmax(logits)[label], computed via the log-sum-exp trick;
+    grad = softmax(logits) - one_hot(label).
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 1 or z.size == 0:
+        raise ValueError("logits must be a non-empty 1-D vector")
+    if not 0 <= label < z.size:
+        raise ValueError(f"label {label} out of range for {z.size} classes")
+    m = float(z.max())
+    with np.errstate(over="ignore"):  # logits far below the maximum give exp(-inf) = 0
+        exps = np.exp(z - m)
+    total = float(exps.sum())
+    loss = (m + math.log(total)) - float(z[label])
+    grad = exps / total
+    grad[label] -= 1.0
+    return loss, grad
+
+
 def naive_detector_loss(scores, true_class: int, pred, target, lam: float) -> float:
     """Detection-head loss of one sample in Python floats: its cross-entropy
     plus, for a foreground sample, lam times its visible and thermal
     smooth-L1 terms (``pred``/``target`` as for :func:`naive_rpn_loss`)."""
-    cls_loss, _ = cross_entropy(scores, true_class)
+    cls_loss, _ = row_cross_entropy(scores, true_class)
     if true_class == 0:
         return cls_loss
     loc_v = naive_smooth_l1(pred[0], target[0])[0]

@@ -158,8 +158,8 @@ def test_criterion_3_gradient_checks():
             k = int(rng.integers(2, 10))
             z = rng.normal(0, 3, size=k)
             label = int(rng.integers(0, k))
-            analytic = cross_entropy(z, label)[1]
-            numeric = central_difference(lambda v: cross_entropy(v, label)[0], z, eps)
+            analytic = cross_entropy([z], [label])[1][0]
+            numeric = central_difference(lambda v: cross_entropy([v], [label])[0][0], z, eps)
             assert np.max(np.abs(analytic - numeric)) < 1e-6
 
         worst = 0.0

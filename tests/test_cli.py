@@ -2,7 +2,9 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import re
+import signal
 import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -144,6 +146,7 @@ class TestEvaluateCommand:
         assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("forced_split")
 class TestNmsCommand:
     def test_duplicate_thermal_boxes_one_survivor(self, tmp_path, capsys):
         det_path = tmp_path / "dets.jsonl"
@@ -223,6 +226,166 @@ class TestNmsCommand:
         assert rc == 0
         assert built == []
         assert (tmp_path / "k.jsonl").read_bytes() == det_path.read_bytes()  # nothing overlaps
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _outcome(argv, out: Path):
+    """Exit code, stderr and the output file's bytes (None if absent) of ``main(argv)``."""
+    out.unlink(missing_ok=True)
+    rc, err = _run_main([str(a) for a in argv])
+    return rc, err, out.read_bytes() if out.exists() else None
+
+
+class TestRanges:
+    """``nms`` and ``assign`` split into forked ranges write the serial
+    bytes, fail with the serial error, and leave no child behind."""
+
+    def _dets(self, tmp_path) -> Path:
+        path = tmp_path / "dets.jsonl"
+        write_detections(detection_table(four_frame_fixture()[1]), path)
+        return path
+
+    @staticmethod
+    def _split(monkeypatch):
+        """Ranges forced as ``forced_split`` forces them, on five CPUs; the
+        range count of each ``map_ranges`` call."""
+        counts = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4}, raising=False)
+        monkeypatch.setattr(cli, "MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(cli, "MIN_RANGE_LABELS", 1)
+        map_ranges = cli.map_ranges
+        monkeypatch.setattr(cli, "map_ranges", lambda fn, ranges: counts.append(len(ranges)) or
+                            map_ranges(fn, ranges))
+        return counts
+
+    def test_small_inputs_run_in_one_range(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "map_ranges", lambda fn, ranges: calls.append(ranges) or
+                            [fn(r) for r in ranges])
+        dets = self._dets(tmp_path)
+        assert _run_main(["nms", str(dets), "--out", str(tmp_path / "k")]) == (0, "")
+        assert _run_main(["assign", str(SAMPLE), "--out", str(tmp_path / "l")]) == (0, "")
+        assert [len(r) for r in calls] == [1, 1]
+
+    def test_forced_ranges_write_the_same_bytes(self, tmp_path, monkeypatch):
+        split = self._split(monkeypatch)
+        dets, out = self._dets(tmp_path), tmp_path / "kept.jsonl"
+        assert _run_main(["nms", str(dets), "--iou-thresh", "0.3", "--out", str(out)]) == (0, "")
+        assert _run_main(["assign", str(SAMPLE), "--out", str(tmp_path / "l")]) == (0, "")
+        assert split[0] > 1 and split[1] == min(5, len(read_dataset(SAMPLE)))
+        assert out.read_bytes() == dets.read_bytes()
+        _no_child_left()
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:3] + ['{"frame":"f4","dets":[{"box":[50,50,20,60],"score":0.5}]}'],
+        lambda lines: lines[:3] + [lines[3].replace('"f4"', "0")],  # the first filler frame's id
+        lambda lines: lines[:3] + [lines[3].replace("50", "5\udcff0", 1)],
+        lambda lines: [line + "\r" for line in lines],
+        lambda lines: lines[:3] + ["", lines[3]],
+        lambda lines: lines[:3] + [lines[3].replace("[", "[" + "[" * 100_000 + "]" * 100_000 + ",", 1)],
+        lambda lines: lines[:3] + [lines[3].replace("50", "1e101", 1)],
+        lambda lines: lines[:3] + [lines[3].replace("50", "1" + "0" * 5000, 1)],
+    ], ids=["single_box", "repeated_id", "bad_utf8", "crlf", "blank_line", "nested_100000_deep",
+            "out_of_bounds_box", "integer_of_5001_digits"])
+    def test_an_odd_line_in_a_later_range_gives_the_serial_outcome(self, tmp_path, monkeypatch,
+                                                                    edit):
+        dets, out = self._dets(tmp_path), tmp_path / "kept.jsonl"
+        # frames before the fixture's, so that a long odd line still starts a later range
+        filler = [json.dumps({"frame": k, "dets": [{"v": [k, 1.0, 2.0, 4.0], "t": [k, 1.0, 2.0, 4.0],
+                                                    "score": 0.5}]}) for k in range(1000)]
+        lines = filler + edit(dets.read_text(encoding="utf-8").splitlines())
+        dets.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        argv = ["nms", dets, "--out", out]
+        with monkeypatch.context() as serial:
+            serial.setattr(cli, "_line_ranges", lambda path: [])
+            expected = _outcome(argv, out)
+        split_counts = self._split(monkeypatch)
+        assert _outcome(argv, out) == expected
+        assert split_counts[0] > 1  # the last range holds the odd last line
+        _no_child_left()
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_mutated_files_give_the_serial_outcome(self, tmp_path_factory, data):
+        work = tmp_path_factory.mktemp("ranges")
+        dets, out = self._dets(work), work / "kept.jsonl"
+        text = data.draw(mutated_text(dets.read_text(encoding="utf-8"), bad_bytes=True))
+        dets.write_text(text, encoding="utf-8", errors="surrogateescape")
+        argv = ["nms", dets, "--iou-thresh", "0.3", "--out", out]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_line_ranges", lambda path: [])
+            expected = _outcome(argv, out)
+        with pytest.MonkeyPatch.context() as mp:
+            self._split(mp)
+            assert _outcome(argv, out) == expected
+        _no_child_left()
+
+    @pytest.mark.parametrize("death", [lambda: os._exit(3),
+                                       lambda: os.kill(os.getpid(), signal.SIGKILL)],
+                             ids=["exit_3", "sigkill"])
+    def test_a_child_that_dies_is_run_again_in_the_parent(self, tmp_path, monkeypatch, death):
+        dets = self._dets(tmp_path)
+        argvs = [["nms", dets, "--iou-thresh", "0.3", "--out", tmp_path / "kept.jsonl"],
+                 ["assign", SAMPLE, "--sample-batch", "8", "--out", tmp_path / "labels.jsonl"]]
+        expected = [_outcome(argv, argv[-1]) for argv in argvs]
+        parent = os.getpid()
+        for name in ("paired_nms", "assign_rpn"):
+            def dying(*args, original=getattr(cli, name)):
+                if os.getpid() != parent:
+                    death()
+                return original(*args)
+
+            monkeypatch.setattr(cli, name, dying)
+        counts = self._split(monkeypatch)
+        assert [_outcome(argv, argv[-1]) for argv in argvs] == expected
+        assert counts[0] > 1 and counts[1] > 1 and expected[0][0] == expected[1][0] == 0
+        _no_child_left()
+
+    def test_a_parse_error_leaves_no_child(self, tmp_path, monkeypatch):
+        dets = self._dets(tmp_path)
+        lines = dets.read_text(encoding="utf-8").splitlines()
+        dets.write_text("\n".join(lines[:3] + ["{"]) + "\n", encoding="utf-8")
+        self._split(monkeypatch)
+        rc, err, kept = _outcome(["nms", dets, "--out", tmp_path / "kept.jsonl"],
+                                 tmp_path / "kept.jsonl")
+        assert (rc, kept) == (2, None) and f"{dets}:4: invalid JSON" in err
+        _no_child_left()
+
+
+class TestMapRanges:
+    def test_equals_the_serial_loop(self):
+        def fn(r):
+            return None if r == 2 else (r, "x" * 100_000 * r)  # more than a pipe holds
+
+        ranges = [0, 1, 2, 3]
+        assert cli.map_ranges(fn, ranges) == [fn(r) for r in ranges]
+        assert cli.map_ranges(fn, [5]) == [fn(5)] and cli.map_ranges(fn, []) == []
+        _no_child_left()
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_the_first_failing_range_raises_its_error(self, bad):
+        """In the parent's own range or in a child's, which the parent then
+        runs itself; the ranges after it are killed and reaped."""
+        def fn(r):
+            if r >= bad:
+                raise ValueError(f"range {r}")
+            return r
+
+        with pytest.raises(ValueError, match=f"^range {bad}$"):
+            cli.map_ranges(fn, [0, 1, 2, 3])
+        _no_child_left()
+
+    def test_a_failed_fork_runs_the_range_here(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("no fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert cli.map_ranges(lambda r: r * 2, [1, 2, 3]) == [2, 4, 6]
+        _no_child_left()
 
 
 class TestAnnotationColumns:
@@ -339,6 +502,7 @@ class TestJsonDocumentFuzz:
             assert err.startswith(f"error: {doc}:"), err
 
 
+@pytest.mark.usefixtures("forced_split")
 class TestUndecodableInput:
     """A byte that is not UTF-8, or JSON the decoder refuses, in any input
     file exits 2 naming file and line."""
@@ -394,6 +558,7 @@ class TestUndecodableInput:
             assert f"invalid JSON (integer of more than {limit} digits)" in err, err
 
 
+@pytest.mark.usefixtures("forced_split")
 class TestAssignCommand:
     def test_ignored_objects_label_as_if_absent(self, tmp_path):
         ignored = dataclasses.replace(gt(96, 200, w=40, h=100), ignore=True)
@@ -653,7 +818,6 @@ class TestBadOptionValues:
 
     @pytest.mark.parametrize("args, message", [
         (["--height-range", "120", "60"], "height_range must satisfy 0 < low < high"),
-        (["--height-range", "60", "600"], "height_range must fit inside the image"),
         (["--margin", "1e308"], "x_margin leaves no room"),
     ])
     def test_generate_cross_value_rules_exit_1(self, tmp_path, args, message):
@@ -661,6 +825,35 @@ class TestBadOptionValues:
         assert rc == 1
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("argv, options", [
+        (["generate", "--frames", "3", "--height-range", "60", "600"],
+         ("--height-range", "--image-size")),
+        (["generate", "--frames", "3", "--height-range", "60", "300", "--image-size", "640", "300"],
+         ("--height-range", "--image-size")),
+        (["assign", str(SAMPLE), "--rpn-neg", "0.7", "--rpn-pos", "0.6"], ("--rpn-neg", "--rpn-pos")),
+        (["assign", str(SAMPLE), "--det-neg-lo", "0.4", "--det-neg-hi", "0.4"],
+         ("--det-neg-hi", "--det-neg-lo")),
+        (["assign", str(SAMPLE), "--det-neg-hi", "0.6", "--det-pos", "0.5"],
+         ("--det-neg-hi", "--det-pos")),
+    ])
+    def test_cross_option_rules_exit_2_naming_both_options(self, tmp_path, capsys, argv, options):
+        """Checked by the parser before any file is read or written."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {options[0]}: " in err and options[1] in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--frames", "3", "--height-range", "60", "511.9"],
+        ["assign", str(SAMPLE), "--rpn-neg", "0.6", "--rpn-pos", "0.6"],
+        ["assign", str(SAMPLE), "--det-neg-lo", "0.0", "--det-neg-hi", "0.5", "--det-pos", "0.5"],
+    ])
+    def test_cross_option_rules_take_their_edges(self, tmp_path, argv):
+        assert _run_main([*argv, "--out", str(tmp_path / "out")]) == (0, "")
 
 
 class TestAnchorGridOverflow:

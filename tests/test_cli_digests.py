@@ -25,6 +25,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pairbox.cli import main
 from pairbox.formats import read_dataset, write_detections
@@ -97,6 +98,7 @@ def cli_digests(work: Path) -> dict:
     return out
 
 
+@pytest.mark.usefixtures("forced_split")
 def test_seeded_cli_outputs_match_the_pinned_digests(tmp_path):
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert cli_digests(tmp_path) == pinned["digests"]

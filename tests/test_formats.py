@@ -1,5 +1,6 @@
 import ast
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from pairbox.formats import (
     _canonical_rows,
     read_anchors,
     read_dataset,
+    read_detection_range,
     read_detections,
     read_json,
     read_samples,
@@ -382,6 +384,78 @@ class TestColumnReader:
             assert _off_canonical(lines[line_no - 1], "dets", seen)
         else:
             _same_table(got, expected)
+
+
+class TestDetectionRange:
+    """``read_detection_range`` reads a byte range as ``read_detections``
+    reads the whole file, or gives None."""
+
+    @staticmethod
+    def _line_starts(data: bytes) -> list[int]:
+        return [0] + [k + 1 for k, b in enumerate(data) if b == ord("\n")]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_a_range_is_none_or_the_whole_readers_rows(self, tmp_path_factory, data):
+        files = detection_file(single_box=False) | detection_file(single_box=True)
+        text = data.draw(files)
+        if data.draw(st.booleans()):
+            text = data.draw(mutated_text(text, bad_bytes=True))
+        p = tmp_path_factory.mktemp("dets") / "d.jsonl"
+        p.write_text(text, encoding="utf-8", errors="surrogateescape")
+        raw = p.read_bytes()
+        starts = self._line_starts(raw)
+        cut = data.draw(st.sampled_from(starts))
+        parts = [read_detection_range(p, 0, cut), read_detection_range(p, cut, len(raw))]
+        whole = read_detection_range(p, 0, len(raw))
+        lines = raw.split(b"\n")
+        lines = lines[:-1] if not lines[-1] else lines
+        seen, canonical = set(), raw.isascii() and b"\r" not in raw
+        for line in lines:
+            canonical = canonical and not _off_canonical(line.decode("ascii", "replace"), "dets",
+                                                         seen)
+            if canonical:
+                seen.add(json.loads(line)["frame"])
+        assert (whole is not None) == canonical
+        if whole is not None:
+            _same_table(whole, read_detections(p))
+            assert parts[0].frame_ids + parts[1].frame_ids == whole.frame_ids
+            assert np.concatenate([parts[0].rows, parts[1].rows]).tobytes() == whole.rows.tobytes()
+
+    @pytest.mark.parametrize("tail", [
+        b'{"frame":1,"dets":[{"box":[0,0,1,1],"score":0.5}]}\n',              # single box
+        b'{"frame":0,"dets":[]}\n',                                            # repeated id
+        b'{"frame":1,"dets":[]}\r\n',
+        b'\n{"frame":1,"dets":[]}\n',                                          # blank line
+        b'{"frame":1,"dets":[],"x":0}\n',
+        b'{"frame":true,"dets":[]}\n',
+        b'{"frame":"\xff","dets":[]}\n',                                       # not ASCII
+        b'{"frame":"\\u00e9","dets":[]}\n' + b"\xc3\xa9\n",                  # nor UTF-8 beyond it
+        b'{"frame":1,"dets":[' + b"[" * 100_000 + b"]" * 100_000 + b']}\n',
+        b'{"frame":1,"dets":[' + b"1" * 5000 + b']}\n',
+        b'{"frame":1,"dets":[{"v":[0,0,1,1],"t":[0,0,1,1e101],"score":0.5}]}\n',
+        b'[]\n',
+    ])
+    def test_an_off_canonical_line_gives_none(self, tmp_path, tail):
+        p = tmp_path / "d.jsonl"
+        head = b'{"frame":0,"dets":[]}\n'
+        p.write_bytes(head + tail)
+        assert read_detection_range(p, 0, len(head)).frame_ids == [0]
+        assert read_detection_range(p, 0, len(head + tail)) is None
+        assert read_detection_range(tmp_path / "missing.jsonl", 0, 10) is None
+
+    def test_a_final_line_without_lf_and_an_empty_range_read(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(b'{"frame":0,"dets":[]}\n{"frame":"a","dets":[]}')
+        assert read_detection_range(p, 0, p.stat().st_size).frame_ids == [0, "a"]
+        assert len(read_detection_range(p, 5, 5)) == 0
+
+
+def test_parse_error_survives_pickling():
+    exc = ParseError("d.jsonl", 3, "bad")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is ParseError
+    assert (back.path, back.line_no, back.reason, str(back)) == ("d.jsonl", 3, "bad", str(exc))
 
 
 # --- the annotation column reader against the field-by-field parser ---------

@@ -17,7 +17,13 @@ from pairbox.regression import (
     smooth_l1,
 )
 
-from oracles import central_difference, naive_detector_loss, naive_rpn_loss, naive_smooth_l1
+from oracles import (
+    central_difference,
+    naive_detector_loss,
+    naive_rpn_loss,
+    naive_smooth_l1,
+    row_cross_entropy,
+)
 
 
 def random_positive_box(rng, span=200.0):
@@ -152,23 +158,31 @@ class TestSmoothL1Batch:
         assert grad.view(np.int64).tolist() == want_grad.view(np.int64).tolist()
 
 
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).ravel().tolist()
+
+
 class TestCrossEntropy:
     def test_saturated_correct(self):
-        loss, _ = cross_entropy([1000.0, 0.0], 0)
-        assert loss == pytest.approx(0.0, abs=1e-12)
+        loss, _ = cross_entropy([[1000.0, 0.0]], [0])
+        assert loss.tolist() == [pytest.approx(0.0, abs=1e-12)]
 
     def test_uniform_two_class(self):
-        loss, grad = cross_entropy([0.0, 0.0], 0)
-        assert loss == pytest.approx(math.log(2.0), abs=1e-15)
-        np.testing.assert_allclose(grad, [-0.5, 0.5])
+        loss, grad = cross_entropy([[0.0, 0.0]], [0])
+        assert loss.tolist() == [pytest.approx(math.log(2.0), abs=1e-15)]
+        np.testing.assert_allclose(grad, [[-0.5, 0.5]])
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            cross_entropy([], 0)
+            cross_entropy([[]], [0])
         with pytest.raises(ValueError):
-            cross_entropy([0.0, 1.0], 2)
+            cross_entropy([0.0, 1.0], 0)  # a row, not a block
         with pytest.raises(ValueError):
-            cross_entropy([0.0, 1.0], -1)
+            cross_entropy([[0.0, 1.0]], [2])
+        with pytest.raises(ValueError):
+            cross_entropy([[0.0, 1.0]], [-1])
+        with pytest.raises(ValueError):
+            cross_entropy([[0.0, 1.0]], [0, 1])  # one label per row
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(41)
@@ -176,17 +190,34 @@ class TestCrossEntropy:
             k = int(rng.integers(2, 8))
             z = rng.normal(0, 3, size=k)
             label = int(rng.integers(0, k))
-            analytic = cross_entropy(z, label)[1]
-            numeric = central_difference(lambda x: cross_entropy(x, label)[0], z)
+            analytic = cross_entropy([z], [label])[1][0]
+            numeric = central_difference(lambda x: cross_entropy([x], [label])[0][0], z)
             assert np.max(np.abs(analytic - numeric)) < 1e-6
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(43)
-        for _ in range(200):
-            z = rng.normal(0, 5, size=4)
-            loss, _ = cross_entropy(z, int(rng.integers(0, 4)))
-            assert loss >= 0.0
-            assert math.isfinite(loss)
+        z = rng.normal(0, 5, size=(200, 4))
+        loss, _ = cross_entropy(z, rng.integers(0, 4, size=200))
+        assert (loss >= 0.0).all() and np.isfinite(loss).all()
+
+    @pytest.mark.filterwarnings("error")
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(rows=st.lists(
+        st.integers(1, 39).flatmap(lambda k: st.tuples(
+            st.lists(st.one_of(st.floats(-1e308, 1e308), st.sampled_from([-1e308, 1e308, 0.0])),
+                     min_size=k, max_size=k),
+            st.integers(0, k - 1))),
+        min_size=1, max_size=12))
+    def test_rows_of_a_block_equal_the_row_form_bit_for_bit(self, rows):
+        """Ragged rows, grouped by class count as ``detector_loss`` groups
+        them: each row's loss and gradient are the row form's, bit for bit."""
+        for k in sorted({len(z) for z, _ in rows}):
+            group = [(z, label) for z, label in rows if len(z) == k]
+            loss, grad = cross_entropy([z for z, _ in group], [label for _, label in group])
+            for (z, label), row_loss, row_grad in zip(group, loss.tolist(), grad):
+                want_loss, want_grad = row_cross_entropy(z, label)
+                assert _bits(row_loss) == _bits(want_loss)
+                assert _bits(row_grad) == _bits(want_grad)
 
 
 # A sample is a (logits, label, pred, target) tuple, as the oracles take it:
@@ -336,7 +367,7 @@ class TestRpnLoss:
 class TestDetectorLoss:
     def test_background_is_classification_only(self):
         s = ((0.3, -0.7), 0, None, None)
-        expected, _ = cross_entropy([0.3, -0.7], 0)
+        expected, _ = row_cross_entropy([0.3, -0.7], 0)
         assert _detector([s], lam=1.0) == [expected]
         assert _detector([s], lam=0.0) == [expected]
 

@@ -1,5 +1,7 @@
 import sys
+import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairbox.geometry import Box, PairedBox, iou_multimodal_matrix, pairs_to_arrays
+from pairbox import sampling
 from pairbox.sampling import (
     IGNORE,
     NEGATIVE,
@@ -15,6 +18,7 @@ from pairbox.sampling import (
     assign_detector,
     assign_rpn,
     MAX_ANCHORS,
+    frame_overlap_stats,
     generate_anchor_grid,
     sample_minibatch,
 )
@@ -162,6 +166,60 @@ class TestBestAnchorPerGt:
         res = assign_rpn(anchors, gts, AssignmentConfig(match_best_anchor_per_gt=True))
         assert res.labels.tolist() == [POSITIVE, IGNORE, NEGATIVE]
         assert res.matched_gt.tolist() == [0, -1, -1]
+
+
+class TestBlockedOverlaps:
+    """``frame_overlap_stats`` in blocks of GTs against each frame's whole
+    overlap matrix."""
+
+    @staticmethod
+    def _matrix_stats(candidates, gts):
+        overlaps = iou_multimodal_matrix(*candidates, *gts)
+        n, m = overlaps.shape
+        return (overlaps.max(axis=1, initial=0.0),
+                overlaps.argmax(axis=1) if m else np.zeros(n, dtype=np.int64),
+                overlaps.argmax(axis=0) if n else np.zeros(m, dtype=np.int64),
+                overlaps.max(axis=0, initial=0.0))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(candidates=_grid_pairs, frames=st.lists(_grid_pairs, max_size=6),
+           budget=st.integers(1, 64), neg=st.sampled_from([0.0, 0.3]))
+    def test_equals_each_frames_matrix(self, candidates, frames, budget, neg):
+        # a budget below the candidate count gives one-GT blocks; above it,
+        # blocks that span frames and frames that span blocks
+        c = _as_arrays(candidates)
+        gts = _as_arrays([pair for frame in frames for pair in frame])
+        offsets = np.cumsum([0] + [len(f) for f in frames]).tolist()
+        with patch.object(sampling, "CELL_BUDGET", budget):
+            stats = list(frame_overlap_stats(c, gts, offsets))
+        assert len(stats) == len(frames)
+        for got, lo, hi in zip(stats, offsets, offsets[1:]):
+            g = (gts[0][lo:hi], gts[1][lo:hi])
+            for x, y in zip(got, self._matrix_stats(c, g)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            cfg = AssignmentConfig(rpn_neg_thresh=neg, match_best_anchor_per_gt=True)
+            plain = assign_rpn(c, g, replace(cfg, match_best_anchor_per_gt=False), got)
+            forced = assign_rpn(c, g, cfg, got)
+            expected = loop_best_anchor_per_gt(plain.labels, iou_multimodal_matrix(*c, *g))
+            np.testing.assert_array_equal(forced.labels, expected)
+            for stage in (assign_rpn, assign_detector):
+                with_stats, alone = stage(c, g, cfg, got), stage(c, g, cfg)
+                for name in ("labels", "matched_gt", "max_ioum"):
+                    assert getattr(with_stats, name).tobytes() == getattr(alone, name).tobytes()
+
+    def test_peak_memory_does_not_grow_with_the_gt_count(self):
+        anchors = generate_anchor_grid(640.0, 512.0)
+        assert len(anchors[0]) == 3840
+        rng = np.random.default_rng(7)
+        peaks = []
+        for m in (500, 2000):
+            boxes = np.column_stack([rng.uniform(0, 600, (m, 2)), rng.uniform(10, 200, (m, 2))])
+            tracemalloc.start()
+            assign_rpn(anchors, (boxes, boxes), AssignmentConfig(match_best_anchor_per_gt=True))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # a whole 2,000-GT matrix alone would take 61 MB
+        assert peaks[1] < peaks[0] + 1_000_000 and peaks[1] < 16_000_000
 
 
 class TestDetectorAssignment:
