@@ -33,6 +33,7 @@ import string
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,6 +42,7 @@ import numpy as np
 from .evaluation import (
     DEFAULT_FPPI_REFS,
     VARIANTS,
+    DetectionTable,
     EvalConfig,
     EvalReport,
     _format_distinct,
@@ -170,10 +172,12 @@ def _write_text(path: Path, text: str) -> None:
 
 # A fork and the return of its result cost 2.5-3 ms, so a range is given
 # about twenty times that in work, at which the fork costs it under 5%: 1 MiB
-# of detection lines (about 60 ns a byte to parse, suppress and format) or
-# 131,072 labelled anchors (about 0.4 us each to label and format).
+# of detection lines (about 60 ns a byte to parse, suppress and format),
+# 131,072 labelled anchors (about 0.4 us each to label and format) or 131,072
+# curve points (about 0.5 us each to format and write as CSV).
 MIN_RANGE_BYTES = 1 << 20
 MIN_RANGE_LABELS = 1 << 17
+MIN_RANGE_POINTS = 1 << 17
 
 
 def _range_count(work: int, min_work: int) -> int:
@@ -210,30 +214,32 @@ def _line_ranges(path) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:])) or [(0, 0)]
 
 
-def map_ranges(fn, ranges: list) -> list:
-    """``[fn(r) for r in ranges]``, where the first range runs in this
-    process and each other range in a child forked for it, which sends its
-    pickled result back through a pipe.
+def map_ranges(fn, ranges: list):
+    """Yield ``fn(r)`` for each of ``ranges`` in order, as the serial loop
+    would, where the first range runs in this process and each other range
+    in a child forked for it, which sends its pickled result back through a
+    pipe. All children start before the first result is yielded.
 
     ``fn`` must return a picklable value and leave nothing behind in its
     process that the caller needs. A child that fails in any way (an
     exception, a signal, a short pipe, no fork at all) returns nothing, and
     its range is run here instead, so the results and the first error
-    raised are the serial loop's. Every child is reaped before this returns
-    or raises.
+    raised are the serial loop's. Every child is reaped before the last
+    result is yielded, before an error leaves, and when the generator is
+    closed or dropped before its end.
     """
     children = []  # (pid, read end of its pipe), or None where no child was made
     try:
         for r in ranges[1:]:
             children.append(_fork(fn, r))
-        results = [fn(r) for r in ranges[:1]]
+        for r in ranges[:1]:
+            yield fn(r)
         for k, r in enumerate(ranges[1:]):
             child, children[k] = children[k], None
             sent = _collect(child) if child else None
-            results.append(sent[0] if sent else fn(r))
-        return results
+            yield sent[0] if sent else fn(r)
     finally:
-        for child in filter(None, children):  # left only if something raised
+        for child in filter(None, children):  # left only if something raised or stopped early
             os.kill(child[0], signal.SIGKILL)
             _collect(child)
 
@@ -274,13 +280,48 @@ def _collect(child: tuple[int, int]) -> Optional[tuple]:
     return pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None
 
 
+def _detection_ranges(path, ranges: list, fn) -> Optional[list]:
+    """``[fn(table) for each range's table]``, where ``table`` holds the
+    detection lines of one of ``ranges`` of ``path``'s bytes (see
+    :func:`_line_ranges`) and ``fn`` returns a tuple whose first item is the
+    table's frame ids; each range but the first is parsed in a child.
+
+    None unless every range holds only canonical records and no frame id
+    repeats across ranges: the caller then reads the whole file serially,
+    which reports its first bad line.
+    """
+    def run(span):
+        table = read_detection_range(path, *span)
+        return None if table is None else fn(table)
+
+    results = list(map_ranges(run, ranges))
+    if not results or None in results:
+        return None
+    frame_ids = [fid for r in results for fid in r[0]]
+    return results if len(set(frame_ids)) == len(frame_ids) else None
+
+
+def _read_detections(path) -> DetectionTable:
+    """:func:`read_detections` of ``path``, with its line ranges parsed in
+    forked processes when there are more than one."""
+    ranges, parts = _line_ranges(path), None
+    if len(ranges) > 1:
+        # the columns alone: a pickled table would also send its v, t and score views as copies
+        parts = _detection_ranges(path, ranges, lambda t: (t.frame_ids, t.offsets, t.rows))
+    if parts is None:
+        return read_detections(path)
+    frame_ids = [fid for ids, _, _ in parts for fid in ids]
+    sizes = np.concatenate([[0]] + [np.diff(offsets) for _, offsets, _ in parts])
+    return DetectionTable(frame_ids, np.cumsum(sizes), np.concatenate([rows for _, _, rows in parts]))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_evaluate(args) -> int:
     annotations = read_dataset(args.ground_truth)
-    detections = read_detections(args.detections)
+    detections = _read_detections(args.detections)
     config = EvalConfig(
         iou_thresholds=tuple(args.iou_thresh),
         variants=tuple(args.variants),
@@ -290,12 +331,20 @@ def cmd_evaluate(args) -> int:
     del annotations, detections  # the writes below need only the report: they peak without inputs
     table = format_eval_table(report)
     out = None if args.out is None else Path(args.out)
+    svg = None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "eval_table.txt", table)
-        write_curve_csv(report, out / "eval_curves.csv")
-    # rendered after the CSV is written, so the SVG string is not held while it is
-    svg = render_curve_svg(report) if args.format == "svg" else None
+        write_csv = partial(write_curve_csv, report, out / "eval_curves.csv")
+        points = sum(len(e.curve.fppi) for e in report.entries)
+        # the CSV and the SVG cost about the same per point: a child writes
+        # the one while this process renders the other
+        if args.format == "svg" and _range_count(2 * points, MIN_RANGE_POINTS) > 1:
+            svg, _ = map_ranges(lambda task: task(), [partial(render_curve_svg, report), write_csv])
+        else:
+            write_csv()
+    if svg is None and args.format == "svg":
+        svg = render_curve_svg(report)  # after the CSV is written, so not held while it is
     if out is not None and svg is not None:
         _write_text(out / "eval_curves.svg", svg)
     if args.format == "csv":
@@ -324,7 +373,7 @@ def cmd_shift_sweep(args) -> int:
     for dx in args.shift:
         shifted = apply_shift(annotations, ShiftSpec(dx, image_width=annotations.meta.image_width))
         if mock is None:
-            detections = read_detections(_dets_path(args.dets_pattern, dx))
+            detections = _read_detections(_dets_path(args.dets_pattern, dx))
         elif detections is None or mock.reads_thermal:
             # a detector blind to the thermal boxes gives one table at every shift
             detections = mock_detect(shifted, mock)
@@ -362,23 +411,14 @@ def cmd_generate(args) -> int:
 
 def cmd_nms(args) -> int:
     path = args.detections
-    results = map_ranges(lambda span: _nms_range(path, span, args), _line_ranges(path))
-    frame_ids = [fid for r in results if r is not None for fid in r[0]]
-    if results and None not in results and len(set(frame_ids)) == len(frame_ids):
+    texts = _detection_ranges(path, _line_ranges(path), lambda table: (
+        table.frame_ids, "".join(detection_lines(_nms_table(table, args)))))
+    if texts is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(text for _, text in results)
+            fh.writelines(text for _, text in texts)
     else:  # the serial path, which reports the first line that is not a canonical record
         write_detections(_nms_table(read_detections(path), args), args.out)
     return 0
-
-
-def _nms_range(path, span: tuple[int, int], args):
-    """The frame ids and the kept records' text of the detection lines in
-    bytes ``span`` of ``path``, or None unless they are canonical records."""
-    table = read_detection_range(path, *span)
-    if table is None:
-        return None
-    return table.frame_ids, "".join(detection_lines(_nms_table(table, args)))
 
 
 def _nms_table(table, args):
@@ -416,7 +456,7 @@ def cmd_assign(args) -> int:
     offsets = np.searchsorted(evaluable, annotations.offsets).tolist()
     frame_ids = annotations.frame_ids
 
-    def assign_frames(frames: tuple[int, int]) -> str:
+    def assign_frames(frames: tuple[int, int]) -> list[str]:
         lo, hi = frames
         lines = []
         stats = frame_overlap_stats(anchors, gts, offsets[lo:hi + 1])
@@ -436,12 +476,14 @@ def cmd_assign(args) -> int:
                 )
                 line += f',"selected":[{",".join(str(i) for i in sorted(selected.tolist()))}]'
             lines.append(line + "}\n")
-        return "".join(lines)
+        return lines
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         work = len(frame_ids) * len(anchors[0])
-        fh.writelines(map_ranges(assign_frames, _split(len(frame_ids),
-                                                       _range_count(work, MIN_RANGE_LABELS))))
+        # each range is written as it comes in, line by line: no range's text is joined
+        for lines in map_ranges(assign_frames, _split(len(frame_ids),
+                                                      _range_count(work, MIN_RANGE_LABELS))):
+            fh.writelines(lines)
     return 0
 
 

@@ -313,19 +313,32 @@ def _dump(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"), ensure_ascii=True)
 
 
+# the writers turn this many frames' rows at a time into Python values, so
+# that what they hold does not grow with the table
+_BLOCK_FRAMES = 1024
+
+
+def _frame_rows(table, columns: tuple):
+    """Each frame's id and its rows, as tuples of one list item per column
+    of ``columns``, in frame order."""
+    for lo in range(0, len(table.frame_ids), _BLOCK_FRAMES):
+        offsets = table.offsets[lo:lo + _BLOCK_FRAMES + 1]
+        first = offsets[0]
+        lists = [column[first:offsets[-1]].tolist() for column in columns]
+        bounds = (offsets - first).tolist()
+        for fid, a, b in zip(table.frame_ids[lo:lo + _BLOCK_FRAMES], bounds, bounds[1:]):
+            yield fid, zip(*(items[a:b] for items in lists))
+
+
 def write_dataset(table: GtTable, path) -> None:
     """Write the canonical annotation form (metadata line, then frames)."""
-    v, t, ignore = table.v.tolist(), table.t.tolist(), table.ignore.tolist()
-    occ = [OCCLUSION_LEVELS[k] for k in table.occ.tolist()]
-    offsets, meta = table.offsets.tolist(), table.meta
+    meta = table.meta
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_dump({"meta": {"name": meta.name, "width": float(meta.image_width),
                                  "height": float(meta.image_height)}}) + "\n")
-        for k, fid in enumerate(table.frame_ids):
-            objects = [
-                {"v": v[i], "t": t[i], "occ": occ[i], "ignore": ignore[i]}
-                for i in range(offsets[k], offsets[k + 1])
-            ]
+        for fid, rows in _frame_rows(table, (table.v, table.t, table.occ, table.ignore)):
+            objects = [{"v": v, "t": t, "occ": OCCLUSION_LEVELS[occ], "ignore": ignore}
+                       for v, t, occ, ignore in rows]
             fh.write(_dump({"frame": fid, "objects": objects}) + "\n")
 
 
@@ -441,13 +454,8 @@ def read_detection_range(path, start: int, stop: int) -> Optional[DetectionTable
 
 def detection_lines(table: DetectionTable):
     """The lines of the canonical paired detection form of the table, one per frame."""
-    v, t = table.v.tolist(), table.t.tolist()
-    score, offsets = table.score.tolist(), table.offsets.tolist()
-    for k, fid in enumerate(table.frame_ids):
-        dets = [
-            {"v": v[i], "t": t[i], "score": score[i]}
-            for i in range(offsets[k], offsets[k + 1])
-        ]
+    for fid, rows in _frame_rows(table, (table.v, table.t, table.score)):
+        dets = [{"v": v, "t": t, "score": score} for v, t, score in rows]
         yield _dump({"frame": fid, "dets": dets}) + "\n"
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import signal
+import subprocess
 import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -44,6 +45,7 @@ def gt_as_detections(dataset_path, out_path):
     return dets
 
 
+@pytest.mark.usefixtures("forced_split")
 class TestEvaluateCommand:
     def test_gt_as_detections_all_zero(self, tmp_path, capsys):
         det_path = tmp_path / "dets.jsonl"
@@ -77,23 +79,21 @@ class TestEvaluateCommand:
         gt_as_detections(SAMPLE, det_path)
         inputs = []
 
-        def read_and_watch(read):
-            def read_input(path):
-                result = read(path)
-                inputs.append(weakref.ref(result))
-                return result
-            return read_input
+        def watched_evaluate(annotations, detections, config, evaluate=cli.evaluate):
+            inputs.extend([weakref.ref(annotations), weakref.ref(detections)])
+            return evaluate(annotations, detections, config)
 
         def write_curve_csv(report, dst, write=cli.write_curve_csv):
             assert [ref() for ref in inputs] == [None, None]
             return write(report, dst)
 
-        monkeypatch.setattr(cli, "read_dataset", read_and_watch(cli.read_dataset))
-        monkeypatch.setattr(cli, "read_detections", read_and_watch(cli.read_detections))
+        monkeypatch.setattr(cli, "evaluate", watched_evaluate)
         monkeypatch.setattr(cli, "write_curve_csv", write_curve_csv)
-        assert _run_main(["evaluate", str(SAMPLE), str(det_path), "--out", str(tmp_path / "out"),
-                          "--format", "csv"]) == (0, "")
-        assert len(inputs) == 2
+        for fmt in ("csv", "svg"):
+            inputs.clear()
+            assert _run_main(["evaluate", str(SAMPLE), str(det_path), "--out",
+                              str(tmp_path / "out"), "--format", fmt]) == (0, "")
+            assert len(inputs) == 2
 
     def test_fixture_table_matches_hand_computed_mr(self, tmp_path, capsys):
         from scenes import FOUR_FRAME_LAMR, four_frame_fixture
@@ -240,9 +240,50 @@ def _outcome(argv, out: Path):
     return rc, err, out.read_bytes() if out.exists() else None
 
 
+# edits of the 4-frame fixture's detection lines that leave an odd last line
+ODD_LAST_LINES = [
+    lambda lines: lines[:3] + ['{"frame":"f4","dets":[{"box":[50,50,20,60],"score":0.5}]}'],
+    lambda lines: lines[:3] + [lines[3].replace('"f4"', "0")],  # the first filler frame's id
+    lambda lines: lines[:3] + [lines[3].replace("50", "5\udcff0", 1)],
+    lambda lines: [line + "\r" for line in lines],
+    lambda lines: lines[:3] + ["", lines[3]],
+    lambda lines: lines[:3] + [lines[3].replace("[", "[" + "[" * 100_000 + "]" * 100_000 + ",", 1)],
+    lambda lines: lines[:3] + [lines[3].replace("50", "1e101", 1)],
+    lambda lines: lines[:3] + [lines[3].replace("50", "1" + "0" * 5000, 1)],
+]
+ODD_LAST_LINE_IDS = ["single_box", "repeated_id", "bad_utf8", "crlf", "blank_line",
+                     "nested_100000_deep", "out_of_bounds_box", "integer_of_5001_digits"]
+FILLER_FRAMES = 1000
+
+
+def _after_filler(dets: Path, edit) -> None:
+    """Rewrite ``dets`` as ``FILLER_FRAMES`` one-detection frames, ids 0, 1,
+    ..., then its own lines as ``edit`` leaves them: a long odd line at the
+    end still starts a later range."""
+    filler = [json.dumps({"frame": k, "dets": [{"v": [k, 1.0, 2.0, 4.0], "t": [k, 1.0, 2.0, 4.0],
+                                                "score": 0.5}]}) for k in range(FILLER_FRAMES)]
+    lines = filler + edit(dets.read_text(encoding="utf-8").splitlines())
+    dets.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+
+
+def _evaluation(gt: Path, dets: Path, out: Path):
+    """Exit code, stderr, stdout and the bytes of each file under ``out``
+    (a directory as None) of ``evaluate --format svg``, once the files a
+    previous run left there are removed."""
+    for f in out.glob("*"):
+        if f.is_file():
+            f.unlink()
+    stdout, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(err):
+        rc = main(["evaluate", str(gt), str(dets), "--format", "svg", "--out", str(out)])
+    files = {f.name: f.read_bytes() if f.is_file() else None
+             for f in sorted(out.iterdir())} if out.exists() else None
+    return rc, err.getvalue(), stdout.getvalue(), files
+
+
 class TestRanges:
-    """``nms`` and ``assign`` split into forked ranges write the serial
-    bytes, fail with the serial error, and leave no child behind."""
+    """``nms``, ``assign`` and ``evaluate`` split into forked ranges write
+    the serial bytes, fail with the serial error, and leave no child behind."""
 
     def _dets(self, tmp_path) -> Path:
         path = tmp_path / "dets.jsonl"
@@ -257,19 +298,37 @@ class TestRanges:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4}, raising=False)
         monkeypatch.setattr(cli, "MIN_RANGE_BYTES", 1)
         monkeypatch.setattr(cli, "MIN_RANGE_LABELS", 1)
+        monkeypatch.setattr(cli, "MIN_RANGE_POINTS", 1)
         map_ranges = cli.map_ranges
         monkeypatch.setattr(cli, "map_ranges", lambda fn, ranges: counts.append(len(ranges)) or
                             map_ranges(fn, ranges))
         return counts
 
+    def _eval_inputs(self, tmp_path, edit=None):
+        """The 4-frame fixture's ground truth and detections; with ``edit``,
+        after ``FILLER_FRAMES`` frames of one GT and one detection each."""
+        anns, dets = four_frame_fixture()
+        gt_path, det_path = tmp_path / "gt.jsonl", tmp_path / "dets.jsonl"
+        write_detections(detection_table(dets), det_path)
+        if edit is not None:
+            anns = [FrameAnnotations(k, (gt(k, 1.0),)) for k in range(FILLER_FRAMES)] + anns
+            _after_filler(det_path, edit)
+        write_dataset(gt_table(anns), gt_path)
+        return gt_path, det_path
+
     def test_small_inputs_run_in_one_range(self, tmp_path, monkeypatch):
-        calls = []
+        calls, reads = [], []
         monkeypatch.setattr(cli, "map_ranges", lambda fn, ranges: calls.append(ranges) or
                             [fn(r) for r in ranges])
+        monkeypatch.setattr(cli, "read_detections", lambda path, read=cli.read_detections:
+                            reads.append(path) or read(path))
         dets = self._dets(tmp_path)
         assert _run_main(["nms", str(dets), "--out", str(tmp_path / "k")]) == (0, "")
         assert _run_main(["assign", str(SAMPLE), "--out", str(tmp_path / "l")]) == (0, "")
-        assert [len(r) for r in calls] == [1, 1]
+        # evaluate reads its one range with read_detections, and writes in one process
+        gt_path, dets = self._eval_inputs(tmp_path)
+        assert _evaluation(gt_path, dets, tmp_path / "out")[0] == 0
+        assert [len(r) for r in calls] == [1, 1] and reads == [str(dets)]
 
     def test_forced_ranges_write_the_same_bytes(self, tmp_path, monkeypatch):
         split = self._split(monkeypatch)
@@ -280,25 +339,11 @@ class TestRanges:
         assert out.read_bytes() == dets.read_bytes()
         _no_child_left()
 
-    @pytest.mark.parametrize("edit", [
-        lambda lines: lines[:3] + ['{"frame":"f4","dets":[{"box":[50,50,20,60],"score":0.5}]}'],
-        lambda lines: lines[:3] + [lines[3].replace('"f4"', "0")],  # the first filler frame's id
-        lambda lines: lines[:3] + [lines[3].replace("50", "5\udcff0", 1)],
-        lambda lines: [line + "\r" for line in lines],
-        lambda lines: lines[:3] + ["", lines[3]],
-        lambda lines: lines[:3] + [lines[3].replace("[", "[" + "[" * 100_000 + "]" * 100_000 + ",", 1)],
-        lambda lines: lines[:3] + [lines[3].replace("50", "1e101", 1)],
-        lambda lines: lines[:3] + [lines[3].replace("50", "1" + "0" * 5000, 1)],
-    ], ids=["single_box", "repeated_id", "bad_utf8", "crlf", "blank_line", "nested_100000_deep",
-            "out_of_bounds_box", "integer_of_5001_digits"])
+    @pytest.mark.parametrize("edit", ODD_LAST_LINES, ids=ODD_LAST_LINE_IDS)
     def test_an_odd_line_in_a_later_range_gives_the_serial_outcome(self, tmp_path, monkeypatch,
                                                                     edit):
         dets, out = self._dets(tmp_path), tmp_path / "kept.jsonl"
-        # frames before the fixture's, so that a long odd line still starts a later range
-        filler = [json.dumps({"frame": k, "dets": [{"v": [k, 1.0, 2.0, 4.0], "t": [k, 1.0, 2.0, 4.0],
-                                                    "score": 0.5}]}) for k in range(1000)]
-        lines = filler + edit(dets.read_text(encoding="utf-8").splitlines())
-        dets.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        _after_filler(dets, edit)
         argv = ["nms", dets, "--out", out]
         with monkeypatch.context() as serial:
             serial.setattr(cli, "_line_ranges", lambda path: [])
@@ -355,6 +400,105 @@ class TestRanges:
         assert (rc, kept) == (2, None) and f"{dets}:4: invalid JSON" in err
         _no_child_left()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
+    def test_a_write_that_fails_between_ranges_leaves_no_child(self, monkeypatch):
+        """``assign`` writes each range as it comes in, so its write can fail
+        while later ranges still run; they are killed and reaped."""
+        argv = ["assign", str(SAMPLE), "--out", "/dev/full"]
+        expected = _run_main(argv)
+        counts = self._split(monkeypatch)
+        assert _run_main(argv) == expected and counts[0] > 1
+        assert expected[0] == 2 and "No space left on device" in expected[1]
+        _no_child_left()
+
+    def test_forced_evaluation_ranges_write_the_same_bytes(self, tmp_path, monkeypatch):
+        gt, dets = self._eval_inputs(tmp_path, edit=lambda lines: lines)
+        expected = _evaluation(gt, dets, tmp_path / "out")
+        split = self._split(monkeypatch)
+        assert _evaluation(gt, dets, tmp_path / "out") == expected
+        assert expected[0] == 0 and split[0] > 1 and split[1] == 2
+        assert sorted(expected[3]) == ["eval_curves.csv", "eval_curves.svg", "eval_table.txt"]
+        _no_child_left()
+
+    @pytest.mark.parametrize("edit", ODD_LAST_LINES, ids=ODD_LAST_LINE_IDS)
+    def test_an_odd_line_in_a_later_range_gives_the_serial_evaluation(self, tmp_path, monkeypatch,
+                                                                       edit):
+        gt, dets = self._eval_inputs(tmp_path, edit)
+        with monkeypatch.context() as serial:
+            serial.setattr(cli, "_line_ranges", lambda path: [])
+            expected = _evaluation(gt, dets, tmp_path / "out")
+        split_counts = self._split(monkeypatch)
+        assert _evaluation(gt, dets, tmp_path / "out") == expected
+        assert split_counts[0] > 1  # the last range holds the odd last line
+        _no_child_left()
+
+    @pytest.mark.parametrize("death", [lambda: os._exit(3),
+                                       lambda: os.kill(os.getpid(), signal.SIGKILL)],
+                             ids=["exit_3", "sigkill"])
+    @pytest.mark.parametrize("phase", ["read_detection_range", "write_curve_csv"],
+                             ids=["parse", "write"])
+    def test_a_child_that_dies_in_an_evaluation_is_run_again(self, tmp_path, monkeypatch, death,
+                                                             phase):
+        gt, dets = self._eval_inputs(tmp_path, edit=lambda lines: lines)
+        expected = _evaluation(gt, dets, tmp_path / "out")
+        parent = os.getpid()
+
+        def dying(*args, original=getattr(cli, phase)):
+            if os.getpid() != parent:
+                death()
+            return original(*args)
+
+        monkeypatch.setattr(cli, phase, dying)
+        counts = self._split(monkeypatch)
+        assert _evaluation(gt, dets, tmp_path / "out") == expected
+        assert expected[0] == 0 and counts[0] > 1 and counts[1] == 2
+        _no_child_left()
+
+    def test_an_unwritable_csv_gives_the_serial_error(self, tmp_path, monkeypatch):
+        gt, dets = self._eval_inputs(tmp_path, edit=lambda lines: lines)
+        out = tmp_path / "out"
+        (out / "eval_curves.csv").mkdir(parents=True)
+        expected = _evaluation(gt, dets, out)
+        counts = self._split(monkeypatch)
+        assert _evaluation(gt, dets, out) == expected
+        rc, err, stdout, files = expected
+        assert (rc, stdout, sorted(files)) == (2, "", ["eval_curves.csv", "eval_table.txt"])
+        assert "eval_curves.csv" in err and counts[1] == 2
+        _no_child_left()
+
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+class TestEntryPoint:
+    """``import pairbox`` imports no numpy, and the CLI's own process starts
+    no BLAS thread pool, so it forks with one thread."""
+
+    @staticmethod
+    def _python(code: str, **env) -> str:
+        environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env={**environ, **env},
+                              capture_output=True, text=True, check=True)
+        return done.stdout.splitlines()[-1]
+
+    def test_import_leaves_numpy_unloaded(self):
+        code = "import sys, pairbox\nprint('numpy' in sys.modules, pairbox.Box.__name__)"
+        assert self._python(code) == "False Box"
+
+    # the thread count and the BLAS setting of a process that ran the CLI
+    CLI_RUN = ("import os, sys\n"
+               "from pairbox.__main__ import main\n"
+               "sys.argv = ['pairbox', '--help']\n"
+               "try:\n    main()\nexcept SystemExit:\n    pass\n"
+               "assert 'numpy' in sys.modules\n"
+               "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n")
+
+    def test_the_cli_process_has_one_thread(self):
+        assert self._python(self.CLI_RUN) == "1 1"
+
+    def test_a_users_own_setting_wins(self):
+        assert self._python(self.CLI_RUN, OPENBLAS_NUM_THREADS="2").split()[1] == "2"
 
 class TestMapRanges:
     def test_equals_the_serial_loop(self):
@@ -362,8 +506,8 @@ class TestMapRanges:
             return None if r == 2 else (r, "x" * 100_000 * r)  # more than a pipe holds
 
         ranges = [0, 1, 2, 3]
-        assert cli.map_ranges(fn, ranges) == [fn(r) for r in ranges]
-        assert cli.map_ranges(fn, [5]) == [fn(5)] and cli.map_ranges(fn, []) == []
+        assert list(cli.map_ranges(fn, ranges)) == [fn(r) for r in ranges]
+        assert list(cli.map_ranges(fn, [5])) == [fn(5)] and list(cli.map_ranges(fn, [])) == []
         _no_child_left()
 
     @pytest.mark.parametrize("bad", [0, 2])
@@ -376,7 +520,7 @@ class TestMapRanges:
             return r
 
         with pytest.raises(ValueError, match=f"^range {bad}$"):
-            cli.map_ranges(fn, [0, 1, 2, 3])
+            list(cli.map_ranges(fn, [0, 1, 2, 3]))
         _no_child_left()
 
     def test_a_failed_fork_runs_the_range_here(self, monkeypatch):
@@ -384,7 +528,21 @@ class TestMapRanges:
             raise BlockingIOError("no fork")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert cli.map_ranges(lambda r: r * 2, [1, 2, 3]) == [2, 4, 6]
+        assert list(cli.map_ranges(lambda r: r * 2, [1, 2, 3])) == [2, 4, 6]
+        _no_child_left()
+
+    def test_yields_the_first_range_before_collecting_the_others(self):
+        """Each result comes as soon as it is in, every child already started."""
+        parent = os.getpid()
+        results = cli.map_ranges(lambda r: (r, os.getpid() == parent), [0, 1, 2])
+        assert next(results) == (0, True)
+        assert list(results) == [(1, False), (2, False)]
+        _no_child_left()
+
+    def test_closing_early_reaps_every_child(self):
+        results = cli.map_ranges(lambda r: r, [0, 1, 2])
+        assert next(results) == 0
+        results.close()
         _no_child_left()
 
 
@@ -1069,6 +1227,7 @@ class TestShiftSweepCommand:
         assert err.startswith("error: box ") and err.count("\n") == 1, err
         assert "Traceback" not in err
 
+    @pytest.mark.usefixtures("forced_split")
     def test_dets_pattern_loads_files(self, tmp_path, capsys):
         ds_path = tmp_path / "gt.jsonl"
         main(["generate", "--frames", "5", "--seed", "3", "--out", str(ds_path)])

@@ -1,6 +1,7 @@
 import ast
 import json
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from pairbox.formats import (
     write_detections,
 )
 from pairbox.geometry import Box
+from pairbox.simulation import SceneSpec, generate_scene
 
 from mutations import mutated_text
 from oracles import naive_read_anchors, naive_read_dataset, naive_read_detections, naive_read_samples
@@ -194,6 +196,47 @@ class TestDetections:
             write_detections(DetectionTable(["a", "a"], [0, 1, 1], np.full((1, 9), 0.5)), p)
         assert not p.exists()
 
+
+
+class TestBlockedWriters:
+    """The writers turn one block of frames at a time into Python values:
+    their bytes do not depend on the block size, and the memory they hold
+    does not grow with the frame count."""
+
+    @staticmethod
+    def _tables(n: int):
+        """A seeded scene of ``n`` frames, some empty, and the same boxes scored."""
+        gts = generate_scene(SceneSpec(num_frames=n, peds_per_frame=3, seed=1))
+        scores = np.linspace(0.0, 1.0, len(gts.rows))
+        return gts, DetectionTable(gts.frame_ids, gts.offsets, np.column_stack([gts.rows, scores]))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch, block):
+        gts, dets = self._tables(50)
+        assert 0 in np.diff(gts.offsets)
+        whole = [tmp_path / "gt.jsonl", tmp_path / "dets.jsonl"]
+        write_dataset(gts, whole[0])
+        write_detections(dets, whole[1])
+        monkeypatch.setattr(formats, "_BLOCK_FRAMES", block)
+        write_dataset(gts, tmp_path / "gt_blocks.jsonl")
+        write_detections(dets, tmp_path / "dets_blocks.jsonl")
+        assert (tmp_path / "gt_blocks.jsonl").read_bytes() == whole[0].read_bytes()
+        assert (tmp_path / "dets_blocks.jsonl").read_bytes() == whole[1].read_bytes()
+        assert list(read_dataset(whole[0])) == list(gts) and list(read_detections(whole[1])) == list(dets)
+
+    @pytest.mark.parametrize("write", [write_dataset, write_detections])
+    def test_peak_memory_does_not_grow_with_the_frame_count(self, tmp_path, write):
+        peaks = []
+        for n in (2_000, 6_000):
+            table = self._tables(n)[write is write_detections]
+            tracemalloc.start()
+            try:
+                write(table, tmp_path / "out.jsonl")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # converting the whole 6,000-frame table at once took 3 times the 2,000-frame peak
+        assert peaks[1] < 1.2 * peaks[0], peaks
 
 class TestUndecodableBytes:
     """A byte that is not UTF-8 is a parse error at its line."""
