@@ -28,6 +28,7 @@ import math
 import os
 import pickle
 import re
+import shutil
 import signal
 import string
 import sys
@@ -49,12 +50,12 @@ from .evaluation import (
     evaluate,
     write_curve_csv,
 )
+# write_detections is unused here, but perfbench/spans.py wraps it under this module's name
 from .formats import (
     ParseError,
     detection_lines,
     read_anchors,
     read_dataset,
-    read_detection_range,
     read_detections,
     read_samples,
     write_dataset,
@@ -280,36 +281,34 @@ def _collect(child: tuple[int, int]) -> Optional[tuple]:
     return pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None
 
 
-def _detection_ranges(path, ranges: list, fn) -> Optional[list]:
-    """``[fn(table) for each range's table]``, where ``table`` holds the
-    detection lines of one of ``ranges`` of ``path``'s bytes (see
-    :func:`_line_ranges`) and ``fn`` returns a tuple whose first item is the
-    table's frame ids; each range but the first is parsed in a child.
+def _detection_ranges(path, fn) -> list:
+    """``[fn(table) for each range's table]``, where ``table`` is
+    :func:`read_detections` of one of ``path``'s :func:`_line_ranges` and
+    ``fn`` returns a tuple whose first item is the table's frame ids; each
+    range but the first is parsed in a child.
 
-    None unless every range holds only canonical records and no frame id
-    repeats across ranges: the caller then reads the whole file serially,
-    which reports its first bad line.
+    If a range does not parse, or a frame id repeats across ranges, it is
+    ``[fn(read_detections(path))]`` instead, which raises the file's first error.
     """
     def run(span):
-        table = read_detection_range(path, *span)
-        return None if table is None else fn(table)
+        try:
+            table = read_detections(path, *span)
+        except (ParseError, OSError):
+            return None
+        return fn(table)
 
-    results = list(map_ranges(run, ranges))
-    if not results or None in results:
-        return None
-    frame_ids = [fid for r in results for fid in r[0]]
-    return results if len(set(frame_ids)) == len(frame_ids) else None
+    results = list(map_ranges(run, _line_ranges(path)))
+    frame_ids = [fid for r in results if r is not None for fid in r[0]]
+    if results and None not in results and len(set(frame_ids)) == len(frame_ids):
+        return results
+    return [fn(read_detections(path))]
 
 
 def _read_detections(path) -> DetectionTable:
     """:func:`read_detections` of ``path``, with its line ranges parsed in
-    forked processes when there are more than one."""
-    ranges, parts = _line_ranges(path), None
-    if len(ranges) > 1:
-        # the columns alone: a pickled table would also send its v, t and score views as copies
-        parts = _detection_ranges(path, ranges, lambda t: (t.frame_ids, t.offsets, t.rows))
-    if parts is None:
-        return read_detections(path)
+    forked processes."""
+    # the columns alone: a pickled table would also send its v, t and score views as copies
+    parts = _detection_ranges(path, lambda t: (t.frame_ids, t.offsets, t.rows))
     frame_ids = [fid for ids, _, _ in parts for fid in ids]
     sizes = np.concatenate([[0]] + [np.diff(offsets) for _, offsets, _ in parts])
     return DetectionTable(frame_ids, np.cumsum(sizes), np.concatenate([rows for _, _, rows in parts]))
@@ -347,7 +346,10 @@ def cmd_evaluate(args) -> int:
         svg = render_curve_svg(report)  # after the CSV is written, so not held while it is
     if out is not None and svg is not None:
         _write_text(out / "eval_curves.svg", svg)
-    if args.format == "csv":
+    if args.format == "csv" and out is not None:
+        with open(out / "eval_curves.csv", encoding="utf-8", newline="") as fh:
+            shutil.copyfileobj(fh, sys.stdout)  # the file written above, not formatted again
+    elif args.format == "csv":
         write_curve_csv(report, sys.stdout)  # streamed: the CSV is never held as one string
     else:
         sys.stdout.write(table if svg is None else svg)
@@ -410,14 +412,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_nms(args) -> int:
-    path = args.detections
-    texts = _detection_ranges(path, _line_ranges(path), lambda table: (
+    texts = _detection_ranges(args.detections, lambda table: (
         table.frame_ids, "".join(detection_lines(_nms_table(table, args)))))
-    if texts is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(text for _, text in texts)
-    else:  # the serial path, which reports the first line that is not a canonical record
-        write_detections(_nms_table(read_detections(path), args), args.out)
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(text for _, text in texts)
     return 0
 
 

@@ -31,6 +31,7 @@ with the same checkers, so a value is refused in the same words everywhere.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from typing import Optional
@@ -48,7 +49,6 @@ __all__ = [
     "read_dataset",
     "write_dataset",
     "read_detections",
-    "read_detection_range",
     "detection_lines",
     "write_detections",
     "read_json",
@@ -172,11 +172,17 @@ def _check_utf8(text: str, path, line_no: int) -> None:
         raise ParseError(path, line_no, f"invalid UTF-8 (byte 0x{byte:02x})") from None
 
 
-def _records(path):
-    """The numbered JSON objects on a JSON-Lines file's non-blank lines; a
-    line that is not UTF-8, JSON or an object is a ParseError at that line."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
+def _records(path, start: int = 0, stop: Optional[int] = None):
+    """The numbered JSON objects on the non-blank lines in bytes
+    ``start:stop`` of a JSON-Lines file (to its end if ``stop`` is None),
+    counted from ``start``; a line that is not UTF-8, JSON or an object is a
+    ParseError at that line."""
+    with open(path, "rb") as fh:
+        if start:  # so that a whole pipe reads too
+            fh.seek(start)
+        data = fh if stop is None else io.BytesIO(fh.read(max(stop - start, 0)))
+        text = io.TextIOWrapper(data, encoding="utf-8", errors="surrogateescape")
+        for line_no, line in enumerate(text, start=1):
             _check_utf8(line, path, line_no)
             if not line.strip():
                 continue
@@ -346,9 +352,12 @@ _PAIR_KEYS = {"v", "t", "score"}
 _ROW = DetectionTable.ROW_LO.size  # v[0:4], t[4:8], score[8]
 
 
-def read_detections(path) -> DetectionTable:
+def read_detections(path, start: int = 0, stop: Optional[int] = None) -> DetectionTable:
     """Parse a detection file into columns in one pass over its lines;
     single-box records are duplicated into pairs.
+
+    With ``start`` and ``stop``, which lie on line boundaries, only the
+    lines in those bytes are read, and line numbers count from ``start``.
 
     A record in the canonical paired form becomes its rows in one step;
     any other record is parsed field by field, which reports the first bad
@@ -357,7 +366,7 @@ def read_detections(path) -> DetectionTable:
     frame_ids: list[FrameId] = []
     blocks: list[np.ndarray] = []
     seen: set[FrameId] = set()
-    for line_no, record in _records(path):
+    for line_no, record in _records(path, start, stop):
         fid, dets = _parse_frame(record, "dets", path, line_no, "detection record", seen)
         rows = _canonical_rows(dets)
         if rows is None:
@@ -414,42 +423,6 @@ def _parse_detection_record(dets: list, path, line_no: int) -> np.ndarray:
             box_t = _check(_box, raw["t"], path, line_no, f"dets[{k}].t")
         rows.append(box_v.as_tuple() + box_t.as_tuple() + (score,))
     return np.array(rows, dtype=np.float64).reshape(-1, _ROW)
-
-
-def read_detection_range(path, start: int, stop: int) -> Optional[DetectionTable]:
-    """The table of the lines in bytes ``start:stop`` of a detection file,
-    which start and end on line boundaries, if every line there is a
-    canonical paired record (ASCII, LF-ended, ``{"frame", "dets"}`` with
-    rows as :func:`_canonical_rows` takes them) with a new frame id;
-    otherwise None, and :func:`read_detections` reports the file's first
-    bad line. Nothing is raised: an unreadable file is None too."""
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(start)
-            data = fh.read(stop - start)
-        if not data.isascii() or b"\r" in data:
-            return None
-        lines = data.split(b"\n")
-        if not lines[-1]:  # what follows the last LF
-            lines.pop()
-        frame_ids, blocks, seen = [], [], set()
-        for line in lines:
-            record = json.loads(line)
-            if type(record) is not dict or record.keys() != {"frame", "dets"}:
-                return None
-            fid, dets = record["frame"], record["dets"]
-            if type(fid) not in (int, str) or fid in seen or type(dets) is not list:
-                return None
-            rows = _canonical_rows(dets)
-            if rows is None:
-                return None
-            seen.add(fid)
-            frame_ids.append(fid)
-            blocks.append(rows)
-        offsets = np.cumsum([0] + [len(b) for b in blocks])
-        return DetectionTable(frame_ids, offsets, np.concatenate([np.zeros((0, _ROW)), *blocks]))
-    except Exception:  # bad JSON, nesting too deep, an integer too long to convert, ...
-        return None
 
 
 def detection_lines(table: DetectionTable):

@@ -16,6 +16,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+# overlap cells computed at once: 34 GT pairs of the default 3,840-anchor grid
+from ._kernels._python import CELL_BUDGET
 # pairs_to_arrays is unused here, but perfbench/spans.py wraps it under this module's name
 from .geometry import iou_multimodal_matrix, pairs_to_arrays
 
@@ -41,9 +43,6 @@ IGNORE = -1
 
 # largest grid generate_anchor_grid builds (a 1-px stride over 640x512 with 3 heights: 983,040)
 MAX_ANCHORS = 1_000_000
-
-# overlap cells computed at once: 34 GT pairs of the default 3,840-anchor grid
-CELL_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,18 @@ class TestEvaluateCommand:
                               str(tmp_path / "out"), "--format", fmt]) == (0, "")
             assert len(inputs) == 2
 
+    def test_csv_with_out_is_formatted_once(self, tmp_path, monkeypatch, capsys):
+        """Stdout is the written ``eval_curves.csv``, not a second formatting."""
+        det_path = tmp_path / "dets.jsonl"
+        gt_as_detections(SAMPLE, det_path)
+        written = []
+        monkeypatch.setattr(cli, "write_curve_csv", lambda report, dst, write=cli.write_curve_csv:
+                            written.append(dst) or write(report, dst))
+        out = tmp_path / "out"
+        rc = main(["evaluate", str(SAMPLE), str(det_path), "--format", "csv", "--out", str(out)])
+        assert rc == 0 and written == [out / "eval_curves.csv"]
+        assert capsys.readouterr().out.encode("utf-8") == written[0].read_bytes()
+
     def test_fixture_table_matches_hand_computed_mr(self, tmp_path, capsys):
         from scenes import FOUR_FRAME_LAMR, four_frame_fixture
 
@@ -304,6 +316,21 @@ class TestRanges:
                             map_ranges(fn, ranges))
         return counts
 
+    @staticmethod
+    def _reads(monkeypatch) -> list:
+        """The byte span of each ``cli.read_detections`` call in this
+        process, ``()`` for a whole file."""
+        reads = []
+        monkeypatch.setattr(cli, "read_detections", lambda path, *span, read=cli.read_detections:
+                            reads.append(span) or read(path, *span))
+        return reads
+
+    @staticmethod
+    def _assert_whole_reads(reads, rc) -> None:
+        """A file the serial reader accepts (exit 0) is read in its ranges
+        alone; a refused one once more as a whole, which raises its error."""
+        assert [span for span in reads if not span] == ([] if rc == 0 else [()])
+
     def _eval_inputs(self, tmp_path, edit=None):
         """The 4-frame fixture's ground truth and detections; with ``edit``,
         after ``FILLER_FRAMES`` frames of one GT and one detection each."""
@@ -317,18 +344,41 @@ class TestRanges:
         return gt_path, det_path
 
     def test_small_inputs_run_in_one_range(self, tmp_path, monkeypatch):
-        calls, reads = [], []
+        calls = []
         monkeypatch.setattr(cli, "map_ranges", lambda fn, ranges: calls.append(ranges) or
                             [fn(r) for r in ranges])
-        monkeypatch.setattr(cli, "read_detections", lambda path, read=cli.read_detections:
-                            reads.append(path) or read(path))
+        reads = self._reads(monkeypatch)
         dets = self._dets(tmp_path)
         assert _run_main(["nms", str(dets), "--out", str(tmp_path / "k")]) == (0, "")
         assert _run_main(["assign", str(SAMPLE), "--out", str(tmp_path / "l")]) == (0, "")
         # evaluate reads its one range with read_detections, and writes in one process
         gt_path, dets = self._eval_inputs(tmp_path)
         assert _evaluation(gt_path, dets, tmp_path / "out")[0] == 0
-        assert [len(r) for r in calls] == [1, 1] and reads == [str(dets)]
+        assert [len(r) for r in calls] == [1, 1, 1] and reads == [(0, dets.stat().st_size)] * 2
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe by /dev/fd")
+    def test_pipes_are_read_whole(self, tmp_path, monkeypatch):
+        """A pipe cannot be sought, so it has no ranges: it is read once, as
+        a whole, and gives the outcome of the file it carries."""
+        gt, dets = self._eval_inputs(tmp_path)
+        out, fds = tmp_path / "kept.jsonl", []
+        expected = _outcome(["nms", dets, "--out", out], out), _evaluation(gt, dets, tmp_path / "out")
+
+        def pipe(path: Path) -> str:
+            read_fd, write_fd = os.pipe()
+            fds.append(read_fd)
+            os.write(write_fd, path.read_bytes())  # well under a pipe's capacity
+            os.close(write_fd)
+            return f"/dev/fd/{read_fd}"
+
+        self._split(monkeypatch)
+        try:
+            got = (_outcome(["nms", pipe(dets), "--out", out], out),
+                   _evaluation(pipe(gt), pipe(dets), tmp_path / "out"))
+        finally:
+            for fd in fds:
+                os.close(fd)
+        assert got == expected and expected[0][0] == expected[1][0] == 0
 
     def test_forced_ranges_write_the_same_bytes(self, tmp_path, monkeypatch):
         split = self._split(monkeypatch)
@@ -348,9 +398,10 @@ class TestRanges:
         with monkeypatch.context() as serial:
             serial.setattr(cli, "_line_ranges", lambda path: [])
             expected = _outcome(argv, out)
-        split_counts = self._split(monkeypatch)
+        split_counts, reads = self._split(monkeypatch), self._reads(monkeypatch)
         assert _outcome(argv, out) == expected
         assert split_counts[0] > 1  # the last range holds the odd last line
+        self._assert_whole_reads(reads, expected[0])
         _no_child_left()
 
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -427,15 +478,16 @@ class TestRanges:
         with monkeypatch.context() as serial:
             serial.setattr(cli, "_line_ranges", lambda path: [])
             expected = _evaluation(gt, dets, tmp_path / "out")
-        split_counts = self._split(monkeypatch)
+        split_counts, reads = self._split(monkeypatch), self._reads(monkeypatch)
         assert _evaluation(gt, dets, tmp_path / "out") == expected
         assert split_counts[0] > 1  # the last range holds the odd last line
+        self._assert_whole_reads(reads, expected[0])
         _no_child_left()
 
     @pytest.mark.parametrize("death", [lambda: os._exit(3),
                                        lambda: os.kill(os.getpid(), signal.SIGKILL)],
                              ids=["exit_3", "sigkill"])
-    @pytest.mark.parametrize("phase", ["read_detection_range", "write_curve_csv"],
+    @pytest.mark.parametrize("phase", ["read_detections", "write_curve_csv"],
                              ids=["parse", "write"])
     def test_a_child_that_dies_in_an_evaluation_is_run_again(self, tmp_path, monkeypatch, death,
                                                              phase):

@@ -18,7 +18,6 @@ from pairbox.formats import (
     _canonical_rows,
     read_anchors,
     read_dataset,
-    read_detection_range,
     read_detections,
     read_json,
     read_samples,
@@ -299,12 +298,26 @@ single_det = st.fixed_dictionaries({"box": box, "score": score})
 
 
 @st.composite
-def detection_file(draw, single_box: bool):
-    ids = draw(st.lists(st.integers(-5, 5) | st.text("ab1", max_size=2), unique=True,
+def detection_file(draw, single_box: bool, ascii: bool = True):
+    """A valid detection file's text; with ``ascii`` False, ids may hold
+    characters beyond ASCII, written as themselves rather than escaped."""
+    letters = "ab1" if ascii else "ab1\u00e9\u20ac"
+    ids = draw(st.lists(st.integers(-5, 5) | st.text(letters, max_size=2), unique=True,
                         min_size=1, max_size=5))
     det = paired_det | single_det if single_box else paired_det
     records = [{"frame": fid, "dets": draw(st.lists(det, max_size=4))} for fid in ids]
-    return "".join(json.dumps(r) + "\n" for r in records)
+    return "".join(json.dumps(r, ensure_ascii=ascii) + "\n" for r in records)
+
+
+@st.composite
+def dressed(draw, text: str) -> bytes:
+    """``text``'s lines with blank lines between them and each ended by LF,
+    CRLF or CR, as UTF-8 with its escaped bytes put back."""
+    lines = []
+    for line in text.splitlines():
+        for part in draw(st.lists(st.sampled_from(["", "  "]), max_size=1)) + [line]:
+            lines.append(part + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return "".join(lines).encode("utf-8", "surrogateescape")
 
 
 def _same_table(a, b):
@@ -430,40 +443,55 @@ class TestColumnReader:
 
 
 class TestDetectionRange:
-    """``read_detection_range`` reads a byte range as ``read_detections``
-    reads the whole file, or gives None."""
+    """``read_detections(path, start, stop)`` reads the lines in a byte
+    range as the whole read reads them, so two ranges cut at a line start
+    make up the whole file; a file the whole read refuses gives the serial
+    outcome through the commands that read it in ranges."""
 
     @staticmethod
     def _line_starts(data: bytes) -> list[int]:
         return [0] + [k + 1 for k, b in enumerate(data) if b == ord("\n")]
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(derandomize=True, deadline=None, max_examples=200)
     @given(data=st.data())
-    def test_a_range_is_none_or_the_whole_readers_rows(self, tmp_path_factory, data):
-        files = detection_file(single_box=False) | detection_file(single_box=True)
+    def test_ranges_make_up_the_whole_read_or_give_its_outcome(self, tmp_path_factory, data):
+        files = (detection_file(single_box=False, ascii=False)
+                 | detection_file(single_box=True, ascii=False))
         text = data.draw(files)
         if data.draw(st.booleans()):
             text = data.draw(mutated_text(text, bad_bytes=True))
-        p = tmp_path_factory.mktemp("dets") / "d.jsonl"
-        p.write_text(text, encoding="utf-8", errors="surrogateescape")
-        raw = p.read_bytes()
-        starts = self._line_starts(raw)
-        cut = data.draw(st.sampled_from(starts))
-        parts = [read_detection_range(p, 0, cut), read_detection_range(p, cut, len(raw))]
-        whole = read_detection_range(p, 0, len(raw))
-        lines = raw.split(b"\n")
-        lines = lines[:-1] if not lines[-1] else lines
-        seen, canonical = set(), raw.isascii() and b"\r" not in raw
-        for line in lines:
-            canonical = canonical and not _off_canonical(line.decode("ascii", "replace"), "dets",
-                                                         seen)
-            if canonical:
-                seen.add(json.loads(line)["frame"])
-        assert (whole is not None) == canonical
-        if whole is not None:
-            _same_table(whole, read_detections(p))
-            assert parts[0].frame_ids + parts[1].frame_ids == whole.frame_ids
-            assert np.concatenate([parts[0].rows, parts[1].rows]).tobytes() == whole.rows.tobytes()
+        work = tmp_path_factory.mktemp("dets")
+        p = work / "d.jsonl"
+        raw = data.draw(dressed(text))
+        p.write_bytes(raw)
+        whole = _outcome(read_detections, p)
+        if isinstance(whole, str):
+            self._serial_outcomes(p, work)
+            return
+        cut = data.draw(st.sampled_from(self._line_starts(raw)))
+        parts = [read_detections(p, 0, cut), read_detections(p, cut, len(raw))]
+        _same_table(read_detections(p, 0, len(raw)), whole)
+        assert parts[0].frame_ids + parts[1].frame_ids == whole.frame_ids
+        assert np.concatenate([parts[0].rows, parts[1].rows]).tobytes() == whole.rows.tobytes()
+
+    @staticmethod
+    def _serial_outcomes(dets, work):
+        """``nms`` and ``evaluate`` of ``dets`` split into ranges give the
+        exit code, stderr and files of their serial runs, and leave no child."""
+        out = work / "kept.jsonl"
+        nms = ["nms", dets, "--out", out]
+        outcomes = []
+        for split in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                if split:
+                    test_cli.TestRanges._split(mp)
+                else:
+                    mp.setattr(cli, "_line_ranges", lambda path: [])
+                outcomes.append((test_cli._outcome(nms, out),
+                                 test_cli._evaluation(SAMPLE, dets, work / "out")))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0][0] == outcomes[0][1][0] == 2
+        test_cli._no_child_left()
 
     @pytest.mark.parametrize("tail", [
         b'{"frame":1,"dets":[{"box":[0,0,1,1],"score":0.5}]}\n',              # single box
@@ -472,26 +500,38 @@ class TestDetectionRange:
         b'\n{"frame":1,"dets":[]}\n',                                          # blank line
         b'{"frame":1,"dets":[],"x":0}\n',
         b'{"frame":true,"dets":[]}\n',
-        b'{"frame":"\xff","dets":[]}\n',                                       # not ASCII
-        b'{"frame":"\\u00e9","dets":[]}\n' + b"\xc3\xa9\n",                  # nor UTF-8 beyond it
+        b'{"frame":"\xff","dets":[]}\n',                                       # not UTF-8
+        b'{"frame":"\\u00e9","dets":[]}\n' + b"\xc3\xa9\n",                  # nor JSON beyond it
         b'{"frame":1,"dets":[' + b"[" * 100_000 + b"]" * 100_000 + b']}\n',
         b'{"frame":1,"dets":[' + b"1" * 5000 + b']}\n',
         b'{"frame":1,"dets":[{"v":[0,0,1,1],"t":[0,0,1,1e101],"score":0.5}]}\n',
         b'[]\n',
     ])
-    def test_an_off_canonical_line_gives_none(self, tmp_path, tail):
-        p = tmp_path / "d.jsonl"
+    def test_a_range_reads_as_a_file_of_its_own_lines(self, tmp_path, tail):
+        """The same table or the same error, whose line counts from the
+        range start; a frame id of an earlier range is new to it."""
+        def outcome(path, *span):
+            try:
+                return read_detections(path, *span)
+            except ParseError as exc:
+                return exc.line_no, exc.reason
+
+        p, alone = tmp_path / "d.jsonl", tmp_path / "alone.jsonl"
         head = b'{"frame":0,"dets":[]}\n'
         p.write_bytes(head + tail)
-        assert read_detection_range(p, 0, len(head)).frame_ids == [0]
-        assert read_detection_range(p, 0, len(head + tail)) is None
-        assert read_detection_range(tmp_path / "missing.jsonl", 0, 10) is None
+        alone.write_bytes(tail)
+        got, expected = outcome(p, len(head), len(head + tail)), outcome(alone)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            _same_table(got, expected)
+        assert read_detections(p, 0, len(head)).frame_ids == [0]
 
     def test_a_final_line_without_lf_and_an_empty_range_read(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_bytes(b'{"frame":0,"dets":[]}\n{"frame":"a","dets":[]}')
-        assert read_detection_range(p, 0, p.stat().st_size).frame_ids == [0, "a"]
-        assert len(read_detection_range(p, 5, 5)) == 0
+        assert read_detections(p, 0, p.stat().st_size).frame_ids == [0, "a"]
+        assert len(read_detections(p, 5, 5)) == 0
 
 
 def test_parse_error_survives_pickling():
