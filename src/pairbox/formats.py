@@ -20,7 +20,7 @@ Parsers reject records that violate domain invariants and report the file,
 line number, and offending field; a byte that is not UTF-8 is reported at
 its line too. Each file is read in one pass into the columns of a
 :class:`~pairbox.evaluation.GtTable` or a :class:`~pairbox.evaluation.DetectionTable`,
-and written from them.
+and written from them, one frame's values at a time.
 
 An anchor file (``assign --anchors``) and a loss sample file (``losses``)
 each hold one JSON document, read by :func:`read_anchors` and
@@ -319,21 +319,12 @@ def _dump(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"), ensure_ascii=True)
 
 
-# the writers turn this many frames' rows at a time into Python values, so
-# that what they hold does not grow with the table
-_BLOCK_FRAMES = 1024
-
-
 def _frame_rows(table, columns: tuple):
     """Each frame's id and its rows, as tuples of one list item per column
-    of ``columns``, in frame order."""
-    for lo in range(0, len(table.frame_ids), _BLOCK_FRAMES):
-        offsets = table.offsets[lo:lo + _BLOCK_FRAMES + 1]
-        first = offsets[0]
-        lists = [column[first:offsets[-1]].tolist() for column in columns]
-        bounds = (offsets - first).tolist()
-        for fid, a, b in zip(table.frame_ids[lo:lo + _BLOCK_FRAMES], bounds, bounds[1:]):
-            yield fid, zip(*(items[a:b] for items in lists))
+    of ``columns``, in frame order; only one frame's rows are turned into
+    Python values at a time."""
+    for fid, lo, hi in zip(table.frame_ids, table.offsets, table.offsets[1:]):
+        yield fid, zip(*(column[lo:hi].tolist() for column in columns))
 
 
 def write_dataset(table: GtTable, path) -> None:

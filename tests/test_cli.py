@@ -1508,12 +1508,24 @@ def tiny_inputs(tmp_path_factory):
 class TestNumericOptionEdges:
     """Every numeric option of every command, one at a time, at the edges of
     the float and int domains, on tiny inputs: each run ends in an exit code,
-    without an exception, a traceback or a warning."""
+    without an exception, a traceback or a warning. A refused value (exit 2)
+    is named by its option; a value that reaches the domain ends in one of
+    its errors (exit 1)."""
 
-    EDGES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e308", "1" + "0" * 400)
+    EDGES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e308", "1" + "0" * 400, "", "1" + "0" * 5000)
+    DOMAIN_ERRORS = (
+        "miss rate undefined",
+        "|dx| must be smaller than the image width",
+        "box field",
+        "more than the limit of",
+        "height_range must satisfy",
+        "x_margin leaves no room",
+        "anchor grid of",
+        "anchor box fields must be",
+    )
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("value", EDGES)
+    @pytest.mark.parametrize("value", EDGES, ids=lambda v: f"{len(v)}-digits" if len(v) > 1000 else None)
     @pytest.mark.parametrize("command, option, nargs", _numeric_options())
     def test_exits_with_a_code(self, tiny_inputs, tmp_path, command, option, nargs, value):
         gt_path, dets, out = tiny_inputs / "gt.jsonl", tiny_inputs / "dets.jsonl", tmp_path / "out"
@@ -1536,6 +1548,11 @@ class TestNumericOptionEdges:
         assert "Traceback" not in err.getvalue()
         # every value reaches the option's type, "-1" and "-inf" too
         assert not re.search(r"expected (one|at least one|\d+) argument", err.getvalue())
+        last = err.getvalue().rstrip().rpartition("\n")[2]  # after argparse's usage lines
+        if rc == 2:  # a rule across options names the option given besides its own
+            assert option in re.findall(r"--[a-z][a-z-]*", last), last
+        elif rc == 1:
+            assert last.startswith("error: ") and any(e in last for e in self.DOMAIN_ERRORS), last
 
     @pytest.mark.parametrize("argv, same_as", [
         (["shift-sweep", "{gt}", "--shift", "-1e1"], ["shift-sweep", "{gt}", "--shift", "-10"]),

@@ -197,10 +197,10 @@ class TestDetections:
 
 
 
-class TestBlockedWriters:
-    """The writers turn one block of frames at a time into Python values:
-    their bytes do not depend on the block size, and the memory they hold
-    does not grow with the frame count."""
+class TestPerFrameWriters:
+    """The writers turn one frame's rows at a time into Python values: a
+    scene with empty frames reads back equal, and the memory they hold does
+    not grow with the frame count or with the frames around the one written."""
 
     @staticmethod
     def _tables(n: int):
@@ -209,19 +209,13 @@ class TestBlockedWriters:
         scores = np.linspace(0.0, 1.0, len(gts.rows))
         return gts, DetectionTable(gts.frame_ids, gts.offsets, np.column_stack([gts.rows, scores]))
 
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch, block):
+    def test_scene_with_empty_frames_reads_back_equal(self, tmp_path):
         gts, dets = self._tables(50)
         assert 0 in np.diff(gts.offsets)
-        whole = [tmp_path / "gt.jsonl", tmp_path / "dets.jsonl"]
-        write_dataset(gts, whole[0])
-        write_detections(dets, whole[1])
-        monkeypatch.setattr(formats, "_BLOCK_FRAMES", block)
-        write_dataset(gts, tmp_path / "gt_blocks.jsonl")
-        write_detections(dets, tmp_path / "dets_blocks.jsonl")
-        assert (tmp_path / "gt_blocks.jsonl").read_bytes() == whole[0].read_bytes()
-        assert (tmp_path / "dets_blocks.jsonl").read_bytes() == whole[1].read_bytes()
-        assert list(read_dataset(whole[0])) == list(gts) and list(read_detections(whole[1])) == list(dets)
+        write_dataset(gts, tmp_path / "gt.jsonl")
+        write_detections(dets, tmp_path / "dets.jsonl")
+        assert list(read_dataset(tmp_path / "gt.jsonl")) == list(gts)
+        assert list(read_detections(tmp_path / "dets.jsonl")) == list(dets)
 
     @pytest.mark.parametrize("write", [write_dataset, write_detections])
     def test_peak_memory_does_not_grow_with_the_frame_count(self, tmp_path, write):
@@ -236,6 +230,19 @@ class TestBlockedWriters:
                 tracemalloc.stop()
         # converting the whole 6,000-frame table at once took 3 times the 2,000-frame peak
         assert peaks[1] < 1.2 * peaks[0], peaks
+
+    def test_detection_lines_hold_one_frame_of_values(self):
+        n, per_frame = 2_000, 20
+        rows = np.random.default_rng(0).uniform(0.0, 1.0, (n * per_frame, 9))
+        table = DetectionTable(range(n), np.arange(0, n * per_frame + 1, per_frame), rows)
+        tracemalloc.start()
+        try:
+            assert sum(map(len, formats.detection_lines(table))) > 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one frame of values peaked at 0.04-0.17 MB; blocks of 1,024 frames at 16.7 MB
+        assert peak < 1_000_000, peak
 
 class TestUndecodableBytes:
     """A byte that is not UTF-8 is a parse error at its line."""
