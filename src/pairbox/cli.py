@@ -67,7 +67,6 @@ from .sampling import (
     AssignmentConfig,
     assign_detector,
     assign_rpn,
-    frame_overlap_stats,
     generate_anchor_grid,
     sample_minibatch,
 )
@@ -457,10 +456,8 @@ def cmd_assign(args) -> int:
     def assign_frames(frames: tuple[int, int]) -> list[str]:
         lo, hi = frames
         lines = []
-        stats = frame_overlap_stats(anchors, gts, offsets[lo:hi + 1])
-        for fid, g_lo, g_hi, stat in zip(frame_ids[lo:hi], offsets[lo:hi], offsets[lo + 1:hi + 1],
-                                         stats):
-            result = assign(anchors, (gts[0][g_lo:g_hi], gts[1][g_lo:g_hi]), cfg, stat)
+        for fid, g_lo, g_hi in zip(frame_ids[lo:hi], offsets[lo:hi], offsets[lo + 1:hi + 1]):
+            result = assign(anchors, (gts[0][g_lo:g_hi], gts[1][g_lo:g_hi]), cfg)
             # the bytes json.dumps(record, separators=(",", ":")) writes, each
             # distinct value formatted once
             labels, matched = _format_distinct([result.labels, result.matched_gt], _int_text)

@@ -5,14 +5,16 @@ best multi-modal IoU against the ground-truth pairs, then mini-batches are
 drawn with a capped positive fraction. Assignment is pure; sampling takes an
 explicit seeded random source. Anchors, RoIs and ground-truth pairs are
 (visible, thermal) pairs of (N, 4) arrays, as ``generate_anchor_grid`` and
-``pairs_to_arrays`` return.
+``pairs_to_arrays`` return. Each call labels one frame, taking its GTs in
+blocks of ``CELL_BUDGET // n`` rows against the n candidates, so memory does
+not grow with the frame's objects.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +29,6 @@ __all__ = [
     "IGNORE",
     "AssignmentConfig",
     "AssignmentResult",
-    "OverlapStats",
-    "frame_overlap_stats",
     "assign_rpn",
     "assign_detector",
     "sample_minibatch",
@@ -86,66 +86,37 @@ class AssignmentResult:
     max_ioum: np.ndarray
 
 
-class OverlapStats(NamedTuple):
-    """What labelling needs of the overlaps of n candidates with m GT pairs:
-    each candidate's best overlap (0 with no GT) and the index of its first
-    best GT (0 with no GT), and each GT's first best candidate (0 with no
-    candidate) and that overlap (0 with no candidate)."""
+def _overlap_stats(candidates: tuple[np.ndarray, np.ndarray],
+                   gts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Each candidate's best overlap (0 with no GT) and the index of its first
+    best GT (0 with no GT), and each GT's first best candidate and that
+    overlap (0 and 0 with no candidate).
 
-    max_ioum: np.ndarray
-    best_gt: np.ndarray
-    gt_best: np.ndarray
-    gt_max: np.ndarray
-
-
-def frame_overlap_stats(candidates: tuple[np.ndarray, np.ndarray],
-                        gts: tuple[np.ndarray, np.ndarray], offsets: Sequence[int]):
-    """The :class:`OverlapStats` of ``candidates`` against each frame's GT
-    pairs, frame ``k`` holding rows ``offsets[k]:offsets[k + 1]`` of ``gts``.
-
-    The GTs are taken in blocks of at most ``CELL_BUDGET // n`` rows against
-    all n candidates, whatever frames the rows belong to, so memory is bounded
-    by the budget. A frame's running best per candidate is replaced only by a
-    strictly larger overlap, so each statistic is the value and first index
-    a whole frame's overlap matrix gives.
+    A running best is replaced only by a strictly larger overlap, so these
+    are the first maxima of the whole matrix; the IoU is symmetric bit for
+    bit, so GT rows by candidate columns give the (candidate, GT) matrix's.
     """
-    n = len(candidates[0])
+    n, m = len(candidates[0]), len(gts[0])
     rows = max(1, CELL_BUDGET // max(n, 1))
-    block_lo = block_hi = 0
-    for lo, hi in zip(offsets, offsets[1:]):
-        max_ioum, best_gt = np.zeros(n), np.zeros(n, dtype=np.int64)
-        gt_best, gt_max = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        c = lo
-        while c < hi:
-            if c >= block_hi:
-                block_lo, block_hi = c, min(c + rows, offsets[-1])
-                block = iou_multimodal_matrix(*candidates, gts[0][block_lo:block_hi],
-                                              gts[1][block_lo:block_hi])
-                # the first maximum: the lowest candidate index; overlaps are never negative
-                block_best = block.argmax(axis=0) if n else np.zeros(block.shape[1], np.int64)
-                block_max = block.max(axis=0, initial=0.0)
-            end = min(hi, block_hi)
-            cols = block[:, c - block_lo:end - block_lo]
-            col_max = cols.max(axis=1, initial=0.0)
-            better = col_max > max_ioum
-            max_ioum = np.where(better, col_max, max_ioum)
-            best_gt = np.where(better, cols.argmax(axis=1) + (c - lo), best_gt)
-            gt_best.append(block_best[c - block_lo:end - block_lo])
-            gt_max.append(block_max[c - block_lo:end - block_lo])
-            c = end
-        yield OverlapStats(max_ioum, best_gt, np.concatenate(gt_best), np.concatenate(gt_max))
-
-
-def _overlap_stats(candidates, gts) -> OverlapStats:
-    (stats,) = frame_overlap_stats(candidates, gts, [0, len(gts[0])])
-    return stats
+    max_ioum, best_gt = np.zeros(n), np.zeros(n, dtype=np.int64)
+    gt_best, gt_max = np.zeros(m, dtype=np.int64), np.zeros(m)
+    # with no candidate, each GT keeps 0 and 0
+    for lo in range(0, m if n else 0, rows):
+        block = iou_multimodal_matrix(gts[0][lo:lo + rows], gts[1][lo:lo + rows], *candidates)
+        # the first maximum: the lowest index; overlaps are never negative
+        gt_best[lo:lo + rows] = block.argmax(axis=1)
+        gt_max[lo:lo + rows] = block.max(axis=1)
+        col_max = block.max(axis=0)
+        better = col_max > max_ioum
+        max_ioum = np.where(better, col_max, max_ioum)
+        best_gt = np.where(better, block.argmax(axis=0) + lo, best_gt)
+    return max_ioum, best_gt, gt_best, gt_max
 
 
 def assign_rpn(
     anchors: tuple[np.ndarray, np.ndarray],
     gts: tuple[np.ndarray, np.ndarray],
     cfg: AssignmentConfig = AssignmentConfig(),
-    stats: Optional[OverlapStats] = None,
 ) -> AssignmentResult:
     """Label anchor pairs against GT pairs by best multi-modal IoU.
 
@@ -154,10 +125,8 @@ def assign_rpn(
     negative. When ``cfg.match_best_anchor_per_gt`` is set, the
     first-best anchor of each GT (by lowest anchor index among maxima) is
     additionally forced positive provided its overlap is nonzero.
-    ``stats`` are the overlap statistics of ``anchors`` against ``gts``, if
-    :func:`frame_overlap_stats` has taken them already.
     """
-    max_ioum, best_gt, gt_best, gt_max = stats or _overlap_stats(anchors, gts)
+    max_ioum, best_gt, gt_best, gt_max = _overlap_stats(anchors, gts)
     labels = np.full(len(max_ioum), IGNORE, dtype=np.int8)
     labels[max_ioum > cfg.rpn_pos_thresh] = POSITIVE
     # with no GT all are negative, also where rpn_neg_thresh == 0 would give IGNORE
@@ -172,7 +141,6 @@ def assign_detector(
     rois: tuple[np.ndarray, np.ndarray],
     gts: tuple[np.ndarray, np.ndarray],
     cfg: AssignmentConfig = AssignmentConfig(),
-    stats: Optional[OverlapStats] = None,
 ) -> AssignmentResult:
     """Label RoI pairs against GT pairs by best multi-modal IoU.
 
@@ -180,9 +148,8 @@ def assign_detector(
     [det_neg_lo, det_neg_hi); everything else (including RoIs below the
     negative band) is ignore. With no GT pairs the best overlap is 0, which
     falls below the band, so all RoIs are ignore unless ``det_neg_lo`` is 0.
-    ``stats`` are as :func:`assign_rpn` takes them.
     """
-    max_ioum, best_gt, _, _ = stats or _overlap_stats(rois, gts)
+    max_ioum, best_gt, _, _ = _overlap_stats(rois, gts)
     labels = np.full(len(max_ioum), IGNORE, dtype=np.int8)
     labels[(max_ioum >= cfg.det_neg_lo) & (max_ioum < cfg.det_neg_hi)] = NEGATIVE
     labels[max_ioum >= cfg.det_pos_thresh] = POSITIVE

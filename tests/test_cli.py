@@ -27,10 +27,11 @@ from pairbox.formats import (
 )
 from pairbox.evaluation import FrameAnnotations
 from pairbox.pairnms import Detection
+from pairbox.sampling import AssignmentConfig, generate_anchor_grid
 from pairbox.simulation import MockDetectorSpec, ShiftSpec, apply_shift, mock_detect
 
 from mutations import mutated_text
-from oracles import naive_nms
+from oracles import loop_best_anchor_per_gt, naive_nms
 from scenes import det_at, detection_table, four_frame_fixture, gt, gt_table
 
 SAMPLE = Path(__file__).parent / "data" / "sample_dataset.jsonl"
@@ -785,6 +786,41 @@ class TestAssignCommand:
         assert labels == (tmp_path / "without.labels").read_bytes()
         records = [json.loads(line) for line in labels.splitlines()]
         assert 1 in records[0]["labels"] and 1 not in records[1]["labels"]
+
+    def test_frame_spanning_gt_blocks_equals_its_whole_matrix(self, tmp_path):
+        """A frame of 100 GT pairs spans three blocks of 34 on the default grid;
+        its labels and overlaps equal those of its whole overlap matrix."""
+        rng = np.random.default_rng(5)
+        frames = []
+        for fid, count in ((0, 100), (1, 3)):
+            heights = rng.uniform(30, 220, count)
+            objects = tuple(
+                dataclasses.replace(gt(x, y, w=0.41 * h, h=h, dx_thermal=dx), ignore=k % 9 == 4)
+                for k, (x, y, h, dx) in enumerate(zip(rng.uniform(-20, 620, count),
+                                                      rng.uniform(-20, 480, count), heights,
+                                                      rng.uniform(-8, 8, count))))
+            frames.append(FrameAnnotations(fid, objects))
+        ds_path, out_path = tmp_path / "gt.jsonl", tmp_path / "labels.jsonl"
+        write_dataset(gt_table(frames), ds_path)
+        assert main(["assign", str(ds_path), "--force-best-anchor", "--out", str(out_path)]) == 0
+        records = [json.loads(line) for line in out_path.read_text(encoding="utf-8").splitlines()]
+        anchors = generate_anchor_grid(640.0, 512.0)
+        cfg = AssignmentConfig()
+        # 89 evaluable GTs: more than two blocks of 34
+        assert [sum(not o.ignore for o in f.objects) for f in frames] == [89, 3]
+        for frame, record in zip(frames, records, strict=True):
+            kept = [o.pair for o in frame.objects if not o.ignore]
+            overlaps = geometry.iou_multimodal_matrix(*anchors, *geometry.pairs_to_arrays(kept))
+            max_ioum = overlaps.max(axis=1)
+            labels = np.full(len(max_ioum), -1, dtype=np.int8)
+            labels[max_ioum > cfg.rpn_pos_thresh] = 1
+            labels[max_ioum < cfg.rpn_neg_thresh] = 0
+            labels = loop_best_anchor_per_gt(labels, overlaps)
+            assert record["labels"] == labels.tolist()
+            assert record["max_ioum"] == max_ioum.tolist()
+            assert record["matched_gt"] == np.where(labels == 1, overlaps.argmax(axis=1), -1).tolist()
+            # some GT's best anchor is positive only because it is forced
+            assert np.any((labels == 1) & (max_ioum <= cfg.rpn_pos_thresh))
 
     def test_anchor_at_070_is_positive(self, tmp_path):
         ds_path = tmp_path / "gt.jsonl"

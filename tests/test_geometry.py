@@ -225,7 +225,8 @@ class TestArrayHelpers:
         assert t[0, 0] == 1.0
 
     def test_matrix_matches_scalar(self):
-        """All four array kernels equal the scalar formulas in every cell."""
+        """All four array kernels equal the scalar formulas in every cell, and
+        the matrices equal their swapped operands' transposes."""
         rng = np.random.default_rng(29)
         for make in (random_float_boxes, edge_case_boxes, small_int_boxes):
             av, at, bv, bt = (make(rng, n) for n in (40, 40, 25, 25))
@@ -238,6 +239,9 @@ class TestArrayHelpers:
             b_pairs = [PairedBox(Box(*v), Box(*t)) for v, t in zip(bv, bt)]
             mat = iou_matrix(av, bv)
             mat_m = iou_multimodal_matrix(av, at, bv, bt)
+            # symmetric bit for bit: sampling labels GT rows against anchor columns
+            assert iou_matrix(bv, av).T.tobytes() == mat.tobytes()
+            assert iou_multimodal_matrix(bv, bt, av, at).T.tobytes() == mat_m.tobytes()
             for i, p in enumerate(a_pairs):
                 for j, q in enumerate(b_pairs):
                     assert mat[i, j] == iou(p.visible, q.visible)

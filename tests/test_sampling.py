@@ -18,7 +18,6 @@ from pairbox.sampling import (
     assign_detector,
     assign_rpn,
     MAX_ANCHORS,
-    frame_overlap_stats,
     generate_anchor_grid,
     sample_minibatch,
 )
@@ -169,7 +168,7 @@ class TestBestAnchorPerGt:
 
 
 class TestBlockedOverlaps:
-    """``frame_overlap_stats`` in blocks of GTs against each frame's whole
+    """``_overlap_stats`` in blocks of GTs against each frame's whole
     overlap matrix."""
 
     @staticmethod
@@ -186,26 +185,19 @@ class TestBlockedOverlaps:
            budget=st.integers(1, 64), neg=st.sampled_from([0.0, 0.3]))
     def test_equals_each_frames_matrix(self, candidates, frames, budget, neg):
         # a budget below the candidate count gives one-GT blocks; above it,
-        # blocks that span frames and frames that span blocks
+        # blocks of several GTs, which a frame may span
         c = _as_arrays(candidates)
-        gts = _as_arrays([pair for frame in frames for pair in frame])
-        offsets = np.cumsum([0] + [len(f) for f in frames]).tolist()
-        with patch.object(sampling, "CELL_BUDGET", budget):
-            stats = list(frame_overlap_stats(c, gts, offsets))
-        assert len(stats) == len(frames)
-        for got, lo, hi in zip(stats, offsets, offsets[1:]):
-            g = (gts[0][lo:hi], gts[1][lo:hi])
-            for x, y in zip(got, self._matrix_stats(c, g)):
+        cfg = AssignmentConfig(rpn_neg_thresh=neg, match_best_anchor_per_gt=True)
+        for frame in frames:
+            g = _as_arrays(frame)
+            with patch.object(sampling, "CELL_BUDGET", budget):
+                got = sampling._overlap_stats(c, g)
+                plain = assign_rpn(c, g, replace(cfg, match_best_anchor_per_gt=False))
+                forced = assign_rpn(c, g, cfg)
+            for x, y in zip(got, self._matrix_stats(c, g), strict=True):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-            cfg = AssignmentConfig(rpn_neg_thresh=neg, match_best_anchor_per_gt=True)
-            plain = assign_rpn(c, g, replace(cfg, match_best_anchor_per_gt=False), got)
-            forced = assign_rpn(c, g, cfg, got)
             expected = loop_best_anchor_per_gt(plain.labels, iou_multimodal_matrix(*c, *g))
             np.testing.assert_array_equal(forced.labels, expected)
-            for stage in (assign_rpn, assign_detector):
-                with_stats, alone = stage(c, g, cfg, got), stage(c, g, cfg)
-                for name in ("labels", "matched_gt", "max_ioum"):
-                    assert getattr(with_stats, name).tobytes() == getattr(alone, name).tobytes()
 
     def test_peak_memory_does_not_grow_with_the_gt_count(self):
         anchors = generate_anchor_grid(640.0, 512.0)
